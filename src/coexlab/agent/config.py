@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,18 @@ class AgentConfig:
     tcp_query_period_rounds: int = 100
     tcp_observer_window_rounds: int = 100
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def validate(self, frame_len: int = 10) -> None:
         if self.query_period_slots % frame_len:
             raise ValueError("query period must cover whole frames")
         if self.n_max < 0 or self.asi_retries < 1 or self.demo_k < 1:
             raise ValueError("loop bounds out of range")
+
+
+def checked_agent_settings(doc: object) -> dict:
+    """``doc`` if it is a JSON object of known ``AgentConfig`` names."""
+    if not isinstance(doc, dict):
+        raise ValueError("agent settings must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(AgentConfig)})
+    if unknown:
+        raise ValueError(f"unknown agent settings: {', '.join(unknown)}")
+    return doc

@@ -16,6 +16,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..backends import fenced_json
 from ..mac import (
     DEFAULT_FRAME_LEN,
     KIND_AGENT,
@@ -89,8 +90,7 @@ class DemoSet:
         }
 
     def prompt_block(self) -> str:
-        body = json.dumps(self.doc(), sort_keys=True, separators=(",", ":"))
-        return f"```json\n{body}\n```"
+        return fenced_json(self.doc())
 
 
 def _derive_seed(seed: int, label_idx: int, run_idx: int) -> int:
@@ -146,14 +146,12 @@ def _run_mac_demo(spec: ScenarioSpec, action: List[float]) -> TrajectoryLog:
 
 
 def _mac_summary(log: TrajectoryLog) -> Dict[str, object]:
-    frames = log.records[-1].frame_index + 1
+    frames = log.n_frames
     util = slot_utilization(log, last_frames=frames)
-    outcome_counts = {o: 0 for o in SlotOutcome}
-    for rec in log.records:
-        outcome_counts[rec.outcome] += 1
-    total = len(log.records)
+    outcome_counts = log.outcome_counts(0, frames)
+    total = log.n_slots
     return {
-        "live_n": len(log.records[-1].live_ids),
+        "live_n": len(log.segments_between(frames - 1, frames)[-1]),
         "slot_utilization": [round(u, 6) for u in util],
         "success_rate": round(outcome_counts[SlotOutcome.SUCCESS] / total, 6),
         "collision_rate": round(outcome_counts[SlotOutcome.COLLIDED] / total, 6),

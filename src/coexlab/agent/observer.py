@@ -86,54 +86,46 @@ def actions_converged(actions: Sequence[object], epsilon: float,
                for prev, cur in zip(recent, recent[1:]))
 
 
+def _report(signals, notable: Sequence[NotableSlot], rate_shift_delta: float,
+            actions: Sequence[object], convergence_epsilon: float,
+            convergence_periods: int) -> ObserverReport:
+    return ObserverReport(
+        converged=actions_converged(actions, convergence_epsilon,
+                                    convergence_periods),
+        env_changed=signals.membership_changed
+        or signals.rate_shift > rate_shift_delta,
+        notable=tuple(notable), window=signals.window, signals=signals)
+
+
 def mac_window_signals(log: TrajectoryLog, window_frames: int,
                        exclude_ids: Iterable[int] = ()) -> MacWindowSignals:
     if window_frames < 1:
         raise WindowTooShortError("window_frames must be >= 1")
-    if not log.records:
+    if not log.n_slots:
         raise WindowTooShortError("empty trajectory log")
-    last_frame = log.records[-1].frame_index
-    first_frame = last_frame - window_frames + 1
+    end = log.n_frames
+    first_frame = end - window_frames
     if first_frame < 0:
-        raise WindowTooShortError(
-            f"need {window_frames} frames, have {last_frame + 1}"
-        )
-    excluded = frozenset(exclude_ids)
+        raise WindowTooShortError(f"need {window_frames} frames, have {end}")
     mid_frame = first_frame + window_frames // 2
-
-    util_counts = [0] * log.frame_len
-    half_counts = [
-        {o: 0 for o in SlotOutcome},
-        {o: 0 for o in SlotOutcome},
-    ]
-    half_totals = [0, 0]
-    collided = 0
-    memberships = set()
-    for rec in reversed(log.records):
-        if rec.frame_index < first_frame:
-            break
-        half = 0 if rec.frame_index < mid_frame else 1
-        half_counts[half][rec.outcome] += 1
-        half_totals[half] += 1
-        if rec.outcome is SlotOutcome.COLLIDED:
-            collided += 1
-        memberships.add(rec.live_ids)
-        if any(nid not in excluded for nid in rec.transmitters):
-            util_counts[rec.frame_position] += 1
-
-    total = half_totals[0] + half_totals[1]
+    halves = (log.outcome_counts(first_frame, mid_frame),
+              log.outcome_counts(mid_frame, end))
+    half_totals = [sum(counts.values()) for counts in halves]
     rate_shift = 0.0
     if half_totals[0] and half_totals[1]:
         for outcome in SlotOutcome:
-            older = half_counts[0][outcome] / half_totals[0]
-            recent = half_counts[1][outcome] / half_totals[1]
+            older = halves[0][outcome] / half_totals[0]
+            recent = halves[1][outcome] / half_totals[1]
             rate_shift = max(rate_shift, abs(recent - older))
+    collided = sum(counts[SlotOutcome.COLLIDED] for counts in halves)
+    util_counts = log.transmissions_by_position(first_frame, end, exclude_ids)
     return MacWindowSignals(
-        window=(first_frame, last_frame),
-        live_n=len(log.records[-1].live_ids),
+        window=(first_frame, end - 1),
+        live_n=len(log.segments_between(end - 1, end)[-1]),
         slot_utilization=tuple(c / window_frames for c in util_counts),
-        collision_rate=collided / total,
-        membership_changed=len(memberships) > 1,
+        collision_rate=collided / sum(half_totals),
+        membership_changed=len(set(log.segments_between(first_frame,
+                                                        end))) > 1,
         rate_shift=rate_shift,
     )
 
@@ -153,15 +145,8 @@ def observer_analyze(log: TrajectoryLog, *, window_frames: int,
             notable.append(NotableSlot(slot, NOTABLE_OVERUSED, round(util, 6)))
         elif util == 0.0:
             notable.append(NotableSlot(slot, NOTABLE_UNUSED, 0.0))
-    return ObserverReport(
-        converged=actions_converged(actions, convergence_epsilon,
-                                    convergence_periods),
-        env_changed=signals.membership_changed
-        or signals.rate_shift > rate_shift_delta,
-        notable=tuple(notable),
-        window=signals.window,
-        signals=signals,
-    )
+    return _report(signals, notable, rate_shift_delta, actions,
+                   convergence_epsilon, convergence_periods)
 
 
 def tcp_window_signals(records: Sequence[TcpRoundRecord],
@@ -236,12 +221,5 @@ def tcp_observer_analyze(records: Sequence[TcpRoundRecord], *,
                          convergence_epsilon: float = 0.02,
                          convergence_periods: int = 3) -> ObserverReport:
     signals = tcp_window_signals(records, window_rounds, flow_id)
-    return ObserverReport(
-        converged=actions_converged(actions, convergence_epsilon,
-                                    convergence_periods),
-        env_changed=signals.membership_changed
-        or signals.rate_shift > rate_shift_delta,
-        notable=(),
-        window=signals.window,
-        signals=signals,
-    )
+    return _report(signals, (), rate_shift_delta, actions,
+                   convergence_epsilon, convergence_periods)

@@ -21,6 +21,7 @@ from ..backends import (
     RankerQuery,
     JudgeFn,
     extract_json_text,
+    fenced_json,
     judge_select,
     ranked_complete,
     user_request,
@@ -297,8 +298,8 @@ def reflect_and_refine(backend: Backend, strategy: Strategy,
     episode_doc.setdefault("j", round(j, 6))
     episode_doc["j_target"] = round(j_target, 6)
     items = (
-        _fenced({"strategy": strategy_doc(strategy)}),
-        _fenced({"episode": episode_doc}),
+        fenced_json({"strategy": strategy_doc(strategy)}),
+        fenced_json({"episode": episode_doc}),
     )
     ranker = config.ranker_offline if use_ranker is None else use_ranker
     mat_kwargs = {"frame_len": frame_len} if strategy.domain == DOMAIN_MAC \
@@ -329,11 +330,6 @@ def reflect_and_refine(backend: Backend, strategy: Strategy,
         config.asi_retries, **mat_kwargs)
     return GenerationResult(strategy=refined, retries=retries,
                             judge_used=judge_used)
-
-
-def _fenced(doc: Dict[str, object]) -> str:
-    return "```json\n" + json.dumps(doc, sort_keys=True,
-                                    separators=(",", ":")) + "\n```"
 
 
 # -- full offline loop -----------------------------------------------------

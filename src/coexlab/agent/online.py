@@ -26,6 +26,7 @@ from ..backends import (
     ITEMS_TOKEN,
     RankerQuery,
     extract_json_text,
+    fenced_json,
     ranked_complete,
     user_request,
 )
@@ -41,7 +42,6 @@ from ..mac import (
     KIND_AWARE,
     MacEnvironment,
     ScenarioSpec,
-    SlotOutcome,
     TrajectoryLog,
     purpose_rng,
     run_frames,
@@ -92,11 +92,6 @@ def _strip_header(text: str) -> str:
     if not name:
         return text
     return text.split("\n", 1)[1] if "\n" in text else ""
-
-
-def _fenced(doc: Dict[str, object]) -> str:
-    body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return f"```json\n{body}\n```"
 
 
 @dataclass
@@ -156,14 +151,14 @@ class _PeriodEngineBase:
     def _memory_items(self) -> Tuple[str, ...]:
         active = dict(strategy_doc(self.strategy))
         active["id"] = self.strategy.id
-        items = [_fenced(active)]
+        items = [fenced_json(active)]
         if self.memory is not None:
             for sid, text in self.memory.snapshot():
                 if sid == self.strategy.id:
                     continue
                 doc = json.loads(text)
                 doc["id"] = sid
-                items.append(_fenced(doc))
+                items.append(fenced_json(doc))
         return tuple(items)
 
     def _query_backend(self, payload: Dict[str, object], report_text: str,
@@ -223,21 +218,9 @@ def mac_window_objective(log: TrajectoryLog, window_frames: int,
                          alpha: float = 1.0) -> float:
     """Social objective over the trailing window: alpha-fair value of the
     per-node success rates among nodes live inside the window."""
-    last_frame = log.records[-1].frame_index
-    first_frame = max(0, last_frame - window_frames + 1)
-    successes: Dict[int, int] = {}
-    live_slots: Dict[int, int] = {}
-    for rec in reversed(log.records):
-        if rec.frame_index < first_frame:
-            break
-        for nid in rec.live_ids:
-            live_slots[nid] = live_slots.get(nid, 0) + 1
-        if rec.outcome is SlotOutcome.SUCCESS:
-            nid = rec.transmitters[0]
-            successes[nid] = successes.get(nid, 0) + 1
-    values = [successes.get(nid, 0) / live_slots[nid]
-              for nid in sorted(live_slots)]
-    return fair_objective(values, alpha)
+    end = log.n_frames
+    rates = log.success_rates(max(0, end - window_frames), end)
+    return fair_objective(rates.values(), alpha)
 
 
 def tcp_window_objective(records: Sequence[TcpRoundRecord],
@@ -538,7 +521,9 @@ class TcpPeriodEngine(_PeriodEngineBase):
 
     def _observe(self, fid: int, r0: int) -> Optional[ObserverReport]:
         cfg = self.config
-        if r0 < cfg.tcp_observer_window_rounds:
+        # a flow joining inside this period has no rounds logged yet
+        if r0 < cfg.tcp_observer_window_rounds \
+                or self.spec.flows[fid].join_round >= r0:
             return None
         return tcp_observer_analyze(
             self.env.records,

@@ -28,6 +28,12 @@ def extract_json_text(text: str) -> str:
     return m.group(1) if m else text
 
 
+def fenced_json(doc: object) -> str:
+    """Compact sorted JSON in the fence ``extract_json_text`` reads."""
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return f"```json\n{body}\n```"
+
+
 def iter_json_blocks(text: str) -> List[str]:
     return [m.group(1) for m in _FENCE_RE.finditer(text)]
 

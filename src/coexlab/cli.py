@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from .agent.config import AgentConfig
+from .agent.config import AgentConfig, checked_agent_settings
 from .errors import (
     BackendUnavailableError,
     CoexlabError,
@@ -25,7 +25,6 @@ from .errors import (
     MaterializationExhaustedError,
     UnsupportedPopulationError,
 )
-from .mac import ScenarioSpec
 from .runner import (
     BACKEND_SCRIPTED,
     BACKENDS,
@@ -60,14 +59,7 @@ def _agent_config(args: argparse.Namespace) -> AgentConfig:
     overrides: Dict[str, object] = {}
     if getattr(args, "agent_json", None):
         with open(args.agent_json, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("agent overrides must be a JSON object")
-        known = {f.name for f in dataclass_fields(AgentConfig)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError(f"unknown agent settings: {', '.join(unknown)}")
-        overrides.update(doc)
+            overrides.update(checked_agent_settings(json.load(fh)))
     for flag, field_name in _AGENT_FLAG_FIELDS.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -95,6 +87,8 @@ def _emit(doc: Dict[str, object]) -> None:
 
 
 def _handle_run(args: argparse.Namespace) -> None:
+    if args.replicas < 1:
+        raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
     config = _run_config(args)
     if args.replicas > 1:
         config.validate()
@@ -105,7 +99,8 @@ def _handle_run(args: argparse.Namespace) -> None:
                     out_dir=f"{config.out_dir}/replica_{i}")
             for i in range(args.replicas)
         ]
-        with ThreadPoolExecutor(max_workers=args.replicas) as pool:
+        workers = min(args.replicas, os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(cmd_run, configs))
         _emit({"replicas": [
             {"out_dir": r.out_dir, "seed": c.seed,

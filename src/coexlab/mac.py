@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import abc
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,20 +104,126 @@ class SlotRecord:
     agent_probs: Dict[int, float] = field(default_factory=dict)
 
 
-@dataclass
-class TrajectoryLog:
-    frame_len: int
-    records: List[SlotRecord] = field(default_factory=list)
-    # (start_frame, live node ids) for every population segment, in order.
-    segments: List[Tuple[int, Tuple[int, ...]]] = field(default_factory=list)
+_OUTCOMES = tuple(SlotOutcome)      # outcome code -> outcome
 
-    def live_ids_at(self, frame: int) -> Tuple[int, ...]:
-        current: Tuple[int, ...] = ()
-        for start, ids in self.segments:
-            if start > frame:
-                break
-            current = ids
-        return current
+
+class TrajectoryLog:
+    """Slot history of a run, stored as columns: per slot an outcome code,
+    a transmit flag per node and each controlled node's slot probability,
+    in numpy arrays that grow by doubling. Liveness is kept once per
+    population segment, which takes effect at the first slot of its start
+    frame. The counting methods cover the logged slots of frames
+    ``[f0, f1)``, 0 <= f0 <= f1; ``records`` rebuilds ``SlotRecord``s on
+    demand."""
+
+    def __init__(self, frame_len: int, n_nodes: int,
+                 controlled: Sequence[int] = ()):
+        self.frame_len = frame_len
+        self.n_nodes = n_nodes
+        self.n_slots = 0
+        # (start_frame, live node ids) for every population segment, in order.
+        self.segments: List[Tuple[int, Tuple[int, ...]]] = []
+        self._prob_col = {nid: col for col, nid in enumerate(controlled)}
+        self._outcome = np.zeros(1024, dtype=np.int8)
+        self._tx = np.zeros((1024, n_nodes), dtype=bool)
+        self._prob = np.zeros((1024, len(self._prob_col)))
+        self.records = SlotRecordView(self)
+
+    @property
+    def n_frames(self) -> int:
+        return -(-self.n_slots // self.frame_len)
+
+    def append_slot(self, outcome: SlotOutcome, transmitters: Sequence[int],
+                    probs: Dict[int, float]) -> None:
+        i = self.n_slots
+        if i == len(self._outcome):
+            self._outcome, self._tx, self._prob = (
+                np.concatenate([col, np.zeros_like(col)])
+                for col in (self._outcome, self._tx, self._prob))
+        self._outcome[i] = _OUTCOMES.index(outcome)
+        for nid in transmitters:
+            self._tx[i, nid] = True
+        for nid, p in probs.items():
+            self._prob[i, self._prob_col[nid]] = p
+        self.n_slots = i + 1
+
+    def _slots(self, f0: int, f1: int) -> slice:
+        return slice(min(f0 * self.frame_len, self.n_slots),
+                     min(f1 * self.frame_len, self.n_slots))
+
+    def frame_successes(self, f0: int, f1: int) -> np.ndarray:
+        """Successes per frame and node id, shape (f1 - f0, n_nodes)."""
+        span = self._slots(f0, f1)
+        per_slot = np.zeros(((f1 - f0) * self.frame_len, self.n_nodes),
+                            dtype=np.int64)
+        per_slot[:span.stop - span.start] = self._tx[span] & (
+            self._outcome[span] == _OUTCOMES.index(SlotOutcome.SUCCESS))[:, None]
+        return per_slot.reshape(f1 - f0, self.frame_len, -1).sum(axis=1)
+
+    def success_rates(self, f0: int, f1: int) -> Dict[int, float]:
+        """Successes over live slots, per node id live in the range."""
+        won = self.frame_successes(f0, f1).sum(axis=0).tolist()
+        live = [0] * self.n_nodes
+        for ids, length in self._segment_overlaps(f0, f1):
+            for nid in ids:
+                live[nid] += length
+        return {nid: won[nid] / n for nid, n in enumerate(live) if n}
+
+    def outcome_counts(self, f0: int, f1: int) -> Dict[SlotOutcome, int]:
+        counts = np.bincount(self._outcome[self._slots(f0, f1)],
+                             minlength=len(_OUTCOMES))
+        return dict(zip(_OUTCOMES, counts.tolist()))
+
+    def transmissions_by_position(self, f0: int, f1: int,
+                                  exclude_ids: Iterable[int] = ()) -> List[int]:
+        """Per frame position, slots with a transmission from some node
+        outside ``exclude_ids``."""
+        span = self._slots(f0, f1)
+        keep = sorted(set(range(self.n_nodes)) - set(exclude_ids))
+        hit = self._tx[span, keep].any(axis=1)
+        positions = np.arange(span.start, span.stop) % self.frame_len
+        return np.bincount(positions[hit], minlength=self.frame_len).tolist()
+
+    def segments_between(self, f0: int, f1: int) -> List[Tuple[int, ...]]:
+        """Live ids of each segment holding a slot in the range, in order."""
+        return [ids for ids, _ in self._segment_overlaps(f0, f1)]
+
+    def _segment_overlaps(self, f0: int, f1: int):
+        span = self._slots(f0, f1)
+        starts = [start * self.frame_len for start, _ in self.segments]
+        for (_, ids), start, end in zip(self.segments, starts,
+                                        starts[1:] + [self.n_slots]):
+            if min(end, span.stop) > max(start, span.start):
+                yield ids, min(end, span.stop) - max(start, span.start)
+
+
+class SlotRecordView(abc.Sequence):
+    """Read-only ``Sequence[SlotRecord]`` over a log, built on demand."""
+
+    def __init__(self, log: TrajectoryLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return self._log.n_slots
+
+    def __getitem__(self, index):
+        i = range(len(self))[index]
+        if isinstance(i, range):
+            return [self[k] for k in i]
+        log = self._log
+        frame, position = divmod(i, log.frame_len)
+        live = [ids for start, ids in log.segments if start <= frame][-1]
+        outcome = _OUTCOMES[log._outcome[i]]
+        transmitters = tuple(np.flatnonzero(log._tx[i]).tolist())
+        won = outcome is SlotOutcome.SUCCESS
+        return SlotRecord(
+            slot_index=i, frame_index=frame, frame_position=position,
+            outcome=outcome, transmitters=transmitters, live_ids=live,
+            reward_vector=tuple(int(won and nid in transmitters)
+                                for nid in live),
+            agent_probs={nid: float(log._prob[i, log._prob_col[nid]])
+                         for nid in live if nid in log._prob_col},
+        )
 
 
 def _validate_prob(value, path: str) -> float:
@@ -192,8 +299,6 @@ def purpose_rng(seed: int, *key: int) -> np.random.Generator:
 class _NodeMachine:
     """Base state machine. Subclasses implement decide/on_outcome."""
 
-    needs_carrier = False
-
     def __init__(self, cfg: NodeConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
@@ -219,26 +324,10 @@ class TdmaMachine(_NodeMachine):
         return frame_position in self.owned
 
 
-class FwAlohaMachine(_NodeMachine):
-    """Waits a uniform w in [0, W-1] slots between transmissions."""
-
-    def __init__(self, cfg: NodeConfig, rng: np.random.Generator):
-        super().__init__(cfg, rng)
-        self.w = int(self.rng.integers(0, cfg.window))
-
-    def decide(self, frame_position: int, carrier_busy: bool) -> bool:
-        if self.w == 0:
-            return True
-        self.w -= 1
-        return False
-
-    def on_outcome(self, transmitted: bool, outcome: SlotOutcome) -> None:
-        if transmitted:
-            self.w = int(self.rng.integers(0, self.cfg.window))
-
-
-class EbAlohaMachine(_NodeMachine):
-    """Fixed-window ALOHA with binary exponential backoff on collisions."""
+class _BackoffMachine(_NodeMachine):
+    """Sends when its backoff counter w reaches zero. After each own
+    transmission w is redrawn from a window that doubles per collision
+    stage, up to ``max_stage``."""
 
     def __init__(self, cfg: NodeConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
@@ -265,7 +354,18 @@ class EbAlohaMachine(_NodeMachine):
         self.w = int(self.rng.integers(0, self.current_window()))
 
 
-class CsmaMachine(_NodeMachine):
+class FwAlohaMachine(_BackoffMachine):
+    """Waits a uniform w in [0, W-1] slots between transmissions."""
+
+    def __init__(self, cfg: NodeConfig, rng: np.random.Generator):
+        super().__init__(replace(cfg, max_stage=0), rng)
+
+
+class EbAlohaMachine(_BackoffMachine):
+    """Fixed-window ALOHA with binary exponential backoff on collisions."""
+
+
+class CsmaMachine(_BackoffMachine):
     """Carrier-sensing backoff.
 
     The counter only moves in slots sensed idle; it is frozen while some
@@ -273,32 +373,12 @@ class CsmaMachine(_NodeMachine):
     idle slot where the counter reaches zero.
     """
 
-    needs_carrier = True
-
-    def __init__(self, cfg: NodeConfig, rng: np.random.Generator):
-        super().__init__(cfg, rng)
-        self.stage = 0
-        self.w = int(self.rng.integers(0, self.current_window()))
-
-    def current_window(self) -> int:
-        capped = min(self.stage, self.cfg.max_stage)
-        return self.cfg.window * (2 ** capped)
-
     def decide(self, frame_position: int, carrier_busy: bool) -> bool:
         if carrier_busy:
             return False
         if self.w > 0:
             self.w -= 1
         return self.w == 0
-
-    def on_outcome(self, transmitted: bool, outcome: SlotOutcome) -> None:
-        if not transmitted:
-            return
-        if outcome is SlotOutcome.COLLIDED:
-            self.stage = min(self.stage + 1, self.cfg.max_stage)
-        elif outcome is SlotOutcome.SUCCESS:
-            self.stage = 0
-        self.w = int(self.rng.integers(0, self.current_window()))
 
 
 _MACHINES = {
@@ -320,7 +400,10 @@ class MacEnvironment:
         self.slot_index = 0
         self.machines: Dict[int, _NodeMachine] = {}
         self.live: List[int] = []
-        self.log = TrajectoryLog(frame_len=spec.frame_len)
+        self.log = TrajectoryLog(
+            spec.frame_len, len(spec.nodes),
+            [nid for nid, cfg in enumerate(spec.nodes)
+             if cfg.kind in CONTROLLED_KINDS])
         self._rngs = {
             nid: node_rng(spec.seed, nid) for nid in range(len(spec.nodes))
         }
@@ -338,11 +421,6 @@ class MacEnvironment:
         return [
             nid for nid in self.live
             if self.spec.nodes[nid].kind in CONTROLLED_KINDS
-        ]
-
-    def agent_ids(self) -> List[int]:
-        return [
-            nid for nid in self.live if self.spec.nodes[nid].kind == KIND_AGENT
         ]
 
     def apply_population_event(self, frame_index: int) -> bool:
@@ -370,37 +448,30 @@ class MacEnvironment:
             self.log.segments.append((frame_index, tuple(new_live)))
         return changed
 
-    def step_slot(self, decisions: Dict[int, AgentDecision]) -> SlotRecord:
+    def step_slot(self, decisions: Dict[int, AgentDecision]) -> None:
         """Advance one slot.
 
         ``decisions`` must cover every live agent/aware node. Protocol
         nodes are evaluated in node-id order with CSMA nodes last so that
         carrier sensing sees every commitment already made for this slot.
         """
+        for nid in self.controlled_ids():
+            if nid not in decisions:
+                raise MissingDecisionError(f"no decision for controlled node "
+                                           f"{nid} at slot {self.slot_index}")
         position = self.frame_position
         transmitters: List[int] = []
-        agent_probs: Dict[int, float] = {}
-
-        for nid in self.live:
-            if self.spec.nodes[nid].kind in CONTROLLED_KINDS:
-                if nid not in decisions:
-                    raise MissingDecisionError(
-                        f"no decision for controlled node {nid} "
-                        f"at slot {self.slot_index}"
-                    )
-                if decisions[nid].transmit:
-                    transmitters.append(nid)
-                agent_probs[nid] = decisions[nid].prob
-
+        probs: Dict[int, float] = {}
         deferred_csma: List[int] = []
         for nid in self.live:
             kind = self.spec.nodes[nid].kind
             if kind in CONTROLLED_KINDS:
-                continue
-            if kind == KIND_CSMA:
+                if decisions[nid].transmit:
+                    transmitters.append(nid)
+                probs[nid] = decisions[nid].prob
+            elif kind == KIND_CSMA:
                 deferred_csma.append(nid)
-                continue
-            if self.machines[nid].decide(position, False):
+            elif self.machines[nid].decide(position, False):
                 transmitters.append(nid)
 
         for nid in deferred_csma:
@@ -419,23 +490,8 @@ class MacEnvironment:
             if nid in self.machines:
                 self.machines[nid].on_outcome(True, outcome)
 
-        reward = tuple(
-            1 if (outcome is SlotOutcome.SUCCESS and nid in transmitters) else 0
-            for nid in self.live
-        )
-        record = SlotRecord(
-            slot_index=self.slot_index,
-            frame_index=self.frame_index,
-            frame_position=position,
-            outcome=outcome,
-            transmitters=tuple(sorted(transmitters)),
-            live_ids=tuple(self.live),
-            reward_vector=reward,
-            agent_probs=agent_probs,
-        )
-        self.log.records.append(record)
+        self.log.append_slot(outcome, transmitters, probs)
         self.slot_index += 1
-        return record
 
 
 PolicyFn = Callable[["MacEnvironment"], Dict[int, AgentDecision]]

@@ -11,8 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
+import numpy as np
+
 from .errors import MetricDomainError
-from .mac import SlotOutcome, TrajectoryLog
+from .mac import TrajectoryLog
 
 THROUGHPUT_SCALE = 100.0
 DEFAULT_WINDOW_FRAMES = 100
@@ -35,29 +37,21 @@ def windowed_throughput(log: TrajectoryLog,
     contributes zero for slots where it is not live."""
     if window_frames < 1:
         raise MetricDomainError("window_frames must be >= 1")
-    if not log.records:
+    if not log.n_slots:
         raise MetricDomainError("empty trajectory log")
     node_ids = sorted({nid for _, ids in log.segments for nid in ids})
-    total_frames = log.records[-1].frame_index + 1
-    per_frame: Dict[int, List[int]] = {
-        nid: [0] * total_frames for nid in node_ids
-    }
-    for rec in log.records:
-        if rec.outcome is not SlotOutcome.SUCCESS:
-            continue
-        winner = rec.transmitters[0]
-        per_frame[winner][rec.frame_index] += 1
+    total_frames = log.n_frames
+    cumulative = np.zeros((total_frames + 1, log.n_nodes), dtype=np.int64)
+    np.cumsum(log.frame_successes(0, total_frames), axis=0,
+              out=cumulative[1:])
+    # a log shorter than the window yields one sum over the whole log
+    span = min(window_frames, total_frames)
+    window_sums = cumulative[span:] - cumulative[:total_frames + 1 - span]
 
     frames = list(range(window_frames, total_frames + 1))
     slots_per_window = window_frames * log.frame_len
-    values: Dict[int, List[float]] = {nid: [] for nid in node_ids}
-    for nid in node_ids:
-        counts = per_frame[nid]
-        running = sum(counts[:window_frames])
-        values[nid].append(running / slots_per_window)
-        for f in range(window_frames, total_frames):
-            running += counts[f] - counts[f - window_frames]
-            values[nid].append(running / slots_per_window)
+    values = {nid: (window_sums[:, nid] / slots_per_window).tolist()
+              for nid in node_ids}
     # Frame label f means "window ending at frame f", i.e. frames
     # (f - window, f] counted with 1-based frame numbering.
     return ThroughputSeries(frames=frames, values=values,
@@ -66,15 +60,9 @@ def windowed_throughput(log: TrajectoryLog,
 
 def node_mean_throughputs(log: TrajectoryLog) -> Dict[int, float]:
     """Per-node success rate averaged over the slots the node was live."""
-    if not log.records:
+    if not log.n_slots:
         raise MetricDomainError("empty trajectory log")
-    totals: Dict[int, int] = {}
-    counts: Dict[int, int] = {}
-    for rec in log.records:
-        for nid, reward in zip(rec.live_ids, rec.reward_vector):
-            totals[nid] = totals.get(nid, 0) + reward
-            counts[nid] = counts.get(nid, 0) + 1
-    return {nid: totals[nid] / counts[nid] for nid in sorted(totals)}
+    return log.success_rates(0, log.n_frames)
 
 
 def alpha_fair_value(throughputs: Sequence[float], alpha: float = 1.0) -> float:
@@ -151,19 +139,12 @@ def rmse_vs_reference(series: ThroughputSeries,
 def slot_utilization(log: TrajectoryLog, last_frames: int = 100) -> List[float]:
     """Fraction of the last ``last_frames`` frames in which each frame
     position carried at least one transmission."""
-    if not log.records:
+    if not log.n_slots:
         raise MetricDomainError("empty trajectory log")
-    last_frame = log.records[-1].frame_index
+    last_frame = log.n_frames - 1
     first_frame = max(0, last_frame - last_frames + 1)
-    counts = [0] * log.frame_len
-    frames_seen = set()
-    for rec in reversed(log.records):
-        if rec.frame_index < first_frame:
-            break
-        frames_seen.add(rec.frame_index)
-        if rec.outcome is not SlotOutcome.IDLE:
-            counts[rec.frame_position] += 1
-    n = len(frames_seen)
-    if n == 0:
+    n = last_frame - first_frame + 1
+    if n <= 0:
         raise MetricDomainError("no frames in utilization window")
+    counts = log.transmissions_by_position(first_frame, last_frame + 1)
     return [c / n for c in counts]

@@ -67,7 +67,7 @@ from .tcp import (
     tcp_scenario_from_json,
     tcp_scenario_to_json,
 )
-from .agent.config import AgentConfig
+from .agent.config import AgentConfig, checked_agent_settings
 from .agent.demos import demo_bundle, demos_to_json
 from .agent.offline import OfflineResult, run_offline
 from .agent.online import MacPeriodEngine, TcpPeriodEngine
@@ -581,9 +581,13 @@ def cmd_eval(run_dir: str,
              reference_path: Optional[str] = None) -> Dict[str, object]:
     """Recompute the metrics summary from a run directory's artifacts."""
     cfg_doc = json.loads(_read_artifact(run_dir, ARTIFACT_CONFIG))
-    agent_cfg = AgentConfig(**cfg_doc["agent"])
+    agent_cfg = AgentConfig(**checked_agent_settings(cfg_doc["agent"]))
     family = cfg_doc["family"]
     trajectory = _read_artifact(run_dir, ARTIFACT_TRAJECTORY)
+    reader = csv.reader(io.StringIO(_read_artifact(run_dir,
+                                                   ARTIFACT_THROUGHPUT)))
+    next(reader)
+    means = {int(row[0]): float(row[1]) for row in reader}
 
     if family == "mac":
         frames, values = _read_wide_csv(trajectory, "frame", "node_")
@@ -594,16 +598,8 @@ def cmd_eval(run_dir: str,
         if os.path.isfile(ref_file):
             with open(ref_file, "r", encoding="utf-8", newline="") as fh:
                 _, reference = _read_wide_csv(fh.read(), "frame", "node_")
-        text = _read_artifact(run_dir, ARTIFACT_THROUGHPUT)
-        reader = csv.reader(io.StringIO(text))
-        next(reader)
-        means = {int(row[0]): float(row[1]) for row in reader}
         summary = mac_metrics_report(series, means, reference, agent_cfg)
     else:
-        text = _read_artifact(run_dir, ARTIFACT_THROUGHPUT)
-        reader = csv.reader(io.StringIO(text))
-        next(reader)
-        means = {int(row[0]): float(row[1]) for row in reader}
         metrics_doc = json.loads(_read_artifact(run_dir, ARTIFACT_METRICS))
         summary = {
             "artifact": "metrics-v1",

@@ -552,7 +552,3 @@ def interpret_action(s: Strategy, ctx: ActionContext) -> InterpretedAction:
 def strategy_from_doc(doc: Dict[str, object]) -> Strategy:
     """Build a strategy from an already-decoded JSON object."""
     return parse_strategy(json.dumps(doc))
-
-
-def pretty_strategy(s: Strategy) -> str:
-    return json.dumps(strategy_doc(s), indent=2, sort_keys=True) + "\n"

@@ -2,9 +2,11 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+import coexlab.cli
 from coexlab.cli import main
 from coexlab.runner import (
     ARTIFACT_CONFIG,
@@ -20,7 +22,10 @@ from coexlab.runner import (
     ARTIFACT_TRACE,
     ARTIFACT_TRAJECTORY,
     ARTIFACT_TRANSCRIPT,
+    RunResult,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FAST_AGENT = {
     "demo_k": 3, "demo_frames": 40, "demo_rounds": 60,
@@ -150,6 +155,64 @@ class TestRunCommand:
                             ARTIFACT_CONFIG)
             assert doc["seed"] == 5 + i
 
+    @pytest.mark.parametrize("replicas", ["0", "-3"])
+    def test_replicas_below_one_exit_2(self, tmp_path, tdma_scenario,
+                                       replicas, capsys):
+        out = tmp_path / "reps"
+        code = run_cli("run", "--scenario", tdma_scenario, "--out", str(out),
+                       "--replicas", replicas)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "--replicas" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("replicas, cpus, workers",
+                             [(1000, 2, 2), (3, 8, 3), (5, None, 1)])
+    def test_replica_threads_capped_at_cpu_count(self, tmp_path,
+                                                 tdma_scenario, monkeypatch,
+                                                 replicas, cpus, workers):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(coexlab.cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(coexlab.cli, "cmd_run",
+                            lambda config: RunResult(config.out_dir, "mac", {}))
+        assert run_cli("run", "--scenario", tdma_scenario,
+                       "--out", str(tmp_path / "reps"),
+                       "--replicas", str(replicas)) == 0
+        assert sizes == [workers]
+
+    @pytest.mark.parametrize("join_round", [150, 200])
+    def test_tcp_agent_joining_late_runs(self, tmp_path, agent_json,
+                                         join_round):
+        doc = json.loads((ROOT / "scenarios" / "tcp_agent_reno.json")
+                         .read_text(encoding="utf-8"))
+        doc["flows"][0]["join_round"] = join_round
+        doc["total_rounds"] = 600
+        scenario = tmp_path / "late.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        out = str(tmp_path / "run")
+        assert run_cli("run", "--scenario", str(scenario), "--out", out,
+                       "--agent-json", agent_json) == 0
+        periods = read_json(out, ARTIFACT_TRACE)["children"]
+        joined = next(p for p in periods if p["label"].startswith(
+            f"period {join_round // 100} rounds"))
+        assert joined["children"][0]["label"] == "no report yet"
+        assert "0" in read_json(out, ARTIFACT_METRICS)["mean_throughputs"]
+
     def test_cached_strategy_skips_offline_stage(self, tmp_path,
                                                  tdma_scenario, agent_json):
         first = str(tmp_path / "first")
@@ -249,6 +312,20 @@ class TestEvalCommand:
         code = run_cli("eval", "--run", str(tmp_path / "empty"))
         assert code == 2
         assert "missing artifact" in \
+            json.loads(capsys.readouterr().err)["message"]
+
+
+    def test_unknown_agent_setting_in_run_config_exits_2(
+            self, tmp_path, tdma_scenario, agent_json, capsys):
+        out = tmp_path / "run"
+        run_cli("run", "--scenario", tdma_scenario, "--out", str(out),
+                "--agent-json", agent_json)
+        config = json.loads((out / ARTIFACT_CONFIG).read_text())
+        config["agent"]["no_such_setting"] = 1
+        (out / ARTIFACT_CONFIG).write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        assert "no_such_setting" in \
             json.loads(capsys.readouterr().err)["message"]
 
 

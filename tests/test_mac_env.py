@@ -45,23 +45,26 @@ def agent(**kw):
 class TestSlotOutcomes:
     def test_single_transmitter_succeeds(self):
         env = build_scenario(make_spec([agent(), agent()]))
-        rec = env.step_slot({0: AgentDecision(True, 1.0),
-                             1: AgentDecision(False, 0.0)})
+        env.step_slot({0: AgentDecision(True, 1.0),
+                      1: AgentDecision(False, 0.0)})
+        rec = env.log.records[-1]
         assert rec.outcome is SlotOutcome.SUCCESS
         assert rec.transmitters == (0,)
         assert rec.reward_vector == (1, 0)
 
     def test_two_transmitters_collide(self):
         env = build_scenario(make_spec([agent(), agent()]))
-        rec = env.step_slot({0: AgentDecision(True, 1.0),
-                             1: AgentDecision(True, 1.0)})
+        env.step_slot({0: AgentDecision(True, 1.0),
+                      1: AgentDecision(True, 1.0)})
+        rec = env.log.records[-1]
         assert rec.outcome is SlotOutcome.COLLIDED
         assert rec.reward_vector == (0, 0)
 
     def test_no_transmitter_idles(self):
         env = build_scenario(make_spec([agent(), agent()]))
-        rec = env.step_slot({0: AgentDecision(False, 0.0),
-                             1: AgentDecision(False, 0.0)})
+        env.step_slot({0: AgentDecision(False, 0.0),
+                      1: AgentDecision(False, 0.0)})
+        rec = env.log.records[-1]
         assert rec.outcome is SlotOutcome.IDLE
         assert rec.reward_vector == (0, 0)
 
