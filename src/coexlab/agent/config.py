@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from ..strategy import finite_number
+
 
 @dataclass(frozen=True)
 class AgentConfig:
@@ -39,7 +41,6 @@ class AgentConfig:
     demo_rounds: int = 200                 # action window per tcp sample
     eval_frames: int = 1500                # evaluation episode length, mac
     eval_rounds: int = 1000                # evaluation episode length, tcp
-    eval_episodes: int = 1
     # metrics parameters
     alpha: float = 1.0
     window_frames: int = 100               # throughput smoothing window
@@ -58,11 +59,28 @@ class AgentConfig:
             raise ValueError("loop bounds out of range")
 
 
+# annotated field type -> (what a value must be, the test it must pass)
+_SETTING_TYPES = {
+    "int": ("an integer",
+            lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number", finite_number),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+}
+
+
 def checked_agent_settings(doc: object) -> dict:
-    """``doc`` if it is a JSON object of known ``AgentConfig`` names."""
+    """``doc`` if it is a JSON object of known ``AgentConfig`` names whose
+    values have the field's type: ints are not bools, floats are finite
+    numbers and bools are bools."""
     if not isinstance(doc, dict):
         raise ValueError("agent settings must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(AgentConfig)})
+    types = {f.name: f.type for f in fields(AgentConfig)}
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ValueError(f"unknown agent settings: {', '.join(unknown)}")
+    for name, value in sorted(doc.items()):
+        what, test = _SETTING_TYPES[types[name]]
+        if not test(value):
+            raise ValueError(
+                f"agent setting {name} must be {what}, got {value!r}")
     return doc

@@ -287,6 +287,8 @@ def reflect_and_refine(backend: Backend, strategy: Strategy,
                        j: float, j_target: float,
                        frame_len: int = DEFAULT_FRAME_LEN,
                        cwnd_max: int = 64,
+                       estimate_j: Optional[Callable[[Strategy],
+                                                     float]] = None,
                        use_ranker: Optional[bool] = None,
                        request_tag: str = "reflection") -> GenerationResult:
     """One self-reflection round over the evaluated episode. Refinement
@@ -308,8 +310,8 @@ def reflect_and_refine(backend: Backend, strategy: Strategy,
         prompt = render_template(TEMPLATE_REFLECTION,
                                  {"ITEMS": ITEMS_TOKEN})
         judge: JudgeFn = lambda a, b: judge_select(
-            a, b, backend=backend, request_tag=f"{request_tag}/judge",
-            **mat_kwargs)
+            a, b, backend=backend, estimate_j=estimate_j,
+            request_tag=f"{request_tag}/judge", **mat_kwargs)
         ranked = ranked_complete(
             backend,
             RankerQuery(base=user_request(prompt, tag=request_tag),
@@ -360,21 +362,24 @@ def run_offline(backend: Backend, spec, demos: DemoBundle,
     frame_len = spec.frame_len if is_mac else DEFAULT_FRAME_LEN
     cwnd_max = 64 if is_mac else spec.cwnd_max
 
-    gen = generate_initial_strategy(backend, demos, config,
-                                    frame_len=frame_len, cwnd_max=cwnd_max)
-    strategy = gen.strategy
-    retries = gen.retries
-
-    strategies = StrategySet()
-    psa_update(strategies, strategy, backend)
-    episodes = EpisodicMemory()
-
     if is_mac:
         evaluate = lambda s: evaluate_mac_strategy(spec, s, config)
         j_target = mac_j_target(spec, config)
     else:
         evaluate = lambda s: evaluate_tcp_strategy(spec, s, config)
         j_target = config.tcp_j_target
+    # the judges compare two candidates by their measured objective
+    estimate_j = lambda s: round(evaluate(s).j, 6)
+
+    gen = generate_initial_strategy(backend, demos, config,
+                                    frame_len=frame_len, cwnd_max=cwnd_max,
+                                    estimate_j=estimate_j)
+    strategy = gen.strategy
+    retries = gen.retries
+
+    strategies = StrategySet()
+    psa_update(strategies, strategy, backend)
+    episodes = EpisodicMemory()
 
     outcome = evaluate(strategy)
     episodes.add(EpisodeRecord(strategy_id=strategy.id,
@@ -393,6 +398,7 @@ def run_offline(backend: Backend, spec, demos: DemoBundle,
         ref = reflect_and_refine(backend, current, current_episode, config,
                                  j=current_j, j_target=j_target,
                                  frame_len=frame_len, cwnd_max=cwnd_max,
+                                 estimate_j=estimate_j,
                                  request_tag=f"reflection/r{rounds}")
         rounds += 1
         retries += ref.retries

@@ -330,7 +330,7 @@ def judge_select(first: str, second: str, *, backend: Backend,
         doc = json.loads(extract_json_text(response))
         selection = int(doc["selection"])
         rationale = str(doc.get("rationale", ""))
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, OverflowError):
         return JudgeDecision(0, "judge response unusable; first candidate "
                                 "kept", backend_called=True)
     if selection not in (1, 2):

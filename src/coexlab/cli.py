@@ -64,7 +64,7 @@ def _agent_config(args: argparse.Namespace) -> AgentConfig:
         value = getattr(args, flag, None)
         if value is not None:
             overrides[field_name] = value
-    return AgentConfig(**overrides)
+    return AgentConfig(**checked_agent_settings(overrides))
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:

@@ -469,6 +469,9 @@ def _obtain_strategy(config: RunConfig, backend: Optional[Backend],
     demos = demo_bundle(family, config.agent.demo_k, demo_seed,
                         config=config.agent)
     result = run_offline(backend, spec, demos, config.agent)
+    # the online stage reads the memories but never writes them
+    result.strategies.freeze()
+    result.episodes.freeze()
     return result.strategy, result, demos
 
 
@@ -581,8 +584,11 @@ def cmd_eval(run_dir: str,
              reference_path: Optional[str] = None) -> Dict[str, object]:
     """Recompute the metrics summary from a run directory's artifacts."""
     cfg_doc = json.loads(_read_artifact(run_dir, ARTIFACT_CONFIG))
-    agent_cfg = AgentConfig(**checked_agent_settings(cfg_doc["agent"]))
-    family = cfg_doc["family"]
+    family = cfg_doc.get("family") if isinstance(cfg_doc, dict) else None
+    if family not in ("mac", "tcp"):
+        raise InvalidScenarioError(
+            ARTIFACT_CONFIG, "must be an object whose family is mac or tcp")
+    agent_cfg = AgentConfig(**checked_agent_settings(cfg_doc.get("agent")))
     trajectory = _read_artifact(run_dir, ARTIFACT_TRAJECTORY)
     reader = csv.reader(io.StringIO(_read_artifact(run_dir,
                                                    ARTIFACT_THROUGHPUT)))
@@ -601,6 +607,9 @@ def cmd_eval(run_dir: str,
         summary = mac_metrics_report(series, means, reference, agent_cfg)
     else:
         metrics_doc = json.loads(_read_artifact(run_dir, ARTIFACT_METRICS))
+        if not isinstance(metrics_doc, dict) or "params" not in metrics_doc:
+            raise InvalidScenarioError(ARTIFACT_METRICS,
+                                       "must be an object holding params")
         summary = {
             "artifact": "metrics-v1",
             "family": "tcp",

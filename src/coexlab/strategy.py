@@ -176,8 +176,15 @@ def strategy_id(s: Strategy) -> str:
     return digest.hexdigest()[:16]
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def finite_number(value) -> bool:
+    """True for an int or float, not a bool, that is finite as a float:
+    NaN, the infinities and ints beyond the float range are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _parse_trigger(raw, path: str, diags: List[Diagnostic]) -> Optional[Trigger]:
@@ -212,8 +219,9 @@ def _parse_trigger(raw, path: str, diags: List[Diagnostic]) -> Optional[Trigger]
             return None
         slots = tuple(raw["slots"])
     for key in ("theta", "threshold"):
-        if key in raw and not _number(raw[key]):
-            diags.append(Diagnostic(f"{path}.{key}", "must be a number"))
+        if key in raw and not finite_number(raw[key]):
+            diags.append(Diagnostic(f"{path}.{key}",
+                                    "must be a finite number"))
             return None
     return Trigger(signal=signal, theta=raw.get("theta"),
                    threshold=raw.get("threshold"), slots=slots)
@@ -252,8 +260,9 @@ def _parse_effect(raw, path: str, diags: List[Diagnostic]) -> Optional[Effect]:
         diags.append(Diagnostic(f"{path}.slot", "must be an int"))
         return None
     for key in ("prob", "factor", "delta"):
-        if key in raw and not _number(raw[key]):
-            diags.append(Diagnostic(f"{path}.{key}", "must be a number"))
+        if key in raw and not finite_number(raw[key]):
+            diags.append(Diagnostic(f"{path}.{key}",
+                                    "must be a finite number"))
             return None
     return Effect(kind=kind, slot=raw.get("slot"), prob=raw.get("prob"),
                   factor=raw.get("factor"), slots=slots,
@@ -291,13 +300,15 @@ def parse_strategy(text: str) -> Strategy:
     base_raw = doc.get("base_action")
     base: Optional[BaseAction] = None
     if domain == DOMAIN_MAC:
-        if not isinstance(base_raw, list) or not all(_number(x) for x in base_raw):
-            diags.append(Diagnostic("base_action",
-                                    "mac base_action must be a list of numbers"))
+        if not isinstance(base_raw, list) or \
+                not all(finite_number(x) for x in base_raw):
+            diags.append(Diagnostic(
+                "base_action", "mac base_action must be a list of finite "
+                               "numbers"))
         else:
             base = tuple(float(x) for x in base_raw)
     else:
-        if not isinstance(base_raw, int) or isinstance(base_raw, bool):
+        if not isinstance(base_raw, int) or not finite_number(base_raw):
             diags.append(Diagnostic("base_action",
                                     "tcp base_action must be an integer cwnd"))
         else:
@@ -333,8 +344,9 @@ def parse_strategy(text: str) -> Strategy:
                 diags.append(Diagnostic(f"explore.{key}", "unknown field"))
         eps = raw_explore.get("epsilon", 0.0)
         sig = raw_explore.get("sigma", 0.0)
-        if not _number(eps) or not _number(sig):
-            diags.append(Diagnostic("explore", "epsilon and sigma must be numbers"))
+        if not finite_number(eps) or not finite_number(sig):
+            diags.append(Diagnostic("explore", "epsilon and sigma must be "
+                                               "finite numbers"))
         else:
             explore = ExploreSpec(epsilon=float(eps), sigma=float(sig))
 
@@ -539,7 +551,8 @@ def interpret_action(s: Strategy, ctx: ActionContext) -> InterpretedAction:
             epsilon_resampled = True
         if sigma > 0.0:
             cwnd += float(ctx.rng.normal(0.0, sigma))
-        action = int(min(ctx.cwnd_max, max(1, round(cwnd))))
+        # clipping before rounding keeps an overflowed window finite
+        action = int(round(min(ctx.cwnd_max, max(1, cwnd))))
     return InterpretedAction(
         action=action,
         fired_rules=tuple(fired),

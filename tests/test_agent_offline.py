@@ -23,7 +23,12 @@ from coexlab.agent.memory import (
     psa_update,
     replay_history,
 )
-from coexlab.backends import Message, CompletionRequest, iter_json_blocks
+from coexlab.backends import (
+    CompletionRequest,
+    Message,
+    extract_json_text,
+    iter_json_blocks,
+)
 from coexlab.errors import MemoryFrozenError
 from coexlab.scripted import ScriptedBackend
 from coexlab.strategy import (
@@ -348,6 +353,28 @@ class SequenceBackend:
         return self.responses.pop(0)
 
 
+class DivergentOrders:
+    """Scripted backend whose reversed-order generation and reflection
+    replies hold a window one packet smaller, so the ranker consults the
+    judge; keeps (tag, payload) of every judge request."""
+
+    def __init__(self):
+        self.inner = ScriptedBackend()
+        self.judged = []
+
+    def complete(self, request):
+        text = self.inner.complete(request)
+        tag = request.request_tag
+        if tag.endswith("/judge"):
+            content = request.messages[-1].content
+            self.judged.append((tag, json.loads(iter_json_blocks(content)[0])))
+        elif tag.endswith("/reversed"):
+            doc = json.loads(extract_json_text(text))
+            doc["base_action"] -= 1
+            text = json.dumps(doc)
+        return text
+
+
 class TestAsiMaterialize:
     def test_valid_first_attempt_needs_no_retry(self):
         strategy, retries = asi_materialize(
@@ -387,6 +414,26 @@ class TestAsiMaterialize:
         assert retries == 1
         messages = " ".join(d["message"] for d in seen[0])
         assert "10" in messages
+
+    @pytest.mark.parametrize("rule", [
+        {"trigger": {"signal": "collision_rate_ge",
+                     "threshold": float("nan")},
+         "effect": {"kind": "scale_all", "factor": 0.5}},
+        {"trigger": {"signal": "env_change"},
+         "effect": {"kind": "scale_all", "factor": float("inf")}},
+    ], ids=["nan-threshold", "infinite-factor"])
+    def test_non_finite_number_requeries(self, rule):
+        seen = []
+
+        def requery(diags):
+            seen.append(diags)
+            return mac_doc(0.3)
+
+        strategy, retries = asi_materialize(mac_doc(rules=[rule]), requery,
+                                            3, frame_len=10)
+        assert retries == 1
+        assert any("finite" in d["message"] for d in seen[0])
+        assert strategy.base_action == (0.3,) * 10
 
     def test_exhaustion_keeps_every_attempt(self):
         calls = []
@@ -587,6 +634,25 @@ class TestRunOffline:
         assert res.j_target == cfg.tcp_j_target
         assert res.target_met
         assert res.strategy.domain == "tcp"
+
+    def test_judges_see_measured_objectives(self):
+        spec = TcpScenarioSpec(
+            total_rounds=600, seed=13,
+            flows=(TcpFlowConfig(controller=CONTROLLER_AGENT),
+                   TcpFlowConfig(controller=CONTROLLER_RENO)))
+        cfg = AgentConfig(demo_k=3, demo_rounds=60, eval_rounds=400,
+                          n_max=1, tcp_j_target=100.0)
+        demos = demo_bundle("tcp", cfg.demo_k, seed=3, config=cfg)
+        backend = DivergentOrders()
+        run_offline(backend, spec, demos, cfg)
+        assert [tag for tag, _ in backend.judged] == [
+            "strategy-gen/judge", "reflection/r0/judge"]
+        for _, payload in backend.judged:
+            for key, which in (("j_first", "first"), ("j_second", "second")):
+                candidate = strategy_from_doc(payload[which])
+                assert payload[key] == round(
+                    evaluate_tcp_strategy(spec, candidate, cfg).j, 6)
+            assert payload["j_first"] != payload["j_second"]
 
     def test_best_strategy_survives_weaker_refinement(self):
         spec = agent_vs_aloha()

@@ -255,7 +255,7 @@ from coexlab.agent.online import (
 )
 from coexlab.backends import BackendUnavailableError, RecordingBackend, \
     TranscriptRecorder
-from coexlab.errors import InvalidScenarioError
+from coexlab.errors import InvalidScenarioError, MalformedResponseError
 from coexlab.mac import KIND_AWARE
 from coexlab.metrics import jain_index
 from coexlab.scripted import ScriptedBackend
@@ -545,3 +545,57 @@ class TestTcpPeriodEngine:
         eng.run(300)
         assert not eng.periods[0].had_report
         assert eng.periods[1].had_report
+
+
+class DecisionsThen:
+    """Scripted backend whose node and flow decisions turn into ``reply``
+    after the first ``good`` of them."""
+
+    def __init__(self, good, reply):
+        self.good = good
+        self.reply = reply
+        self.decisions = 0
+        self.inner = ScriptedBackend()
+
+    def complete(self, req):
+        if req.request_tag.startswith(("node/", "flow/")):
+            self.decisions += 1
+            if self.decisions > self.good:
+                return self.reply
+        return self.inner.complete(req)
+
+
+# JSON numbers Python parses to NaN, an infinity, or an int beyond floats
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400)
+
+
+def non_finite_engine(domain, good, value):
+    if domain == "mac":
+        reply = '{"action": [%s]}' % ", ".join([value] + ["0.3"] * 9)
+        return MacPeriodEngine(static_mac_spec(frames=400),
+                               mac_strategy_json(),
+                               backend=DecisionsThen(good, reply))
+    spec = TcpScenarioSpec(flows=[TcpFlowConfig(CONTROLLER_AGENT),
+                                  TcpFlowConfig(CONTROLLER_RENO)],
+                           total_rounds=400, seed=1)
+    return TcpPeriodEngine(spec, tcp_strategy_json(),
+                           backend=DecisionsThen(good,
+                                                 '{"action": %s}' % value))
+
+
+@pytest.mark.parametrize("domain", ["mac", "tcp"])
+@pytest.mark.parametrize("value", NON_FINITE,
+                         ids=["nan", "inf", "-inf", "1e400", "401-digits"])
+class TestNonFiniteDecisions:
+    def test_first_period_reply_is_malformed(self, domain, value):
+        engine = non_finite_engine(domain, 0, value)
+        with pytest.raises(MalformedResponseError):
+            engine.run_period()
+
+    def test_later_reply_reuses_previous_decision(self, domain, value):
+        engine = non_finite_engine(domain, 2, value)
+        engine.run(engine.period * 4)
+        assert [p.fallbacks for p in engine.periods] == [(), (), (0,), (0,)]
+        assert engine.periods[3].decisions[0] \
+            == engine.periods[2].decisions[0] \
+            == engine.periods[1].decisions[0]

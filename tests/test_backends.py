@@ -212,6 +212,14 @@ class TestJudgeSelect:
                          frame_len=10, estimate_j=lambda s: 1.0)
         assert d.selection == 0
 
+    @pytest.mark.parametrize("reply", ['{"selection": Infinity}',
+                                       '{"selection": NaN}'])
+    def test_non_finite_selection_keeps_first(self, reply):
+        d = judge_select(VALID_MAC, VALID_MAC_2,
+                         backend=FixedBackend(lambda prompt: reply),
+                         frame_len=10, estimate_j=lambda s: 1.0)
+        assert d.selection == 0 and d.backend_called
+
     def test_fenced_candidate_accepted(self):
         fenced = "```json\n" + VALID_MAC + "\n```"
         assert extract_json_text(fenced) == VALID_MAC

@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 import coexlab.cli
+import coexlab.runner
+from coexlab.agent.config import AgentConfig
+from coexlab.agent.memory import EpisodeRecord
 from coexlab.cli import main
+from coexlab.errors import MemoryFrozenError
 from coexlab.runner import (
     ARTIFACT_CONFIG,
     ARTIFACT_DEMOS,
@@ -22,8 +26,11 @@ from coexlab.runner import (
     ARTIFACT_TRACE,
     ARTIFACT_TRAJECTORY,
     ARTIFACT_TRANSCRIPT,
+    RunConfig,
     RunResult,
+    cmd_run,
 )
+from coexlab.scripted import ScriptedBackend
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,6 +72,39 @@ def tdma_scenario(tmp_path):
 def aloha_scenario(tmp_path):
     return write_mac_scenario(tmp_path / "aloha.json", [
         {"kind": "agent"}, {"kind": "aloha", "q": 0.2}])
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+# run artifact -> edit that leaves `coexlab eval` nothing sound to read
+EVAL_BREAKAGES = {
+    "config not an object": (ARTIFACT_CONFIG, lambda doc: [doc]),
+    "config without agent": (ARTIFACT_CONFIG, without("agent")),
+    "config without family": (ARTIFACT_CONFIG, without("family")),
+    "config with unknown family": (ARTIFACT_CONFIG,
+                                   lambda doc: dict(doc, family="phy")),
+    "agent setting of wrong type": (
+        ARTIFACT_CONFIG,
+        lambda doc: dict(doc, agent=dict(doc["agent"], window_frames="x"))),
+    "tcp metrics without params": (ARTIFACT_METRICS, without("params")),
+}
+
+
+class NonFiniteDecisions:
+    """Scripted backend except that every node or flow decision holds a
+    non-finite number."""
+
+    def __init__(self):
+        self.inner = ScriptedBackend()
+
+    def complete(self, req):
+        if req.request_tag.startswith("node/"):
+            return '{"action": [%s]}' % ", ".join(["Infinity"] * 10)
+        if req.request_tag.startswith("flow/"):
+            return '{"action": Infinity}'
+        return self.inner.complete(req)
 
 
 def run_cli(*argv):
@@ -244,6 +284,58 @@ class TestRunCommand:
         assert code == 2
         assert "no_such_setting" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("settings", [
+        {"demo_k": "3"}, {"window_frames": "x"}, {"n_max": True},
+        {"ranker_online": 1}, {"alpha": None}, {"alpha": float("nan")},
+        {"explore_sigma": float("inf")}, {"escape_ratio": "0.9"},
+    ], ids=lambda d: json.dumps(d))
+    def test_agent_setting_of_wrong_type_exits_2(self, tmp_path,
+                                                 tdma_scenario, settings,
+                                                 capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(settings), encoding="utf-8")
+        out = tmp_path / "o"
+        code = run_cli("run", "--scenario", tdma_scenario, "--out", str(out),
+                       "--agent-json", str(bad))
+        assert code == 2
+        name = next(iter(settings))
+        assert name in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
+    def test_non_finite_flag_exits_2(self, tmp_path, tdma_scenario):
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", tdma_scenario, "--out", str(out),
+                       "--alpha", "nan") == 2
+        assert not out.exists()
+
+    def test_offline_memories_frozen_for_online_stage(self, tmp_path,
+                                                      tdma_scenario):
+        result = cmd_run(RunConfig(scenario_path=tdma_scenario,
+                                   out_dir=str(tmp_path / "run"),
+                                   agent=AgentConfig(**FAST_AGENT)))
+        assert result.offline.strategies.frozen
+        assert result.offline.episodes.frozen
+        with pytest.raises(MemoryFrozenError):
+            result.offline.strategies.add(result.offline.strategy)
+        with pytest.raises(MemoryFrozenError):
+            result.offline.episodes.add(EpisodeRecord("s", 0.0))
+
+    @pytest.mark.parametrize("family", ["mac", "tcp"])
+    def test_non_finite_first_decision_exits_3(self, tmp_path, agent_json,
+                                               tdma_scenario, monkeypatch,
+                                               family, capsys):
+        scenario = tdma_scenario if family == "mac" else write_tcp_scenario(
+            tmp_path / "ar.json",
+            [{"controller": "agent"}, {"controller": "reno"}])
+        monkeypatch.setattr(coexlab.runner, "make_backend",
+                            lambda config: NonFiniteDecisions())
+        code = run_cli("run", "--scenario", scenario,
+                       "--out", str(tmp_path / "run"),
+                       "--agent-json", agent_json)
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "MalformedResponseError"
+
     def test_protocol_only_tcp_run(self, tmp_path, capsys):
         scenario = write_tcp_scenario(tmp_path / "rv.json", [
             {"controller": "reno"}, {"controller": "vegas"}], rounds=600)
@@ -327,6 +419,21 @@ class TestEvalCommand:
         assert run_cli("eval", "--run", str(out)) == 2
         assert "no_such_setting" in \
             json.loads(capsys.readouterr().err)["message"]
+
+
+    @pytest.mark.parametrize("breakage", sorted(EVAL_BREAKAGES))
+    def test_malformed_run_artifact_exits_2(self, tmp_path, breakage,
+                                            capsys):
+        scenario = write_tcp_scenario(tmp_path / "rv.json", [
+            {"controller": "reno"}, {"controller": "vegas"}], rounds=300)
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
+        name, mutate = EVAL_BREAKAGES[breakage]
+        doc = json.loads((out / name).read_text())
+        (out / name).write_text(json.dumps(mutate(doc)))
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        assert json.loads(capsys.readouterr().err)["message"]
 
 
 class TestTraceCommand:

@@ -119,6 +119,49 @@ class TestParseAndSerialize:
             parse_strategy(json.dumps(doc))
 
 
+# strategy fields each holding one "@" placeholder for a JSON number token
+_NUMBER_SITES = {
+    "mac base_action entry": {"domain": "mac", "base_action":
+                              ["@"] + [0.1] * 9},
+    "tcp base_action": {"domain": "tcp", "base_action": "@"},
+    "theta": {"domain": "mac", "base_action": [0.1] * 10, "rules": [
+        {"trigger": {"signal": "slot_utilization_ge", "theta": "@"},
+         "effect": {"kind": "avoid_slots", "slots": [3]}}]},
+    "threshold": {"domain": "tcp", "base_action": 9, "rules": [
+        {"trigger": {"signal": "collision_rate_ge", "threshold": "@"},
+         "effect": {"kind": "adjust_cwnd", "delta": -2}}]},
+    "prob": {"domain": "mac", "base_action": [0.1] * 10, "rules": [
+        {"trigger": {"signal": "env_change"},
+         "effect": {"kind": "set_slot_prob", "slot": 2, "prob": "@"}}]},
+    "factor": {"domain": "tcp", "base_action": 9, "rules": [
+        {"trigger": {"signal": "env_change"},
+         "effect": {"kind": "scale_all", "factor": "@"}}]},
+    "delta": {"domain": "tcp", "base_action": 9, "rules": [
+        {"trigger": {"signal": "env_change"},
+         "effect": {"kind": "adjust_cwnd", "delta": "@"}}]},
+    "epsilon": {"domain": "tcp", "base_action": 9,
+                "explore": {"epsilon": "@", "sigma": 0.0}},
+    "sigma": {"domain": "mac", "base_action": [0.1] * 10,
+              "explore": {"epsilon": 0.0, "sigma": "@"}},
+}
+
+
+def _site_text(site: str, token: str) -> str:
+    doc = {"version": "strategy-v1", "provenance": "generated",
+           **_NUMBER_SITES[site]}
+    return json.dumps(doc).replace('"@"', token)
+
+
+@pytest.mark.parametrize("site", sorted(_NUMBER_SITES))
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400",
+                                   "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e400", "401-digits"])
+def test_non_finite_numbers_refused(site, token):
+    assert parse_strategy(_site_text(site, "1"))
+    with pytest.raises(StrategyParseError):
+        parse_strategy(_site_text(site, token))
+
+
 class TestValidate:
     def test_clean_strategy_no_diagnostics(self):
         assert validate_strategy(mac_strategy(), frame_len=10) == []
@@ -265,6 +308,14 @@ class TestInterpret:
         ),), explore=ExploreSpec(), provenance="generated")
         out2 = interpret_action(s2, ctx(rtt_inflation=0.8))
         assert out2.action == 64
+
+    def test_overflowing_window_clips_to_cwnd_max(self):
+        s = Strategy(domain="tcp", base_action=9, rules=(Rule(
+            trigger=Trigger(signal="env_change"),
+            effect=Effect(kind="scale_all", factor=1e308),
+        ),), explore=ExploreSpec(), provenance="generated")
+        assert interpret_action(s, ctx(env_changed=True,
+                                       cwnd_max=64)).action == 64
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0),
                     min_size=10, max_size=10),
