@@ -156,7 +156,7 @@ def psa_update(strategies: StrategySet, new: Strategy, backend: Backend,
     response = backend.complete(user_request(prompt, request_tag))
     try:
         verdict = json.loads(extract_json_text(response))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedResponseError(
             f"conflict review response is not JSON: {exc}"
         ) from exc

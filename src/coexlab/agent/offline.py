@@ -28,6 +28,7 @@ from ..backends import (
 )
 from ..errors import (
     MaterializationExhaustedError,
+    MetricDomainError,
     StrategyParseError,
     UnsupportedPopulationError,
 )
@@ -71,8 +72,9 @@ def _diagnostic_docs(diags) -> List[Dict[str, object]]:
 def asi_materialize(response_text: str, requery: RequeryFn,
                     max_retries: int, *,
                     frame_len: Optional[int] = None,
-                    cwnd_max: Optional[int] = None) -> Tuple[Strategy, int]:
-    """Turn a completion into a validated strategy.
+                    cwnd_max: Optional[int] = None,
+                    domain: Optional[str] = None) -> Tuple[Strategy, int]:
+    """Turn a completion into a validated strategy of ``domain``.
 
     ``max_retries`` bounds the total number of attempts. Each failed
     attempt collects parse/validation diagnostics and re-queries with
@@ -90,7 +92,7 @@ def asi_materialize(response_text: str, requery: RequeryFn,
             diags = exc.diagnostics
         else:
             diags = validate_strategy(strategy, frame_len=frame_len,
-                                      cwnd_max=cwnd_max)
+                                      cwnd_max=cwnd_max, domain=domain)
             if not diags:
                 return strategy, attempt
         attempts.append({
@@ -115,6 +117,15 @@ def _gen_prompt(domain: str, config: AgentConfig, frame_len: int,
         "SIGMA": sigma,
         "ITEMS": items_slot,
     })
+
+
+def _validation_kwargs(domain: str, frame_len: int,
+                       cwnd_max: int) -> Dict[str, object]:
+    """What a reply must validate against: the run's domain and its
+    frame length (mac) or window cap (tcp)."""
+    limit = {"frame_len": frame_len} if domain == DOMAIN_MAC \
+        else {"cwnd_max": cwnd_max}
+    return {"domain": domain, **limit}
 
 
 def _requery_fn(backend: Backend, prompt: str, tag: str) -> RequeryFn:
@@ -151,8 +162,7 @@ def generate_initial_strategy(backend: Backend, demos: DemoBundle,
     items = tuple(s.prompt_block() for s in demos.sets)
     ranker = config.ranker_offline if use_ranker is None else use_ranker
 
-    mat_kwargs = {"frame_len": frame_len} if domain == DOMAIN_MAC \
-        else {"cwnd_max": cwnd_max}
+    mat_kwargs = _validation_kwargs(domain, frame_len, cwnd_max)
     if ranker:
         prompt = _gen_prompt(domain, config, frame_len, cwnd_max,
                              ITEMS_TOKEN)
@@ -188,6 +198,10 @@ def mac_j_estimate(log: TrajectoryLog, config: AgentConfig) -> float:
     """Mean fair objective over the last half of the run, computed on the
     windowed per-node throughput series."""
     series = windowed_throughput(log, config.window_frames)
+    if not series.frames:
+        raise MetricDomainError(
+            f"evaluation log shorter than the {config.window_frames}-frame "
+            f"throughput window")
     half = len(series.frames) // 2
     values = []
     for idx in range(half, len(series.frames)):
@@ -304,8 +318,7 @@ def reflect_and_refine(backend: Backend, strategy: Strategy,
         fenced_json({"episode": episode_doc}),
     )
     ranker = config.ranker_offline if use_ranker is None else use_ranker
-    mat_kwargs = {"frame_len": frame_len} if strategy.domain == DOMAIN_MAC \
-        else {"cwnd_max": cwnd_max}
+    mat_kwargs = _validation_kwargs(strategy.domain, frame_len, cwnd_max)
     if ranker:
         prompt = render_template(TEMPLATE_REFLECTION,
                                  {"ITEMS": ITEMS_TOKEN})

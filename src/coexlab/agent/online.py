@@ -145,7 +145,7 @@ class PeriodRecord:
 def _parse_json_action(text: str) -> object:
     try:
         doc = json.loads(extract_json_text(text))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedResponseError(
             f"decision response is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or "action" not in doc:

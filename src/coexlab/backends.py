@@ -283,12 +283,14 @@ def ranked_complete(backend: Backend, query: RankerQuery,
 
 
 def _try_strategy(text: str, frame_len: Optional[int],
-                  cwnd_max: Optional[int]) -> Optional[Strategy]:
+                  cwnd_max: Optional[int],
+                  domain: Optional[str]) -> Optional[Strategy]:
     try:
         s = parse_strategy(extract_json_text(text))
     except Exception:
         return None
-    if validate_strategy(s, frame_len=frame_len, cwnd_max=cwnd_max):
+    if validate_strategy(s, frame_len=frame_len, cwnd_max=cwnd_max,
+                         domain=domain):
         return None
     return s
 
@@ -296,16 +298,17 @@ def _try_strategy(text: str, frame_len: Optional[int],
 def judge_select(first: str, second: str, *, backend: Backend,
                  frame_len: Optional[int] = None,
                  cwnd_max: Optional[int] = None,
+                 domain: Optional[str] = None,
                  estimate_j: Optional[Callable[[Strategy], float]] = None,
                  request_tag: str = "judge") -> JudgeDecision:
     """Pick between two candidate strategy responses.
 
-    A candidate that fails parsing or validation loses outright without a
-    backend round-trip; two valid candidates go to the judge prompt with
+    A candidate that fails parsing or validation, or is of another
+    ``domain``, loses outright without a backend round-trip; two valid candidates go to the judge prompt with
     their measured rewards. Indecision falls back to the first candidate.
     """
-    s1 = _try_strategy(first, frame_len, cwnd_max)
-    s2 = _try_strategy(second, frame_len, cwnd_max)
+    s1 = _try_strategy(first, frame_len, cwnd_max, domain)
+    s2 = _try_strategy(second, frame_len, cwnd_max, domain)
     if s1 is None and s2 is None:
         raise MalformedResponseError(
             "both ranker candidates failed strategy validation")
@@ -330,7 +333,7 @@ def judge_select(first: str, second: str, *, backend: Backend,
         doc = json.loads(extract_json_text(response))
         selection = int(doc["selection"])
         rationale = str(doc.get("rationale", ""))
-    except (ValueError, KeyError, TypeError, OverflowError):
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
         return JudgeDecision(0, "judge response unusable; first candidate "
                                 "kept", backend_called=True)
     if selection not in (1, 2):

@@ -5,7 +5,7 @@ Time is divided into frames of ``frame_len`` slots (default 10 slots of
 transmits or stays silent; exactly one transmitter is a success, two or
 more collide, none is an idle slot.
 
-Protocol nodes run fixed state machines:
+Protocol nodes:
 
 * ``aloha``     transmits each slot with probability q.
 * ``tdma``      transmits in its owned frame positions, every frame.
@@ -15,12 +15,27 @@ Protocol nodes run fixed state machines:
 * ``fw_aloha``  waits a uniformly drawn w in [0, W-1] between transmissions.
 * ``eb_aloha``  like fw_aloha but the window doubles per collision stage.
 
-``agent`` and ``aware`` nodes have no internal policy; the caller supplies
-their transmit decisions slot by slot.
+``agent`` and ``aware`` nodes have no internal policy; a
+``BernoulliSlotPolicy`` supplies one per-slot transmit probability
+vector per node.
 
 Determinism: every node draws from its own PRNG stream derived from the
 scenario seed and the node id, so adding or removing one node never
 perturbs the randomness of the others.
+
+Kernel: ``run_frames`` cuts its frames at the join and leave frames of
+``spec.nodes`` and, within each such segment, resolves up to
+``KERNEL_CHUNK_SLOTS`` slots at a time. The live set and the policy
+vectors are fixed inside a segment, and aloha, tdma and controlled nodes
+have no memory, so each of them is drawn in bulk: one ``random(n)`` call
+on its own stream, or its owned-slot mask, per chunk. Only the stateful
+backoff kinds are walked slot by slot, backoff ALOHA in id order and
+then CSMA in id order sensing every transmitter counted so far, through
+their machines' ``decide`` and ``on_outcome``. Outcome codes come from
+the per-slot transmitter counts. The result is bit-identical to deciding
+one slot at a time: ``Generator.random(n)`` yields the same doubles as n
+scalar ``random()`` calls, every stream is private to one node, and each
+stateful machine sees the same slots, and draws in the same ones.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ import enum
 import json
 from collections import abc
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,12 +100,6 @@ class ScenarioSpec:
 
 
 @dataclass
-class AgentDecision:
-    transmit: bool
-    prob: float = 0.0
-
-
-@dataclass
 class SlotRecord:
     """What happened in one slot, as stored in the trajectory log."""
 
@@ -105,6 +114,14 @@ class SlotRecord:
 
 
 _OUTCOMES = tuple(SlotOutcome)      # outcome code -> outcome
+# outcome code by a slot's transmitter count, capped at 2
+_CODE_BY_COUNT = np.array([_OUTCOMES.index(o) for o in (
+    SlotOutcome.IDLE, SlotOutcome.SUCCESS, SlotOutcome.COLLIDED)],
+    dtype=np.int8)
+
+# Slots one kernel pass resolves at most; bounds its temporary arrays
+# whatever the horizon.
+KERNEL_CHUNK_SLOTS = 1 << 16
 
 
 class TrajectoryLog:
@@ -133,19 +150,21 @@ class TrajectoryLog:
     def n_frames(self) -> int:
         return -(-self.n_slots // self.frame_len)
 
-    def append_slot(self, outcome: SlotOutcome, transmitters: Sequence[int],
-                    probs: Dict[int, float]) -> None:
-        i = self.n_slots
-        if i == len(self._outcome):
+    def append_slots(self, outcome: np.ndarray, tx: np.ndarray,
+                     probs: Dict[int, np.ndarray]) -> None:
+        """Append n slots: outcome codes (indexes into ``SlotOutcome``),
+        an (n, n_nodes) transmit mask and the slot probabilities of the
+        live controlled nodes."""
+        i, j = self.n_slots, self.n_slots + len(outcome)
+        while j > len(self._outcome):
             self._outcome, self._tx, self._prob = (
                 np.concatenate([col, np.zeros_like(col)])
                 for col in (self._outcome, self._tx, self._prob))
-        self._outcome[i] = _OUTCOMES.index(outcome)
-        for nid in transmitters:
-            self._tx[i, nid] = True
+        self._outcome[i:j] = outcome
+        self._tx[i:j] = tx
         for nid, p in probs.items():
-            self._prob[i, self._prob_col[nid]] = p
-        self.n_slots = i + 1
+            self._prob[i:j, self._prob_col[nid]] = p
+        self.n_slots = j
 
     def _slots(self, f0: int, f1: int) -> slice:
         return slice(min(f0 * self.frame_len, self.n_slots),
@@ -296,41 +315,14 @@ def purpose_rng(seed: int, *key: int) -> np.random.Generator:
     )
 
 
-class _NodeMachine:
-    """Base state machine. Subclasses implement decide/on_outcome."""
-
-    def __init__(self, cfg: NodeConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.rng = rng
-
-    def decide(self, frame_position: int, carrier_busy: bool) -> bool:
-        raise NotImplementedError
-
-    def on_outcome(self, transmitted: bool, outcome: SlotOutcome) -> None:
-        pass
-
-
-class AlohaMachine(_NodeMachine):
-    def decide(self, frame_position: int, carrier_busy: bool) -> bool:
-        return float(self.rng.random()) < self.cfg.q
-
-
-class TdmaMachine(_NodeMachine):
-    def __init__(self, cfg: NodeConfig, rng: np.random.Generator):
-        super().__init__(cfg, rng)
-        self.owned = frozenset(cfg.slots or ())
-
-    def decide(self, frame_position: int, carrier_busy: bool) -> bool:
-        return frame_position in self.owned
-
-
-class _BackoffMachine(_NodeMachine):
+class _BackoffMachine:
     """Sends when its backoff counter w reaches zero. After each own
     transmission w is redrawn from a window that doubles per collision
     stage, up to ``max_stage``."""
 
     def __init__(self, cfg: NodeConfig, rng: np.random.Generator):
-        super().__init__(cfg, rng)
+        self.cfg = cfg
+        self.rng = rng
         self.stage = 0
         self.w = int(self.rng.integers(0, self.current_window()))
 
@@ -338,7 +330,7 @@ class _BackoffMachine(_NodeMachine):
         capped = min(self.stage, self.cfg.max_stage)
         return self.cfg.window * (2 ** capped)
 
-    def decide(self, frame_position: int, carrier_busy: bool) -> bool:
+    def decide(self, carrier_busy: bool) -> bool:
         if self.w == 0:
             return True
         self.w -= 1
@@ -373,7 +365,7 @@ class CsmaMachine(_BackoffMachine):
     idle slot where the counter reaches zero.
     """
 
-    def decide(self, frame_position: int, carrier_busy: bool) -> bool:
+    def decide(self, carrier_busy: bool) -> bool:
         if carrier_busy:
             return False
         if self.w > 0:
@@ -381,138 +373,12 @@ class CsmaMachine(_BackoffMachine):
         return self.w == 0
 
 
+# the stateful kinds; every other kind is memoryless
 _MACHINES = {
-    KIND_ALOHA: AlohaMachine,
-    KIND_TDMA: TdmaMachine,
     KIND_CSMA: CsmaMachine,
     KIND_FW_ALOHA: FwAlohaMachine,
     KIND_EB_ALOHA: EbAlohaMachine,
 }
-
-
-class MacEnvironment:
-    """Live simulation state plus the accumulated trajectory log."""
-
-    def __init__(self, spec: ScenarioSpec):
-        validate_scenario(spec)
-        self.spec = spec
-        self.frame_len = spec.frame_len
-        self.slot_index = 0
-        self.machines: Dict[int, _NodeMachine] = {}
-        self.live: List[int] = []
-        self.log = TrajectoryLog(
-            spec.frame_len, len(spec.nodes),
-            [nid for nid, cfg in enumerate(spec.nodes)
-             if cfg.kind in CONTROLLED_KINDS])
-        self._rngs = {
-            nid: node_rng(spec.seed, nid) for nid in range(len(spec.nodes))
-        }
-        self.apply_population_event(0)
-
-    @property
-    def frame_index(self) -> int:
-        return self.slot_index // self.frame_len
-
-    @property
-    def frame_position(self) -> int:
-        return self.slot_index % self.frame_len
-
-    def controlled_ids(self) -> List[int]:
-        return [
-            nid for nid in self.live
-            if self.spec.nodes[nid].kind in CONTROLLED_KINDS
-        ]
-
-    def apply_population_event(self, frame_index: int) -> bool:
-        """Recompute the live set at a frame boundary.
-
-        Returns True when membership changed. A fresh state machine is
-        built for every newly joined node; each machine keeps drawing from
-        its own node stream, so the rest of the population is unaffected.
-        """
-        new_live = []
-        for nid, cfg in enumerate(self.spec.nodes):
-            live = cfg.join_frame <= frame_index and (
-                cfg.leave_frame is None or frame_index < cfg.leave_frame
-            )
-            if live:
-                new_live.append(nid)
-                if nid not in self.machines and cfg.kind in _MACHINES:
-                    self.machines[nid] = _MACHINES[cfg.kind](cfg, self._rngs[nid])
-            elif nid in self.machines and cfg.leave_frame is not None \
-                    and frame_index >= cfg.leave_frame:
-                self.machines.pop(nid, None)
-        changed = new_live != self.live
-        if changed or not self.log.segments:
-            self.live = new_live
-            self.log.segments.append((frame_index, tuple(new_live)))
-        return changed
-
-    def step_slot(self, decisions: Dict[int, AgentDecision]) -> None:
-        """Advance one slot.
-
-        ``decisions`` must cover every live agent/aware node. Protocol
-        nodes are evaluated in node-id order with CSMA nodes last so that
-        carrier sensing sees every commitment already made for this slot.
-        """
-        for nid in self.controlled_ids():
-            if nid not in decisions:
-                raise MissingDecisionError(f"no decision for controlled node "
-                                           f"{nid} at slot {self.slot_index}")
-        position = self.frame_position
-        transmitters: List[int] = []
-        probs: Dict[int, float] = {}
-        deferred_csma: List[int] = []
-        for nid in self.live:
-            kind = self.spec.nodes[nid].kind
-            if kind in CONTROLLED_KINDS:
-                if decisions[nid].transmit:
-                    transmitters.append(nid)
-                probs[nid] = decisions[nid].prob
-            elif kind == KIND_CSMA:
-                deferred_csma.append(nid)
-            elif self.machines[nid].decide(position, False):
-                transmitters.append(nid)
-
-        for nid in deferred_csma:
-            busy = bool(transmitters)
-            if self.machines[nid].decide(position, busy):
-                transmitters.append(nid)
-
-        if len(transmitters) == 1:
-            outcome = SlotOutcome.SUCCESS
-        elif transmitters:
-            outcome = SlotOutcome.COLLIDED
-        else:
-            outcome = SlotOutcome.IDLE
-
-        for nid in transmitters:
-            if nid in self.machines:
-                self.machines[nid].on_outcome(True, outcome)
-
-        self.log.append_slot(outcome, transmitters, probs)
-        self.slot_index += 1
-
-
-PolicyFn = Callable[["MacEnvironment"], Dict[int, AgentDecision]]
-
-
-def build_scenario(spec: ScenarioSpec) -> MacEnvironment:
-    return MacEnvironment(spec)
-
-
-def run_frames(env: MacEnvironment, policy: Optional[PolicyFn],
-               n_frames: int) -> TrajectoryLog:
-    """Run ``n_frames`` full frames, applying population events at each
-    frame boundary. ``policy`` is called once per slot and must return
-    decisions for all live controlled nodes (may be None when there are
-    none)."""
-    for _ in range(n_frames):
-        env.apply_population_event(env.frame_index)
-        for _ in range(env.frame_len):
-            decisions = policy(env) if policy is not None else {}
-            env.step_slot(decisions)
-    return env.log
 
 
 class BernoulliSlotPolicy:
@@ -537,14 +403,150 @@ class BernoulliSlotPolicy:
         if nid not in self._rngs:
             self._rngs[nid] = purpose_rng(self.seed, self.stream_key, nid)
 
-    def __call__(self, env: MacEnvironment) -> Dict[int, AgentDecision]:
-        position = env.frame_position
-        out = {}
-        for nid in env.controlled_ids():
-            p = float(self.vectors[nid][position])
-            u = float(self._rngs[nid].random())
-            out[nid] = AgentDecision(transmit=u < p, prob=p)
-        return out
+
+class MacEnvironment:
+    """Live simulation state plus the accumulated trajectory log."""
+
+    def __init__(self, spec: ScenarioSpec):
+        validate_scenario(spec)
+        self.spec = spec
+        self.frame_len = spec.frame_len
+        self.slot_index = 0
+        self.machines: Dict[int, _BackoffMachine] = {}
+        self.live: List[int] = []
+        self.log = TrajectoryLog(
+            spec.frame_len, len(spec.nodes),
+            [nid for nid, cfg in enumerate(spec.nodes)
+             if cfg.kind in CONTROLLED_KINDS])
+        self._rngs = {
+            nid: node_rng(spec.seed, nid) for nid in range(len(spec.nodes))
+        }
+        self.apply_population_event(0)
+
+    @property
+    def frame_index(self) -> int:
+        return self.slot_index // self.frame_len
+
+    def apply_population_event(self, frame_index: int) -> None:
+        """Recompute the live set at a frame boundary.
+
+        A fresh state machine is built for every newly joined stateful
+        node; each machine keeps drawing from its own node stream, so the
+        rest of the population is unaffected.
+        """
+        new_live = []
+        for nid, cfg in enumerate(self.spec.nodes):
+            live = cfg.join_frame <= frame_index and (
+                cfg.leave_frame is None or frame_index < cfg.leave_frame
+            )
+            if live:
+                new_live.append(nid)
+                if nid not in self.machines and cfg.kind in _MACHINES:
+                    self.machines[nid] = _MACHINES[cfg.kind](cfg, self._rngs[nid])
+            else:
+                self.machines.pop(nid, None)
+        if new_live != self.live or not self.log.segments:
+            self.live = new_live
+            self.log.segments.append((frame_index, tuple(new_live)))
+
+    def _policy_vectors(self, policy: Optional[BernoulliSlotPolicy]) \
+            -> Dict[int, np.ndarray]:
+        """The vector of every live controlled node, checked."""
+        vectors = {}
+        for nid in self.live:
+            if self.spec.nodes[nid].kind not in CONTROLLED_KINDS:
+                continue
+            vector = None if policy is None else policy.vectors.get(nid)
+            if vector is None:
+                raise MissingDecisionError(
+                    f"no decision for controlled node {nid} at slot "
+                    f"{self.slot_index}")
+            if len(vector) != self.frame_len:
+                raise InvalidScenarioError(
+                    f"policy.vectors[{nid}]",
+                    f"length {len(vector)} does not match frame_len "
+                    f"{self.frame_len}")
+            vectors[nid] = np.asarray(vector, dtype=float)
+        return vectors
+
+    def _run_segment(self, policy: Optional[BernoulliSlotPolicy],
+                     n_slots: int) -> None:
+        """Resolve ``n_slots`` slots with the live set held fixed."""
+        vectors = self._policy_vectors(policy)
+        nodes = self.spec.nodes
+        aloha = [nid for nid in self.live if nodes[nid].kind == KIND_ALOHA]
+        tdma = {nid: np.isin(np.arange(self.frame_len), nodes[nid].slots)
+                for nid in self.live if nodes[nid].kind == KIND_TDMA}
+        # backoff ALOHA in id order, then CSMA in id order
+        walkers = [(nid, self.machines[nid]) for _, nid in sorted(
+            (nodes[nid].kind == KIND_CSMA, nid)
+            for nid in self.live if nid in self.machines)]
+        for start in range(0, n_slots, KERNEL_CHUNK_SLOTS):
+            n = min(KERNEL_CHUNK_SLOTS, n_slots - start)
+            positions = np.arange(self.slot_index,
+                                  self.slot_index + n) % self.frame_len
+            tx = np.zeros((n, len(nodes)), dtype=bool)
+            for nid in aloha:
+                tx[:, nid] = self._rngs[nid].random(n) < nodes[nid].q
+            for nid, owned in tdma.items():
+                tx[:, nid] = owned[positions]
+            probs = {}
+            for nid, vector in vectors.items():
+                probs[nid] = vector[positions]
+                tx[:, nid] = policy._rngs[nid].random(n) < probs[nid]
+            counts = tx.sum(axis=1)
+            if walkers:
+                counts = _walk(walkers, tx, counts)
+            self.log.append_slots(_CODE_BY_COUNT[np.minimum(counts, 2)],
+                                  tx, probs)
+            self.slot_index += n
+
+
+def _walk(walkers: List[Tuple[int, _BackoffMachine]], tx: np.ndarray,
+          counts: np.ndarray) -> np.ndarray:
+    """Step the stateful nodes through one chunk, slot by slot, on top of
+    the memoryless transmitters already in ``tx`` and ``counts``. Each
+    machine senses every transmitter counted before it; ``tx`` is updated
+    in place and the new counts returned."""
+    counts = counts.tolist()
+    for t, count in enumerate(counts):
+        sent = []
+        for nid, machine in walkers:
+            if machine.decide(bool(count or sent)):
+                sent.append((nid, machine))
+        if sent:
+            count += len(sent)
+            outcome = SlotOutcome.SUCCESS if count == 1 \
+                else SlotOutcome.COLLIDED
+            for nid, machine in sent:
+                machine.on_outcome(True, outcome)
+                tx[t, nid] = True
+            counts[t] = count
+    return np.array(counts)
+
+
+def build_scenario(spec: ScenarioSpec) -> MacEnvironment:
+    return MacEnvironment(spec)
+
+
+def run_frames(env: MacEnvironment, policy: Optional[BernoulliSlotPolicy],
+               n_frames: int) -> TrajectoryLog:
+    """Run ``n_frames`` full frames. Population events apply at the
+    frames where a node joins or leaves; ``policy`` must hold a
+    ``frame_len``-entry vector for every live controlled node (it may be
+    None when there are none)."""
+    if n_frames < 1:
+        return env.log
+    start = env.frame_index
+    end = start + n_frames
+    events = {frame for cfg in env.spec.nodes
+              for frame in (cfg.join_frame, cfg.leave_frame)
+              if frame is not None and start < frame < end}
+    cuts = [start, *sorted(events), end]
+    for f0, f1 in zip(cuts, cuts[1:]):
+        env.apply_population_event(f0)
+        env._run_segment(policy, (f1 - f0) * env.frame_len)
+    return env.log
 
 
 def scenario_to_json(spec: ScenarioSpec) -> str:

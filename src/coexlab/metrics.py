@@ -33,8 +33,9 @@ class ThroughputSeries:
 def windowed_throughput(log: TrajectoryLog,
                         window_frames: int = DEFAULT_WINDOW_FRAMES) -> ThroughputSeries:
     """Per-node successes over the trailing window, divided by the number
-    of slots in the window. Defined for frames >= window_frames; a node
-    contributes zero for slots where it is not live."""
+    of slots in the window. Defined for frames >= window_frames, so a log
+    shorter than the window gives empty series; a node contributes zero
+    for slots where it is not live."""
     if window_frames < 1:
         raise MetricDomainError("window_frames must be >= 1")
     if not log.n_slots:
@@ -44,9 +45,8 @@ def windowed_throughput(log: TrajectoryLog,
     cumulative = np.zeros((total_frames + 1, log.n_nodes), dtype=np.int64)
     np.cumsum(log.frame_successes(0, total_frames), axis=0,
               out=cumulative[1:])
-    # a log shorter than the window yields one sum over the whole log
-    span = min(window_frames, total_frames)
-    window_sums = cumulative[span:] - cumulative[:total_frames + 1 - span]
+    window_sums = cumulative[window_frames:] \
+        - cumulative[:max(0, total_frames + 1 - window_frames)]
 
     frames = list(range(window_frames, total_frames + 1))
     slots_per_window = window_frames * log.frame_len

@@ -55,7 +55,14 @@ from .oracle import (
     solve_aware,
 )
 from .scripted import ScriptedBackend
-from .strategy import Strategy, parse_strategy, strategy_doc
+from .strategy import (
+    DOMAIN_MAC,
+    DOMAIN_TCP,
+    Strategy,
+    parse_strategy,
+    strategy_doc,
+    validate_strategy,
+)
 from .tcp import (
     CONTROLLER_AGENT,
     TcpEnvironment,
@@ -147,10 +154,12 @@ def load_scenario(path: str) -> AnyScenario:
         "version", f"{path}: expected mac-v1 or tcp-v1, got {version!r}")
 
 
-def load_cached_strategy(path: str) -> Strategy:
+def load_cached_strategy(path: str, spec: AnyScenario) -> Strategy:
     """Load a strategy for reuse: either a single strategy document or a
     strategy-set snapshot, in which case the newest entry wins (later
-    additions embody all earlier reflections)."""
+    additions embody all earlier reflections). It must validate against
+    ``spec``: its domain, and its frame length (mac) or window cap
+    (tcp)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     doc = json.loads(text)
@@ -162,7 +171,17 @@ def load_cached_strategy(path: str) -> Strategy:
     # the embedded id is recomputed from content on parse
     if isinstance(doc, dict):
         doc = {k: v for k, v in doc.items() if k != "id"}
-    return parse_strategy(json.dumps(doc))
+    strategy = parse_strategy(json.dumps(doc))
+    if isinstance(spec, ScenarioSpec):
+        diags = validate_strategy(strategy, frame_len=spec.frame_len,
+                                  domain=DOMAIN_MAC)
+    else:
+        diags = validate_strategy(strategy, cwnd_max=spec.cwnd_max,
+                                  domain=DOMAIN_TCP)
+    if diags:
+        raise InvalidScenarioError(
+            "strategy", f"{path}: " + "; ".join(str(d) for d in diags))
+    return strategy
 
 
 def make_backend(config: RunConfig) -> Optional[Backend]:
@@ -373,6 +392,19 @@ def _offline_artifacts(out: str, family: str, demo_k: int, demo_seed: int,
     })
 
 
+def _check_mac_horizon(spec: AnyScenario, agent: AgentConfig) -> None:
+    """A mac run and its offline evaluation episode each need at least one
+    full throughput window."""
+    if not isinstance(spec, ScenarioSpec):
+        return
+    for path, frames in (("total_frames", spec.total_frames),
+                         ("agent.eval_frames", agent.eval_frames)):
+        if frames < agent.window_frames:
+            raise InvalidScenarioError(
+                path, f"{frames} frames is shorter than the "
+                      f"{agent.window_frames}-frame throughput window")
+
+
 def cmd_run(config: RunConfig) -> RunResult:
     """Offline stage (unless a cached strategy is supplied), online stage,
     then the full artifact set."""
@@ -380,6 +412,7 @@ def cmd_run(config: RunConfig) -> RunResult:
     spec = load_scenario(config.scenario_path)
     if config.seed is not None:
         spec = replace(spec, seed=config.seed)
+    _check_mac_horizon(spec, config.agent)
     family = "mac" if isinstance(spec, ScenarioSpec) else "tcp"
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
@@ -462,7 +495,7 @@ def cmd_run(config: RunConfig) -> RunResult:
 def _obtain_strategy(config: RunConfig, backend: Optional[Backend],
                      spec: AnyScenario, family: str, demo_seed: int):
     if config.strategy_path is not None:
-        return load_cached_strategy(config.strategy_path), None, None
+        return load_cached_strategy(config.strategy_path, spec), None, None
     if backend is None:
         raise InvalidScenarioError(
             "backend", "agent scenarios need a backend or a cached strategy")
@@ -481,6 +514,7 @@ def cmd_offline(config: RunConfig) -> OfflineResult:
     spec = load_scenario(config.scenario_path)
     if config.seed is not None:
         spec = replace(spec, seed=config.seed)
+    _check_mac_horizon(spec, config.agent)
     family = "mac" if isinstance(spec, ScenarioSpec) else "tcp"
     out = config.out_dir
     os.makedirs(out, exist_ok=True)

@@ -280,6 +280,9 @@ def parse_strategy(text: str) -> Strategy:
         raise StrategyParseError([Diagnostic(
             "$", f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         )]) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer beyond the digit limit, or nesting beyond the stack
+        raise StrategyParseError([Diagnostic("$", str(exc))]) from exc
     if not isinstance(doc, dict):
         raise StrategyParseError([Diagnostic("$", "strategy must be a JSON object")])
 
@@ -364,9 +367,14 @@ def parse_strategy(text: str) -> Strategy:
 
 
 def validate_strategy(s: Strategy, frame_len: Optional[int] = None,
-                      cwnd_max: Optional[int] = None) -> List[Diagnostic]:
-    """Range and cross-reference checks. Returns diagnostics, empty when
-    the strategy is sound; never raises."""
+                      cwnd_max: Optional[int] = None,
+                      domain: Optional[str] = None) -> List[Diagnostic]:
+    """Range and cross-reference checks, and when ``domain`` is given the
+    domain the caller runs. Returns diagnostics, empty when the strategy
+    is sound; never raises."""
+    if domain is not None and s.domain != domain:
+        return [Diagnostic("domain", f"expected a {domain!r} strategy, "
+                                     f"got {s.domain!r}")]
     diags: List[Diagnostic] = []
     if s.domain == DOMAIN_MAC:
         probs = s.base_action

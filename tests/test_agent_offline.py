@@ -293,7 +293,7 @@ from coexlab.agent.offline import (
     reflect_and_refine,
     run_offline,
 )
-from coexlab.errors import MaterializationExhaustedError
+from coexlab.errors import MaterializationExhaustedError, MetricDomainError
 from coexlab.mac import (
     KIND_AGENT,
     KIND_ALOHA,
@@ -435,6 +435,21 @@ class TestAsiMaterialize:
         assert any("finite" in d["message"] for d in seen[0])
         assert strategy.base_action == (0.3,) * 10
 
+    def test_wrong_domain_requeries(self):
+        tcp = json.dumps({"version": "strategy-v1", "domain": "tcp",
+                          "base_action": 8})
+        seen = []
+
+        def requery(diags):
+            seen.append(diags)
+            return mac_doc(0.3)
+
+        strategy, retries = asi_materialize(tcp, requery, 3, frame_len=10,
+                                            domain="mac")
+        assert retries == 1
+        assert [d["path"] for d in seen[0]] == ["domain"]
+        assert strategy.domain == "mac"
+
     def test_exhaustion_keeps_every_attempt(self):
         calls = []
 
@@ -483,6 +498,18 @@ class TestGenerateInitialStrategy:
         retry_prompt = backend.requests[1].messages[-1].content
         assert "previous_attempt_diagnostics" in retry_prompt
 
+    def test_reply_of_the_other_domain_requeries(self):
+        demos = demo_bundle("mac", 3, seed=21, config=PIPE)
+        tcp = json.dumps({"version": "strategy-v1", "domain": "tcp",
+                          "base_action": 8})
+        backend = SequenceBackend([tcp, mac_doc(0.4)])
+        result = generate_initial_strategy(backend, demos, PIPE,
+                                           use_ranker=False)
+        assert result.retries == 1
+        assert result.strategy.domain == "mac"
+        assert "expected a 'mac' strategy" \
+            in backend.requests[1].messages[-1].content
+
 
 class TestEvaluation:
     def test_oracle_policy_scores_near_oracle_objective(self):
@@ -500,6 +527,13 @@ class TestEvaluation:
         out = evaluate_mac_strategy(spec, plain_mac_strategy(0.0),
                                     AgentConfig(eval_frames=600))
         assert out.j == pytest.approx(math.log(1e-10))
+
+    def test_episode_shorter_than_window_is_a_metric_error(self):
+        spec = ScenarioSpec(total_frames=50, frame_len=10, seed=3,
+                            nodes=(NodeConfig(kind=KIND_AGENT),))
+        with pytest.raises(MetricDomainError):
+            evaluate_mac_strategy(spec, plain_mac_strategy(0.5),
+                                  AgentConfig(eval_frames=50))
 
     def test_episode_doc_is_deterministic(self):
         spec = agent_vs_tdma(frames=800)

@@ -192,6 +192,20 @@ class TestJudgeSelect:
                           frame_len=10)
         assert d2.selection == 0 and not d2.backend_called
 
+    def test_other_domain_candidate_is_unusable(self):
+        class Exploding:
+            def complete(self, req):
+                raise AssertionError("judge backend should not be called")
+
+        tcp = json.dumps({"version": "strategy-v1", "domain": "tcp",
+                          "base_action": 8})
+        d = judge_select(tcp, VALID_MAC, backend=Exploding(), frame_len=10,
+                         domain="mac")
+        assert d.selection == 1 and not d.backend_called
+        with pytest.raises(MalformedResponseError):
+            judge_select(VALID_MAC, VALID_MAC_2, backend=Exploding(),
+                         cwnd_max=64, domain="tcp")
+
     def test_both_invalid_escalates(self):
         with pytest.raises(MalformedResponseError):
             judge_select("nope", "also nope", backend=ScriptedBackend(),

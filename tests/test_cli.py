@@ -308,6 +308,59 @@ class TestRunCommand:
                        "--alpha", "nan") == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"domain": "mac", "base_action": [0.5] * 4},
+        {"domain": "mac", "base_action": [0.5] * 12},
+        {"domain": "tcp", "base_action": 8},
+    ], ids=["short", "long", "wrong-domain"])
+    def test_unsound_cached_strategy_exits_2(self, tmp_path, doc, capsys):
+        cached = tmp_path / "cached.json"
+        cached.write_text(json.dumps(dict(doc, version="strategy-v1")),
+                          encoding="utf-8")
+        code = run_cli("run",
+                       "--scenario", str(ROOT / "scenarios/mac_1t1h.json"),
+                       "--out", str(tmp_path / "o"), "--backend", "none",
+                       "--strategy", str(cached))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidScenarioError"
+        assert str(cached) in err["message"]
+
+    def test_mac_strategy_on_tcp_scenario_exits_2(self, tmp_path, capsys):
+        scenario = write_tcp_scenario(
+            tmp_path / "ar.json",
+            [{"controller": "agent"}, {"controller": "reno"}])
+        cached = tmp_path / "cached.json"
+        cached.write_text(json.dumps({"version": "strategy-v1",
+                                      "domain": "mac",
+                                      "base_action": [0.5] * 10}),
+                          encoding="utf-8")
+        code = run_cli("run", "--scenario", scenario,
+                       "--out", str(tmp_path / "o"), "--backend", "none",
+                       "--strategy", str(cached))
+        assert code == 2
+        assert "domain" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("frames, settings, path", [
+        (50, {}, "total_frames"),
+        (600, {"eval_frames": 50}, "agent.eval_frames"),
+    ], ids=["total_frames", "eval_frames"])
+    def test_horizon_below_window_exits_2(self, tmp_path, frames, settings,
+                                          path, capsys):
+        doc = json.loads((ROOT / "scenarios/mac_1a1h.json").read_text())
+        scenario = write_mac_scenario(tmp_path / "short.json", doc["nodes"],
+                                      frames=frames)
+        overrides = tmp_path / "agent.json"
+        overrides.write_text(json.dumps(settings), encoding="utf-8")
+        out = tmp_path / "o"
+        code = run_cli("run", "--scenario", scenario, "--out", str(out),
+                       "--backend", "scripted", "--agent-json",
+                       str(overrides))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["message"].startswith(
+            f"{path}: ")
+        assert not out.exists()
+
     def test_offline_memories_frozen_for_online_stage(self, tmp_path,
                                                       tdma_scenario):
         result = cmd_run(RunConfig(scenario_path=tdma_scenario,

@@ -7,8 +7,6 @@ import pytest
 
 from coexlab.errors import InvalidScenarioError, MissingDecisionError
 from coexlab.mac import (
-    AgentDecision,
-    AlohaMachine,
     BernoulliSlotPolicy,
     CsmaMachine,
     EbAlohaMachine,
@@ -42,28 +40,31 @@ def agent(**kw):
     return NodeConfig(kind="agent", **kw)
 
 
+def run_agents(*vectors):
+    """One frame of two agents with fixed per-slot vectors."""
+    spec = make_spec([agent(), agent()])
+    env = build_scenario(spec)
+    policy = BernoulliSlotPolicy(spec.seed, dict(enumerate(vectors)))
+    run_frames(env, policy, 1)
+    return env
+
+
 class TestSlotOutcomes:
     def test_single_transmitter_succeeds(self):
-        env = build_scenario(make_spec([agent(), agent()]))
-        env.step_slot({0: AgentDecision(True, 1.0),
-                      1: AgentDecision(False, 0.0)})
+        env = run_agents([1.0] * 10, [0.0] * 10)
         rec = env.log.records[-1]
         assert rec.outcome is SlotOutcome.SUCCESS
         assert rec.transmitters == (0,)
         assert rec.reward_vector == (1, 0)
 
     def test_two_transmitters_collide(self):
-        env = build_scenario(make_spec([agent(), agent()]))
-        env.step_slot({0: AgentDecision(True, 1.0),
-                      1: AgentDecision(True, 1.0)})
+        env = run_agents([1.0] * 10, [1.0] * 10)
         rec = env.log.records[-1]
         assert rec.outcome is SlotOutcome.COLLIDED
         assert rec.reward_vector == (0, 0)
 
     def test_no_transmitter_idles(self):
-        env = build_scenario(make_spec([agent(), agent()]))
-        env.step_slot({0: AgentDecision(False, 0.0),
-                      1: AgentDecision(False, 0.0)})
+        env = run_agents([0.0] * 10, [0.0] * 10)
         rec = env.log.records[-1]
         assert rec.outcome is SlotOutcome.IDLE
         assert rec.reward_vector == (0, 0)
@@ -71,7 +72,7 @@ class TestSlotOutcomes:
     def test_missing_decision_raises(self):
         env = build_scenario(make_spec([agent()]))
         with pytest.raises(MissingDecisionError):
-            env.step_slot({})
+            run_frames(env, None, 1)
 
 
 class TestTdma:
@@ -116,7 +117,7 @@ class TestBackoffMachines:
         m = FwAlohaMachine(cfg, node_rng(7, 0))
         tx_slots = []
         for t in range(400):
-            if m.decide(t % 10, False):
+            if m.decide(False):
                 tx_slots.append(t)
                 m.on_outcome(True, SlotOutcome.SUCCESS)
         gaps = {b - a for a, b in zip(tx_slots, tx_slots[1:])}
@@ -142,9 +143,9 @@ class TestBackoffMachines:
         cfg = NodeConfig(kind="csma", window=2, max_stage=4)
         m = CsmaMachine(cfg, node_rng(7, 2))
         m.w = 1
-        assert m.decide(0, True) is False
+        assert m.decide(True) is False
         assert m.w == 1  # frozen
-        assert m.decide(1, False) is True  # decrements to 0 and sends
+        assert m.decide(False) is True  # decrements to 0 and sends
         assert m.w == 0
 
     def test_csma_defers_to_committed_transmitters(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coexlab.errors import MetricDomainError
 from coexlab.mac import (
-    AgentDecision,
+    BernoulliSlotPolicy,
     NodeConfig,
     ScenarioSpec,
     build_scenario,
@@ -48,14 +48,17 @@ class TestWindowedThroughput:
         spec = ScenarioSpec(nodes=[NodeConfig(kind="agent")], total_frames=8,
                             seed=1)
         env = build_scenario(spec)
-
-        def policy(e):
-            on = e.frame_index % 2 == 0
-            return {0: AgentDecision(on, 1.0 if on else 0.0)}
-
-        log = run_frames(env, policy, 8)
+        policy = BernoulliSlotPolicy(spec.seed, {})
+        for frame in range(8):
+            policy.set_vector(0, [1.0 if frame % 2 == 0 else 0.0] * 10)
+            log = run_frames(env, policy, 1)
         series = windowed_throughput(log, window_frames=2)
         assert all(abs(v - 0.5) < 1e-12 for v in series.values[0])
+
+    def test_log_shorter_than_window_gives_empty_series(self):
+        series = windowed_throughput(tdma_log(5), window_frames=10)
+        assert series.frames == []
+        assert series.values == {0: []}
 
     def test_window_longer_than_log_rejected(self):
         log = tdma_log(5)

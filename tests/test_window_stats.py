@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mac_reference
 from coexlab.agent.demos import _mac_summary
 from coexlab.agent.observer import (
     MacWindowSignals,
@@ -113,6 +114,8 @@ def ref_windowed_throughput(log, window_frames):
     slots_per_window = window_frames * log.frame_len
     values = {nid: [] for nid in node_ids}
     for nid in node_ids:
+        if total_frames < window_frames:
+            continue        # no window ends inside the log
         counts = per_frame[nid]
         running = sum(counts[:window_frames])
         values[nid].append(running / slots_per_window)
@@ -205,34 +208,40 @@ def runs(draw):
 
 
 def simulate(spec, vectors, tail_slots):
-    """Run the scenario, plus ``tail_slots`` slots of one more frame, and
-    rebuild each slot's record from what the environment logs."""
+    """Run the scenario, plus ``tail_slots`` slots of one more frame
+    stepped by the per-slot reference loop, and rebuild each slot's record
+    from what the environment logs."""
     env = MacEnvironment(spec)
     rebuilt = []
-    append = env.log.append_slot
+    append = env.log.append_slots
 
-    def recording_append(outcome, transmitters, probs):
+    def recording_append(outcome, tx, probs):
         live = tuple(env.live)
-        tx = tuple(sorted(transmitters))
-        rebuilt.append(SlotRecord(
-            slot_index=env.slot_index,
-            frame_index=env.frame_index,
-            frame_position=env.frame_position,
-            outcome=outcome,
-            transmitters=tx,
-            live_ids=live,
-            reward_vector=tuple(
-                int(outcome is SlotOutcome.SUCCESS and nid in tx)
-                for nid in live),
-            agent_probs=dict(probs),
-        ))
-        append(outcome, transmitters, probs)
+        for k, code in enumerate(outcome.tolist()):
+            i = env.slot_index + k
+            result = tuple(SlotOutcome)[code]
+            transmitters = tuple(nid for nid in range(len(spec.nodes))
+                                 if tx[k, nid])
+            rebuilt.append(SlotRecord(
+                slot_index=i,
+                frame_index=i // spec.frame_len,
+                frame_position=i % spec.frame_len,
+                outcome=result,
+                transmitters=transmitters,
+                live_ids=live,
+                reward_vector=tuple(
+                    int(result is SlotOutcome.SUCCESS
+                        and nid in transmitters)
+                    for nid in live),
+                agent_probs={nid: float(p[k]) for nid, p in probs.items()},
+            ))
+        append(outcome, tx, probs)
 
-    env.log.append_slot = recording_append
+    env.log.append_slots = recording_append
     policy = BernoulliSlotPolicy(spec.seed, vectors)
     run_frames(env, policy, spec.total_frames)
     for _ in range(tail_slots):
-        env.step_slot(policy(env))
+        mac_reference.step_slot(env, policy)
     return env.log, rebuilt
 
 
