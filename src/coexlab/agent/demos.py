@@ -41,7 +41,7 @@ from ..tcp import (
     CONTROLLER_VEGAS,
     TcpEnvironment,
     TcpFlowConfig,
-    TcpRoundRecord,
+    TcpRoundLog,
     TcpScenarioSpec,
     mean_social_reward,
     run_rounds,
@@ -186,36 +186,33 @@ def _mac_demo_set(label: str, label_idx: int, k: int, seed: int,
     return DemoSet(label=label, k=k, tuples=tuples)
 
 
-def _run_tcp_demo(spec: TcpScenarioSpec, cwnd: int) -> List[TcpRoundRecord]:
-    env = TcpEnvironment(spec)
-
+def _run_tcp_demo(spec: TcpScenarioSpec, cwnd: int) -> TcpRoundLog:
     def controller(e: TcpEnvironment) -> Dict[int, int]:
         return {fid: cwnd for fid in e.agent_ids()}
 
-    run_rounds(env, controller)
-    return env.records
+    return run_rounds(TcpEnvironment(spec), controller)
 
 
-def _tcp_summary(records: List[TcpRoundRecord],
-                 flow_id: int) -> Dict[str, object]:
+def _tcp_summary(log: TcpRoundLog, flow_id: int,
+                 first_round: int = 0) -> Dict[str, object]:
+    """Link and flow statistics over rounds ``first_round`` on; rounds
+    with no live flow are skipped."""
     acks = []
     rtts = []
     tputs = []
-    flow_rounds = 0
-    flow_loss_rounds = 0
-    for rec in records:
-        if not rec.per_flow:
+    for r0, r1, live in log.segments_between(first_round, log.n_rounds):
+        if not live:
             continue
-        total_acks = sum(fr.acks for fr in rec.per_flow.values())
-        rtt = next(iter(rec.per_flow.values())).rtt
-        acks.append(total_acks)
-        rtts.append(rtt)
-        tputs.append(total_acks / rtt)
-        own = rec.per_flow.get(flow_id)
-        if own is not None:
-            flow_rounds += 1
-            if own.loss:
-                flow_loss_rounds += 1
+        per_flow = [log.flow_values(log.acks, fid, r0, r1) for fid in live]
+        for rtt, *round_acks in zip(log.rtt[r0:r1].tolist(), *per_flow):
+            total_acks = sum(round_acks)
+            acks.append(total_acks)
+            rtts.append(rtt)
+            tputs.append(total_acks / rtt)
+    r0, r1 = log.flow_rounds(flow_id, first_round, log.n_rounds)
+    flow_rounds = max(0, r1 - r0)
+    flow_loss_rounds = sum(log.flow_values(log.loss, flow_id, r0, r1)) \
+        if flow_rounds else 0
     return {
         "mean_acks": round(sum(acks) / len(acks), 6),
         "mean_rtt": round(sum(rtts) / len(rtts), 6),
@@ -223,7 +220,7 @@ def _tcp_summary(records: List[TcpRoundRecord],
         "max_rtt": round(max(rtts), 6),
         "mean_tput": round(sum(tputs) / len(tputs), 6),
         "loss_rate": round(flow_loss_rounds / max(1, flow_rounds), 6),
-        "live_n": len(records[-1].live_ids),
+        "live_n": len(log.live_at(log.n_rounds - 1)),
     }
 
 
@@ -241,11 +238,11 @@ def _tcp_demo_set(label: str, label_idx: int, k: int, seed: int,
         action = int(action_rng.integers(1, DEFAULT_CWND_MAX + 1))
         spec = _tcp_demo_spec(label, _derive_seed(seed, label_idx, i + 1),
                               rounds)
-        records = _run_tcp_demo(spec, action)
-        reward = mean_social_reward(records, first_round=rounds // 2)
+        log = _run_tcp_demo(spec, action)
+        reward = mean_social_reward(log, first_round=rounds // 2)
         tuples.append(DemoTuple(
             s=state, a=action, r=round(reward, 6),
-            sn=_tcp_summary(records, DEMO_AGENT_ID),
+            sn=_tcp_summary(log, DEMO_AGENT_ID),
         ))
     return DemoSet(label=label, k=k, tuples=tuples)
 

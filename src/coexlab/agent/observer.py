@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from ..errors import WindowTooShortError
 from ..mac import SlotOutcome, TrajectoryLog
-from ..tcp import TcpRoundRecord
+from ..tcp import TcpRoundLog
 
 NOTABLE_OVERUSED = "overused"
 NOTABLE_UNUSED = "unused"
@@ -149,77 +149,67 @@ def observer_analyze(log: TrajectoryLog, *, window_frames: int,
                    convergence_epsilon, convergence_periods)
 
 
-def tcp_window_signals(records: Sequence[TcpRoundRecord],
+def tcp_window_signals(log: TcpRoundLog,
                        window_rounds: int,
                        flow_id: int) -> TcpWindowSignals:
     if window_rounds < 1:
         raise WindowTooShortError("window_rounds must be >= 1")
-    if len(records) < window_rounds:
+    end = log.n_rounds
+    if end < window_rounds:
         raise WindowTooShortError(
-            f"need {window_rounds} rounds, have {len(records)}"
+            f"need {window_rounds} rounds, have {end}"
         )
-    window = records[-window_rounds:]
-    # the base rtt reference comes from the flow's whole history, so an
-    # always-congested window still measures inflation against the true
-    # uncongested round-trip time
-    min_rtt = math.inf
-    for rec in records:
-        own = rec.per_flow.get(flow_id)
-        if own is not None:
-            min_rtt = min(min_rtt, own.rtt)
-    if not math.isfinite(min_rtt):
+    start = end - window_rounds
+    r0, r1 = log.flow_rounds(flow_id, 0, end)
+    if r0 >= r1:
         raise WindowTooShortError(f"flow {flow_id} absent from the log")
-
-    rtts: List[float] = []
-    half_loss = [[0, 0], [0, 0]]        # [losses, rounds] per half
-    half_rtt = [[0.0, 0], [0.0, 0]]     # [rtt sum, rounds] per half
-    losses = 0
-    flow_rounds = 0
-    memberships = set()
-    mid = window_rounds // 2
-    for i, rec in enumerate(window):
-        memberships.add(rec.live_ids)
-        own = rec.per_flow.get(flow_id)
-        if own is None:
-            continue
-        half = 0 if i < mid else 1
-        flow_rounds += 1
-        rtts.append(own.rtt)
-        half_rtt[half][0] += own.rtt
-        half_rtt[half][1] += 1
-        if own.loss:
-            losses += 1
-            half_loss[half][0] += 1
-        half_loss[half][1] += 1
-    if not flow_rounds:
+    # the base rtt reference is the flow's minimum over its whole history,
+    # so an always-congested window still measures inflation against the
+    # true uncongested round-trip time
+    min_rtt = log.min_rtt[flow_id]
+    r0 = max(r0, start)
+    if r0 >= r1:
         raise WindowTooShortError(f"flow {flow_id} absent from the window")
+
+    rtts = log.rtt[r0:r1].tolist()
+    loss = log.flow_values(log.loss, flow_id, r0, r1)
+    # rounds before ``split`` form the window's first half
+    split = min(max(r0, start + window_rounds // 2), r1) - r0
+    halves = ((rtts[:split], loss[:split]), (rtts[split:], loss[split:]))
+    half_mean = []
+    for half_rtts, half_loss in halves:
+        # a running total, not sum(), which compensates on Python >= 3.12
+        rtt_sum = 0.0
+        for rtt in half_rtts:
+            rtt_sum += rtt
+        if half_rtts:
+            half_mean.append((sum(half_loss) / len(half_loss),
+                              rtt_sum / len(half_rtts)))
 
     mean_rtt = sum(rtts) / len(rtts)
     rate_shift = 0.0
-    if half_loss[0][1] and half_loss[1][1]:
-        loss_shift = abs(half_loss[1][0] / half_loss[1][1]
-                         - half_loss[0][0] / half_loss[0][1])
-        rtt_shift = abs(half_rtt[1][0] / half_rtt[1][1]
-                        - half_rtt[0][0] / half_rtt[0][1]) / min_rtt
-        rate_shift = max(loss_shift, rtt_shift)
+    if len(half_mean) == 2:
+        (loss0, rtt0), (loss1, rtt1) = half_mean
+        rate_shift = max(abs(loss1 - loss0), abs(rtt1 - rtt0) / min_rtt)
     return TcpWindowSignals(
-        window=(window[0].round_index, window[-1].round_index),
-        live_n=len(records[-1].live_ids),
-        loss_rate=losses / flow_rounds,
+        window=(start, end - 1),
+        live_n=len(log.live_at(end - 1)),
+        loss_rate=sum(loss) / len(loss),
         mean_rtt=mean_rtt,
         min_rtt=min_rtt,
         rtt_inflation=(mean_rtt - min_rtt) / min_rtt,
-        membership_changed=len(memberships) > 1,
+        membership_changed=len({live for _, _, live
+                                in log.segments_between(start, end)}) > 1,
         rate_shift=rate_shift,
     )
 
 
-def tcp_observer_analyze(records: Sequence[TcpRoundRecord], *,
+def tcp_observer_analyze(log: TcpRoundLog, *,
                          window_rounds: int, flow_id: int,
                          rate_shift_delta: float = 0.1,
                          actions: Sequence[object] = (),
                          convergence_epsilon: float = 0.02,
                          convergence_periods: int = 3) -> ObserverReport:
-    signals = tcp_window_signals(records, window_rounds, flow_id)
+    signals = tcp_window_signals(log, window_rounds, flow_id)
     return _report(signals, (), rate_shift_delta, actions,
                    convergence_epsilon, convergence_periods)

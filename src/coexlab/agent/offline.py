@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..backends import (
     Backend,
@@ -49,7 +49,7 @@ from ..strategy import (
     strategy_doc,
     validate_strategy,
 )
-from ..tcp import TcpRoundRecord, TcpScenarioSpec, mean_social_reward
+from ..tcp import TcpRoundLog, TcpScenarioSpec, mean_social_reward
 from ..templates import (
     TEMPLATE_REFLECTION,
     TEMPLATE_STRATEGY_GEN,
@@ -210,9 +210,8 @@ def mac_j_estimate(log: TrajectoryLog, config: AgentConfig) -> float:
     return sum(values) / len(values)
 
 
-def tcp_j_estimate(records: Sequence[TcpRoundRecord]) -> float:
-    total = records[-1].round_index + 1
-    return mean_social_reward(list(records), first_round=total // 2)
+def tcp_j_estimate(log: TcpRoundLog) -> float:
+    return mean_social_reward(log, first_round=log.n_rounds // 2)
 
 
 def mac_oracle_objective(spec: ScenarioSpec,
@@ -281,10 +280,10 @@ def evaluate_tcp_strategy(spec: TcpScenarioSpec, strategy: Strategy,
     horizon = min(spec.total_rounds, config.eval_rounds)
     engine = TcpPeriodEngine(spec, strategy, config,
                              backend=None, explore=ExploreSpec(0.0, 0.0))
-    records = engine.run(horizon)
-    j = tcp_j_estimate(records)
-    stats = _tcp_summary(list(records)[horizon // 2:],
-                         flow_id=engine.team[0] if engine.team else 0)
+    log = engine.run(horizon)
+    j = tcp_j_estimate(log)
+    stats = _tcp_summary(log, flow_id=engine.team[0] if engine.team else 0,
+                         first_round=horizon // 2)
     episode = {
         "j": round(j, 6),
         "stats": stats,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from ..strategy import (
 from ..tcp import (
     CONTROLLER_AGENT,
     TcpEnvironment,
-    TcpRoundRecord,
+    TcpRoundLog,
     TcpScenarioSpec,
     mean_social_reward,
     run_rounds,
@@ -162,10 +162,11 @@ def mac_window_objective(log: TrajectoryLog, window_frames: int,
     return fair_objective(rates.values(), alpha)
 
 
-def tcp_window_objective(records: Sequence[TcpRoundRecord],
-                         window_rounds: int) -> float:
-    tail = records[-window_rounds:]
-    return mean_social_reward(list(tail))
+def tcp_window_objective(log: TcpRoundLog, window_rounds: int) -> float:
+    """Mean social reward over the trailing ``window_rounds`` rounds (the
+    whole log, like the slice ``[-window_rounds:]``, when that is 0)."""
+    first, _, _ = slice(-window_rounds, None).indices(log.n_rounds)
+    return mean_social_reward(log, first_round=first)
 
 
 class PeriodEngine:
@@ -529,8 +530,8 @@ class TcpPeriodEngine(PeriodEngine):
     def _clock(self) -> int:
         return self.env.round_index
 
-    def _trajectory(self) -> List[TcpRoundRecord]:
-        return self.env.records
+    def _trajectory(self) -> TcpRoundLog:
+        return self.env.log
 
     def _observe(self, r0: int, team: List[int]):
         cfg = self.config
@@ -542,7 +543,7 @@ class TcpPeriodEngine(PeriodEngine):
                 reports[fid] = None
                 continue
             reports[fid] = tcp_observer_analyze(
-                self.env.records,
+                self.env.log,
                 window_rounds=cfg.tcp_observer_window_rounds,
                 flow_id=fid,
                 rate_shift_delta=cfg.rate_shift_delta,
@@ -554,7 +555,7 @@ class TcpPeriodEngine(PeriodEngine):
 
     def _window_objective(self) -> float:
         return tcp_window_objective(
-            self.env.records, self.config.tcp_observer_window_rounds)
+            self.env.log, self.config.tcp_observer_window_rounds)
 
     def _parse_action(self, text: str) -> int:
         action = _parse_json_action(text)

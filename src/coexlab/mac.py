@@ -49,6 +49,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidScenarioError, MissingDecisionError
+from .strategy import finite_integer, finite_number
 
 DEFAULT_FRAME_LEN = 10
 DEFAULT_SLOT_MS = 1.0
@@ -577,11 +578,9 @@ def scenario_to_json(spec: ScenarioSpec) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def scenario_from_json(text: str) -> ScenarioSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidScenarioError("$", f"invalid JSON: {exc}") from exc
+def scenario_from_doc(doc: object) -> ScenarioSpec:
+    """Parse a decoded ``mac-v1`` scenario document, checking each field's
+    type before the values are validated."""
     if not isinstance(doc, dict):
         raise InvalidScenarioError("$", "scenario must be a JSON object")
     if doc.get("version") != "mac-v1":
@@ -598,6 +597,21 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         for key in raw:
             if key not in known:
                 raise InvalidScenarioError(f"nodes[{i}].{key}", "unknown field")
+        if not finite_integer(raw.get("join_frame", 0)):
+            raise InvalidScenarioError(f"nodes[{i}].join_frame",
+                                       "must be an integer")
+        for key in ("window", "max_stage", "leave_frame"):
+            if raw.get(key) is not None and not finite_integer(raw[key]):
+                raise InvalidScenarioError(f"nodes[{i}].{key}",
+                                           "must be an integer")
+        if raw.get("q") is not None and not finite_number(raw["q"]):
+            raise InvalidScenarioError(f"nodes[{i}].q",
+                                       "must be a finite number")
+        if "slots" in raw and not (
+                isinstance(raw["slots"], list)
+                and all(finite_integer(s) for s in raw["slots"])):
+            raise InvalidScenarioError(f"nodes[{i}].slots",
+                                       "must be a list of integers")
         nodes.append(NodeConfig(
             kind=raw.get("kind", ""),
             q=raw.get("q"),
@@ -607,15 +621,16 @@ def scenario_from_json(text: str) -> ScenarioSpec:
             join_frame=raw.get("join_frame", 0),
             leave_frame=raw.get("leave_frame"),
         ))
-    for key in ("total_frames", "seed"):
-        if not isinstance(doc.get(key), int):
+    ints = {"total_frames": doc.get("total_frames"), "seed": doc.get("seed"),
+            "frame_len": doc.get("frame_len", DEFAULT_FRAME_LEN)}
+    for key, value in ints.items():
+        if not finite_integer(value):
             raise InvalidScenarioError(key, "must be an integer")
-    spec = ScenarioSpec(
-        nodes=nodes,
-        total_frames=doc["total_frames"],
-        seed=doc["seed"],
-        frame_len=doc.get("frame_len", DEFAULT_FRAME_LEN),
-        slot_duration_ms=doc.get("slot_duration_ms", DEFAULT_SLOT_MS),
-    )
+    slot_duration_ms = doc.get("slot_duration_ms", DEFAULT_SLOT_MS)
+    if not finite_number(slot_duration_ms):
+        raise InvalidScenarioError("slot_duration_ms",
+                                   "must be a finite number")
+    spec = ScenarioSpec(nodes=nodes, slot_duration_ms=slot_duration_ms,
+                        **ints)
     validate_scenario(spec)
     return spec

@@ -13,7 +13,7 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .backends import (
@@ -37,7 +37,7 @@ from .mac import (
     ScenarioSpec,
     TrajectoryLog,
     run_frames,
-    scenario_from_json,
+    scenario_from_doc,
     scenario_to_json,
 )
 from .metrics import (
@@ -66,12 +66,12 @@ from .strategy import (
 from .tcp import (
     CONTROLLER_AGENT,
     TcpEnvironment,
-    TcpRoundRecord,
+    TcpRoundLog,
     TcpScenarioSpec,
     mean_flow_throughputs,
     mean_social_reward,
     run_rounds,
-    tcp_scenario_from_json,
+    tcp_scenario_from_doc,
     tcp_scenario_to_json,
 )
 from .agent.config import AgentConfig, checked_agent_settings
@@ -138,18 +138,28 @@ class RunConfig:
                 "backend", "http backend needs --endpoint and --model")
 
 
-def load_scenario(path: str) -> AnyScenario:
+def _read_json(path: str, error_path: str):
+    """The JSON document in ``path``; malformed or too deeply nested text
+    is an ``InvalidScenarioError`` at ``error_path``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidScenarioError("$", f"invalid JSON in {path}: {exc}")
+        raise InvalidScenarioError(error_path,
+                                   f"invalid JSON in {path}: {exc}")
+    except RecursionError:
+        raise InvalidScenarioError(error_path,
+                                   f"{path}: JSON nested too deeply")
+
+
+def load_scenario(path: str) -> AnyScenario:
+    doc = _read_json(path, "$")
     version = doc.get("version") if isinstance(doc, dict) else None
     if version == "mac-v1":
-        return scenario_from_json(text)
+        return scenario_from_doc(doc)
     if version == "tcp-v1":
-        return tcp_scenario_from_json(text)
+        return tcp_scenario_from_doc(doc)
     raise InvalidScenarioError(
         "version", f"{path}: expected mac-v1 or tcp-v1, got {version!r}")
 
@@ -160,9 +170,7 @@ def load_cached_strategy(path: str, spec: AnyScenario) -> Strategy:
     additions embody all earlier reflections). It must validate against
     ``spec``: its domain, and its frame length (mac) or window cap
     (tcp)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    doc = json.loads(text)
+    doc = _read_json(path, "strategy")
     if isinstance(doc, dict) and doc.get("version") == "strategies-v1":
         entries = doc.get("strategies", [])
         if not entries:
@@ -204,12 +212,11 @@ def _write_json(path: str, doc: Dict[str, object]) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -239,22 +246,23 @@ def _reference_csv(reference: Dict[int, List[float]]) -> str:
     return _csv_text(header, rows)
 
 
-def _tcp_trajectory_csv(records: Sequence[TcpRoundRecord],
-                        n_flows: int) -> str:
+def _tcp_trajectory_csv(log: TcpRoundLog, n_flows: int) -> str:
+    """One row per round; a flow's cells are empty in rounds it is not
+    live."""
     header = ["round"]
+    columns: List[List[object]] = [list(range(log.n_rounds))]
+    rtt = [_cell(v) for v in log.rtt.tolist()]
     for fid in range(n_flows):
         header += [f"flow_{fid}_cwnd", f"flow_{fid}_acks", f"flow_{fid}_rtt"]
-    rows = []
-    for rec in records:
-        row: List[object] = [rec.round_index]
-        for fid in range(n_flows):
-            fr = rec.per_flow.get(fid)
-            if fr is None:
-                row += ["", "", ""]
-            else:
-                row += [_cell(fr.cwnd), _cell(fr.acks), _cell(fr.rtt)]
-        rows.append(row)
-    return _csv_text(header, rows)
+        r0, r1 = log.flow_rounds(fid, 0, log.n_rounds)
+        if r0 >= r1:  # not live in any logged round
+            r0 = r1 = log.n_rounds
+        head, tail = [""] * r0, [""] * (log.n_rounds - r1)
+        for values in (log.flow_values(log.cwnd, fid, r0, r1),
+                       log.flow_values(log.acks, fid, r0, r1)):
+            columns.append(head + [_cell(v) for v in values] + tail)
+        columns.append(head + rtt[r0:r1] + tail)
+    return _csv_text(header, zip(*columns))
 
 
 def _throughput_csv(means: Dict[int, float], id_label: str) -> str:
@@ -290,11 +298,10 @@ def mac_metrics_report(series: ThroughputSeries, means: Dict[int, float],
     return report
 
 
-def tcp_metrics_report(records: Sequence[TcpRoundRecord],
+def tcp_metrics_report(log: TcpRoundLog,
                        config: AgentConfig) -> Dict[str, object]:
-    total = records[-1].round_index + 1 if records else 0
-    first = total // 2
-    means = mean_flow_throughputs(list(records), first_round=first)
+    first = log.n_rounds // 2
+    means = mean_flow_throughputs(log, first_round=first)
     return {
         "artifact": "metrics-v1",
         "family": "tcp",
@@ -302,8 +309,7 @@ def tcp_metrics_report(records: Sequence[TcpRoundRecord],
         "mean_throughputs": {str(f): _cell(v) for f, v in sorted(means.items())},
         "jain": _cell(jain_index(list(means.values()))),
         "alpha_fair": _cell(fair_objective(means.values(), config.alpha)),
-        "social_reward": _cell(mean_social_reward(list(records),
-                                                  first_round=first)),
+        "social_reward": _cell(mean_social_reward(log, first_round=first)),
         "rmse": None,
     }
 
@@ -463,17 +469,15 @@ def cmd_run(config: RunConfig) -> RunResult:
                 config, wrapped, spec, "tcp", demo_seed)
             engine = TcpPeriodEngine(spec, strategy, agent_cfg,
                                      backend=wrapped, trace=trace)
-            records = engine.run(spec.total_rounds)
+            tcp_log = engine.run(spec.total_rounds)
         else:
-            env = TcpEnvironment(spec)
-            run_rounds(env, None, spec.total_rounds)
-            records = env.records
+            tcp_log = run_rounds(TcpEnvironment(spec), None, spec.total_rounds)
             trace = None
-        metrics = tcp_metrics_report(records, agent_cfg)
+        metrics = tcp_metrics_report(tcp_log, agent_cfg)
         _write_text(os.path.join(out, ARTIFACT_TRAJECTORY),
-                    _tcp_trajectory_csv(records, len(spec.flows)))
+                    _tcp_trajectory_csv(tcp_log, len(spec.flows)))
         first = metrics["params"]["first_round"]
-        means = mean_flow_throughputs(list(records), first_round=first)
+        means = mean_flow_throughputs(tcp_log, first_round=first)
         _write_text(os.path.join(out, ARTIFACT_THROUGHPUT),
                     _throughput_csv(means, "flow"))
 

@@ -187,6 +187,11 @@ def finite_number(value) -> bool:
         return False
 
 
+def finite_integer(value) -> bool:
+    """True for an int, not a bool, inside the float range."""
+    return isinstance(value, int) and finite_number(value)
+
+
 def _parse_trigger(raw, path: str, diags: List[Diagnostic]) -> Optional[Trigger]:
     if not isinstance(raw, dict):
         diags.append(Diagnostic(path, "trigger must be an object"))

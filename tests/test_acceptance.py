@@ -215,12 +215,10 @@ def _pair_throughputs(flows, seed=11, rounds=2000):
         offline = run_offline(backend, spec, demos, config)
         engine = TcpPeriodEngine(spec, offline.strategy, config,
                                  backend=backend)
-        records = engine.run(rounds)
+        log = engine.run(rounds)
     else:
-        env = TcpEnvironment(spec)
-        run_rounds(env, None, rounds)
-        records = env.records
-    means = mean_flow_throughputs(list(records), first_round=rounds // 2)
+        log = run_rounds(TcpEnvironment(spec), None, rounds)
+    means = mean_flow_throughputs(log, first_round=rounds // 2)
     return jain_index(list(means.values()))
 
 

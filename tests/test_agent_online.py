@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import tcp_reference
+
 from coexlab.agent.trace import (
     ACTOR_NODE,
     ACTOR_OBSERVER,
@@ -50,11 +52,10 @@ def mac_log(nodes, frames, seed=3, vectors=None):
     return env
 
 
-def tcp_records(flows, rounds, cwnd=9, seed=3):
+def tcp_log(flows, rounds, cwnd=9, seed=3):
     env = TcpEnvironment(TcpScenarioSpec(flows=flows, total_rounds=rounds,
                                          seed=seed))
-    run_rounds(env, lambda e: {fid: cwnd for fid in e.agent_ids()})
-    return env.records
+    return run_rounds(env, lambda e: {fid: cwnd for fid in e.agent_ids()})
 
 
 class TestMacObserver:
@@ -149,10 +150,10 @@ class TestConvergence:
 
 class TestTcpObserver:
     def test_sawtooth_competitor_signals(self):
-        records = tcp_records([TcpFlowConfig(controller=CONTROLLER_AGENT),
+        log = tcp_log([TcpFlowConfig(controller=CONTROLLER_AGENT),
                                TcpFlowConfig(controller=CONTROLLER_RENO)],
                               rounds=300)
-        report = tcp_observer_analyze(records, window_rounds=100, flow_id=0)
+        report = tcp_observer_analyze(log, window_rounds=100, flow_id=0)
         s = report.signals
         assert s.min_rtt == pytest.approx(0.1)
         assert 0.0 < s.loss_rate < 0.3
@@ -161,25 +162,25 @@ class TestTcpObserver:
         assert report.notable == ()
 
     def test_join_inside_window_sets_env_changed(self):
-        records = tcp_records(
+        log = tcp_log(
             [TcpFlowConfig(controller=CONTROLLER_AGENT),
              TcpFlowConfig(controller=CONTROLLER_VEGAS, join_round=250)],
             rounds=300)
-        report = tcp_observer_analyze(records, window_rounds=100, flow_id=0)
+        report = tcp_observer_analyze(log, window_rounds=100, flow_id=0)
         assert report.signals.membership_changed
         assert report.env_changed
 
     def test_window_too_short_raises(self):
-        records = tcp_records([TcpFlowConfig(controller=CONTROLLER_AGENT)],
+        log = tcp_log([TcpFlowConfig(controller=CONTROLLER_AGENT)],
                               rounds=50)
         with pytest.raises(WindowTooShortError):
-            tcp_window_signals(records, 100, flow_id=0)
+            tcp_window_signals(log, 100, flow_id=0)
 
     def test_absent_flow_raises(self):
-        records = tcp_records([TcpFlowConfig(controller=CONTROLLER_RENO)],
+        log = tcp_log([TcpFlowConfig(controller=CONTROLLER_RENO)],
                               rounds=100)
         with pytest.raises(WindowTooShortError):
-            tcp_window_signals(records, 100, flow_id=5)
+            tcp_window_signals(log, 100, flow_id=5)
 
 
 class FakeNotable:
@@ -521,11 +522,11 @@ class TestTcpPeriodEngine:
                 total_rounds=800, seed=4)
             eng = TcpPeriodEngine(spec, tcp_strategy_json(),
                                   backend=ScriptedBackend())
-            recs = eng.run(800)
+            eng.run(800)
             outs.append([(r.round_index, r.queue,
                           tuple(sorted((f, fr.acks)
                                        for f, fr in r.per_flow.items())))
-                         for r in recs])
+                         for r in tcp_reference.records_from_log(eng.env)])
         assert outs[0] == outs[1]
 
     def test_partial_final_period(self):
@@ -533,8 +534,8 @@ class TestTcpPeriodEngine:
                                total_rounds=250, seed=1)
         eng = TcpPeriodEngine(spec, tcp_strategy_json(),
                               backend=ScriptedBackend())
-        recs = eng.run(250)
-        assert len(recs) == 250
+        log = eng.run(250)
+        assert log.n_rounds == 250
         assert [p.length for p in eng.periods] == [100, 100, 50]
 
     def test_no_report_before_window_fills(self):

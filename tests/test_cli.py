@@ -361,6 +361,64 @@ class TestRunCommand:
             f"{path}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("family, keys, value", [
+        ("tcp", ("flows", 0, "join_round"), "5"),
+        ("tcp", ("flows", 0, "leave_round"), "9"),
+        ("tcp", ("link_capacity_pps",), "x"),
+        ("tcp", ("cwnd_max",), 10 ** 400),
+        ("tcp", ("base_rtt_s",), float("nan")),
+        ("tcp", ("cwnd_max",), 10.5),
+        ("tcp", ("total_rounds",), True),
+        ("mac", ("nodes", 0, "join_frame"), "5"),
+        ("mac", ("nodes", 1, "slots"), 3),
+        ("mac", ("frame_len",), True),
+        ("mac", ("slot_duration_ms",), "1"),
+    ], ids=["join_round", "leave_round", "link_capacity_pps", "huge_cwnd_max",
+            "nan_base_rtt_s", "fractional_cwnd_max", "bool_total_rounds",
+            "join_frame", "slots", "bool_frame_len",
+            "slot_duration_ms"])
+    def test_scenario_field_of_wrong_type_exits_2(self, tmp_path, family,
+                                                  keys, value, capsys):
+        if family == "tcp":
+            path = write_tcp_scenario(tmp_path / "s.json", [
+                {"controller": "reno", "leave_round": 300},
+                {"controller": "vegas", "join_round": 10}])
+        else:
+            path = write_mac_scenario(tmp_path / "s.json", [
+                {"kind": "aloha", "q": 0.2},
+                {"kind": "tdma", "slots": [3], "join_frame": 5}])
+        doc = json.loads(Path(path).read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o"
+        code = run_cli("run", "--scenario", path, "--out", str(out),
+                       "--backend", "none")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidScenarioError"
+        field = keys[-1] if len(keys) == 1 \
+            else f"{keys[0]}[{keys[1]}].{keys[2]}"
+        assert err["message"].startswith(f"{field}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["scenario", "strategy"])
+    def test_deeply_nested_file_exits_2(self, tmp_path, which, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        args = ["run", "--out", str(tmp_path / "o"), "--backend", "none"]
+        if which == "scenario":
+            args += ["--scenario", str(deep)]
+        else:
+            args += ["--scenario", str(ROOT / "scenarios/mac_1t1h.json"),
+                     "--strategy", str(deep)]
+        assert run_cli(*args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidScenarioError"
+        assert "nested too deeply" in err["message"]
+
     def test_offline_memories_frozen_for_online_stage(self, tmp_path,
                                                       tdma_scenario):
         result = cmd_run(RunConfig(scenario_path=tdma_scenario,

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import tcp_reference
 from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
 from coexlab.agent.trace import DecisionTrace
 from coexlab.backends import RecordingBackend, TranscriptRecorder
@@ -190,7 +191,7 @@ def _sha(text: str) -> str:
 def case_digests(name: str) -> dict:
     engine, trace, recorder = CASES[name]()
     trajectory = engine.env.log.records if isinstance(engine, MacPeriodEngine) \
-        else engine.env.records
+        else tcp_reference.records_from_log(engine.env)
     return {
         "periods": _sha(repr(engine.periods)),
         "trace": _sha(trace.to_json()),

@@ -3,6 +3,8 @@ environment."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from coexlab.errors import InvalidScenarioError, MissingDecisionError
@@ -18,7 +20,7 @@ from coexlab.mac import (
     build_scenario,
     node_rng,
     run_frames,
-    scenario_from_json,
+    scenario_from_doc,
     scenario_to_json,
 )
 
@@ -262,12 +264,12 @@ class TestScenarioJson:
             total_frames=100, seed=5,
         )
         text = scenario_to_json(spec)
-        again = scenario_from_json(text)
+        again = scenario_from_doc(json.loads(text))
         assert again == spec
 
     def test_unknown_field_rejected(self):
         text = scenario_to_json(make_spec([aloha()]))
         bad = text.replace('"kind": "aloha"', '"kind": "aloha", "power": 3')
         with pytest.raises(InvalidScenarioError) as err:
-            scenario_from_json(bad)
+            scenario_from_doc(json.loads(bad))
         assert "power" in str(err.value)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tcp_reference
 from coexlab.errors import InvalidScenarioError
 from coexlab.tcp import (
     FlowState,
@@ -19,7 +21,7 @@ from coexlab.tcp import (
     reno_update,
     run_rounds,
     tcp_reward,
-    tcp_scenario_from_json,
+    tcp_scenario_from_doc,
     tcp_scenario_to_json,
     vegas_update,
 )
@@ -33,10 +35,16 @@ def spec_for(controllers, rounds=2000, seed=42, **kw):
     )
 
 
+def play_round(env, overrides):
+    """Step one round and return it as the reference record."""
+    env.step_round(overrides)
+    return tcp_reference.records_from_log(env)[-1]
+
+
 class TestRoundArithmetic:
     def test_no_queue_below_pipe(self):
         env = TcpEnvironment(spec_for(["agent", "agent"], rounds=1))
-        rec = env.step_round({0: 5, 1: 5})
+        rec = play_round(env, {0: 5, 1: 5})
         assert rec.queue == 0.0
         for fr in rec.per_flow.values():
             assert fr.rtt == pytest.approx(0.1)
@@ -45,7 +53,7 @@ class TestRoundArithmetic:
 
     def test_queue_inflates_rtt(self):
         env = TcpEnvironment(spec_for(["agent", "agent"], rounds=1))
-        rec = env.step_round({0: 10, 1: 10})
+        rec = play_round(env, {0: 10, 1: 10})
         # offered 20, pipe 12.5 -> queue 7.5 -> rtt 0.1 + 7.5/125
         assert rec.queue == pytest.approx(7.5)
         assert rec.per_flow[0].rtt == pytest.approx(0.16)
@@ -53,7 +61,7 @@ class TestRoundArithmetic:
 
     def test_overflow_drops_proportionally(self):
         env = TcpEnvironment(spec_for(["agent", "agent"], rounds=1))
-        rec = env.step_round({0: 20, 1: 15})
+        rec = play_round(env, {0: 20, 1: 15})
         # offered 35, pipe+buffer 25 -> overflow 10
         assert rec.queue == pytest.approx(12.5)
         assert rec.per_flow[0].drops == pytest.approx(10 * 20 / 35)
@@ -67,7 +75,7 @@ class TestRoundArithmetic:
     @settings(max_examples=100)
     def test_conservation(self, cwnds):
         env = TcpEnvironment(spec_for(["agent"] * len(cwnds), rounds=1))
-        rec = env.step_round({i: c for i, c in enumerate(cwnds)})
+        rec = play_round(env, {i: c for i, c in enumerate(cwnds)})
         total_in = sum(cwnds)
         total_out = sum(fr.acks + fr.drops for fr in rec.per_flow.values())
         assert total_out == pytest.approx(total_in, rel=1e-9)
@@ -76,29 +84,29 @@ class TestRoundArithmetic:
 class TestRenoUpdate:
     def test_congestion_avoidance_adds_one(self):
         s = FlowState(cwnd=8, ssthresh=32, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=8, rtt=0.1, loss=False, drops=0)
+        fb = RoundFeedback(acks=8, rtt=0.1, loss=False)
         assert reno_update(s, fb, 64).cwnd == 9
 
     def test_loss_halves_to_ssthresh(self):
         s = FlowState(cwnd=8, ssthresh=32, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=6, rtt=0.2, loss=True, drops=2)
+        fb = RoundFeedback(acks=6, rtt=0.2, loss=True)
         after = reno_update(s, fb, 64)
         assert after.cwnd == 4 and after.ssthresh == 4
         assert after.mode == "congestion_avoidance"
 
     def test_loss_floor_at_two(self):
         s = FlowState(cwnd=3, ssthresh=16, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=1, rtt=0.2, loss=True, drops=2)
+        fb = RoundFeedback(acks=1, rtt=0.2, loss=True)
         assert reno_update(s, fb, 64).cwnd == 2
 
     def test_slow_start_doubles(self):
         s = FlowState(cwnd=2, ssthresh=8, mode="slow_start")
-        fb = RoundFeedback(acks=2, rtt=0.1, loss=False, drops=0)
+        fb = RoundFeedback(acks=2, rtt=0.1, loss=False)
         assert reno_update(s, fb, 64).cwnd == 4
 
     def test_slow_start_caps_at_ssthresh(self):
         s = FlowState(cwnd=6, ssthresh=8, mode="slow_start")
-        fb = RoundFeedback(acks=6, rtt=0.1, loss=False, drops=0)
+        fb = RoundFeedback(acks=6, rtt=0.1, loss=False)
         after = reno_update(s, fb, 64)
         assert after.cwnd == 8 and after.mode == "congestion_avoidance"
 
@@ -107,30 +115,30 @@ class TestVegasUpdate:
     def test_no_queue_grows(self):
         s = FlowState(cwnd=10, ssthresh=32, mode="congestion_avoidance",
                       base_rtt_est=0.1)
-        fb = RoundFeedback(acks=10, rtt=0.1, loss=False, drops=0)
+        fb = RoundFeedback(acks=10, rtt=0.1, loss=False)
         assert vegas_update(s, fb, 64).cwnd == 11
 
     def test_in_band_holds(self):
         # diff = cwnd*(1 - base/rtt) = 10*(1 - 0.8) = 2 packets
         s = FlowState(cwnd=10, ssthresh=32, mode="congestion_avoidance",
                       base_rtt_est=0.1)
-        fb = RoundFeedback(acks=10, rtt=0.125, loss=False, drops=0)
+        fb = RoundFeedback(acks=10, rtt=0.125, loss=False)
         assert vegas_update(s, fb, 64).cwnd == 10
 
     def test_above_band_shrinks(self):
         # diff = 20*(1 - 0.8) = 4 > 3
         s = FlowState(cwnd=20, ssthresh=32, mode="congestion_avoidance",
                       base_rtt_est=0.1)
-        fb = RoundFeedback(acks=20, rtt=0.125, loss=False, drops=0)
+        fb = RoundFeedback(acks=20, rtt=0.125, loss=False)
         assert vegas_update(s, fb, 64).cwnd == 19
 
     def test_tracks_minimum_rtt(self):
         s = FlowState(cwnd=5, ssthresh=32, mode="congestion_avoidance",
                       base_rtt_est=None)
-        fb = RoundFeedback(acks=5, rtt=0.14, loss=False, drops=0)
+        fb = RoundFeedback(acks=5, rtt=0.14, loss=False)
         after = vegas_update(s, fb, 64)
         assert after.base_rtt_est == pytest.approx(0.14)
-        fb2 = RoundFeedback(acks=5, rtt=0.11, loss=False, drops=0)
+        fb2 = RoundFeedback(acks=5, rtt=0.11, loss=False)
         assert vegas_update(after, fb2, 64).base_rtt_est == pytest.approx(0.11)
 
 
@@ -149,25 +157,26 @@ class TestCoexistence:
     def test_homogeneous_reno_fair(self):
         env = TcpEnvironment(spec_for(["reno", "reno"]))
         run_rounds(env)
-        tps = mean_flow_throughputs(env.records, first_round=1000)
+        tps = mean_flow_throughputs(env.log, first_round=1000)
         assert jain_index(list(tps.values())) >= 0.99
 
     def test_homogeneous_vegas_fair(self):
         env = TcpEnvironment(spec_for(["vegas", "vegas"]))
         run_rounds(env)
-        tps = mean_flow_throughputs(env.records, first_round=1000)
+        tps = mean_flow_throughputs(env.log, first_round=1000)
         assert jain_index(list(tps.values())) >= 0.99
         # Vegas pairs stabilize without overflowing the buffer
+        log = env.log
         late_losses = [
-            fr.loss for rec in env.records if rec.round_index >= 1000
-            for fr in rec.per_flow.values()
+            loss for fid in (0, 1)
+            for loss in log.flow_values(log.loss, fid, 1000, log.n_rounds)
         ]
         assert not any(late_losses)
 
     def test_reno_starves_vegas(self):
         env = TcpEnvironment(spec_for(["reno", "vegas"]))
         run_rounds(env)
-        tps = mean_flow_throughputs(env.records, first_round=1000)
+        tps = mean_flow_throughputs(env.log, first_round=1000)
         assert jain_index(list(tps.values())) <= 0.90
         assert tps[0] > tps[1]  # reno wins
 
@@ -182,13 +191,14 @@ class TestDynamicsAndJson:
         )
         env = TcpEnvironment(spec)
         run_rounds(env)
-        assert env.records[5].live_ids == (0,)
-        assert env.records[15].live_ids == (0, 1)
-        assert env.records[25].live_ids == (0,)
+        assert env.log.live_at(5) == (0,)
+        assert env.log.live_at(15) == (0, 1)
+        assert env.log.live_at(25) == (0,)
 
     def test_round_trip(self):
         spec = spec_for(["reno", "agent"], rounds=500, seed=9)
-        assert tcp_scenario_from_json(tcp_scenario_to_json(spec)) == spec
+        doc = json.loads(tcp_scenario_to_json(spec))
+        assert tcp_scenario_from_doc(doc) == spec
 
     def test_validation_paths(self):
         with pytest.raises(InvalidScenarioError) as err:
