@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from ..oracle import check_alpha
 from ..strategy import finite_number
 
 
@@ -70,8 +71,8 @@ _SETTING_TYPES = {
 
 def checked_agent_settings(doc: object) -> dict:
     """``doc`` if it is a JSON object of known ``AgentConfig`` names whose
-    values have the field's type: ints are not bools, floats are finite
-    numbers and bools are bools."""
+    values have the field's type (ints are not bools, floats are finite
+    numbers, bools are bools) and whose ``alpha`` passes ``check_alpha``."""
     if not isinstance(doc, dict):
         raise ValueError("agent settings must be a JSON object")
     types = {f.name: f.type for f in fields(AgentConfig)}
@@ -83,4 +84,6 @@ def checked_agent_settings(doc: object) -> dict:
         if not test(value):
             raise ValueError(
                 f"agent setting {name} must be {what}, got {value!r}")
+    if "alpha" in doc:
+        check_alpha(doc["alpha"])
     return doc

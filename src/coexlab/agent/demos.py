@@ -187,10 +187,7 @@ def _mac_demo_set(label: str, label_idx: int, k: int, seed: int,
 
 
 def _run_tcp_demo(spec: TcpScenarioSpec, cwnd: int) -> TcpRoundLog:
-    def controller(e: TcpEnvironment) -> Dict[int, int]:
-        return {fid: cwnd for fid in e.agent_ids()}
-
-    return run_rounds(TcpEnvironment(spec), controller)
+    return run_rounds(TcpEnvironment(spec), {DEMO_AGENT_ID: cwnd})
 
 
 def _tcp_summary(log: TcpRoundLog, flow_id: int,
@@ -287,15 +284,3 @@ def demo_bundle(family: str, k: int, seed: int,
     return DemoBundle(family=family, k=k, seed=seed,
                       sets=generate_demos(family, k, seed, config))
 
-
-def demos_from_json(text: str) -> DemoBundle:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("version") != "demos-v1":
-        raise ValueError("not a demos-v1 document")
-    sets = []
-    for raw in doc["sets"]:
-        tuples = [DemoTuple(s=t["s"], a=t["a"], r=t["r"], sn=t["sn"])
-                  for t in raw["tuples"]]
-        sets.append(DemoSet(label=raw["label"], k=raw["K"], tuples=tuples))
-    return DemoBundle(family=doc["family"], k=doc["K"], seed=doc["seed"],
-                      sets=sets)

@@ -133,8 +133,8 @@ def replay_history(entries: Iterable[HistoryEntry]) -> StrategySet:
     return out
 
 
-def psa_update(strategies: StrategySet, new: Strategy, backend: Backend,
-               *, request_tag: str = "psa") -> StrategySet:
+def psa_update(strategies: StrategySet, new: Strategy,
+               backend: Backend) -> StrategySet:
     """Insert ``new``, then drop members the conflict review flags as
     redundant with or contradicted by it. Mutates and returns the set."""
     if not strategies.add(new):
@@ -153,7 +153,7 @@ def psa_update(strategies: StrategySet, new: Strategy, backend: Backend,
     prompt = render_template(TEMPLATE_PSA_CONFLICT, {
         "PAYLOAD": json.dumps(payload, sort_keys=True)
     })
-    response = backend.complete(user_request(prompt, request_tag))
+    response = backend.complete(user_request(prompt, "psa"))
     try:
         verdict = json.loads(extract_json_text(response))
     except (ValueError, RecursionError) as exc:

@@ -34,12 +34,7 @@ from ..errors import (
 )
 from ..mac import ScenarioSpec, TrajectoryLog, DEFAULT_FRAME_LEN
 from ..metrics import windowed_throughput
-from ..oracle import (
-    fair_objective,
-    population_from_scenario,
-    scenario_segments,
-    solve_aware,
-)
+from ..oracle import aware_trajectory, fair_objective
 from ..strategy import (
     DOMAIN_MAC,
     DOMAIN_TCP,
@@ -105,29 +100,6 @@ def asi_materialize(response_text: str, requery: RequeryFn,
     raise MaterializationExhaustedError(attempts)
 
 
-def _gen_prompt(domain: str, config: AgentConfig, frame_len: int,
-                cwnd_max: int, items_slot: str) -> str:
-    sigma = config.explore_sigma if domain == DOMAIN_MAC \
-        else config.tcp_explore_sigma
-    return render_template(TEMPLATE_STRATEGY_GEN, {
-        "DOMAIN": domain,
-        "FRAME_LEN": frame_len,
-        "CWND_MAX": cwnd_max,
-        "EPSILON": config.explore_epsilon,
-        "SIGMA": sigma,
-        "ITEMS": items_slot,
-    })
-
-
-def _validation_kwargs(domain: str, frame_len: int,
-                       cwnd_max: int) -> Dict[str, object]:
-    """What a reply must validate against: the run's domain and its
-    frame length (mac) or window cap (tcp)."""
-    limit = {"frame_len": frame_len} if domain == DOMAIN_MAC \
-        else {"cwnd_max": cwnd_max}
-    return {"domain": domain, **limit}
-
-
 def _requery_fn(backend: Backend, prompt: str, tag: str) -> RequeryFn:
     def requery(diagnostics: List[Dict[str, object]]) -> str:
         note = json.dumps({"previous_attempt_diagnostics": diagnostics},
@@ -146,26 +118,21 @@ class GenerationResult:
     judge_used: bool
 
 
-def generate_initial_strategy(backend: Backend, demos: DemoBundle,
-                              config: AgentConfig = AgentConfig(), *,
-                              frame_len: int = DEFAULT_FRAME_LEN,
-                              cwnd_max: int = 64,
-                              estimate_j: Optional[Callable[[Strategy],
-                                                            float]] = None,
-                              use_ranker: Optional[bool] = None,
-                              request_tag: str = "strategy-gen") \
-        -> GenerationResult:
-    """Few-shot generation over the demonstration bundle."""
-    if not demos.sets:
-        raise ValueError("demonstration bundle is empty")
-    domain = DOMAIN_MAC if demos.family == "mac" else DOMAIN_TCP
-    items = tuple(s.prompt_block() for s in demos.sets)
-    ranker = config.ranker_offline if use_ranker is None else use_ranker
-
-    mat_kwargs = _validation_kwargs(domain, frame_len, cwnd_max)
+def _query_strategy(backend: Backend, template: str,
+                    subs: Dict[str, object], items: Tuple[str, ...],
+                    config: AgentConfig, *, ranker: bool, domain: str,
+                    frame_len: int, cwnd_max: int,
+                    estimate_j: Optional[Callable[[Strategy], float]],
+                    request_tag: str) -> GenerationResult:
+    """Query the backend with ``template`` over ``items`` (through the
+    order-reversal ranker and its judge when ``ranker`` is set) and
+    materialize a ``domain`` strategy fitting ``frame_len`` or ``cwnd_max``."""
+    limit = {"frame_len": frame_len} if domain == DOMAIN_MAC \
+        else {"cwnd_max": cwnd_max}
+    mat_kwargs = {"domain": domain, **limit}
+    plain = render_template(template, {**subs, "ITEMS": "\n\n".join(items)})
     if ranker:
-        prompt = _gen_prompt(domain, config, frame_len, cwnd_max,
-                             ITEMS_TOKEN)
+        prompt = render_template(template, {**subs, "ITEMS": ITEMS_TOKEN})
         judge: JudgeFn = lambda a, b: judge_select(
             a, b, backend=backend, estimate_j=estimate_j,
             request_tag=f"{request_tag}/judge", **mat_kwargs)
@@ -174,21 +141,39 @@ def generate_initial_strategy(backend: Backend, demos: DemoBundle,
             RankerQuery(base=user_request(prompt, tag=request_tag),
                         reorderable_items=items),
             judge=judge)
-        response = ranked.text
-        judge_used = ranked.judge_used
+        response, judge_used = ranked.text, ranked.judge_used
     else:
-        prompt = _gen_prompt(domain, config, frame_len, cwnd_max,
-                             "\n\n".join(items))
-        response = backend.complete(user_request(prompt, tag=request_tag))
+        response = backend.complete(user_request(plain, tag=request_tag))
         judge_used = False
-
-    plain_prompt = _gen_prompt(domain, config, frame_len, cwnd_max,
-                               "\n\n".join(items))
     strategy, retries = asi_materialize(
-        response, _requery_fn(backend, plain_prompt, request_tag),
+        response, _requery_fn(backend, plain, request_tag),
         config.asi_retries, **mat_kwargs)
     return GenerationResult(strategy=strategy, retries=retries,
                             judge_used=judge_used)
+
+
+def generate_initial_strategy(backend: Backend, demos: DemoBundle,
+                              config: AgentConfig = AgentConfig(), *,
+                              frame_len: int = DEFAULT_FRAME_LEN,
+                              cwnd_max: int = 64,
+                              estimate_j: Optional[Callable[[Strategy],
+                                                            float]] = None,
+                              use_ranker: Optional[bool] = None) \
+        -> GenerationResult:
+    """Few-shot generation over the demonstration bundle."""
+    if not demos.sets:
+        raise ValueError("demonstration bundle is empty")
+    domain = DOMAIN_MAC if demos.family == "mac" else DOMAIN_TCP
+    sigma = config.explore_sigma if domain == DOMAIN_MAC \
+        else config.tcp_explore_sigma
+    subs = {"DOMAIN": domain, "FRAME_LEN": frame_len, "CWND_MAX": cwnd_max,
+            "EPSILON": config.explore_epsilon, "SIGMA": sigma}
+    return _query_strategy(
+        backend, TEMPLATE_STRATEGY_GEN, subs,
+        tuple(s.prompt_block() for s in demos.sets), config,
+        ranker=config.ranker_offline if use_ranker is None else use_ranker,
+        domain=domain, frame_len=frame_len, cwnd_max=cwnd_max,
+        estimate_j=estimate_j, request_tag="strategy-gen")
 
 
 # -- evaluation ------------------------------------------------------------
@@ -219,15 +204,14 @@ def mac_oracle_objective(spec: ScenarioSpec,
     """Time-weighted analytic optimum over the evaluation horizon, or
     None when some population segment has no closed form."""
     horizon = min(spec.total_frames, config.eval_frames)
-    truncated = replace(spec, total_frames=horizon)
-    weighted = 0.0
     try:
-        for start, end, live in scenario_segments(truncated):
-            pop = population_from_scenario(truncated, live)
-            solution = solve_aware(pop, alpha=config.alpha)
-            weighted += solution.objective * (end - start)
-    except (UnsupportedPopulationError, ValueError):
+        _, segments = aware_trajectory(
+            replace(spec, total_frames=horizon), alpha=config.alpha)
+    except UnsupportedPopulationError:
         return None
+    weighted = 0.0
+    for seg in segments:
+        weighted += seg.solution.objective * (seg.end_frame - seg.start_frame)
     return weighted / horizon
 
 
@@ -242,7 +226,6 @@ def mac_j_target(spec: ScenarioSpec, config: AgentConfig) -> float:
 class EvaluationOutcome:
     j: float
     episode: Dict[str, object]
-    horizon: int
 
 
 def evaluate_mac_strategy(spec: ScenarioSpec, strategy: Strategy,
@@ -271,7 +254,7 @@ def evaluate_mac_strategy(spec: ScenarioSpec, strategy: Strategy,
         "collision_rate": round(report.signals.collision_rate, 6),
         "theta_hi": config.overuse_threshold,
     }
-    return EvaluationOutcome(j=j, episode=episode, horizon=horizon)
+    return EvaluationOutcome(j=j, episode=episode)
 
 
 def evaluate_tcp_strategy(spec: TcpScenarioSpec, strategy: Strategy,
@@ -288,7 +271,7 @@ def evaluate_tcp_strategy(spec: TcpScenarioSpec, strategy: Strategy,
         "j": round(j, 6),
         "stats": stats,
     }
-    return EvaluationOutcome(j=j, episode=episode, horizon=horizon)
+    return EvaluationOutcome(j=j, episode=episode)
 
 
 # -- reflection ------------------------------------------------------------
@@ -302,7 +285,6 @@ def reflect_and_refine(backend: Backend, strategy: Strategy,
                        cwnd_max: int = 64,
                        estimate_j: Optional[Callable[[Strategy],
                                                      float]] = None,
-                       use_ranker: Optional[bool] = None,
                        request_tag: str = "reflection") -> GenerationResult:
     """One self-reflection round over the evaluated episode. Refinement
     of a strategy that already meets its target is a caller bug."""
@@ -316,34 +298,11 @@ def reflect_and_refine(backend: Backend, strategy: Strategy,
         fenced_json({"strategy": strategy_doc(strategy)}),
         fenced_json({"episode": episode_doc}),
     )
-    ranker = config.ranker_offline if use_ranker is None else use_ranker
-    mat_kwargs = _validation_kwargs(strategy.domain, frame_len, cwnd_max)
-    if ranker:
-        prompt = render_template(TEMPLATE_REFLECTION,
-                                 {"ITEMS": ITEMS_TOKEN})
-        judge: JudgeFn = lambda a, b: judge_select(
-            a, b, backend=backend, estimate_j=estimate_j,
-            request_tag=f"{request_tag}/judge", **mat_kwargs)
-        ranked = ranked_complete(
-            backend,
-            RankerQuery(base=user_request(prompt, tag=request_tag),
-                        reorderable_items=items),
-            judge=judge)
-        response = ranked.text
-        judge_used = ranked.judge_used
-    else:
-        prompt = render_template(TEMPLATE_REFLECTION,
-                                 {"ITEMS": "\n\n".join(items)})
-        response = backend.complete(user_request(prompt, tag=request_tag))
-        judge_used = False
-
-    plain = render_template(TEMPLATE_REFLECTION,
-                            {"ITEMS": "\n\n".join(items)})
-    refined, retries = asi_materialize(
-        response, _requery_fn(backend, plain, request_tag),
-        config.asi_retries, **mat_kwargs)
-    return GenerationResult(strategy=refined, retries=retries,
-                            judge_used=judge_used)
+    return _query_strategy(
+        backend, TEMPLATE_REFLECTION, {}, items, config,
+        ranker=config.ranker_offline,
+        domain=strategy.domain, frame_len=frame_len, cwnd_max=cwnd_max,
+        estimate_j=estimate_j, request_tag=request_tag)
 
 
 # -- full offline loop -----------------------------------------------------

@@ -74,7 +74,6 @@ from ..templates import (
     template_header,
 )
 from .config import AgentConfig
-from .memory import StrategySet
 from .observer import (
     NOTABLE_OVERUSED,
     ObserverReport,
@@ -192,9 +191,7 @@ class PeriodEngine:
                  lifetimes: Dict[int, Tuple[int, Optional[int]]], *,
                  backend: Optional[Backend] = None,
                  trace: Optional[DecisionTrace] = None,
-                 explore: Optional[ExploreSpec] = None,
-                 use_ranker: Optional[bool] = None,
-                 memory: Optional[StrategySet] = None):
+                 explore: Optional[ExploreSpec] = None):
         if strategy.domain != self.domain:
             raise InvalidScenarioError(
                 "strategy", f"domain {strategy.domain!r} does not drive a "
@@ -203,9 +200,6 @@ class PeriodEngine:
         self.config = config
         self.backend = backend
         self.trace = trace
-        self.memory = memory
-        self.use_ranker = config.ranker_online if use_ranker is None \
-            else use_ranker
         self.strategy = strategy if explore is None \
             else replace(strategy, explore=explore)
         self._calm = replace(self.strategy, explore=ExploreSpec(0.0, 0.0))
@@ -223,30 +217,19 @@ class PeriodEngine:
 
     # -- prompt assembly and decisions -------------------------------------
 
-    def _memory_items(self) -> Tuple[str, ...]:
-        active = dict(strategy_doc(self.strategy))
-        active["id"] = self.strategy.id
-        items = [fenced_json(active)]
-        if self.memory is not None:
-            for sid, text in self.memory.snapshot():
-                if sid == self.strategy.id:
-                    continue
-                doc = json.loads(text)
-                doc["id"] = sid
-                items.append(fenced_json(doc))
-        return tuple(items)
-
     def _query_backend(self, payload: Dict[str, object], report_text: str,
                        tag: str) -> Tuple[str, str]:
-        items = self._memory_items()
+        items = (fenced_json({**strategy_doc(self.strategy),
+                              "id": self.strategy.id}),)
+        ranker = self.config.ranker_online
         subs = {
             "REPORT": report_text,
-            "ITEMS": ITEMS_TOKEN if self.use_ranker else "\n\n".join(items),
+            "ITEMS": ITEMS_TOKEN if ranker else "\n\n".join(items),
             "PAYLOAD": json.dumps(payload, sort_keys=True),
             "FRAME_LEN": self.frame_len,
         }
         prompt = render_template(TEMPLATE_NODE_DECISION, subs)
-        if not self.use_ranker:
+        if not ranker:
             return self.backend.complete(user_request(prompt, tag)), ""
         query = RankerQuery(base=user_request(prompt, tag),
                             reorderable_items=items)
@@ -378,7 +361,7 @@ class PeriodEngine:
             step = min(self.period, remaining)
             self.run_period(step)
             remaining -= step
-        return self._trajectory()
+        return self.env.log
 
 
 class MacPeriodEngine(PeriodEngine):
@@ -414,9 +397,6 @@ class MacPeriodEngine(PeriodEngine):
 
     def _clock(self) -> int:
         return self.env.frame_index
-
-    def _trajectory(self) -> TrajectoryLog:
-        return self.env.log
 
     def _observe(self, f0: int, team: List[int]):
         cfg = self.config
@@ -481,7 +461,6 @@ class MacPeriodEngine(PeriodEngine):
             env_changed=False if report is None else report.env_changed,
             collision_rate=0.0 if report is None
             else report.signals.collision_rate,
-            frame_len=self.frame_len,
             base_override=base_override,
             escape_sigma=self.config.escape_sigma if escaped else None,
         )
@@ -529,9 +508,6 @@ class TcpPeriodEngine(PeriodEngine):
 
     def _clock(self) -> int:
         return self.env.round_index
-
-    def _trajectory(self) -> TcpRoundLog:
-        return self.env.log
 
     def _observe(self, r0: int, team: List[int]):
         cfg = self.config
@@ -612,10 +588,6 @@ class TcpPeriodEngine(PeriodEngine):
     def _actuate(self, fid: int, action) -> None:
         self._held[fid] = int(action)
 
-    def _controller(self, env: TcpEnvironment) -> Dict[int, int]:
-        return {fid: cwnd for fid, cwnd in self._held.items()
-                if fid in env.states}
-
     def _advance(self, r0: int, rounds: int,
                  report: Optional[ObserverReport]) -> None:
-        run_rounds(self.env, self._controller, n_rounds=r0 + rounds)
+        run_rounds(self.env, self._held, n_rounds=r0 + rounds)

@@ -104,15 +104,13 @@ class TranscriptRecorder:
 class RecordingBackend:
     """Wraps a backend so every round-trip lands in the transcript."""
 
-    def __init__(self, inner: Backend, recorder: TranscriptRecorder,
-                 kind: str = "completion"):
+    def __init__(self, inner: Backend, recorder: TranscriptRecorder):
         self.inner = inner
         self.recorder = recorder
-        self.kind = kind
 
     def complete(self, req: CompletionRequest) -> str:
         response = self.inner.complete(req)
-        self.recorder.record(self.kind, req, response)
+        self.recorder.record("completion", req, response)
         return response
 
 

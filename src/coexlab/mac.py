@@ -390,10 +390,10 @@ class BernoulliSlotPolicy:
     fixed reference policies and as the actuation layer of the agent.
     """
 
-    def __init__(self, seed: int, vectors: Dict[int, Sequence[float]],
-                 stream_key: int = 1):
+    stream_key = 1      # purpose stream of the actuation draws
+
+    def __init__(self, seed: int, vectors: Dict[int, Sequence[float]]):
         self.seed = seed
-        self.stream_key = stream_key
         self.vectors: Dict[int, List[float]] = {}
         self._rngs: Dict[int, np.random.Generator] = {}
         for nid, v in vectors.items():

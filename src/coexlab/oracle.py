@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import UnsupportedPopulationError
-from .mac import (
-    KIND_AGENT,
-    KIND_ALOHA,
-    KIND_AWARE,
-    KIND_TDMA,
-    CONTROLLED_KINDS,
-    ScenarioSpec,
-)
+from .mac import CONTROLLED_KINDS, KIND_ALOHA, KIND_TDMA, ScenarioSpec
 from .metrics import THROUGHPUT_SCALE
 
 POLICY_CLASS_CAVEAT = (
@@ -36,6 +29,7 @@ POLICY_CLASS_CAVEAT = (
 
 GRID_COARSE = 0.1
 GRID_FINEST = 1e-3
+MAX_SWEEPS = 40                  # per grid level
 _FLOOR = 1e-12
 
 
@@ -57,7 +51,6 @@ class OracleSolution:
     agent_throughputs: List[float]
     aloha_throughputs: List[float]
     tdma_throughputs: List[float]
-    alpha: float
     caveat: str = POLICY_CLASS_CAVEAT
 
 
@@ -151,6 +144,19 @@ def _utility(x: float, alpha: float) -> float:
     return scaled ** (1.0 - alpha) / (1.0 - alpha)
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha`` if it is >= 0 and the utility of the floor rate, the
+    floor raised to ``1 - alpha``, is finite at it."""
+    try:
+        usable = alpha >= 0.0 and math.isfinite(_utility(0.0, alpha))
+    except OverflowError:
+        usable = False
+    if not usable:
+        raise ValueError(f"alpha must be >= 0 and keep the utility of the "
+                         f"{_FLOOR:g} rate floor finite, got {alpha}")
+    return alpha
+
+
 def fair_objective(values: Iterable[float], alpha: float = 1.0) -> float:
     """Alpha-fair welfare with zero rates floored rather than rejected.
 
@@ -191,8 +197,8 @@ def _starting_points(pop: Population) -> List[List[List[float]]]:
     return starts
 
 
-def _ascend(policies: List[List[float]], pop: Population, alpha: float,
-            max_sweeps: int = 40) -> Tuple[List[List[float]], float]:
+def _ascend(policies: List[List[float]], pop: Population,
+            alpha: float) -> Tuple[List[List[float]], float]:
     """Cyclic coordinate ascent with a shrinking search grid.
 
     At the coarsest level every coordinate scans the full [0, 1] grid;
@@ -203,7 +209,7 @@ def _ascend(policies: List[List[float]], pop: Population, alpha: float,
     step = GRID_COARSE
     while step >= GRID_FINEST:
         full_scan = step == GRID_COARSE
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             improved = False
             for i in range(pop.n_agents):
                 for k in range(pop.frame_len):
@@ -235,9 +241,9 @@ def _ascend(policies: List[List[float]], pop: Population, alpha: float,
 
 def solve_aware(pop: Population, alpha: float = 1.0) -> OracleSolution:
     """Best per-slot Bernoulli policies for all controlled agents under the
-    alpha-fair objective over every node's expected throughput."""
-    if pop.n_agents < 1:
-        raise ValueError("population has no controlled agents to solve for")
+    alpha-fair objective over every node's expected throughput. With no
+    controlled agent the policies are empty and the throughputs those of
+    the fixed nodes alone."""
     best_policies: List[List[float]] | None = None
     best_value = -math.inf
     for start in _starting_points(pop):
@@ -255,7 +261,6 @@ def solve_aware(pop: Population, alpha: float = 1.0) -> OracleSolution:
         agent_throughputs=agents,
         aloha_throughputs=aloha,
         tdma_throughputs=tdma,
-        alpha=alpha,
     )
 
 

@@ -48,11 +48,10 @@ from .metrics import (
     windowed_throughput,
 )
 from .oracle import (
+    ReferenceSegment,
     aware_trajectory,
+    check_alpha,
     fair_objective,
-    population_from_scenario,
-    scenario_segments,
-    solve_aware,
 )
 from .scripted import ScriptedBackend
 from .strategy import (
@@ -265,9 +264,10 @@ def _tcp_trajectory_csv(log: TcpRoundLog, n_flows: int) -> str:
     return _csv_text(header, zip(*columns))
 
 
-def _throughput_csv(means: Dict[int, float], id_label: str) -> str:
+def _throughput_csv(metrics: Dict[str, object], id_label: str) -> str:
+    """The report's mean throughputs, one row per node or flow."""
     return _csv_text([id_label, "mean_throughput"],
-                     [[nid, _cell(means[nid])] for nid in sorted(means)])
+                     metrics["mean_throughputs"].items())
 
 
 # -- metric reports ---------------------------------------------------------
@@ -298,20 +298,28 @@ def mac_metrics_report(series: ThroughputSeries, means: Dict[int, float],
     return report
 
 
-def tcp_metrics_report(log: TcpRoundLog,
-                       config: AgentConfig) -> Dict[str, object]:
-    first = log.n_rounds // 2
-    means = mean_flow_throughputs(log, first_round=first)
+def _tcp_report(means: Dict[int, float], params: Dict[str, object],
+                social_reward: Optional[float],
+                alpha: float) -> Dict[str, object]:
     return {
         "artifact": "metrics-v1",
         "family": "tcp",
-        "params": {"alpha": config.alpha, "first_round": first},
+        "params": params,
         "mean_throughputs": {str(f): _cell(v) for f, v in sorted(means.items())},
         "jain": _cell(jain_index(list(means.values()))),
-        "alpha_fair": _cell(fair_objective(means.values(), config.alpha)),
-        "social_reward": _cell(mean_social_reward(log, first_round=first)),
+        "alpha_fair": _cell(fair_objective(means.values(), alpha)),
+        "social_reward": social_reward,
         "rmse": None,
     }
+
+
+def tcp_metrics_report(log: TcpRoundLog,
+                       config: AgentConfig) -> Dict[str, object]:
+    first = log.n_rounds // 2
+    return _tcp_report(
+        mean_flow_throughputs(log, first_round=first),
+        {"alpha": config.alpha, "first_round": first},
+        _cell(mean_social_reward(log, first_round=first)), config.alpha)
 
 
 def _config_snapshot(config: RunConfig, spec: AnyScenario,
@@ -336,24 +344,27 @@ def _config_snapshot(config: RunConfig, spec: AnyScenario,
 # -- reference actuation ----------------------------------------------------
 
 
+def _segment_policies(spec: ScenarioSpec, seg: ReferenceSegment):
+    """``(node id, policy vector)`` for each controlled node of ``seg``."""
+    controlled = [nid for nid in seg.live_ids
+                  if spec.nodes[nid].kind in CONTROLLED_KINDS]
+    return zip(controlled, seg.solution.policies)
+
+
 def run_aware_reference(spec: ScenarioSpec,
-                        alpha: float = 1.0) -> TrajectoryLog:
-    """Drive every controlled node with the per-segment analytic optimum.
+                        segments: List[ReferenceSegment]) -> TrajectoryLog:
+    """Drive every controlled node with the analytic optimum of each of
+    ``segments``, the segments of ``aware_trajectory(spec)``.
 
     This is the reference actuation path: no agent loop, no backend, the
     policy vector switches exactly at population events.
     """
     env = MacEnvironment(spec)
     policy = BernoulliSlotPolicy(spec.seed, {})
-    for start, end, live in scenario_segments(spec):
-        controlled = [nid for nid in live
-                      if spec.nodes[nid].kind in CONTROLLED_KINDS]
-        if controlled:
-            pop = population_from_scenario(spec, live)
-            solution = solve_aware(pop, alpha=alpha)
-            for nid, vec in zip(controlled, solution.policies):
-                policy.set_vector(nid, vec)
-        run_frames(env, policy, end - start)
+    for seg in segments:
+        for nid, vec in _segment_policies(spec, seg):
+            policy.set_vector(nid, vec)
+        run_frames(env, policy, seg.end_frame - seg.start_frame)
     return env.log
 
 
@@ -366,15 +377,6 @@ class RunResult:
     family: str
     metrics: Dict[str, object]
     offline: Optional[OfflineResult] = None
-
-
-def _mac_reference(spec: ScenarioSpec,
-                   alpha: float) -> Optional[Dict[int, List[float]]]:
-    try:
-        reference, _ = aware_trajectory(spec, alpha=alpha)
-    except (UnsupportedPopulationError, ValueError):
-        return None
-    return reference
 
 
 def _offline_artifacts(out: str, family: str, demo_k: int, demo_seed: int,
@@ -411,19 +413,26 @@ def _check_mac_horizon(spec: AnyScenario, agent: AgentConfig) -> None:
                       f"{agent.window_frames}-frame throughput window")
 
 
-def cmd_run(config: RunConfig) -> RunResult:
-    """Offline stage (unless a cached strategy is supplied), online stage,
-    then the full artifact set."""
+def _prepare(config: RunConfig) -> Tuple[AnyScenario, str, int]:
+    """Validate ``config``, load its seeded scenario and create the output
+    directory; returns the scenario, its family and the demo seed."""
     config.validate()
     spec = load_scenario(config.scenario_path)
     if config.seed is not None:
         spec = replace(spec, seed=config.seed)
     _check_mac_horizon(spec, config.agent)
+    os.makedirs(config.out_dir, exist_ok=True)
     family = "mac" if isinstance(spec, ScenarioSpec) else "tcp"
-    out = config.out_dir
-    os.makedirs(out, exist_ok=True)
-    agent_cfg = config.agent
     demo_seed = config.demo_seed if config.demo_seed is not None else spec.seed
+    return spec, family, demo_seed
+
+
+def cmd_run(config: RunConfig) -> RunResult:
+    """Offline stage (unless a cached strategy is supplied), online stage,
+    then the full artifact set."""
+    spec, family, demo_seed = _prepare(config)
+    out = config.out_dir
+    agent_cfg = config.agent
 
     recorder = TranscriptRecorder()
     backend = make_backend(config)
@@ -437,13 +446,19 @@ def cmd_run(config: RunConfig) -> RunResult:
     if family == "mac":
         has_aware = any(n.kind == KIND_AWARE for n in spec.nodes)
         has_agent = any(n.kind == KIND_AGENT for n in spec.nodes)
+        # the aware path actuates the reference, so it needs one
+        try:
+            reference, segments = aware_trajectory(spec,
+                                                   alpha=agent_cfg.alpha)
+        except UnsupportedPopulationError:
+            if has_aware:
+                raise
+            reference = None
         if has_aware:
-            log = run_aware_reference(spec, alpha=agent_cfg.alpha)
+            log = run_aware_reference(spec, segments)
             trace = None
         elif not has_agent:
-            env = MacEnvironment(spec)
-            run_frames(env, None, spec.total_frames)
-            log = env.log
+            log = run_frames(MacEnvironment(spec), None, spec.total_frames)
             trace = None
         else:
             strategy, offline_result, demos = _obtain_strategy(
@@ -452,13 +467,10 @@ def cmd_run(config: RunConfig) -> RunResult:
                                      backend=wrapped, trace=trace)
             log = engine.run(spec.total_frames)
         series = windowed_throughput(log, agent_cfg.window_frames)
-        means = node_mean_throughputs(log)
-        reference = _mac_reference(spec, agent_cfg.alpha)
-        metrics = mac_metrics_report(series, means, reference, agent_cfg)
+        metrics = mac_metrics_report(series, node_mean_throughputs(log),
+                                     reference, agent_cfg)
         _write_text(os.path.join(out, ARTIFACT_TRAJECTORY),
                     _mac_trajectory_csv(series))
-        _write_text(os.path.join(out, ARTIFACT_THROUGHPUT),
-                    _throughput_csv(means, "node"))
         if reference is not None:
             _write_text(os.path.join(out, ARTIFACT_REFERENCE),
                         _reference_csv(reference))
@@ -476,11 +488,9 @@ def cmd_run(config: RunConfig) -> RunResult:
         metrics = tcp_metrics_report(tcp_log, agent_cfg)
         _write_text(os.path.join(out, ARTIFACT_TRAJECTORY),
                     _tcp_trajectory_csv(tcp_log, len(spec.flows)))
-        first = metrics["params"]["first_round"]
-        means = mean_flow_throughputs(tcp_log, first_round=first)
-        _write_text(os.path.join(out, ARTIFACT_THROUGHPUT),
-                    _throughput_csv(means, "flow"))
 
+    _write_text(os.path.join(out, ARTIFACT_THROUGHPUT), _throughput_csv(
+        metrics, "node" if family == "mac" else "flow"))
     _write_json(os.path.join(out, ARTIFACT_CONFIG),
                 _config_snapshot(config, spec, family))
     _write_json(os.path.join(out, ARTIFACT_METRICS), metrics)
@@ -514,15 +524,8 @@ def _obtain_strategy(config: RunConfig, backend: Optional[Backend],
 
 def cmd_offline(config: RunConfig) -> OfflineResult:
     """Offline stage only; artifacts cover demos, memory and the outcome."""
-    config.validate()
-    spec = load_scenario(config.scenario_path)
-    if config.seed is not None:
-        spec = replace(spec, seed=config.seed)
-    _check_mac_horizon(spec, config.agent)
-    family = "mac" if isinstance(spec, ScenarioSpec) else "tcp"
+    spec, family, demo_seed = _prepare(config)
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
-    demo_seed = config.demo_seed if config.demo_seed is not None else spec.seed
 
     backend = make_backend(config)
     if backend is None:
@@ -546,6 +549,7 @@ def cmd_oracle(scenario_path: str, out_dir: str,
                alpha: float = 1.0) -> Dict[str, object]:
     """Analytic reference for a slot scenario: per-segment policies and
     the per-frame reference trajectory."""
+    check_alpha(alpha)
     if not os.path.isfile(scenario_path):
         raise InvalidScenarioError("scenario",
                                    f"no such file: {scenario_path}")
@@ -562,8 +566,6 @@ def cmd_oracle(scenario_path: str, out_dir: str,
         "segments": [],
     }
     for seg in segments:
-        controlled = [nid for nid in seg.live_ids
-                      if spec.nodes[nid].kind in CONTROLLED_KINDS]
         report["segments"].append({
             "start_frame": seg.start_frame,
             "end_frame": seg.end_frame,
@@ -571,8 +573,7 @@ def cmd_oracle(scenario_path: str, out_dir: str,
             "objective": _cell(seg.solution.objective),
             "caveat": seg.solution.caveat,
             "policies": {str(nid): [_cell(p) for p in vec]
-                         for nid, vec in zip(controlled,
-                                             seg.solution.policies)},
+                         for nid, vec in _segment_policies(spec, seg)},
             "throughputs": {str(nid): _cell(val)
                             for nid, val in sorted(seg.node_values.items())},
         })
@@ -583,9 +584,8 @@ def cmd_oracle(scenario_path: str, out_dir: str,
     return report
 
 
-def cmd_demos(family: str, k: int, seed: int, out_dir: str,
-              config: Optional[AgentConfig] = None) -> str:
-    bundle = demo_bundle(family, k, seed, config=config)
+def cmd_demos(family: str, k: int, seed: int, out_dir: str) -> str:
+    bundle = demo_bundle(family, k, seed)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, ARTIFACT_DEMOS)
     _write_text(path, demos_to_json(family, k, seed, bundle.sets))
@@ -648,18 +648,9 @@ def cmd_eval(run_dir: str,
         if not isinstance(metrics_doc, dict) or "params" not in metrics_doc:
             raise InvalidScenarioError(ARTIFACT_METRICS,
                                        "must be an object holding params")
-        summary = {
-            "artifact": "metrics-v1",
-            "family": "tcp",
-            "params": metrics_doc["params"],
-            "mean_throughputs": {str(f): _cell(v)
-                                 for f, v in sorted(means.items())},
-            "jain": _cell(jain_index(list(means.values()))),
-            "alpha_fair": _cell(fair_objective(means.values(),
-                                               agent_cfg.alpha)),
-            "social_reward": metrics_doc.get("social_reward"),
-            "rmse": None,
-        }
+        summary = _tcp_report(means, metrics_doc["params"],
+                              metrics_doc.get("social_reward"),
+                              agent_cfg.alpha)
     summary["artifact"] = "eval-v1"
     _write_json(os.path.join(run_dir, ARTIFACT_EVAL), summary)
     return summary

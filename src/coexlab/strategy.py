@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -465,7 +465,6 @@ class ActionContext:
     env_changed: bool = False
     collision_rate: float = 0.0
     rtt_inflation: float = 0.0
-    frame_len: int = 10
     cwnd_max: int = 64
     # when set, replaces the strategy's base action for this decision
     base_override: Optional[BaseAction] = None

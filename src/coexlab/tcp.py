@@ -169,14 +169,14 @@ def vegas_update(state: FlowState, fb: RoundFeedback, cwnd_max: int) -> FlowStat
     return FlowState(cwnd, state.ssthresh, MODE_CONGESTION_AVOIDANCE, base)
 
 
-def tcp_reward(acks: float, rtt: float,
-               beta: float = DEFAULT_REWARD_BETA) -> float:
+def tcp_reward(acks: float, rtt: float) -> float:
     """log of delivered packets minus a delay penalty. A starved round
     (no acks) earns the floor: the zero-ack log value minus a fixed
     penalty, so it always ranks below any delivering round."""
     if acks <= 0.0:
-        return math.log(1.0) - beta * rtt - REWARD_FLOOR_PENALTY
-    return math.log(acks) - beta * rtt
+        return math.log(1.0) - DEFAULT_REWARD_BETA * rtt \
+            - REWARD_FLOOR_PENALTY
+    return math.log(acks) - DEFAULT_REWARD_BETA * rtt
 
 
 def live_segments(flows: Sequence[TcpFlowConfig]) \
@@ -286,10 +286,6 @@ class TcpEnvironment:
             del self.states[fid]
         self.live = list(live)
 
-    def agent_ids(self) -> List[int]:
-        return [fid for fid in self.live
-                if self.spec.flows[fid].controller == CONTROLLER_AGENT]
-
     def step_round(self, agent_cwnds: Optional[Dict[int, int]] = None) -> None:
         """Advance one round, appending it to the log. ``agent_cwnds``
         overrides the window of every live agent flow before the round is
@@ -337,21 +333,22 @@ class TcpEnvironment:
         log.n_rounds += 1
 
 
-def run_rounds(env: TcpEnvironment, controller=None,
+def run_rounds(env: TcpEnvironment,
+               overrides: Optional[Dict[int, int]] = None,
                n_rounds: Optional[int] = None) -> TcpRoundLog:
     """Run rounds until the scenario's horizon (or ``n_rounds``).
 
-    ``controller`` is called once per round with the environment and must
-    return the agent cwnd overrides for that round.
+    ``overrides`` maps agent flow ids to the window each holds for every
+    round of this call; a flow not live in a round is skipped, so a flow
+    joining mid-call plays its held window from its first round.
     """
     target = env.spec.total_rounds if n_rounds is None else n_rounds
     while env.round_index < target:
-        env.step_round(controller(env) if controller is not None else None)
+        env.step_round(overrides)
     return env.log
 
 
-def mean_social_reward(log: TcpRoundLog, first_round: int = 0,
-                       beta: float = DEFAULT_REWARD_BETA) -> float:
+def mean_social_reward(log: TcpRoundLog, first_round: int = 0) -> float:
     """Mean over rounds from ``first_round`` on of the average per-flow
     reward among live flows; rounds with no live flow are skipped."""
     values: List[float] = []
@@ -360,7 +357,7 @@ def mean_social_reward(log: TcpRoundLog, first_round: int = 0,
         if not live:
             continue
         rtts = log.rtt[r0:r1].tolist()
-        rewards = [[tcp_reward(acks, rtt, beta) for acks, rtt
+        rewards = [[tcp_reward(acks, rtt) for acks, rtt
                     in zip(log.flow_values(log.acks, fid, r0, r1), rtts)]
                    for fid in live]
         values += [total / len(live) for total in map(sum, zip(*rewards))]

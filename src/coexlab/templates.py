@@ -20,17 +20,17 @@ _HEADER_RE = re.compile(r"^\[template:([a-z-]+) v(\d+)\]")
 _TOKEN_RE = re.compile(r"\{\{([A-Z_]+)\}\}")
 
 
-def template_text(name: str, version: int = 1) -> str:
-    path = _TEMPLATE_DIR / f"{name.replace('-', '_')}_v{version}.txt"
+def template_text(name: str) -> str:
+    """The text of version 1 of template ``name``, the only version."""
+    path = _TEMPLATE_DIR / f"{name.replace('-', '_')}_v1.txt"
     if not path.is_file():
-        raise UnrecognizedTemplateError(f"no template {name} v{version}")
+        raise UnrecognizedTemplateError(f"no template {name} v1")
     return path.read_text(encoding="utf-8")
 
 
-def render_template(name: str, substitutions: Dict[str, str],
-                    version: int = 1) -> str:
+def render_template(name: str, substitutions: Dict[str, str]) -> str:
     """Fill every {{TOKEN}} in the template; unfilled tokens are an error."""
-    text = template_text(name, version)
+    text = template_text(name)
 
     def repl(match: re.Match) -> str:
         token = match.group(1)

@@ -23,10 +23,8 @@ from coexlab.metrics import jain_index
 from coexlab.oracle import fair_objective
 from coexlab.runner import _cell, _csv_text
 from coexlab.tcp import (
-    CONTROLLER_AGENT,
     CONTROLLER_RENO,
     CONTROLLER_VEGAS,
-    DEFAULT_REWARD_BETA,
     MODE_CONGESTION_AVOIDANCE,
     MODE_SLOW_START,
     VEGAS_ALPHA,
@@ -123,10 +121,6 @@ class ReferenceTcpEnvironment:
                 self.states.pop(fid, None)
         self.live = new_live
 
-    def agent_ids(self) -> List[int]:
-        return [fid for fid in self.live
-                if self.spec.flows[fid].controller == CONTROLLER_AGENT]
-
     def step_round(self, agent_cwnds: Optional[Dict[int, int]] = None) \
             -> TcpRoundRecord:
         self._refresh_live()
@@ -170,11 +164,11 @@ class ReferenceTcpEnvironment:
         return record
 
 
-def run_rounds(env: ReferenceTcpEnvironment, controller=None,
+def run_rounds(env: ReferenceTcpEnvironment,
+               overrides: Optional[Dict[int, int]] = None,
                n_rounds: Optional[int] = None) -> List[TcpRoundRecord]:
     target = env.spec.total_rounds if n_rounds is None else n_rounds
     while env.round_index < target:
-        overrides = controller(env) if controller is not None else None
         env.step_round(overrides)
     return env.records
 
@@ -207,13 +201,12 @@ def records_from_log(env) -> List[TcpRoundRecord]:
 # -- readers ----------------------------------------------------------------
 
 
-def mean_social_reward(records, first_round: int = 0,
-                       beta: float = DEFAULT_REWARD_BETA) -> float:
+def mean_social_reward(records, first_round: int = 0) -> float:
     values = []
     for rec in records:
         if rec.round_index < first_round or not rec.per_flow:
             continue
-        per_flow = [tcp_reward(fr.acks, fr.rtt, beta)
+        per_flow = [tcp_reward(fr.acks, fr.rtt)
                     for fr in rec.per_flow.values()]
         values.append(sum(per_flow) / len(per_flow))
     if not values:

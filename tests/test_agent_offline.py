@@ -9,8 +9,6 @@ from coexlab.agent.config import AgentConfig
 from coexlab.agent.demos import (
     MAC_LABELS,
     TCP_LABELS,
-    demos_from_json,
-    demos_to_json,
     generate_demos,
 )
 from coexlab.agent.memory import (
@@ -123,17 +121,6 @@ class TestDemoGeneration:
         blocks = list(iter_json_blocks(ds.prompt_block()))
         assert len(blocks) == 1
         assert json.loads(blocks[0])["label"] == ds.label
-
-    def test_json_round_trip(self):
-        sets = generate_demos("tcp", 2, seed=8, config=FAST)
-        text = demos_to_json("tcp", 2, 8, sets)
-        bundle = demos_from_json(text)
-        assert bundle.family == "tcp" and bundle.k == 2 and bundle.seed == 8
-        assert [ds.doc() for ds in bundle.sets] == [ds.doc() for ds in sets]
-
-    def test_from_json_rejects_other_documents(self):
-        with pytest.raises(ValueError):
-            demos_from_json(json.dumps({"version": "mac-v1"}))
 
 
 class TestScriptedGenerationOverDemos:
@@ -586,6 +573,21 @@ class TestObjectiveTargets:
                              alpha=1.0).objective
         expected = (j_both + j_solo) / 2
         assert mac_oracle_objective(spec, cfg) == pytest.approx(expected)
+
+    def test_segment_before_the_agent_joins_counts_its_closed_form(self):
+        spec = ScenarioSpec(
+            total_frames=1000, frame_len=10, seed=5,
+            nodes=(NodeConfig(kind=KIND_AGENT, join_frame=100),
+                   NodeConfig(kind=KIND_ALOHA, q=0.2)))
+        cfg = AgentConfig(eval_frames=1000)
+        j_alone = solve_aware(population_from_scenario(spec, (1,)),
+                              alpha=1.0).objective
+        j_both = solve_aware(population_from_scenario(spec, (0, 1)),
+                             alpha=1.0).objective
+        expected = (100 * j_alone + 900 * j_both) / 1000
+        assert mac_oracle_objective(spec, cfg) == pytest.approx(expected)
+        assert mac_j_target(spec, cfg) == \
+            pytest.approx(cfg.j_opt_fraction * expected)
 
     def test_csma_population_falls_back_to_configured_target(self):
         spec = ScenarioSpec(

@@ -55,7 +55,8 @@ def mac_log(nodes, frames, seed=3, vectors=None):
 def tcp_log(flows, rounds, cwnd=9, seed=3):
     env = TcpEnvironment(TcpScenarioSpec(flows=flows, total_rounds=rounds,
                                          seed=seed))
-    return run_rounds(env, lambda e: {fid: cwnd for fid in e.agent_ids()})
+    return run_rounds(env, {fid: cwnd for fid, cfg in enumerate(flows)
+                            if cfg.controller == CONTROLLER_AGENT})
 
 
 class TestMacObserver:
@@ -248,7 +249,6 @@ class TestDecisionTrace:
 
 
 from coexlab.agent.config import AgentConfig
-from coexlab.agent.memory import StrategySet
 from coexlab.agent.online import (
     MacPeriodEngine,
     TcpPeriodEngine,
@@ -432,8 +432,9 @@ class TestMacPeriodEngine:
         recorder = TranscriptRecorder()
         backend = RecordingBackend(ScriptedBackend(), recorder)
         eng = MacPeriodEngine(static_mac_spec(frames=200),
-                              mac_strategy_json(), backend=backend,
-                              use_ranker=True)
+                              mac_strategy_json(),
+                              AgentConfig(ranker_online=True),
+                              backend=backend)
         eng.run(200)
         tags = [e["tag"] for e in recorder.entries]
         assert tags and all(t.endswith(("/forward", "/reversed"))
@@ -446,22 +447,6 @@ class TestMacPeriodEngine:
             key = e["tag"].rsplit("/", 1)[0]
             by_pair.setdefault(key, []).append(e["response"])
         assert all(len(set(v)) == 1 for v in by_pair.values())
-
-    def test_memory_strategies_embedded_in_prompt(self):
-        memory = StrategySet()
-        active = mac_strategy_json()
-        other = mac_strategy_json(base=0.25)
-        memory.add(active)
-        memory.add(other)
-        recorder = TranscriptRecorder()
-        backend = RecordingBackend(ScriptedBackend(), recorder)
-        eng = MacPeriodEngine(static_mac_spec(frames=100), active,
-                              backend=backend, memory=memory)
-        eng.run(100)
-        prompt = recorder.entries[0]["messages"][0]["content"]
-        assert active.id in prompt and other.id in prompt
-        # active strategy is listed first
-        assert prompt.index(active.id) < prompt.index(other.id)
 
     def test_window_objective_tracks_fair_value(self):
         spec = ScenarioSpec(nodes=[NodeConfig(KIND_TDMA, slots=(0,)),
@@ -528,6 +513,17 @@ class TestTcpPeriodEngine:
                                        for f, fr in r.per_flow.items())))
                          for r in tcp_reference.records_from_log(eng.env)])
         assert outs[0] == outs[1]
+
+    def test_joining_agent_holds_its_window_from_its_first_round(self):
+        flows = [TcpFlowConfig(CONTROLLER_AGENT, leave_round=650),
+                 TcpFlowConfig(CONTROLLER_AGENT, join_round=150),
+                 TcpFlowConfig(CONTROLLER_RENO, join_round=120,
+                               leave_round=820)]
+        spec = TcpScenarioSpec(flows=flows, total_rounds=300, seed=6)
+        eng = TcpPeriodEngine(spec, tcp_strategy_json(base=8, rules=[]))
+        log = eng.run(300)
+        # flow 1 joins mid-period; its window is held from round 150 on
+        assert log.flow_values(log.cwnd, 1, 150, 154) == [8.0] * 4
 
     def test_partial_final_period(self):
         spec = TcpScenarioSpec(flows=self.flows(CONTROLLER_AGENT),

@@ -1,12 +1,15 @@
 """Command-line surface: artifacts, exit codes, reproducibility."""
 
 import json
+import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 import coexlab.cli
+import coexlab.oracle
 import coexlab.runner
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.memory import EpisodeRecord
@@ -72,6 +75,18 @@ def tdma_scenario(tmp_path):
 def aloha_scenario(tmp_path):
     return write_mac_scenario(tmp_path / "aloha.json", [
         {"kind": "agent"}, {"kind": "aloha", "q": 0.2}])
+
+
+@pytest.fixture
+def late_agent_scenario(tmp_path):
+    """``mac_2a1h`` cut to 1000 frames, its agent joining at frame 100: the
+    first segment holds no controlled node."""
+    doc = json.loads((ROOT / "scenarios" / "mac_2a1h.json").read_text())
+    doc["total_frames"] = 1000
+    doc["nodes"][0]["join_frame"] = 100
+    path = tmp_path / "late_agent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 def without(key):
@@ -308,6 +323,66 @@ class TestRunCommand:
                        "--alpha", "nan") == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", [50.0, -1.0],
+                             ids=["overflowing", "negative"])
+    @pytest.mark.parametrize("source", ["flag", "agent-json"])
+    def test_alpha_the_utility_cannot_evaluate_exits_2(self, tmp_path, alpha,
+                                                       source, capsys):
+        shipped = json.loads((ROOT / "scenarios" / "mac_2a1h.json").read_text())
+        scenario = write_mac_scenario(tmp_path / "mac_2a1h.json",
+                                      shipped["nodes"], frames=600)
+        out = tmp_path / "o"
+        if source == "flag":
+            extra = [f"--alpha={alpha}"]
+        else:
+            settings = tmp_path / "alpha.json"
+            settings.write_text(json.dumps({"alpha": alpha}),
+                                encoding="utf-8")
+            extra = ["--agent-json", str(settings)]
+        code = run_cli("run", "--scenario", scenario, "--out", str(out),
+                       *extra)
+        assert code == 2
+        assert "alpha" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
+    def test_agent_joining_late_gets_a_reference(self, tmp_path,
+                                                 late_agent_scenario,
+                                                 agent_json, capsys):
+        out = str(tmp_path / "run")
+        assert run_cli("run", "--scenario", late_agent_scenario,
+                       "--out", out, "--agent-json", agent_json) == 0
+        assert os.path.isfile(os.path.join(out, ARTIFACT_REFERENCE))
+        rmse = read_json(out, ARTIFACT_METRICS)["rmse"]
+        assert isinstance(rmse, float) and math.isfinite(rmse)
+
+    @pytest.mark.parametrize("leave", [None, 300],
+                             ids=["shipped", "aloha-leaves"])
+    def test_aware_run_solves_each_segment_once(self, tmp_path, monkeypatch,
+                                                leave):
+        doc = json.loads(
+            (ROOT / "scenarios" / "mac_aware_2a1h.json").read_text())
+        if leave is not None:
+            doc["nodes"][1]["leave_frame"] = leave
+        scenario = tmp_path / "aware.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        solve = coexlab.oracle.solve_aware
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        # count the calls made through every module holding the solver
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("coexlab"):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is solve:
+                    monkeypatch.setattr(module, attr, counted)
+        assert run_cli("run", "--scenario", str(scenario),
+                       "--out", str(tmp_path / "run")) == 0
+        assert len(calls) == (1 if leave is None else 2)
+
     @pytest.mark.parametrize("doc", [
         {"domain": "mac", "base_action": [0.5] * 4},
         {"domain": "mac", "base_action": [0.5] * 12},
@@ -468,6 +543,18 @@ class TestRunCommand:
         assert summary["rmse"] < 0.1
         assert not os.path.exists(os.path.join(out, ARTIFACT_DEMOS))
 
+    def test_aware_scenario_without_closed_form_exits_4(self, tmp_path,
+                                                        capsys):
+        # the csma node joins only after the aware node has left, but the
+        # aware path actuates the reference, which needs every segment
+        scenario = write_mac_scenario(tmp_path / "aw.json", [
+            {"kind": "aware", "leave_frame": 300}, {"kind": "aloha", "q": 0.2},
+            {"kind": "csma", "window": 2, "max_stage": 4, "join_frame": 300}])
+        assert run_cli("run", "--scenario", scenario,
+                       "--out", str(tmp_path / "run")) == 4
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "UnsupportedPopulationError"
+
 
 class TestOracleCommand:
     def test_aloha_report_shows_even_split(self, tmp_path, aloha_scenario,
@@ -489,6 +576,24 @@ class TestOracleCommand:
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] \
             == "UnsupportedPopulationError"
+
+    def test_segment_without_controlled_node_exits_0(self, tmp_path,
+                                                     late_agent_scenario):
+        out = str(tmp_path / "oracle")
+        assert run_cli("oracle", "--scenario", late_agent_scenario,
+                       "--out", out) == 0
+        first, second = read_json(out, ARTIFACT_ORACLE)["segments"]
+        assert first["policies"] == {} and set(second["policies"]) == {"0"}
+
+    @pytest.mark.parametrize("alpha", ["50", "-1"])
+    def test_alpha_the_utility_cannot_evaluate_exits_2(self, tmp_path,
+                                                       aloha_scenario, alpha,
+                                                       capsys):
+        out = tmp_path / "oracle"
+        assert run_cli("oracle", "--scenario", aloha_scenario,
+                       "--out", str(out), f"--alpha={alpha}") == 2
+        assert "alpha" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
 
     def test_flow_scenario_exits_4(self, tmp_path):
         scenario = write_tcp_scenario(tmp_path / "t.json", [

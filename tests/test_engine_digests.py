@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import tcp_reference
+from coexlab.agent.config import AgentConfig
 from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
 from coexlab.agent.trace import DecisionTrace
 from coexlab.backends import RecordingBackend, TranscriptRecorder
@@ -108,7 +109,7 @@ def _engine(cls, spec, strategy, inner, **kwargs):
 
 def case_mac_ranker():
     parts = _engine(MacPeriodEngine, mac_spec(300), mac_strategy(),
-                    ScriptedBackend(), use_ranker=True)
+                    ScriptedBackend(), config=AgentConfig(ranker_online=True))
     parts[0].run(300)
     return parts
 

@@ -124,6 +124,11 @@ class TestSolveAware:
         from coexlab.oracle import _objective
         assert sol.objective >= _objective([[0.5] * 10], pop, 1.0) - 1e-12
 
+    def test_population_without_agents_has_a_closed_form(self):
+        sol = solve_aware(Population(n_agents=0, aloha_q=[0.2], tdma_slots=[]))
+        assert sol.policies == []
+        assert sol.aloha_throughputs == [pytest.approx(0.2)]
+
     def test_raising_q_hurts_everyone_else(self):
         quiet = solve_aware(Population(n_agents=1, aloha_q=[0.1], tdma_slots=[]))
         loud = solve_aware(Population(n_agents=1, aloha_q=[0.6], tdma_slots=[]))

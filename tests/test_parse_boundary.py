@@ -106,7 +106,6 @@ contexts = st.builds(
     env_changed=st.booleans(),
     collision_rate=st.floats(0.0, 1.0),
     rtt_inflation=st.floats(0.0, 10.0),
-    frame_len=st.just(FRAME_LEN),
     cwnd_max=st.just(CWND_MAX),
     escape_sigma=st.none() | st.floats(0.0, 1.0))
 

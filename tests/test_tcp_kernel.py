@@ -142,9 +142,9 @@ def test_columnar_log_and_readers_equal_reference(data):
     env = TcpEnvironment(spec)
     ref_env = ref.ReferenceTcpEnvironment(spec)
     for end, overrides in data.draw(schedules(spec), label="schedule"):
-        log = run_rounds(env, lambda e: overrides, n_rounds=end)
+        log = run_rounds(env, overrides, n_rounds=end)
         assert log is env.log
-        ref.run_rounds(ref_env, lambda e: overrides, n_rounds=end)
+        ref.run_rounds(ref_env, overrides, n_rounds=end)
         check_state(env, ref_env)
     check_columns(env, ref_env.records)
     check_readers(env, ref_env.records, data)
@@ -175,7 +175,7 @@ def test_min_rtt_is_carried_across_a_membership_change():
              TcpFlowConfig("reno", join_round=100)]
     spec = TcpScenarioSpec(flows=flows, total_rounds=400, seed=1)
     env = TcpEnvironment(spec)
-    run_rounds(env, lambda e: {0: 10})
+    run_rounds(env, {0: 10})
     window_min = min(env.log.rtt[300:].tolist())
     signals = tcp_window_signals(env.log, 100, flow_id=0)
     assert signals.min_rtt == pytest.approx(0.1)
