@@ -166,10 +166,8 @@ def psa_update(strategies: StrategySet, new: Strategy,
             "conflict review response lacks a remove list"
         )
     for entry in removals:
-        if not isinstance(entry, dict):
-            continue
-        sid = entry.get("id")
-        if sid and sid != new.id and sid in strategies:
+        sid = entry.get("id") if isinstance(entry, dict) else None
+        if isinstance(sid, str) and sid != new.id and sid in strategies:
             strategies.remove(
                 sid, str(entry.get("reason", "flagged by conflict review"))
             )

@@ -20,7 +20,7 @@ from ..backends import (
     ITEMS_TOKEN,
     RankerQuery,
     JudgeFn,
-    extract_json_text,
+    check_strategy_text,
     fenced_json,
     judge_select,
     ranked_complete,
@@ -29,7 +29,6 @@ from ..backends import (
 from ..errors import (
     MaterializationExhaustedError,
     MetricDomainError,
-    StrategyParseError,
     UnsupportedPopulationError,
 )
 from ..mac import ScenarioSpec, TrajectoryLog, DEFAULT_FRAME_LEN
@@ -40,9 +39,7 @@ from ..strategy import (
     DOMAIN_TCP,
     ExploreSpec,
     Strategy,
-    parse_strategy,
     strategy_doc,
-    validate_strategy,
 )
 from ..tcp import TcpRoundLog, TcpScenarioSpec, mean_social_reward
 from ..templates import (
@@ -80,16 +77,10 @@ def asi_materialize(response_text: str, requery: RequeryFn,
     attempts: List[Dict[str, object]] = []
     text = response_text
     for attempt in range(max_retries):
-        diags = None
-        try:
-            strategy = parse_strategy(extract_json_text(text))
-        except StrategyParseError as exc:
-            diags = exc.diagnostics
-        else:
-            diags = validate_strategy(strategy, frame_len=frame_len,
-                                      cwnd_max=cwnd_max, domain=domain)
-            if not diags:
-                return strategy, attempt
+        strategy, diags = check_strategy_text(text, frame_len, cwnd_max,
+                                              domain)
+        if strategy is not None:
+            return strategy, attempt
         attempts.append({
             "attempt": attempt,
             "response": text,

@@ -13,8 +13,9 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple
 from .errors import (
     BackendUnavailableError,
     MalformedResponseError,
+    StrategyParseError,
 )
-from .strategy import Strategy, parse_strategy, validate_strategy
+from .strategy import Diagnostic, Strategy, parse_strategy, validate_strategy
 from .templates import TEMPLATE_JUDGE, render_template
 
 ITEMS_TOKEN = "{{ITEMS}}"
@@ -280,17 +281,18 @@ def ranked_complete(backend: Backend, query: RankerQuery,
                             rationale=decision.rationale)
 
 
-def _try_strategy(text: str, frame_len: Optional[int],
-                  cwnd_max: Optional[int],
-                  domain: Optional[str]) -> Optional[Strategy]:
+def check_strategy_text(text: str, frame_len: Optional[int],
+                        cwnd_max: Optional[int], domain: Optional[str]
+                        ) -> Tuple[Optional[Strategy], List[Diagnostic]]:
+    """Parse and validate the strategy in a completion: the strategy and
+    no diagnostics when it is sound, else None and every diagnostic."""
     try:
-        s = parse_strategy(extract_json_text(text))
-    except Exception:
-        return None
-    if validate_strategy(s, frame_len=frame_len, cwnd_max=cwnd_max,
-                         domain=domain):
-        return None
-    return s
+        strategy = parse_strategy(extract_json_text(text))
+    except StrategyParseError as exc:
+        return None, exc.diagnostics
+    diags = validate_strategy(strategy, frame_len=frame_len,
+                              cwnd_max=cwnd_max, domain=domain)
+    return (None if diags else strategy), diags
 
 
 def judge_select(first: str, second: str, *, backend: Backend,
@@ -305,8 +307,8 @@ def judge_select(first: str, second: str, *, backend: Backend,
     ``domain``, loses outright without a backend round-trip; two valid candidates go to the judge prompt with
     their measured rewards. Indecision falls back to the first candidate.
     """
-    s1 = _try_strategy(first, frame_len, cwnd_max, domain)
-    s2 = _try_strategy(second, frame_len, cwnd_max, domain)
+    s1, _ = check_strategy_text(first, frame_len, cwnd_max, domain)
+    s2, _ = check_strategy_text(second, frame_len, cwnd_max, domain)
     if s1 is None and s2 is None:
         raise MalformedResponseError(
             "both ranker candidates failed strategy validation")

@@ -601,17 +601,25 @@ def _read_artifact(run_dir: str, name: str) -> str:
         return fh.read()
 
 
-def _read_wide_csv(text: str, index_col: str,
+def _csv_rows(text: str, name: str, columns: int) -> List[List[str]]:
+    """A CSV file's rows, header first, each as wide as its header."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or len(rows[0]) < columns or \
+            any(len(row) != len(rows[0]) for row in rows):
+        raise InvalidScenarioError(name, f"needs a header of {columns}+ "
+                                         "cells and rows as wide as it")
+    return rows
+
+
+def _read_wide_csv(text: str, name: str, index_col: str,
                    prefix: str) -> Tuple[List[int], Dict[int, List[float]]]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if not header or header[0] != index_col:
-        raise InvalidScenarioError("trajectory",
-                                   f"first column must be {index_col}")
+    header, *rows = _csv_rows(text, name, 1)
+    if header[0] != index_col:
+        raise InvalidScenarioError(name, f"first column must be {index_col}")
     ids = [int(col[len(prefix):]) for col in header[1:]]
     index: List[int] = []
     values: Dict[int, List[float]] = {i: [] for i in ids}
-    for row in reader:
+    for row in rows:
         index.append(int(row[0]))
         for i, cell in zip(ids, row[1:]):
             values[i].append(float(cell))
@@ -628,20 +636,21 @@ def cmd_eval(run_dir: str,
             ARTIFACT_CONFIG, "must be an object whose family is mac or tcp")
     agent_cfg = AgentConfig(**checked_agent_settings(cfg_doc.get("agent")))
     trajectory = _read_artifact(run_dir, ARTIFACT_TRAJECTORY)
-    reader = csv.reader(io.StringIO(_read_artifact(run_dir,
-                                                   ARTIFACT_THROUGHPUT)))
-    next(reader)
-    means = {int(row[0]): float(row[1]) for row in reader}
+    _, *rows = _csv_rows(_read_artifact(run_dir, ARTIFACT_THROUGHPUT),
+                         ARTIFACT_THROUGHPUT, 2)
+    means = {int(row[0]): float(row[1]) for row in rows}
 
     if family == "mac":
-        frames, values = _read_wide_csv(trajectory, "frame", "node_")
+        frames, values = _read_wide_csv(trajectory, ARTIFACT_TRAJECTORY,
+                                        "frame", "node_")
         series = ThroughputSeries(frames=frames, values=values,
                                   window_frames=agent_cfg.window_frames)
         reference = None
         ref_file = reference_path or os.path.join(run_dir, ARTIFACT_REFERENCE)
         if os.path.isfile(ref_file):
             with open(ref_file, "r", encoding="utf-8", newline="") as fh:
-                _, reference = _read_wide_csv(fh.read(), "frame", "node_")
+                _, reference = _read_wide_csv(fh.read(), ref_file,
+                                              "frame", "node_")
         summary = mac_metrics_report(series, means, reference, agent_cfg)
     else:
         metrics_doc = json.loads(_read_artifact(run_dir, ARTIFACT_METRICS))

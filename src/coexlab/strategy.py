@@ -18,8 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,17 +54,23 @@ EFFECT_AVOID_SLOTS = "avoid_slots"
 EFFECT_ADJUST_CWND = "adjust_cwnd"
 EFFECT_RESET_EXPLORATION = "reset_exploration"
 
-_EFFECTS: Dict[str, Tuple[str, ...]] = {
-    EFFECT_SET_SLOT_PROB: ("slot", "prob"),
-    EFFECT_SCALE_ALL: ("factor",),
-    EFFECT_AVOID_SLOTS: ("slots",),
-    EFFECT_ADJUST_CWND: ("delta",),
-    EFFECT_RESET_EXPLORATION: (),
+# effect kind -> (required params, optional params)
+_EFFECTS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    EFFECT_SET_SLOT_PROB: (("slot", "prob"), ()),
+    EFFECT_SCALE_ALL: (("factor",), ()),
+    EFFECT_AVOID_SLOTS: (("slots",), ()),
+    EFFECT_ADJUST_CWND: (("delta",), ()),
+    EFFECT_RESET_EXPLORATION: ((), ()),
 }
 
-_MAC_ONLY_EFFECTS = (EFFECT_SET_SLOT_PROB, EFFECT_AVOID_SLOTS)
-_TCP_ONLY_EFFECTS = (EFFECT_ADJUST_CWND,)
-_MAC_ONLY_SIGNALS = (SIGNAL_UTILIZATION_GE, SIGNAL_UTILIZATION_ZERO)
+# the one domain a signal or effect is valid in; absent means both
+_DOMAIN_OF: Dict[str, str] = {
+    SIGNAL_UTILIZATION_GE: DOMAIN_MAC,
+    SIGNAL_UTILIZATION_ZERO: DOMAIN_MAC,
+    EFFECT_SET_SLOT_PROB: DOMAIN_MAC,
+    EFFECT_AVOID_SLOTS: DOMAIN_MAC,
+    EFFECT_ADJUST_CWND: DOMAIN_TCP,
+}
 
 
 @dataclass(frozen=True)
@@ -88,9 +94,9 @@ class Trigger:
 class Effect:
     kind: str
     slot: Optional[int] = None
+    slots: Optional[Tuple[int, ...]] = None
     prob: Optional[float] = None
     factor: Optional[float] = None
-    slots: Optional[Tuple[int, ...]] = None
     delta: Optional[float] = None
 
 
@@ -123,29 +129,13 @@ class Strategy:
         return strategy_id(self)
 
 
-def _trigger_doc(t: Trigger) -> Dict[str, object]:
-    doc: Dict[str, object] = {"signal": t.signal}
-    if t.theta is not None:
-        doc["theta"] = t.theta
-    if t.threshold is not None:
-        doc["threshold"] = t.threshold
-    if t.slots is not None:
-        doc["slots"] = list(t.slots)
-    return doc
-
-
-def _effect_doc(e: Effect) -> Dict[str, object]:
-    doc: Dict[str, object] = {"kind": e.kind}
-    if e.slot is not None:
-        doc["slot"] = e.slot
-    if e.prob is not None:
-        doc["prob"] = e.prob
-    if e.factor is not None:
-        doc["factor"] = e.factor
-    if e.slots is not None:
-        doc["slots"] = list(e.slots)
-    if e.delta is not None:
-        doc["delta"] = e.delta
+def _part_doc(part: Union[Trigger, Effect]) -> Dict[str, object]:
+    """A trigger or effect as JSON: its tag and every parameter it sets."""
+    doc: Dict[str, object] = {}
+    for f in fields(part):
+        value = getattr(part, f.name)
+        if value is not None:
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
     return doc
 
 
@@ -156,7 +146,7 @@ def strategy_doc(s: Strategy) -> Dict[str, object]:
         "domain": s.domain,
         "base_action": base,
         "rules": [
-            {"trigger": _trigger_doc(r.trigger), "effect": _effect_doc(r.effect)}
+            {"trigger": _part_doc(r.trigger), "effect": _part_doc(r.effect)}
             for r in s.rules
         ],
         "explore": {"epsilon": s.explore.epsilon, "sigma": s.explore.sigma},
@@ -192,86 +182,83 @@ def finite_integer(value) -> bool:
     return isinstance(value, int) and finite_number(value)
 
 
-def _parse_trigger(raw, path: str, diags: List[Diagnostic]) -> Optional[Trigger]:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _slots_outside(slots, limit: int) -> List[str]:
+    return [f"slot {k} outside [0, {limit})" for k in slots
+            if k < 0 or (limit and k >= limit)]
+
+
+def _outside_unit(value, limit: int) -> List[str]:
+    return [] if 0.0 <= value <= 1.0 else [f"{value} outside [0, 1]"]
+
+
+def _negative(value, limit: int) -> List[str]:
+    return [f"{value} must be >= 0"] if value < 0.0 else []
+
+
+_FINITE = "must be a finite number"
+
+# Every trigger, effect and exploration parameter: name -> (type test at
+# parse time, its message, range test at validation time giving a message
+# per value out of range, given the frame length or 0). Parsing tests a
+# trigger's or effect's parameters in this order, stopping at the first
+# failure.
+_PARAMS: Dict[str, Tuple[Callable[[object], bool], str,
+                         Callable[[object, int], List[str]]]] = {
+    "slots": (lambda value: isinstance(value, list)
+              and all(_is_int(x) for x in value),
+              "must be a list of ints", _slots_outside),
+    "slot": (_is_int, "must be an int",
+             lambda value, limit: _slots_outside((value,), limit)),
+    "theta": (finite_number, _FINITE, _outside_unit),
+    "threshold": (finite_number, _FINITE, _negative),
+    "prob": (finite_number, _FINITE, _outside_unit),
+    "factor": (finite_number, _FINITE, _negative),
+    "delta": (finite_number, _FINITE, lambda value, limit: []),
+    "epsilon": (finite_number, _FINITE, _outside_unit),
+    "sigma": (finite_number, _FINITE, _negative),
+}
+
+# part -> (tag -> (required, optional) params, the noun its diagnostics use)
+_PARTS = {
+    Trigger: (_SIGNALS, "signal"),
+    Effect: (_EFFECTS, "effect"),
+}
+
+
+def _parse_part(cls, raw, path: str, diags: List[Diagnostic]):
+    """Parse a trigger or an effect (``cls``) from ``raw``; on failure
+    append diagnostics and return None."""
+    name = cls.__name__.lower()
     if not isinstance(raw, dict):
-        diags.append(Diagnostic(path, "trigger must be an object"))
+        diags.append(Diagnostic(path, f"{name} must be an object"))
         return None
-    signal = raw.get("signal")
-    if signal not in _SIGNALS:
-        diags.append(Diagnostic(
-            f"{path}.signal", f"unknown trigger signal {signal!r}"
-        ))
+    table, noun = _PARTS[cls]
+    tag_field, *params = [f.name for f in fields(cls)]
+    tag = raw.get(tag_field)
+    if not isinstance(tag, str) or tag not in table:
+        diags.append(Diagnostic(f"{path}.{tag_field}",
+                                f"unknown {name} {tag_field} {tag!r}"))
         return None
-    required, optional = _SIGNALS[signal]
-    allowed = {"signal", *required, *optional}
+    required, optional = table[tag]
     for key in raw:
-        if key not in allowed:
-            diags.append(Diagnostic(
-                f"{path}.{key}", f"unknown field for signal {signal!r}"
-            ))
+        if key != tag_field and key not in required and key not in optional:
+            diags.append(Diagnostic(f"{path}.{key}",
+                                    f"unknown field for {noun} {tag!r}"))
     for key in required:
         if key not in raw:
-            diags.append(Diagnostic(
-                f"{path}.{key}", f"signal {signal!r} requires {key!r}"
-            ))
-            return None
-    slots = None
-    if "slots" in raw:
-        if not isinstance(raw["slots"], list) or \
-                not all(isinstance(x, int) and not isinstance(x, bool)
-                        for x in raw["slots"]):
-            diags.append(Diagnostic(f"{path}.slots", "must be a list of ints"))
-            return None
-        slots = tuple(raw["slots"])
-    for key in ("theta", "threshold"):
-        if key in raw and not finite_number(raw[key]):
             diags.append(Diagnostic(f"{path}.{key}",
-                                    "must be a finite number"))
+                                    f"{noun} {tag!r} requires {key!r}"))
             return None
-    return Trigger(signal=signal, theta=raw.get("theta"),
-                   threshold=raw.get("threshold"), slots=slots)
-
-
-def _parse_effect(raw, path: str, diags: List[Diagnostic]) -> Optional[Effect]:
-    if not isinstance(raw, dict):
-        diags.append(Diagnostic(path, "effect must be an object"))
-        return None
-    kind = raw.get("kind")
-    if kind not in _EFFECTS:
-        diags.append(Diagnostic(f"{path}.kind", f"unknown effect kind {kind!r}"))
-        return None
-    allowed = {"kind", *_EFFECTS[kind]}
-    for key in raw:
-        if key not in allowed:
-            diags.append(Diagnostic(
-                f"{path}.{key}", f"unknown field for effect {kind!r}"
-            ))
-    for key in _EFFECTS[kind]:
-        if key not in raw:
-            diags.append(Diagnostic(
-                f"{path}.{key}", f"effect {kind!r} requires {key!r}"
-            ))
+    for key, (type_ok, message, _) in _PARAMS.items():
+        if key in params and key in raw and not type_ok(raw[key]):
+            diags.append(Diagnostic(f"{path}.{key}", message))
             return None
-    slots = None
-    if "slots" in raw:
-        if not isinstance(raw["slots"], list) or \
-                not all(isinstance(x, int) and not isinstance(x, bool)
-                        for x in raw["slots"]):
-            diags.append(Diagnostic(f"{path}.slots", "must be a list of ints"))
-            return None
-        slots = tuple(raw["slots"])
-    if "slot" in raw and (not isinstance(raw["slot"], int)
-                          or isinstance(raw["slot"], bool)):
-        diags.append(Diagnostic(f"{path}.slot", "must be an int"))
-        return None
-    for key in ("prob", "factor", "delta"):
-        if key in raw and not finite_number(raw[key]):
-            diags.append(Diagnostic(f"{path}.{key}",
-                                    "must be a finite number"))
-            return None
-    return Effect(kind=kind, slot=raw.get("slot"), prob=raw.get("prob"),
-                  factor=raw.get("factor"), slots=slots,
-                  delta=raw.get("delta"))
+    return cls(tag, **{key: tuple(raw[key]) if key == "slots" else raw[key]
+                       for key in params if key in raw})
 
 
 def parse_strategy(text: str) -> Strategy:
@@ -335,10 +322,10 @@ def parse_strategy(text: str) -> Strategy:
             for key in raw_rule:
                 if key not in ("trigger", "effect"):
                     diags.append(Diagnostic(f"{path}.{key}", "unknown field"))
-            trigger = _parse_trigger(raw_rule.get("trigger"),
-                                     f"{path}.trigger", diags)
-            effect = _parse_effect(raw_rule.get("effect"),
-                                   f"{path}.effect", diags)
+            trigger = _parse_part(Trigger, raw_rule.get("trigger"),
+                                  f"{path}.trigger", diags)
+            effect = _parse_part(Effect, raw_rule.get("effect"),
+                                 f"{path}.effect", diags)
             if trigger is not None and effect is not None:
                 rules.append(Rule(trigger=trigger, effect=effect))
 
@@ -404,55 +391,24 @@ def validate_strategy(s: Strategy, frame_len: Optional[int] = None,
                 "base_action", f"cwnd {cwnd} above maximum {cwnd_max}"
             ))
 
-    def check_slots(slots: Sequence[int], path: str) -> None:
-        for slot in slots:
-            if slot < 0 or (limit and slot >= limit):
-                diags.append(Diagnostic(
-                    path, f"slot {slot} outside [0, {limit})"
-                ))
+    def check_ranges(path: str, obj) -> None:
+        for param in fields(obj):
+            value = getattr(obj, param.name)
+            if param.name in _PARAMS and value is not None:
+                diags.extend(Diagnostic(f"{path}.{param.name}", message)
+                             for message in
+                             _PARAMS[param.name][2](value, limit))
 
     for i, rule in enumerate(s.rules):
-        tpath = f"rules[{i}].trigger"
-        epath = f"rules[{i}].effect"
-        trig, eff = rule.trigger, rule.effect
-        if s.domain == DOMAIN_TCP and trig.signal in _MAC_ONLY_SIGNALS:
-            diags.append(Diagnostic(
-                tpath, f"signal {trig.signal!r} not valid for tcp strategies"
-            ))
-        if trig.theta is not None and not 0.0 <= trig.theta <= 1.0:
-            diags.append(Diagnostic(f"{tpath}.theta",
-                                    f"{trig.theta} outside [0, 1]"))
-        if trig.threshold is not None and trig.threshold < 0.0:
-            diags.append(Diagnostic(f"{tpath}.threshold",
-                                    f"{trig.threshold} must be >= 0"))
-        if trig.slots is not None:
-            check_slots(trig.slots, f"{tpath}.slots")
-
-        if s.domain == DOMAIN_MAC and eff.kind in _TCP_ONLY_EFFECTS:
-            diags.append(Diagnostic(
-                epath, f"effect {eff.kind!r} not valid for mac strategies"
-            ))
-        if s.domain == DOMAIN_TCP and eff.kind in _MAC_ONLY_EFFECTS:
-            diags.append(Diagnostic(
-                epath, f"effect {eff.kind!r} not valid for tcp strategies"
-            ))
-        if eff.slot is not None:
-            check_slots([eff.slot], f"{epath}.slot")
-        if eff.slots is not None:
-            check_slots(eff.slots, f"{epath}.slots")
-        if eff.prob is not None and not 0.0 <= eff.prob <= 1.0:
-            diags.append(Diagnostic(f"{epath}.prob",
-                                    f"{eff.prob} outside [0, 1]"))
-        if eff.factor is not None and eff.factor < 0.0:
-            diags.append(Diagnostic(f"{epath}.factor",
-                                    f"{eff.factor} must be >= 0"))
-
-    if not 0.0 <= s.explore.epsilon <= 1.0:
-        diags.append(Diagnostic("explore.epsilon",
-                                f"{s.explore.epsilon} outside [0, 1]"))
-    if s.explore.sigma < 0.0:
-        diags.append(Diagnostic("explore.sigma",
-                                f"{s.explore.sigma} must be >= 0"))
+        for part in (rule.trigger, rule.effect):
+            path = f"rules[{i}].{type(part).__name__.lower()}"
+            tag = getattr(part, fields(part)[0].name)
+            if _DOMAIN_OF.get(tag, s.domain) != s.domain:
+                diags.append(Diagnostic(
+                    path, f"{_PARTS[type(part)][1]} {tag!r} not valid for "
+                          f"{s.domain} strategies"))
+            check_ranges(path, part)
+    check_ranges("explore", s.explore)
     return diags
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
 from typing import Dict
@@ -20,6 +21,7 @@ _HEADER_RE = re.compile(r"^\[template:([a-z-]+) v(\d+)\]")
 _TOKEN_RE = re.compile(r"\{\{([A-Z_]+)\}\}")
 
 
+@functools.lru_cache(maxsize=None)
 def template_text(name: str) -> str:
     """The text of version 1 of template ``name``, the only version."""
     path = _TEMPLATE_DIR / f"{name.replace('-', '_')}_v1.txt"

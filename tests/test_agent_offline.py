@@ -229,6 +229,17 @@ class TestStrategyMemory:
         assert sset.snapshot() == before
         assert sset.history[-1].event == EVENT_SKIPPED
 
+    def test_psa_skips_list_or_object_remove_ids(self):
+        sset = StrategySet()
+        older = tcp_strategy(12)
+        sset.add(older)
+        new = tcp_strategy(9)
+        reply = json.dumps({"remove": [{"id": [older.id]},
+                                       {"id": {older.id: "x"}}]})
+        psa_update(sset, new, SequenceBackend([reply]))
+        assert sset.ids() == [older.id, new.id]
+        assert [e.event for e in sset.history] == [EVENT_ADDED, EVENT_ADDED]
+
     def test_randomized_update_sequences_replay_exactly(self):
         backend = ScriptedBackend()
         rng = np.random.default_rng(0)

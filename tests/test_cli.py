@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -104,6 +105,24 @@ EVAL_BREAKAGES = {
         ARTIFACT_CONFIG,
         lambda doc: dict(doc, agent=dict(doc["agent"], window_frames="x"))),
     "tcp metrics without params": (ARTIFACT_METRICS, without("params")),
+}
+
+
+def drop_last_cell(text):
+    lines = text.splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+# artifact (or the --reference override) -> its short or empty replacement
+EVAL_CSV_BREAKAGES = {
+    "empty trajectory": (ARTIFACT_TRAJECTORY, lambda text: ""),
+    "empty reference": (ARTIFACT_REFERENCE, lambda text: ""),
+    "empty --reference": ("--reference", lambda text: ""),
+    "empty throughput": (ARTIFACT_THROUGHPUT, lambda text: ""),
+    "one-cell throughput row": (ARTIFACT_THROUGHPUT,
+                                lambda text: text + "7\n"),
+    "short last trajectory row": (ARTIFACT_TRAJECTORY, drop_last_cell),
 }
 
 
@@ -401,6 +420,29 @@ class TestRunCommand:
         assert err["error"] == "InvalidScenarioError"
         assert str(cached) in err["message"]
 
+    @pytest.mark.parametrize("trigger, effect, message", [
+        ({"signal": ["env_change"]}, {"kind": "reset_exploration"},
+         "unknown trigger signal ['env_change']"),
+        ({"signal": "env_change"}, {"kind": {"scale_all": 1}},
+         "unknown effect kind {'scale_all': 1}"),
+    ], ids=["list-signal", "object-kind"])
+    def test_non_string_rule_tag_exits_2(self, tmp_path, trigger, effect,
+                                         message, capsys):
+        cached = tmp_path / "cached.json"
+        cached.write_text(json.dumps({
+            "version": "strategy-v1", "domain": "mac",
+            "base_action": [0.5] * 10,
+            "rules": [{"trigger": trigger, "effect": effect}]}),
+            encoding="utf-8")
+        code = run_cli("run",
+                       "--scenario", str(ROOT / "scenarios/mac_1t1h.json"),
+                       "--out", str(tmp_path / "o"), "--backend", "none",
+                       "--strategy", str(cached))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "StrategyParseError"
+        assert message in err["message"]
+
     def test_mac_strategy_on_tcp_scenario_exits_2(self, tmp_path, capsys):
         scenario = write_tcp_scenario(
             tmp_path / "ar.json",
@@ -636,6 +678,35 @@ class TestEvalCommand:
         assert "no_such_setting" in \
             json.loads(capsys.readouterr().err)["message"]
 
+
+    @pytest.fixture(scope="class")
+    def mac_run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("mac_run")
+        scenario = write_mac_scenario(tmp / "tdma.json", [
+            {"kind": "agent"}, {"kind": "tdma", "slots": [3, 5]}])
+        (tmp / "agent.json").write_text(json.dumps(FAST_AGENT))
+        out = tmp / "run"
+        assert run_cli("run", "--scenario", scenario, "--out", str(out),
+                       "--agent-json", str(tmp / "agent.json")) == 0
+        return out
+
+    @pytest.mark.parametrize("breakage", sorted(EVAL_CSV_BREAKAGES))
+    def test_short_or_empty_csv_exits_2(self, tmp_path, mac_run, breakage,
+                                        capsys):
+        out = tmp_path / "run"
+        shutil.copytree(mac_run, out)
+        name, mutate = EVAL_CSV_BREAKAGES[breakage]
+        args = ["eval", "--run", str(out)]
+        path = out / name
+        if name == "--reference":
+            path = tmp_path / "override.csv"
+            shutil.copy(out / ARTIFACT_REFERENCE, path)
+            args += ["--reference", str(path)]
+        path.write_text(mutate(path.read_text()))
+        capsys.readouterr()
+        assert run_cli(*args) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "InvalidScenarioError"
 
     @pytest.mark.parametrize("breakage", sorted(EVAL_BREAKAGES))
     def test_malformed_run_artifact_exits_2(self, tmp_path, breakage,

@@ -60,12 +60,19 @@ json_values = st.recursive(
 loose = numbers | json_values
 slot_lists = st.lists(st.integers(-2, FRAME_LEN + 1), max_size=4)
 
+# a rule's tag: a name, or a JSON list or object in its place
+def tags(names):
+    return (st.sampled_from(sorted(names) + ["bogus"])
+            | st.lists(json_values, max_size=2)
+            | st.dictionaries(st.text(max_size=6), json_values, max_size=2))
+
+
 triggers = st.fixed_dictionaries(
-    {"signal": st.sampled_from(sorted(_SIGNALS) + ["bogus"])},
+    {"signal": tags(_SIGNALS)},
     optional={"theta": loose, "threshold": loose,
               "slots": slot_lists | loose})
 effects = st.fixed_dictionaries(
-    {"kind": st.sampled_from(sorted(_EFFECTS) + ["bogus"])},
+    {"kind": tags(_EFFECTS)},
     optional={"slot": st.integers(-2, FRAME_LEN + 1) | loose,
               "prob": loose, "factor": loose, "delta": loose,
               "slots": slot_lists | loose})
@@ -86,6 +93,13 @@ action_docs = st.fixed_dictionaries({"action": (
 
 documents = st.builds(json.dumps, strategy_docs | action_docs | json_values)
 fenced = st.builds("```json\n{}\n```".format, documents)
+# a sound header, so that parsing reaches every rule
+rule_documents = st.builds(json.dumps, st.fixed_dictionaries(
+    {"version": st.just("strategy-v1"),
+     "domain": st.sampled_from(["mac", "tcp"]),
+     "base_action": st.sampled_from([[0.5] * FRAME_LEN, 8]),
+     "rules": st.lists(st.fixed_dictionaries(
+         {"trigger": triggers, "effect": effects}), min_size=1, max_size=4)}))
 # past the int digit limit or the recursion limit of the JSON decoder
 huge_ints = st.builds(
     lambda template, digits: template.replace("X", "9" * digits),
@@ -96,7 +110,8 @@ huge_ints = st.builds(
 deep = st.builds(lambda prefix, depth: prefix + "[" * depth,
                  st.sampled_from(["", '{"action": ', '{"base_action": ']),
                  st.integers(1, 200000))
-texts = documents | fenced | huge_ints | deep | st.text(max_size=40)
+texts = (documents | fenced | rule_documents | huge_ints | deep
+         | st.text(max_size=40))
 
 contexts = st.builds(
     ActionContext,
