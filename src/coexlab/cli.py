@@ -13,9 +13,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from .agent.config import AgentConfig, checked_agent_settings
 from .errors import (
@@ -86,27 +87,70 @@ def _emit(doc: Dict[str, object]) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
+REPLICA_STATS = ("jain", "alpha_fair", "rmse")
+ARTIFACT_REPLICAS = "replicas.json"
+
+
+def _run_replica(config: RunConfig) -> Dict[str, object]:
+    """One replica in a pool worker; returns only the summary the parent
+    reports, so the run's memories stay in the worker."""
+    result = cmd_run(config)
+    return {"out_dir": result.out_dir, "seed": config.seed,
+            **{key: result.metrics.get(key) for key in REPLICA_STATS}}
+
+
+def _replicas_doc(rows: List[Dict[str, object]]) -> Dict[str, object]:
+    """Each replica's seed and statistics, with the mean and population
+    standard deviation (to 6 places, as in ``metrics_report.json``) of each
+    statistic over the replicas that have it."""
+    summary: Dict[str, object] = {}
+    for key in REPLICA_STATS:
+        values = [row[key] for row in rows if row[key] is not None]
+        summary[key] = {"mean": round(float(np.mean(values)), 6),
+                        "std": round(float(np.std(values)), 6)} \
+            if values else None
+    return {"artifact": "replicas-v1",
+            "replicas": [{"seed": row["seed"],
+                          **{key: row[key] for key in REPLICA_STATS}}
+                         for row in rows],
+            "summary": summary}
+
+
+def _run_replicas(config: RunConfig, replicas: int) -> None:
+    """Seeds ``seed..seed+replicas-1`` into ``replica_i/``, in forked
+    worker processes, since the simulation holds the interpreter lock."""
+    # imported here: the pool costs every other command its import time
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    config.validate()
+    spec = load_scenario(config.scenario_path)
+    base_seed = config.seed if config.seed is not None else spec.seed
+    configs = [replace(config, seed=base_seed + i,
+                       out_dir=f"{config.out_dir}/replica_{i}")
+               for i in range(replicas)]
+    workers = min(replicas, os.cpu_count() or 1)
+    # fork: workers inherit the imported package instead of importing it.
+    # The pool forks every worker at the first submit, before it starts
+    # its own thread, and the CLI runs no other, so no lock is held.
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) \
+            as pool:
+        rows = list(pool.map(_run_replica, configs))
+    os.makedirs(config.out_dir, exist_ok=True)
+    with open(os.path.join(config.out_dir, ARTIFACT_REPLICAS), "w",
+              encoding="utf-8") as fh:
+        fh.write(json.dumps(_replicas_doc(rows), indent=2, sort_keys=True)
+                 + "\n")
+    _emit({"replicas": rows})
+
+
 def _handle_run(args: argparse.Namespace) -> None:
     if args.replicas < 1:
         raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
     config = _run_config(args)
     if args.replicas > 1:
-        config.validate()
-        spec = load_scenario(config.scenario_path)
-        base_seed = config.seed if config.seed is not None else spec.seed
-        configs = [
-            replace(config, seed=base_seed + i,
-                    out_dir=f"{config.out_dir}/replica_{i}")
-            for i in range(args.replicas)
-        ]
-        workers = min(args.replicas, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(cmd_run, configs))
-        _emit({"replicas": [
-            {"out_dir": r.out_dir, "seed": c.seed,
-             "jain": r.metrics.get("jain"), "rmse": r.metrics.get("rmse")}
-            for r, c in zip(results, configs)
-        ]})
+        _run_replicas(config, args.replicas)
         return
     result = cmd_run(config)
     _emit({"out_dir": result.out_dir, "family": result.family,
@@ -189,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cached strategy file; skips the offline stage")
     run.add_argument("--demo-seed", dest="demo_seed", type=int, default=None)
     run.add_argument("--replicas", type=int, default=1,
-                     help="run N seed replicas in parallel threads")
+                     help="run N seed replicas in parallel processes; "
+                          "writes their statistics to replicas.json")
     _add_backend_flags(run)
     _add_agent_flags(run)
     run.set_defaults(handler=_handle_run)

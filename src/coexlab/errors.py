@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 Keeping these in one module lets the CLI map them onto exit codes without
-importing every subsystem.
+importing every subsystem. Each error survives pickling, so one raised in a
+worker process reaches the CLI with its type, message and attributes: a
+class whose constructor formats its message rebuilds from the constructor's
+own arguments.
 """
 
 from __future__ import annotations
@@ -19,7 +22,11 @@ class InvalidScenarioError(CoexlabError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.detail = message
         super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.path, self.detail)
 
 
 class MissingDecisionError(CoexlabError):
@@ -62,6 +69,9 @@ class StrategyParseError(CoexlabError):
         detail = "; ".join(f"{d.path}: {d.message}" for d in self.diagnostics)
         super().__init__(f"strategy parse failed: {detail}")
 
+    def __reduce__(self):
+        return type(self), (self.diagnostics,)
+
 
 class MaterializationExhaustedError(CoexlabError):
     """All retry attempts at obtaining a valid strategy failed."""
@@ -71,6 +81,9 @@ class MaterializationExhaustedError(CoexlabError):
         super().__init__(
             f"no valid strategy after {len(self.attempts)} attempt(s)"
         )
+
+    def __reduce__(self):
+        return type(self), (self.attempts,)
 
 
 class MetricDomainError(CoexlabError):

@@ -14,6 +14,7 @@ memory are outside the search space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -264,6 +265,17 @@ def solve_aware(pop: Population, alpha: float = 1.0) -> OracleSolution:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _solved(n_agents: int, aloha_q: Tuple[float, ...],
+            tdma_slots: Tuple[Tuple[int, ...], ...], frame_len: int,
+            alpha: float) -> OracleSolution:
+    """``solve_aware`` once per population and alpha in this process: the
+    offline J target and the run's reference ask for the same segments.
+    Every caller shares the returned solution, so none may mutate it."""
+    return solve_aware(Population(n_agents, list(aloha_q), list(tdma_slots),
+                                  frame_len), alpha=alpha)
+
+
 @dataclass
 class ReferenceSegment:
     start_frame: int
@@ -306,7 +318,8 @@ def aware_trajectory(spec: ScenarioSpec,
     segments_out = []
     for start, end, live in scenario_segments(spec):
         pop = population_from_scenario(spec, live)
-        solution = solve_aware(pop, alpha=alpha)
+        solution = _solved(pop.n_agents, tuple(pop.aloha_q),
+                           tuple(pop.tdma_slots), pop.frame_len, alpha)
         controlled = [nid for nid in live
                       if spec.nodes[nid].kind in CONTROLLED_KINDS]
         aloha_ids = [nid for nid in live if spec.nodes[nid].kind == KIND_ALOHA]

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, exit codes, reproducibility."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import coexlab.oracle
 import coexlab.runner
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.memory import EpisodeRecord
-from coexlab.cli import main
+from coexlab.cli import ARTIFACT_REPLICAS, main
 from coexlab.errors import MemoryFrozenError
 from coexlab.runner import (
     ARTIFACT_CONFIG,
@@ -141,6 +142,28 @@ class NonFiniteDecisions:
         return self.inner.complete(req)
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """``(population, alpha)`` of every oracle solve, made through any
+    module holding the solver, starting from an empty solve memo."""
+    solve = coexlab.oracle.solve_aware
+    calls = []
+
+    def counted(pop, alpha=1.0):
+        calls.append((pop, alpha))
+        return solve(pop, alpha)
+
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("coexlab"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is solve:
+                monkeypatch.setattr(module, attr, counted)
+    coexlab.oracle._solved.cache_clear()
+    yield calls
+    coexlab.oracle._solved.cache_clear()
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -242,14 +265,14 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("replicas, cpus, workers",
                              [(1000, 2, 2), (3, 8, 3), (5, None, 1)])
-    def test_replica_threads_capped_at_cpu_count(self, tmp_path,
+    def test_replica_workers_capped_at_cpu_count(self, tmp_path,
                                                  tdma_scenario, monkeypatch,
                                                  replicas, cpus, workers):
-        sizes = []
+        pools = []
 
         class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context.get_start_method()))
 
             def __enter__(self):
                 return self
@@ -261,13 +284,95 @@ class TestRunCommand:
                 return map(fn, items)
 
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(coexlab.cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         monkeypatch.setattr(coexlab.cli, "cmd_run",
                             lambda config: RunResult(config.out_dir, "mac", {}))
         assert run_cli("run", "--scenario", tdma_scenario,
                        "--out", str(tmp_path / "reps"),
                        "--replicas", str(replicas)) == 0
-        assert sizes == [workers]
+        assert pools == [(workers, "fork")]
+
+    @pytest.mark.parametrize("family", ["mac", "tcp"])
+    def test_replica_matches_single_run_with_its_seed(self, tmp_path,
+                                                      agent_json, family):
+        if family == "mac":
+            scenario = write_mac_scenario(tmp_path / "s.json", [
+                {"kind": "agent"}, {"kind": "tdma", "slots": [3, 5]}])
+        else:
+            scenario = write_tcp_scenario(tmp_path / "s.json", [
+                {"controller": "agent"}, {"controller": "reno"}])
+        reps = tmp_path / "reps"
+        assert run_cli("run", "--scenario", scenario, "--out", str(reps),
+                       "--agent-json", agent_json, "--replicas", "2") == 0
+        base = json.loads(Path(scenario).read_text())["seed"]
+        for i in range(2):
+            single = tmp_path / f"single_{i}"
+            assert run_cli("run", "--scenario", scenario,
+                           "--out", str(single), "--agent-json", agent_json,
+                           "--seed", str(base + i)) == 0
+            replica = reps / f"replica_{i}"
+            names = sorted(p.name for p in single.iterdir())
+            assert sorted(p.name for p in replica.iterdir()) == names
+            assert ARTIFACT_TRANSCRIPT in names
+            for name in names:
+                assert (replica / name).read_bytes() \
+                    == (single / name).read_bytes(), (i, name)
+
+    def test_replicas_json_is_deterministic(self, tmp_path, agent_json,
+                                            capsys):
+        scenario = write_mac_scenario(tmp_path / "csma.json", [
+            {"kind": "agent"}, {"kind": "csma", "window": 2, "max_stage": 4}])
+        texts = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert run_cli("run", "--scenario", scenario, "--out", str(out),
+                           "--agent-json", agent_json, "--replicas", "3") == 0
+            summary = json.loads(capsys.readouterr().out)["replicas"]
+            texts.append((out / ARTIFACT_REPLICAS).read_text())
+        assert texts[0] == texts[1]
+        doc = json.loads(texts[0])
+        assert texts[0] == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert [r["seed"] for r in doc["replicas"]] == [5, 6, 7]
+        for row, printed in zip(doc["replicas"], summary):
+            report = read_json(printed["out_dir"], ARTIFACT_METRICS)
+            assert row == {"seed": printed["seed"], "jain": report["jain"],
+                           "alpha_fair": report["alpha_fair"], "rmse": None}
+        for key in ("jain", "alpha_fair"):
+            values = [row[key] for row in doc["replicas"]]
+            mean = sum(values) / 3
+            std = math.sqrt(sum((v - mean) ** 2 for v in values) / 3)
+            assert doc["summary"][key]["mean"] == pytest.approx(mean,
+                                                                abs=1e-6)
+            assert doc["summary"][key]["std"] == pytest.approx(std, abs=1e-6)
+        # csma has no closed form, so no replica has an rmse
+        assert doc["summary"]["rmse"] is None
+
+    def test_replica_error_exits_with_its_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": "strategy-v1", "nonsense": 1}),
+                       encoding="utf-8")
+        argv = ["--scenario", str(ROOT / "scenarios" / "mac_1c1h.json"),
+                "--backend", "none", "--strategy", str(bad)]
+        assert run_cli("run", "--out", str(tmp_path / "one"), *argv) == 2
+        single = capsys.readouterr().err
+        assert run_cli("run", "--out", str(tmp_path / "reps"),
+                       "--replicas", "2", *argv) == 2
+        err = capsys.readouterr().err
+        assert err == single
+        assert json.loads(err)["error"] == "StrategyParseError"
+        assert "Traceback" not in err
+
+    def test_replica_without_closed_form_exits_4(self, tmp_path, capsys):
+        # the parent loads the scenario; only the worker meets the csma node
+        scenario = write_mac_scenario(tmp_path / "aw.json", [
+            {"kind": "aware"}, {"kind": "csma", "window": 2, "max_stage": 4}],
+            frames=200)
+        assert run_cli("run", "--scenario", scenario, "--replicas", "2",
+                       "--out", str(tmp_path / "reps")) == 4
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "UnsupportedPopulationError"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("join_round", [150, 200])
     def test_tcp_agent_joining_late_runs(self, tmp_path, agent_json,
@@ -376,7 +481,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("leave", [None, 300],
                              ids=["shipped", "aloha-leaves"])
-    def test_aware_run_solves_each_segment_once(self, tmp_path, monkeypatch,
+    def test_aware_run_solves_each_segment_once(self, tmp_path, solve_calls,
                                                 leave):
         doc = json.loads(
             (ROOT / "scenarios" / "mac_aware_2a1h.json").read_text())
@@ -384,23 +489,22 @@ class TestRunCommand:
             doc["nodes"][1]["leave_frame"] = leave
         scenario = tmp_path / "aware.json"
         scenario.write_text(json.dumps(doc), encoding="utf-8")
-        solve = coexlab.oracle.solve_aware
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        # count the calls made through every module holding the solver
-        for name, module in list(sys.modules.items()):
-            if not name.startswith("coexlab"):
-                continue
-            for attr, value in list(vars(module).items()):
-                if value is solve:
-                    monkeypatch.setattr(module, attr, counted)
         assert run_cli("run", "--scenario", str(scenario),
                        "--out", str(tmp_path / "run")) == 0
-        assert len(calls) == (1 if leave is None else 2)
+        assert len(solve_calls) == (1 if leave is None else 2)
+
+    def test_agent_run_solves_each_population_once(self, tmp_path,
+                                                   solve_calls):
+        # the offline J target and the reference share four populations
+        assert run_cli("run",
+                       "--scenario", str(ROOT / "scenarios/mac_dynamic.json"),
+                       "--out", str(tmp_path / "run")) == 0
+        populations = {json.dumps([pop.n_agents, pop.aloha_q,
+                                   [list(t) for t in pop.tdma_slots],
+                                   pop.frame_len, alpha])
+                       for pop, alpha in solve_calls}
+        assert len(populations) == 4
+        assert len(solve_calls) == len(populations)
 
     @pytest.mark.parametrize("doc", [
         {"domain": "mac", "base_action": [0.5] * 4},
