@@ -9,9 +9,12 @@ serialize with sorted keys, so identical runs emit identical bytes.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, TextIO
+
+from ..errors import InvalidScenarioError
 
 ACTOR_STRATEGY = "strategy"
 ACTOR_OBSERVER = "observer"
@@ -80,8 +83,15 @@ class DecisionTrace:
         walk(self.root)
         return found
 
+    def write_json(self, fh: TextIO) -> None:
+        """Write the tree to ``fh`` as indented JSON with sorted keys."""
+        json.dump(self.root.to_doc(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
     def to_json(self) -> str:
-        return json.dumps(self.root.to_doc(), indent=2, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
 
     def render(self) -> str:
         lines: List[str] = []
@@ -114,21 +124,40 @@ class DecisionTrace:
         return "\n".join(lines) + "\n"
 
 
-def node_from_doc(doc: Dict[str, object]) -> TraceNode:
+def node_from_doc(doc: object) -> TraceNode:
+    """The node tree of a ``to_json`` document; a document of another
+    shape is an ``InvalidScenarioError``."""
+    if not isinstance(doc, dict):
+        raise InvalidScenarioError(
+            "trace", f"a node must be an object, not {type(doc).__name__}")
+    for key in ("actor", "label"):
+        if key not in doc:
+            raise InvalidScenarioError("trace", f"a node has no {key!r}")
+    data = doc.get("data", {})
+    children = doc.get("children", [])
+    if not isinstance(data, dict):
+        raise InvalidScenarioError("trace", "a node's data must be an object")
+    if not isinstance(children, list):
+        raise InvalidScenarioError("trace",
+                                   "a node's children must be a list")
     node = TraceNode(
         actor=str(doc["actor"]),
         label=str(doc["label"]),
         input_digest=str(doc.get("input_digest", "")),
         output_digest=str(doc.get("output_digest", "")),
-        data=dict(doc.get("data", {})),
+        data=dict(data),
     )
-    node.children = [node_from_doc(c) for c in doc.get("children", [])]
+    node.children = [node_from_doc(c) for c in children]
     return node
 
 
-def trace_from_doc(doc: Dict[str, object]) -> DecisionTrace:
-    trace = DecisionTrace(str(doc["label"]), actor=str(doc["actor"]))
-    trace.root = node_from_doc(doc)
+def trace_from_doc(doc: object) -> DecisionTrace:
+    try:
+        root = node_from_doc(doc)
+    except RecursionError:
+        raise InvalidScenarioError("trace", "nodes nested too deeply")
+    trace = DecisionTrace(root.label, actor=root.actor)
+    trace.root = root
     return trace
 
 

@@ -69,6 +69,10 @@ class Backend(Protocol):
     def complete(self, req: CompletionRequest) -> str: ...
 
 
+def _jsonl_line(entry: Dict[str, object]) -> str:
+    return json.dumps(entry, sort_keys=True) + "\n"
+
+
 class TranscriptRecorder:
     """Append-only request/response log, serialized as JSON lines.
 
@@ -94,12 +98,12 @@ class TranscriptRecorder:
                              "note": payload})
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(e, sort_keys=True) + "\n"
-                       for e in self.entries)
+        return "".join(map(_jsonl_line, self.entries))
 
     def write(self, path) -> None:
+        """Write the transcript one line at a time."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_jsonl())
+            fh.writelines(map(_jsonl_line, self.entries))
 
 
 class RecordingBackend:

@@ -174,11 +174,12 @@ class TrajectoryLog:
     def frame_successes(self, f0: int, f1: int) -> np.ndarray:
         """Successes per frame and node id, shape (f1 - f0, n_nodes)."""
         span = self._slots(f0, f1)
-        per_slot = np.zeros(((f1 - f0) * self.frame_len, self.n_nodes),
-                            dtype=np.int64)
-        per_slot[:span.stop - span.start] = self._tx[span] & (
-            self._outcome[span] == _OUTCOMES.index(SlotOutcome.SUCCESS))[:, None]
-        return per_slot.reshape(f1 - f0, self.frame_len, -1).sum(axis=1)
+        won = np.zeros(((f1 - f0) * self.frame_len, self.n_nodes), dtype=bool)
+        success = self._outcome[span] == _OUTCOMES.index(SlotOutcome.SUCCESS)
+        np.logical_and(self._tx[span], success[:, None],
+                       out=won[:span.stop - span.start])
+        return won.reshape(f1 - f0, self.frame_len, -1).sum(
+            axis=1, dtype=np.int64)
 
     def success_rates(self, f0: int, f1: int) -> Dict[int, float]:
         """Successes over live slots, per node id live in the range."""

@@ -11,9 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    TextIO, Tuple, Union)
+
+import numpy as np
 
 from . import __version__
 from .backends import (
@@ -202,13 +206,23 @@ def make_backend(config: RunConfig) -> Optional[Backend]:
 # -- artifact writing -------------------------------------------------------
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_file(path: str, write: Callable[..., None], *args) -> None:
+    """Open ``path`` for text with no newline translation and call
+    ``write(fh, *args)``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        write(fh, *args)
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_file(path, lambda fh: fh.write(text))
 
 
 def _write_json(path: str, doc: Dict[str, object]) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+# rows the CSV writers format and write at a time
+CSV_BLOCK_ROWS = 4096
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -225,43 +239,73 @@ def _cell(value: object) -> object:
     return value
 
 
-def _mac_trajectory_csv(series: ThroughputSeries) -> str:
-    node_ids = sorted(series.values)
-    header = ["frame"] + [f"node_{nid}" for nid in node_ids]
-    rows = []
-    for idx, frame in enumerate(series.frames):
-        rows.append([frame] + [_cell(series.values[nid][idx])
-                               for nid in node_ids])
-    return _csv_text(header, rows)
+def _float_cells(values) -> List[str]:
+    """The text ``csv.writer`` gives ``_cell(v)`` for each float ``v`` of
+    ``values``: ``repr(round(v, 6))``, computed once per distinct 64-bit
+    pattern, so 0.0 and -0.0 stay apart."""
+    column = np.asarray(values, dtype=np.float64)
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array([repr(round(v, 6))
+                      for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[index].tolist()
 
 
-def _reference_csv(reference: Dict[int, List[float]]) -> str:
-    node_ids = sorted(reference)
-    header = ["frame"] + [f"node_{nid}" for nid in node_ids]
-    total = len(reference[node_ids[0]]) if node_ids else 0
-    rows = []
-    for f in range(total):
-        rows.append([f + 1] + [_cell(reference[nid][f]) for nid in node_ids])
-    return _csv_text(header, rows)
+def _write_csv(fh: TextIO, header: Sequence[str], n_rows: int,
+               block: Callable[[int, int], List[List[str]]]) -> None:
+    """Write the bytes ``csv.writer`` would, ``CSV_BLOCK_ROWS`` rows at a
+    time; ``block(r0, r1)`` gives the cell texts of rows ``[r0, r1)``, one
+    list per column. Cells are numbers or empty, so none needs quoting."""
+    fh.write(",".join(header) + "\r\n")
+    for r0 in range(0, n_rows, CSV_BLOCK_ROWS):
+        rows = zip(*block(r0, min(r0 + CSV_BLOCK_ROWS, n_rows)))
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
-def _tcp_trajectory_csv(log: TcpRoundLog, n_flows: int) -> str:
+def _write_node_csv(fh: TextIO, frames: Sequence[int],
+                    values: Dict[int, List[float]]) -> None:
+    """A ``frame`` column, then one column per node id, ascending."""
+    node_ids = sorted(values)
+
+    def block(r0: int, r1: int) -> List[List[str]]:
+        return [list(map(str, frames[r0:r1]))] + [
+            _float_cells(values[nid][r0:r1]) for nid in node_ids]
+
+    _write_csv(fh, ["frame"] + [f"node_{nid}" for nid in node_ids],
+               len(frames), block)
+
+
+def _write_mac_trajectory(fh: TextIO, series: ThroughputSeries) -> None:
+    _write_node_csv(fh, series.frames, series.values)
+
+
+def _write_reference(fh: TextIO, reference: Dict[int, List[float]]) -> None:
+    total = len(reference[min(reference)]) if reference else 0
+    _write_node_csv(fh, range(1, total + 1), reference)
+
+
+def _write_tcp_trajectory(fh: TextIO, log: TcpRoundLog, n_flows: int) -> None:
     """One row per round; a flow's cells are empty in rounds it is not
     live."""
     header = ["round"]
-    columns: List[List[object]] = [list(range(log.n_rounds))]
-    rtt = [_cell(v) for v in log.rtt.tolist()]
     for fid in range(n_flows):
         header += [f"flow_{fid}_cwnd", f"flow_{fid}_acks", f"flow_{fid}_rtt"]
-        r0, r1 = log.flow_rounds(fid, 0, log.n_rounds)
-        if r0 >= r1:  # not live in any logged round
-            r0 = r1 = log.n_rounds
-        head, tail = [""] * r0, [""] * (log.n_rounds - r1)
-        for values in (log.flow_values(log.cwnd, fid, r0, r1),
-                       log.flow_values(log.acks, fid, r0, r1)):
-            columns.append(head + [_cell(v) for v in values] + tail)
-        columns.append(head + rtt[r0:r1] + tail)
-    return _csv_text(header, zip(*columns))
+
+    def block(r0: int, r1: int) -> List[List[str]]:
+        columns = [list(map(str, range(r0, r1)))]
+        rtt = _float_cells(log.rtt[r0:r1])
+        for fid in range(n_flows):
+            f0, f1 = log.flow_rounds(fid, r0, r1)
+            if f0 >= f1:  # not live in any round of the block
+                columns += [[""] * (r1 - r0)] * 3
+                continue
+            head, tail = [""] * (f0 - r0), [""] * (r1 - f1)
+            for column in (log.cwnd, log.acks):
+                columns.append(head + _float_cells(
+                    log.flow_values(column, fid, f0, f1)) + tail)
+            columns.append(head + rtt[f0 - r0:f1 - r0] + tail)
+        return columns
+
+    _write_csv(fh, header, log.n_rounds, block)
 
 
 def _throughput_csv(metrics: Dict[str, object], id_label: str) -> str:
@@ -469,11 +513,11 @@ def cmd_run(config: RunConfig) -> RunResult:
         series = windowed_throughput(log, agent_cfg.window_frames)
         metrics = mac_metrics_report(series, node_mean_throughputs(log),
                                      reference, agent_cfg)
-        _write_text(os.path.join(out, ARTIFACT_TRAJECTORY),
-                    _mac_trajectory_csv(series))
+        _write_file(os.path.join(out, ARTIFACT_TRAJECTORY),
+                    _write_mac_trajectory, series)
         if reference is not None:
-            _write_text(os.path.join(out, ARTIFACT_REFERENCE),
-                        _reference_csv(reference))
+            _write_file(os.path.join(out, ARTIFACT_REFERENCE),
+                        _write_reference, reference)
     else:
         has_agent = any(f.controller == CONTROLLER_AGENT for f in spec.flows)
         if has_agent:
@@ -486,8 +530,8 @@ def cmd_run(config: RunConfig) -> RunResult:
             tcp_log = run_rounds(TcpEnvironment(spec), None, spec.total_rounds)
             trace = None
         metrics = tcp_metrics_report(tcp_log, agent_cfg)
-        _write_text(os.path.join(out, ARTIFACT_TRAJECTORY),
-                    _tcp_trajectory_csv(tcp_log, len(spec.flows)))
+        _write_file(os.path.join(out, ARTIFACT_TRAJECTORY),
+                    _write_tcp_trajectory, tcp_log, len(spec.flows))
 
     _write_text(os.path.join(out, ARTIFACT_THROUGHPUT), _throughput_csv(
         metrics, "node" if family == "mac" else "flow"))
@@ -500,7 +544,7 @@ def cmd_run(config: RunConfig) -> RunResult:
     if wrapped is not None:
         recorder.write(os.path.join(out, ARTIFACT_TRANSCRIPT))
     if trace is not None:
-        _write_text(os.path.join(out, ARTIFACT_TRACE), trace.to_json())
+        _write_file(os.path.join(out, ARTIFACT_TRACE), trace.write_json)
         _write_text(os.path.join(out, ARTIFACT_DOT), trace.to_dot())
     return RunResult(out_dir=out, family=family, metrics=metrics,
                      offline=offline_result)
@@ -579,8 +623,8 @@ def cmd_oracle(scenario_path: str, out_dir: str,
         })
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, ARTIFACT_ORACLE), report)
-    _write_text(os.path.join(out_dir, ARTIFACT_REFERENCE),
-                _reference_csv(reference))
+    _write_file(os.path.join(out_dir, ARTIFACT_REFERENCE),
+                _write_reference, reference)
     return report
 
 
@@ -623,7 +667,14 @@ def _read_wide_csv(text: str, name: str, index_col: str,
         index.append(int(row[0]))
         for i, cell in zip(ids, row[1:]):
             values[i].append(float(cell))
+    for column in values.values():
+        _check_finite(column, name)
     return index, values
+
+
+def _check_finite(values: Iterable[float], name: str) -> None:
+    if not all(map(math.isfinite, values)):
+        raise InvalidScenarioError(name, "holds a non-finite number")
 
 
 def cmd_eval(run_dir: str,
@@ -639,6 +690,7 @@ def cmd_eval(run_dir: str,
     _, *rows = _csv_rows(_read_artifact(run_dir, ARTIFACT_THROUGHPUT),
                          ARTIFACT_THROUGHPUT, 2)
     means = {int(row[0]): float(row[1]) for row in rows}
+    _check_finite(means.values(), ARTIFACT_THROUGHPUT)
 
     if family == "mac":
         frames, values = _read_wide_csv(trajectory, ARTIFACT_TRAJECTORY,
@@ -671,8 +723,7 @@ def cmd_trace(run_dir: str) -> Dict[str, str]:
     if not os.path.isfile(path):
         raise TracingDisabledError(
             f"{run_dir} holds no decision trace; rerun with tracing enabled")
-    with open(path, "r", encoding="utf-8") as fh:
-        trace = trace_from_doc(json.load(fh))
+    trace = trace_from_doc(_read_json(path, ARTIFACT_TRACE))
     tree_path = os.path.join(run_dir, ARTIFACT_TREE)
     dot_path = os.path.join(run_dir, ARTIFACT_DOT)
     _write_text(tree_path, trace.render())

@@ -16,7 +16,8 @@ import coexlab.runner
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.memory import EpisodeRecord
 from coexlab.cli import ARTIFACT_REPLICAS, main
-from coexlab.errors import MemoryFrozenError
+from coexlab.agent.trace import trace_from_doc
+from coexlab.errors import InvalidScenarioError, MemoryFrozenError
 from coexlab.runner import (
     ARTIFACT_CONFIG,
     ARTIFACT_DEMOS,
@@ -124,6 +125,40 @@ EVAL_CSV_BREAKAGES = {
     "one-cell throughput row": (ARTIFACT_THROUGHPUT,
                                 lambda text: text + "7\n"),
     "short last trajectory row": (ARTIFACT_TRAJECTORY, drop_last_cell),
+}
+
+
+def set_last_cell(value):
+    def mutate(text):
+        lines = text.splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + "," + value
+        return "\n".join(lines) + "\n"
+    return mutate
+
+
+# artifact (or the --reference override) and the non-finite text written
+# into the last cell of its last row
+EVAL_NON_FINITE = [(name, value)
+                   for name in (ARTIFACT_TRAJECTORY, ARTIFACT_REFERENCE,
+                                "--reference", ARTIFACT_THROUGHPUT)
+                   for value in ("nan", "inf")]
+
+
+def nested_trace(depth):
+    node = '{"actor": "a", "label": "b", "children": ['
+    return node * depth + "]}" * depth
+
+
+# trace.json text that names no sound decision tree
+TRACE_BREAKAGES = {
+    "not an object": "[1, 2]",
+    "root without label": '{"actor": "a"}',
+    "child without label": '{"actor": "a", "label": "b", '
+                           '"children": [{"actor": "c"}]}',
+    "data not an object": '{"actor": "a", "label": "b", "data": [1]}',
+    "children not a list": '{"actor": "a", "label": "b", "children": 3}',
+    "nested past the recursion limit":
+        nested_trace(sys.getrecursionlimit() + 10),
 }
 
 
@@ -812,6 +847,27 @@ class TestEvalCommand:
         assert json.loads(capsys.readouterr().err)["error"] == \
             "InvalidScenarioError"
 
+    @pytest.mark.parametrize("name,value", EVAL_NON_FINITE)
+    def test_non_finite_cell_exits_2_and_names_file(self, tmp_path, mac_run,
+                                                   name, value, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(mac_run, out)
+        args = ["eval", "--run", str(out)]
+        path = out / name
+        if name == "--reference":
+            path = tmp_path / "override.csv"
+            shutil.copy(out / ARTIFACT_REFERENCE, path)
+            args += ["--reference", str(path)]
+        path.write_text(set_last_cell(value)(path.read_text()))
+        capsys.readouterr()
+        assert run_cli(*args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidScenarioError"
+        assert err["message"].startswith(
+            str(path) if name in ("--reference", ARTIFACT_REFERENCE)
+            else name)
+        assert not (out / "eval_summary.json").exists()
+
     @pytest.mark.parametrize("breakage", sorted(EVAL_BREAKAGES))
     def test_malformed_run_artifact_exits_2(self, tmp_path, breakage,
                                             capsys):
@@ -853,6 +909,20 @@ class TestTraceCommand:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] \
             == "TracingDisabledError"
+
+    @pytest.mark.parametrize("breakage", sorted(TRACE_BREAKAGES))
+    def test_malformed_trace_exits_2(self, tmp_path, breakage, capsys):
+        (tmp_path / ARTIFACT_TRACE).write_text(TRACE_BREAKAGES[breakage])
+        assert run_cli("trace", "--run", str(tmp_path)) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "InvalidScenarioError"
+
+    def test_trace_document_nested_past_recursion_limit_is_refused(self):
+        doc = {"actor": "a", "label": "b"}
+        for _ in range(3 * sys.getrecursionlimit()):
+            doc = {"actor": "a", "label": "b", "children": [doc]}
+        with pytest.raises(InvalidScenarioError, match="nested too deeply"):
+            trace_from_doc(doc)
 
     def test_rerun_emits_identical_tree_bytes(self, tmp_path, tdma_scenario,
                                               agent_json):

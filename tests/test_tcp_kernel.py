@@ -6,7 +6,9 @@ overrides that change between calls."""
 
 from __future__ import annotations
 
+import io
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from coexlab.agent.observer import tcp_observer_analyze, tcp_window_signals
 from coexlab.agent.offline import tcp_j_estimate
 from coexlab.agent.online import tcp_window_objective
 from coexlab.errors import CoexlabError
-from coexlab.runner import _tcp_trajectory_csv, tcp_metrics_report
+from coexlab import runner
+from coexlab.runner import tcp_metrics_report
 from coexlab.tcp import (
     CONTROLLERS,
     TcpEnvironment,
@@ -128,7 +131,11 @@ def check_readers(env, records, data):
         assert getattr(report, "signals", report) == expected
         assert outcome(_tcp_summary, log, fid, first_round=first) == \
             outcome(ref.tcp_summary, records[first:], fid)
-    assert _tcp_trajectory_csv(log, len(env.spec.flows)) == \
+    block_rows = data.draw(st.integers(1, n + 2), label="block_rows")
+    buf = io.StringIO()
+    with mock.patch.object(runner, "CSV_BLOCK_ROWS", block_rows):
+        runner._write_tcp_trajectory(buf, log, len(env.spec.flows))
+    assert buf.getvalue() == \
         ref.tcp_trajectory_csv(records, len(env.spec.flows))
     config = AgentConfig(alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
     assert outcome(tcp_metrics_report, log, config) == \
