@@ -13,15 +13,17 @@ hashed, record for record.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from coexlab.agent.observer import TcpWindowSignals
 from coexlab.errors import MetricDomainError, WindowTooShortError
 from coexlab.metrics import jain_index
 from coexlab.oracle import fair_objective
-from coexlab.runner import _cell, _csv_text
+from coexlab.runner import _cell
 from coexlab.tcp import (
     CONTROLLER_RENO,
     CONTROLLER_VEGAS,
@@ -326,6 +328,15 @@ def tcp_summary(records, flow_id: int) -> Dict[str, object]:
     }
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """The whole text ``csv.writer`` gives ``header`` and ``rows``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def tcp_trajectory_csv(records, n_flows: int) -> str:
     header = ["round"]
     for fid in range(n_flows):
@@ -340,7 +351,7 @@ def tcp_trajectory_csv(records, n_flows: int) -> str:
             else:
                 row += [_cell(fr.cwnd), _cell(fr.acks), _cell(fr.rtt)]
         rows.append(row)
-    return _csv_text(header, rows)
+    return csv_text(header, rows)
 
 
 def tcp_metrics_report(records, config) -> Dict[str, object]:

@@ -1,6 +1,7 @@
-"""Differential test: the block writers of ``trajectory.csv`` (MAC) and
-``reference.csv`` must write the bytes of the row-wise ``_cell`` +
-``csv.writer`` writers kept below, for any floats and any row count.
+"""Differential test: the block writers of ``trajectory.csv`` (MAC),
+``reference.csv`` and ``throughput.csv`` must write the bytes of the
+row-wise ``_cell`` + ``csv.writer`` writers kept below, for any floats and
+any row count.
 
 The block size is patched small so that row counts cross several blocks;
 the shipped runs at the digest tests' 1,000-frame horizon never fill one
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from coexlab import runner
 from coexlab.metrics import ThroughputSeries
-from coexlab.runner import _cell, _csv_text
+from coexlab.runner import _cell
+from tcp_reference import csv_text
 
 
 def reference_mac_trajectory_csv(series: ThroughputSeries) -> str:
@@ -28,7 +30,7 @@ def reference_mac_trajectory_csv(series: ThroughputSeries) -> str:
     for idx, frame in enumerate(series.frames):
         rows.append([frame] + [_cell(series.values[nid][idx])
                                for nid in node_ids])
-    return _csv_text(header, rows)
+    return csv_text(header, rows)
 
 
 def reference_reference_csv(reference: Dict[int, List[float]]) -> str:
@@ -38,7 +40,7 @@ def reference_reference_csv(reference: Dict[int, List[float]]) -> str:
     rows = []
     for f in range(total):
         rows.append([f + 1] + [_cell(reference[nid][f]) for nid in node_ids])
-    return _csv_text(header, rows)
+    return csv_text(header, rows)
 
 
 # floats whose sixth-decimal rounding or repr is easy to get wrong
@@ -80,7 +82,7 @@ def test_mac_trajectory_writer_equals_row_writer(data):
     first = data.draw(st.integers(1, 200), label="first_frame")
     series = ThroughputSeries(frames=list(range(first, first + n_rows)),
                               values=values, window_frames=first)
-    assert written(runner._write_mac_trajectory, series,
+    assert written(runner._write_node_csv, series.frames, series.values,
                    block_rows=block_rows) == \
         reference_mac_trajectory_csv(series)
 
@@ -93,6 +95,18 @@ def test_reference_writer_equals_row_writer(data):
     assert written(runner._write_reference, reference,
                    block_rows=block_rows) == \
         reference_reference_csv(reference)
+
+
+@given(st.lists(cells, max_size=12), st.sampled_from(["node", "flow"]))
+@settings(max_examples=200, deadline=None)
+def test_throughput_writer_equals_row_writer(means, id_label):
+    # the report holds each mean already rounded by _cell
+    metrics = {"mean_throughputs": {str(i): _cell(v)
+                                    for i, v in enumerate(means)}}
+    assert written(runner._write_throughput, metrics, id_label,
+                   block_rows=runner.CSV_BLOCK_ROWS) == \
+        csv_text([id_label, "mean_throughput"],
+                 metrics["mean_throughputs"].items())
 
 
 def test_signed_zeros_and_exponents_keep_their_text():
