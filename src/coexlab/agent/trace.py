@@ -16,11 +16,9 @@ from typing import Callable, Dict, List, TextIO
 
 from ..errors import InvalidScenarioError
 
-ACTOR_STRATEGY = "strategy"
 ACTOR_OBSERVER = "observer"
 ACTOR_NODE = "node"
 ACTOR_ASSISTANT = "assistant"
-ACTOR_RANKER = "ranker"
 
 
 def content_digest(payload: object) -> str:

@@ -41,7 +41,6 @@ stateful machine sees the same slots, and draws in the same ones.
 from __future__ import annotations
 
 import enum
-import json
 from collections import abc
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,6 +48,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidScenarioError, MissingDecisionError
+from .scenario import (Field, ScenarioFormat, live_segments, nullable,
+                       validate_scenario)
 from .strategy import finite_integer, finite_number
 
 DEFAULT_FRAME_LEN = 10
@@ -247,29 +248,22 @@ class SlotRecordView(abc.Sequence):
         )
 
 
-def _validate_prob(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvalidScenarioError(path, "must be a number")
-    if not 0.0 <= float(value) <= 1.0:
-        raise InvalidScenarioError(path, f"must be in [0, 1], got {value}")
-    return float(value)
-
-
-def validate_node(cfg: NodeConfig, index: int, frame_len: int) -> None:
-    path = f"nodes[{index}]"
-    if cfg.kind not in ALL_KINDS:
-        raise InvalidScenarioError(f"{path}.kind", f"unknown kind {cfg.kind!r}")
+def _check_node(cfg: NodeConfig, path: str, spec: ScenarioSpec) -> None:
+    """What a node's kind requires of its other fields."""
     if cfg.kind == KIND_ALOHA:
         if cfg.q is None:
             raise InvalidScenarioError(f"{path}.q", "aloha requires q")
-        _validate_prob(cfg.q, f"{path}.q")
+        if not isinstance(cfg.q, (int, float)) or isinstance(cfg.q, bool):
+            raise InvalidScenarioError(f"{path}.q", "must be a number")
+        if not 0.0 <= float(cfg.q) <= 1.0:
+            raise InvalidScenarioError(f"{path}.q", f"must be in [0, 1], got {cfg.q}")
     if cfg.kind == KIND_TDMA:
         if not cfg.slots:
             raise InvalidScenarioError(f"{path}.slots", "tdma requires owned slots")
         for s in cfg.slots:
-            if not isinstance(s, int) or not 0 <= s < frame_len:
+            if not isinstance(s, int) or not 0 <= s < spec.frame_len:
                 raise InvalidScenarioError(
-                    f"{path}.slots", f"slot {s} outside [0, {frame_len})"
+                    f"{path}.slots", f"slot {s} outside [0, {spec.frame_len})"
                 )
         if len(set(cfg.slots)) != len(cfg.slots):
             raise InvalidScenarioError(f"{path}.slots", "duplicate slot entries")
@@ -283,23 +277,34 @@ def validate_node(cfg: NodeConfig, index: int, frame_len: int) -> None:
             raise InvalidScenarioError(
                 f"{path}.max_stage", "requires max_stage >= 0"
             )
-    if cfg.join_frame < 0:
-        raise InvalidScenarioError(f"{path}.join_frame", "must be >= 0")
-    if cfg.leave_frame is not None and cfg.leave_frame <= cfg.join_frame:
-        raise InvalidScenarioError(
-            f"{path}.leave_frame", "must be greater than join_frame"
-        )
 
 
-def validate_scenario(spec: ScenarioSpec) -> None:
-    if spec.frame_len < 1:
-        raise InvalidScenarioError("frame_len", "must be >= 1")
-    if spec.total_frames < 1:
-        raise InvalidScenarioError("total_frames", "must be >= 1")
-    if not spec.nodes:
-        raise InvalidScenarioError("nodes", "at least one node required")
-    for i, cfg in enumerate(spec.nodes):
-        validate_node(cfg, i, spec.frame_len)
+_INTEGER = "must be an integer"
+MAC_FORMAT = ScenarioFormat(
+    version="mac-v1", spec_type=ScenarioSpec, member_type=NodeConfig,
+    member_key="nodes", tag="kind", tags=ALL_KINDS,
+    member_fields=(
+        Field("join_frame", finite_integer, _INTEGER, 0),
+        Field("window", nullable(finite_integer), _INTEGER, None),
+        Field("max_stage", nullable(finite_integer), _INTEGER, None),
+        Field("leave_frame", nullable(finite_integer), _INTEGER, None),
+        Field("q", nullable(finite_number), "must be a finite number", None),
+        Field("slots", lambda v: isinstance(v, list) and all(
+            map(finite_integer, v)), "must be a list of integers", None,
+            tuple),
+    ),
+    fields=(
+        Field("total_frames", finite_integer, _INTEGER),
+        Field("seed", finite_integer, _INTEGER),
+        Field("frame_len", finite_integer, _INTEGER, DEFAULT_FRAME_LEN),
+        Field("slot_duration_ms", finite_number, "must be a finite number",
+              DEFAULT_SLOT_MS),
+    ),
+    ranges=(("frame_len", lambda v: v < 1, "must be >= 1"),
+            ("total_frames", lambda v: v < 1, "must be >= 1")),
+    lifetime=("join_frame", "leave_frame"),
+    check_member=_check_node,
+)
 
 
 def node_rng(seed: int, node_id: int) -> np.random.Generator:
@@ -423,6 +428,7 @@ class MacEnvironment:
         self._rngs = {
             nid: node_rng(spec.seed, nid) for nid in range(len(spec.nodes))
         }
+        self._segments = live_segments(MAC_FORMAT.lifetimes(spec.nodes))
         self.apply_population_event(0)
 
     @property
@@ -430,26 +436,24 @@ class MacEnvironment:
         return self.slot_index // self.frame_len
 
     def apply_population_event(self, frame_index: int) -> None:
-        """Recompute the live set at a frame boundary.
+        """Take the live set of the population segment holding
+        ``frame_index``, a frame boundary.
 
         A fresh state machine is built for every newly joined stateful
         node; each machine keeps drawing from its own node stream, so the
         rest of the population is unaffected.
         """
-        new_live = []
-        for nid, cfg in enumerate(self.spec.nodes):
-            live = cfg.join_frame <= frame_index and (
-                cfg.leave_frame is None or frame_index < cfg.leave_frame
-            )
-            if live:
-                new_live.append(nid)
-                if nid not in self.machines and cfg.kind in _MACHINES:
-                    self.machines[nid] = _MACHINES[cfg.kind](cfg, self._rngs[nid])
-            else:
-                self.machines.pop(nid, None)
-        if new_live != self.live or not self.log.segments:
-            self.live = new_live
-            self.log.segments.append((frame_index, tuple(new_live)))
+        live = [ids for start, ids in self._segments
+                if start <= frame_index][-1]
+        for nid in set(self.machines) - set(live):
+            del self.machines[nid]
+        for nid in live:
+            cfg = self.spec.nodes[nid]
+            if nid not in self.machines and cfg.kind in _MACHINES:
+                self.machines[nid] = _MACHINES[cfg.kind](cfg, self._rngs[nid])
+        if list(live) != self.live or not self.log.segments:
+            self.live = list(live)
+            self.log.segments.append((frame_index, live))
 
     def _policy_vectors(self, policy: Optional[BernoulliSlotPolicy]) \
             -> Dict[int, np.ndarray]:
@@ -527,10 +531,6 @@ def _walk(walkers: List[Tuple[int, _BackoffMachine]], tx: np.ndarray,
     return np.array(counts)
 
 
-def build_scenario(spec: ScenarioSpec) -> MacEnvironment:
-    return MacEnvironment(spec)
-
-
 def run_frames(env: MacEnvironment, policy: Optional[BernoulliSlotPolicy],
                n_frames: int) -> TrajectoryLog:
     """Run ``n_frames`` full frames. Population events apply at the
@@ -541,97 +541,9 @@ def run_frames(env: MacEnvironment, policy: Optional[BernoulliSlotPolicy],
         return env.log
     start = env.frame_index
     end = start + n_frames
-    events = {frame for cfg in env.spec.nodes
-              for frame in (cfg.join_frame, cfg.leave_frame)
-              if frame is not None and start < frame < end}
-    cuts = [start, *sorted(events), end]
+    cuts = [start, *(frame for frame, _ in env._segments
+                     if start < frame < end), end]
     for f0, f1 in zip(cuts, cuts[1:]):
         env.apply_population_event(f0)
         env._run_segment(policy, (f1 - f0) * env.frame_len)
     return env.log
-
-
-def scenario_to_json(spec: ScenarioSpec) -> str:
-    nodes = []
-    for cfg in spec.nodes:
-        entry: Dict[str, object] = {"kind": cfg.kind}
-        if cfg.q is not None:
-            entry["q"] = cfg.q
-        if cfg.slots is not None:
-            entry["slots"] = list(cfg.slots)
-        if cfg.window is not None:
-            entry["window"] = cfg.window
-        if cfg.max_stage is not None:
-            entry["max_stage"] = cfg.max_stage
-        if cfg.join_frame:
-            entry["join_frame"] = cfg.join_frame
-        if cfg.leave_frame is not None:
-            entry["leave_frame"] = cfg.leave_frame
-        nodes.append(entry)
-    doc = {
-        "version": "mac-v1",
-        "frame_len": spec.frame_len,
-        "total_frames": spec.total_frames,
-        "slot_duration_ms": spec.slot_duration_ms,
-        "seed": spec.seed,
-        "nodes": nodes,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def scenario_from_doc(doc: object) -> ScenarioSpec:
-    """Parse a decoded ``mac-v1`` scenario document, checking each field's
-    type before the values are validated."""
-    if not isinstance(doc, dict):
-        raise InvalidScenarioError("$", "scenario must be a JSON object")
-    if doc.get("version") != "mac-v1":
-        raise InvalidScenarioError("version", f"expected mac-v1, got {doc.get('version')!r}")
-    raw_nodes = doc.get("nodes")
-    if not isinstance(raw_nodes, list):
-        raise InvalidScenarioError("nodes", "must be a list")
-    nodes = []
-    for i, raw in enumerate(raw_nodes):
-        if not isinstance(raw, dict):
-            raise InvalidScenarioError(f"nodes[{i}]", "must be an object")
-        known = {"kind", "q", "slots", "window", "max_stage", "join_frame",
-                 "leave_frame"}
-        for key in raw:
-            if key not in known:
-                raise InvalidScenarioError(f"nodes[{i}].{key}", "unknown field")
-        if not finite_integer(raw.get("join_frame", 0)):
-            raise InvalidScenarioError(f"nodes[{i}].join_frame",
-                                       "must be an integer")
-        for key in ("window", "max_stage", "leave_frame"):
-            if raw.get(key) is not None and not finite_integer(raw[key]):
-                raise InvalidScenarioError(f"nodes[{i}].{key}",
-                                           "must be an integer")
-        if raw.get("q") is not None and not finite_number(raw["q"]):
-            raise InvalidScenarioError(f"nodes[{i}].q",
-                                       "must be a finite number")
-        if "slots" in raw and not (
-                isinstance(raw["slots"], list)
-                and all(finite_integer(s) for s in raw["slots"])):
-            raise InvalidScenarioError(f"nodes[{i}].slots",
-                                       "must be a list of integers")
-        nodes.append(NodeConfig(
-            kind=raw.get("kind", ""),
-            q=raw.get("q"),
-            slots=tuple(raw["slots"]) if "slots" in raw else None,
-            window=raw.get("window"),
-            max_stage=raw.get("max_stage"),
-            join_frame=raw.get("join_frame", 0),
-            leave_frame=raw.get("leave_frame"),
-        ))
-    ints = {"total_frames": doc.get("total_frames"), "seed": doc.get("seed"),
-            "frame_len": doc.get("frame_len", DEFAULT_FRAME_LEN)}
-    for key, value in ints.items():
-        if not finite_integer(value):
-            raise InvalidScenarioError(key, "must be an integer")
-    slot_duration_ms = doc.get("slot_duration_ms", DEFAULT_SLOT_MS)
-    if not finite_number(slot_duration_ms):
-        raise InvalidScenarioError("slot_duration_ms",
-                                   "must be a finite number")
-    spec = ScenarioSpec(nodes=nodes, slot_duration_ms=slot_duration_ms,
-                        **ints)
-    validate_scenario(spec)
-    return spec

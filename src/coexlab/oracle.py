@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import UnsupportedPopulationError
-from .mac import CONTROLLED_KINDS, KIND_ALOHA, KIND_TDMA, ScenarioSpec
+from .mac import (CONTROLLED_KINDS, KIND_ALOHA, KIND_TDMA, MAC_FORMAT,
+                  ScenarioSpec)
 from .metrics import THROUGHPUT_SCALE
+from .scenario import live_segments
 
 POLICY_CLASS_CAVEAT = (
     "reference optimum searched over per-slot Bernoulli policies only; "
@@ -286,26 +288,6 @@ class ReferenceSegment:
     node_values: Dict[int, float] = field(default_factory=dict)
 
 
-def scenario_segments(spec: ScenarioSpec) -> List[Tuple[int, int, Tuple[int, ...]]]:
-    """(start, end, live ids) for each population segment, end exclusive."""
-    boundaries = {0, spec.total_frames}
-    for cfg in spec.nodes:
-        if 0 < cfg.join_frame < spec.total_frames:
-            boundaries.add(cfg.join_frame)
-        if cfg.leave_frame is not None and 0 < cfg.leave_frame < spec.total_frames:
-            boundaries.add(cfg.leave_frame)
-    ordered = sorted(boundaries)
-    segments = []
-    for start, end in zip(ordered, ordered[1:]):
-        live = tuple(
-            nid for nid, cfg in enumerate(spec.nodes)
-            if cfg.join_frame <= start and
-            (cfg.leave_frame is None or start < cfg.leave_frame)
-        )
-        segments.append((start, end, live))
-    return segments
-
-
 def aware_trajectory(spec: ScenarioSpec,
                      alpha: float = 1.0) -> Tuple[Dict[int, List[float]], List[ReferenceSegment]]:
     """Piecewise-constant per-frame reference throughput for every node.
@@ -313,27 +295,26 @@ def aware_trajectory(spec: ScenarioSpec,
     Each population segment is solved independently; a node absent from a
     segment holds value 0 there.
     """
-    node_ids = list(range(len(spec.nodes)))
-    reference = {nid: [0.0] * spec.total_frames for nid in node_ids}
+    reference = {nid: [0.0] * spec.total_frames
+                 for nid in range(len(spec.nodes))}
     segments_out = []
-    for start, end, live in scenario_segments(spec):
+    segments = [seg for seg in live_segments(MAC_FORMAT.lifetimes(spec.nodes))
+                if seg[0] < spec.total_frames]
+    ends = [start for start, _ in segments[1:]] + [spec.total_frames]
+    for (start, live), end in zip(segments, ends):
         pop = population_from_scenario(spec, live)
         solution = _solved(pop.n_agents, tuple(pop.aloha_q),
                            tuple(pop.tdma_slots), pop.frame_len, alpha)
-        controlled = [nid for nid in live
-                      if spec.nodes[nid].kind in CONTROLLED_KINDS]
-        aloha_ids = [nid for nid in live if spec.nodes[nid].kind == KIND_ALOHA]
-        tdma_ids = [nid for nid in live if spec.nodes[nid].kind == KIND_TDMA]
-        seg = ReferenceSegment(start_frame=start, end_frame=end,
-                               live_ids=live, solution=solution)
-        for nid, val in zip(controlled, solution.agent_throughputs):
-            seg.node_values[nid] = val
-        for nid, val in zip(aloha_ids, solution.aloha_throughputs):
-            seg.node_values[nid] = val
-        for nid, val in zip(tdma_ids, solution.tdma_throughputs):
-            seg.node_values[nid] = val
+        # live ids in the population's role order: controlled, ALOHA, TDMA
+        ordered = [nid for kinds in (CONTROLLED_KINDS, (KIND_ALOHA,),
+                                     (KIND_TDMA,))
+                   for nid in live if spec.nodes[nid].kind in kinds]
+        seg = ReferenceSegment(
+            start_frame=start, end_frame=end, live_ids=live,
+            solution=solution, node_values=dict(zip(
+                ordered, solution.agent_throughputs
+                + solution.aloha_throughputs + solution.tdma_throughputs)))
         for nid, val in seg.node_values.items():
-            for f in range(start, end):
-                reference[nid][f] = val
+            reference[nid][start:end] = [val] * (end - start)
         segments_out.append(seg)
     return reference, segments_out

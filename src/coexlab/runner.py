@@ -36,13 +36,12 @@ from .mac import (
     CONTROLLED_KINDS,
     KIND_AGENT,
     KIND_AWARE,
+    MAC_FORMAT,
     BernoulliSlotPolicy,
     MacEnvironment,
     ScenarioSpec,
     TrajectoryLog,
     run_frames,
-    scenario_from_doc,
-    scenario_to_json,
 )
 from .metrics import (
     ThroughputSeries,
@@ -57,25 +56,25 @@ from .oracle import (
     check_alpha,
     fair_objective,
 )
+from .scenario import parse_scenario, scenario_doc
 from .scripted import ScriptedBackend
 from .strategy import (
     DOMAIN_MAC,
     DOMAIN_TCP,
     Strategy,
-    parse_strategy,
     strategy_doc,
+    strategy_from_doc,
     validate_strategy,
 )
 from .tcp import (
     CONTROLLER_AGENT,
+    TCP_FORMAT,
     TcpEnvironment,
     TcpRoundLog,
     TcpScenarioSpec,
     mean_flow_throughputs,
     mean_social_reward,
     run_rounds,
-    tcp_scenario_from_doc,
-    tcp_scenario_to_json,
 )
 from .agent.config import AgentConfig, checked_agent_settings
 from .agent.demos import demo_bundle, demos_to_json
@@ -159,10 +158,9 @@ def _read_json(path: str, error_path: str):
 def load_scenario(path: str) -> AnyScenario:
     doc = _read_json(path, "$")
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version == "mac-v1":
-        return scenario_from_doc(doc)
-    if version == "tcp-v1":
-        return tcp_scenario_from_doc(doc)
+    for fmt in (MAC_FORMAT, TCP_FORMAT):
+        if version == fmt.version:
+            return parse_scenario(doc, fmt)
     raise InvalidScenarioError(
         "version", f"{path}: expected mac-v1 or tcp-v1, got {version!r}")
 
@@ -182,7 +180,7 @@ def load_cached_strategy(path: str, spec: AnyScenario) -> Strategy:
     # the embedded id is recomputed from content on parse
     if isinstance(doc, dict):
         doc = {k: v for k, v in doc.items() if k != "id"}
-    strategy = parse_strategy(json.dumps(doc))
+    strategy = strategy_from_doc(doc)
     if isinstance(spec, ScenarioSpec):
         diags = validate_strategy(strategy, frame_len=spec.frame_len,
                                   domain=DOMAIN_MAC)
@@ -363,8 +361,6 @@ def tcp_metrics_report(log: TcpRoundLog,
 
 def _config_snapshot(config: RunConfig, spec: AnyScenario,
                      family: str) -> Dict[str, object]:
-    scenario_text = scenario_to_json(spec) if family == "mac" \
-        else tcp_scenario_to_json(spec)
     return {
         "artifact": "run-config-v1",
         "package_version": __version__,
@@ -376,7 +372,7 @@ def _config_snapshot(config: RunConfig, spec: AnyScenario,
         "trace": config.trace,
         "cached_strategy": config.strategy_path is not None,
         "agent": asdict(config.agent),
-        "scenario": json.loads(scenario_text),
+        "scenario": scenario_doc(spec),
     }
 
 
@@ -655,7 +651,7 @@ def _read_wide_csv(text: str, name: str, index_col: str,
     header, *rows = _csv_rows(text, name, 1)
     if header[0] != index_col:
         raise InvalidScenarioError(name, f"first column must be {index_col}")
-    ids = [int(col[len(prefix):]) for col in header[1:]]
+    ids = _column_ids(header[1:], name, prefix)
     index: List[int] = []
     values: Dict[int, List[float]] = {i: [] for i in ids}
     for row in rows:
@@ -665,6 +661,18 @@ def _read_wide_csv(text: str, name: str, index_col: str,
     for column in values.values():
         _check_finite(column, name)
     return index, values
+
+
+def _column_ids(cells: Sequence[str], name: str, prefix: str) -> List[int]:
+    """The distinct ids of cells that each read ``prefix`` and an int."""
+    tails = [cell[len(prefix):] for cell in cells]
+    if not all(cell.startswith(prefix) and tail.isascii() and tail.isdigit()
+               for cell, tail in zip(cells, tails)):
+        raise InvalidScenarioError(name, f"ids must read {prefix}<int>")
+    ids = [int(tail) for tail in tails]
+    if len(set(ids)) != len(ids):
+        raise InvalidScenarioError(name, "repeats an id")
+    return ids
 
 
 def _check_finite(values: Iterable[float], name: str) -> None:
@@ -684,7 +692,9 @@ def cmd_eval(run_dir: str,
     trajectory = _read_artifact(run_dir, ARTIFACT_TRAJECTORY)
     _, *rows = _csv_rows(_read_artifact(run_dir, ARTIFACT_THROUGHPUT),
                          ARTIFACT_THROUGHPUT, 2)
-    means = {int(row[0]): float(row[1]) for row in rows}
+    means = dict(zip(_column_ids([row[0] for row in rows],
+                                 ARTIFACT_THROUGHPUT, ""),
+                     (float(row[1]) for row in rows)))
     _check_finite(means.values(), ARTIFACT_THROUGHPUT)
 
     if family == "mac":

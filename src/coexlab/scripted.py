@@ -32,8 +32,6 @@ from .templates import (
 )
 
 _DOMAIN_RE = re.compile(r"Target domain: (mac|tcp)\.")
-_FRAME_LEN_RE = re.compile(r"Frame length: (\d+) slots")
-_CWND_MAX_RE = re.compile(r"congestion window: (\d+) packets")
 _EXPLORE_RE = re.compile(
     r"epsilon\s+([0-9]+(?:\.[0-9]+)?), sigma\s+([0-9]+(?:\.[0-9]+)?)")
 

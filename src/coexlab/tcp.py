@@ -17,8 +17,8 @@ and ``loss`` columns cover exactly that range. All live flows queue at
 the same bottleneck and see the same RTT, so ``rtt`` is one column
 indexed by round. The live set follows from the flows' join and leave
 rounds alone and is kept as segments cut only at those rounds. Each
-flow's minimum RTT is a running minimum updated as rounds are appended,
-the way Vegas keeps its BaseRTT, so an observer reads it without
+flow's minimum RTT is a running minimum updated as rounds are appended;
+it is the BaseRTT Vegas reads, and an observer reads it without
 rescanning the history.
 
 Readers slice the columns for the rounds they need. Their sums run over
@@ -30,14 +30,15 @@ as when the log held one record object per round.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InvalidScenarioError, MetricDomainError
+from .errors import MetricDomainError
+from .scenario import (Field, ScenarioFormat, live_segments, nullable,
+                       validate_scenario)
 from .strategy import finite_integer, finite_number
 
 DEFAULT_CAPACITY_PPS = 125.0      # 1 Mbps / (1000 bytes * 8 bits)
@@ -77,12 +78,38 @@ class TcpScenarioSpec:
     cwnd_max: int = DEFAULT_CWND_MAX
 
 
+_INTEGER = "must be an integer"
+_NUMBER = "must be a finite number"
+TCP_FORMAT = ScenarioFormat(
+    version="tcp-v1", spec_type=TcpScenarioSpec, member_type=TcpFlowConfig,
+    member_key="flows", tag="controller", tags=CONTROLLERS,
+    member_fields=(
+        Field("join_round", finite_integer, _INTEGER, 0),
+        Field("leave_round", nullable(finite_integer), _INTEGER, None),
+    ),
+    fields=(
+        Field("total_rounds", finite_integer, _INTEGER),
+        Field("seed", finite_integer, _INTEGER),
+        Field("cwnd_max", finite_integer, _INTEGER, DEFAULT_CWND_MAX),
+        Field("link_capacity_pps", finite_number, _NUMBER,
+              DEFAULT_CAPACITY_PPS),
+        Field("base_rtt_s", finite_number, _NUMBER, DEFAULT_BASE_RTT_S),
+        Field("buffer_pkts", finite_number, _NUMBER, DEFAULT_BUFFER_PKTS),
+    ),
+    ranges=(("total_rounds", lambda v: v < 1, "must be >= 1"),
+            ("link_capacity_pps", lambda v: v <= 0, "must be positive"),
+            ("base_rtt_s", lambda v: v <= 0, "must be positive"),
+            ("buffer_pkts", lambda v: v < 0, "must be >= 0"),
+            ("cwnd_max", lambda v: v < 1, "must be >= 1")),
+    lifetime=("join_round", "leave_round"),
+)
+
+
 @dataclass(slots=True)
 class FlowState:
     cwnd: float
     ssthresh: float
     mode: str
-    base_rtt_est: Optional[float] = None
 
 
 @dataclass(slots=True)
@@ -90,32 +117,7 @@ class RoundFeedback:
     acks: float
     rtt: float
     loss: bool
-
-
-def validate_tcp_scenario(spec: TcpScenarioSpec) -> None:
-    if spec.total_rounds < 1:
-        raise InvalidScenarioError("total_rounds", "must be >= 1")
-    if spec.link_capacity_pps <= 0:
-        raise InvalidScenarioError("link_capacity_pps", "must be positive")
-    if spec.base_rtt_s <= 0:
-        raise InvalidScenarioError("base_rtt_s", "must be positive")
-    if spec.buffer_pkts < 0:
-        raise InvalidScenarioError("buffer_pkts", "must be >= 0")
-    if spec.cwnd_max < 1:
-        raise InvalidScenarioError("cwnd_max", "must be >= 1")
-    if not spec.flows:
-        raise InvalidScenarioError("flows", "at least one flow required")
-    for i, flow in enumerate(spec.flows):
-        if flow.controller not in CONTROLLERS:
-            raise InvalidScenarioError(
-                f"flows[{i}].controller", f"unknown controller {flow.controller!r}"
-            )
-        if flow.join_round < 0:
-            raise InvalidScenarioError(f"flows[{i}].join_round", "must be >= 0")
-        if flow.leave_round is not None and flow.leave_round <= flow.join_round:
-            raise InvalidScenarioError(
-                f"flows[{i}].leave_round", "must be greater than join_round"
-            )
+    base_rtt: float     # the flow's minimum RTT so far, this round's included
 
 
 def initial_state(controller: str, cwnd_max: int) -> FlowState:
@@ -133,16 +135,14 @@ def reno_update(state: FlowState, fb: RoundFeedback, cwnd_max: int) -> FlowState
     multiplicative halving to ssthresh on loss."""
     if fb.loss:
         ssthresh = max(state.cwnd / 2.0, 2.0)
-        return FlowState(ssthresh, ssthresh, MODE_CONGESTION_AVOIDANCE,
-                         state.base_rtt_est)
+        return FlowState(ssthresh, ssthresh, MODE_CONGESTION_AVOIDANCE)
     if state.mode == MODE_SLOW_START and state.cwnd < state.ssthresh:
         cwnd = min(state.cwnd * 2.0, state.ssthresh)
         mode = (MODE_CONGESTION_AVOIDANCE if cwnd >= state.ssthresh
                 else MODE_SLOW_START)
-        return FlowState(min(cwnd, float(cwnd_max)), state.ssthresh, mode,
-                         state.base_rtt_est)
+        return FlowState(min(cwnd, float(cwnd_max)), state.ssthresh, mode)
     return FlowState(min(state.cwnd + 1.0, float(cwnd_max)), state.ssthresh,
-                     MODE_CONGESTION_AVOIDANCE, state.base_rtt_est)
+                     MODE_CONGESTION_AVOIDANCE)
 
 
 def vegas_update(state: FlowState, fb: RoundFeedback, cwnd_max: int) -> FlowState:
@@ -153,20 +153,17 @@ def vegas_update(state: FlowState, fb: RoundFeedback, cwnd_max: int) -> FlowStat
     itself parks in the queue, measured in packets. On loss the flow
     falls back to a Reno-style halving.
     """
-    base = state.base_rtt_est
-    if base is None or fb.rtt < base:
-        base = fb.rtt
     if fb.loss:
         ssthresh = max(state.cwnd / 2.0, 2.0)
-        return FlowState(ssthresh, ssthresh, MODE_CONGESTION_AVOIDANCE, base)
-    diff = (state.cwnd / base - state.cwnd / fb.rtt) * base
+        return FlowState(ssthresh, ssthresh, MODE_CONGESTION_AVOIDANCE)
+    diff = (state.cwnd / fb.base_rtt - state.cwnd / fb.rtt) * fb.base_rtt
     if diff < VEGAS_ALPHA:
         cwnd = min(state.cwnd + 1.0, float(cwnd_max))
     elif diff > VEGAS_BETA:
         cwnd = max(state.cwnd - 1.0, 1.0)
     else:
         cwnd = state.cwnd
-    return FlowState(cwnd, state.ssthresh, MODE_CONGESTION_AVOIDANCE, base)
+    return FlowState(cwnd, state.ssthresh, MODE_CONGESTION_AVOIDANCE)
 
 
 def tcp_reward(acks: float, rtt: float) -> float:
@@ -177,25 +174,6 @@ def tcp_reward(acks: float, rtt: float) -> float:
         return math.log(1.0) - DEFAULT_REWARD_BETA * rtt \
             - REWARD_FLOOR_PENALTY
     return math.log(acks) - DEFAULT_REWARD_BETA * rtt
-
-
-def live_segments(flows: Sequence[TcpFlowConfig]) \
-        -> List[Tuple[int, Tuple[int, ...]]]:
-    """``(first round, live flow ids)`` for each stretch of rounds with one
-    live set, cut only at join and leave rounds; the last is open-ended."""
-    cuts = {0}
-    for cfg in flows:
-        cuts.add(cfg.join_round)
-        if cfg.leave_round is not None:
-            cuts.add(cfg.leave_round)
-    segments: List[Tuple[int, Tuple[int, ...]]] = []
-    for start in sorted(cuts):
-        live = tuple(fid for fid, cfg in enumerate(flows)
-                     if cfg.join_round <= start
-                     and (cfg.leave_round is None or start < cfg.leave_round))
-        if not segments or segments[-1][1] != live:
-            segments.append((start, live))
-    return segments
 
 
 class TcpRoundLog:
@@ -214,7 +192,7 @@ class TcpRoundLog:
         self.acks = [array("d") for _ in flows]
         self.loss = [array("b") for _ in flows]
         self.min_rtt = [math.inf] * len(flows)
-        self.segments = live_segments(flows)
+        self.segments = live_segments(TCP_FORMAT.lifetimes(flows))
         self._starts = [start for start, _ in self.segments]
 
     def live_at(self, r: int) -> Tuple[int, ...]:
@@ -259,7 +237,7 @@ class TcpEnvironment:
     """Round-driven state for all flows plus the columnar round log."""
 
     def __init__(self, spec: TcpScenarioSpec):
-        validate_tcp_scenario(spec)
+        validate_scenario(spec)
         self.spec = spec
         self.states: Dict[int, FlowState] = {}
         self.live: List[int] = []
@@ -300,7 +278,7 @@ class TcpEnvironment:
                 if state is not None:
                     bounded = min(max(int(cwnd), 1), spec.cwnd_max)
                     states[fid] = FlowState(float(bounded), state.ssthresh,
-                                            state.mode, state.base_rtt_est)
+                                            state.mode)
 
         pipe = spec.link_capacity_pps * spec.base_rtt_s
         offered = sum([states[fid].cwnd for fid in self.live])
@@ -323,13 +301,9 @@ class TcpEnvironment:
                 log.min_rtt[fid] = rtt
             update = self._updates[fid]
             if update is not None:
-                states[fid] = update(state, RoundFeedback(acks, rtt, loss),
-                                     spec.cwnd_max)
-            elif state.base_rtt_est is None or rtt < state.base_rtt_est:
-                # agent flows keep their override until the next one, but
-                # still track the base rtt estimate
-                states[fid] = FlowState(state.cwnd, state.ssthresh, state.mode,
-                                        rtt)
+                states[fid] = update(
+                    state, RoundFeedback(acks, rtt, loss, log.min_rtt[fid]),
+                    spec.cwnd_max)
         log.n_rounds += 1
 
 
@@ -382,70 +356,3 @@ def mean_flow_throughputs(log: TcpRoundLog,
             total += acks / rtt
         means[fid] = total / (r1 - r0)
     return means
-
-
-def tcp_scenario_to_json(spec: TcpScenarioSpec) -> str:
-    flows = []
-    for cfg in spec.flows:
-        entry: Dict[str, object] = {"controller": cfg.controller}
-        if cfg.join_round:
-            entry["join_round"] = cfg.join_round
-        if cfg.leave_round is not None:
-            entry["leave_round"] = cfg.leave_round
-        flows.append(entry)
-    doc = {
-        "version": "tcp-v1",
-        "link_capacity_pps": spec.link_capacity_pps,
-        "base_rtt_s": spec.base_rtt_s,
-        "buffer_pkts": spec.buffer_pkts,
-        "cwnd_max": spec.cwnd_max,
-        "total_rounds": spec.total_rounds,
-        "seed": spec.seed,
-        "flows": flows,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def tcp_scenario_from_doc(doc: object) -> TcpScenarioSpec:
-    """Parse a decoded ``tcp-v1`` scenario document, checking each field's
-    type before the values are validated."""
-    if not isinstance(doc, dict):
-        raise InvalidScenarioError("$", "scenario must be a JSON object")
-    if doc.get("version") != "tcp-v1":
-        raise InvalidScenarioError("version", f"expected tcp-v1, got {doc.get('version')!r}")
-    raw_flows = doc.get("flows")
-    if not isinstance(raw_flows, list):
-        raise InvalidScenarioError("flows", "must be a list")
-    flows = []
-    for i, raw in enumerate(raw_flows):
-        if not isinstance(raw, dict):
-            raise InvalidScenarioError(f"flows[{i}]", "must be an object")
-        for key in raw:
-            if key not in {"controller", "join_round", "leave_round"}:
-                raise InvalidScenarioError(f"flows[{i}].{key}", "unknown field")
-        join_round = raw.get("join_round", 0)
-        leave_round = raw.get("leave_round")
-        if not finite_integer(join_round):
-            raise InvalidScenarioError(f"flows[{i}].join_round",
-                                       "must be an integer")
-        if leave_round is not None and not finite_integer(leave_round):
-            raise InvalidScenarioError(f"flows[{i}].leave_round",
-                                       "must be an integer")
-        flows.append(TcpFlowConfig(controller=raw.get("controller", ""),
-                                   join_round=join_round,
-                                   leave_round=leave_round))
-    ints = {"total_rounds": doc.get("total_rounds"), "seed": doc.get("seed"),
-            "cwnd_max": doc.get("cwnd_max", DEFAULT_CWND_MAX)}
-    floats = {key: doc.get(key, default) for key, default in (
-        ("link_capacity_pps", DEFAULT_CAPACITY_PPS),
-        ("base_rtt_s", DEFAULT_BASE_RTT_S),
-        ("buffer_pkts", DEFAULT_BUFFER_PKTS))}
-    for key, value in ints.items():
-        if not finite_integer(value):
-            raise InvalidScenarioError(key, "must be an integer")
-    for key, value in floats.items():
-        if not finite_number(value):
-            raise InvalidScenarioError(key, "must be a finite number")
-    spec = TcpScenarioSpec(flows=flows, **ints, **floats)
-    validate_tcp_scenario(spec)
-    return spec

@@ -24,6 +24,7 @@ from coexlab.errors import MetricDomainError, WindowTooShortError
 from coexlab.metrics import jain_index
 from coexlab.oracle import fair_objective
 from coexlab.runner import _cell
+from coexlab.scenario import validate_scenario
 from coexlab.tcp import (
     CONTROLLER_RENO,
     CONTROLLER_VEGAS,
@@ -34,7 +35,6 @@ from coexlab.tcp import (
     FlowState,
     initial_state,
     tcp_reward,
-    validate_tcp_scenario,
 )
 
 
@@ -77,14 +77,12 @@ def reno_update(state: FlowState, fb: RoundFeedback, cwnd_max: int) -> FlowState
                    mode=MODE_CONGESTION_AVOIDANCE)
 
 
-def vegas_update(state: FlowState, fb: RoundFeedback, cwnd_max: int) -> FlowState:
-    base = state.base_rtt_est
-    if base is None or fb.rtt < base:
-        base = fb.rtt
+def vegas_update(state: FlowState, fb: RoundFeedback, cwnd_max: int,
+                 base: float) -> FlowState:
     if fb.loss:
         ssthresh = max(state.cwnd / 2.0, 2.0)
         return replace(state, cwnd=ssthresh, ssthresh=ssthresh,
-                       mode=MODE_CONGESTION_AVOIDANCE, base_rtt_est=base)
+                       mode=MODE_CONGESTION_AVOIDANCE)
     diff = (state.cwnd / base - state.cwnd / fb.rtt) * base
     if diff < VEGAS_ALPHA:
         cwnd = min(state.cwnd + 1.0, float(cwnd_max))
@@ -92,16 +90,17 @@ def vegas_update(state: FlowState, fb: RoundFeedback, cwnd_max: int) -> FlowStat
         cwnd = max(state.cwnd - 1.0, 1.0)
     else:
         cwnd = state.cwnd
-    return replace(state, cwnd=cwnd, base_rtt_est=base,
-                   mode=MODE_CONGESTION_AVOIDANCE)
+    return replace(state, cwnd=cwnd, mode=MODE_CONGESTION_AVOIDANCE)
 
 
 class ReferenceTcpEnvironment:
     def __init__(self, spec):
-        validate_tcp_scenario(spec)
+        validate_scenario(spec)
         self.spec = spec
         self.round_index = 0
         self.states: Dict[int, FlowState] = {}
+        # each flow's BaseRTT: the smallest rtt it has seen
+        self.base_rtt: Dict[int, float] = {}
         self.live: List[int] = []
         self.records: List[TcpRoundRecord] = []
         self._refresh_live()
@@ -151,15 +150,15 @@ class ReferenceTcpEnvironment:
             record.per_flow[fid] = FlowRoundRecord(
                 cwnd=state.cwnd, acks=acks, rtt=rtt, loss=fb.loss, drops=drops
             )
+            base = self.base_rtt.get(fid)
+            if base is None or fb.rtt < base:
+                self.base_rtt[fid] = fb.rtt
             controller = spec.flows[fid].controller
             if controller == CONTROLLER_RENO:
                 self.states[fid] = reno_update(state, fb, spec.cwnd_max)
             elif controller == CONTROLLER_VEGAS:
-                self.states[fid] = vegas_update(state, fb, spec.cwnd_max)
-            else:
-                base = state.base_rtt_est
-                if base is None or fb.rtt < base:
-                    self.states[fid] = replace(state, base_rtt_est=fb.rtt)
+                self.states[fid] = vegas_update(state, fb, spec.cwnd_max,
+                                                self.base_rtt[fid])
 
         self.records.append(record)
         self.round_index += 1

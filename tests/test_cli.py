@@ -144,6 +144,32 @@ EVAL_NON_FINITE = [(name, value)
                    for value in ("nan", "inf")]
 
 
+def set_cell(row, col, value):
+    def mutate(text):
+        lines = text.splitlines()
+        cells = lines[row].split(",")
+        cells[col] = value
+        lines[row] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return mutate
+
+
+# artifact (or the --reference override) -> a header or row that names a
+# node twice or not as prefix and integer
+EVAL_BAD_IDS = {
+    "repeated trajectory id": (ARTIFACT_TRAJECTORY, set_cell(0, 2, "node_0")),
+    "foreign trajectory prefix": (ARTIFACT_TRAJECTORY,
+                                  set_cell(0, 1, "xxxx_0")),
+    "non-integer trajectory id": (ARTIFACT_TRAJECTORY,
+                                  set_cell(0, 1, "node_x")),
+    "repeated reference id": (ARTIFACT_REFERENCE, set_cell(0, 2, "node_0")),
+    "repeated --reference id": ("--reference", set_cell(0, 2, "node_0")),
+    "repeated throughput id": (ARTIFACT_THROUGHPUT, set_cell(2, 0, "0")),
+    "non-integer throughput id": (ARTIFACT_THROUGHPUT,
+                                  set_cell(1, 0, "node_0")),
+}
+
+
 def nested_trace(depth):
     node = '{"actor": "a", "label": "b", "children": ['
     return node * depth + "]}" * depth
@@ -829,12 +855,12 @@ class TestEvalCommand:
                        "--agent-json", str(tmp / "agent.json")) == 0
         return out
 
-    @pytest.mark.parametrize("breakage", sorted(EVAL_CSV_BREAKAGES))
-    def test_short_or_empty_csv_exits_2(self, tmp_path, mac_run, breakage,
-                                        capsys):
+    @staticmethod
+    def break_artifact(tmp_path, mac_run, name, mutate):
+        """A copy of ``mac_run`` with artifact ``name`` (or a ``--reference``
+        copy of its reference) mutated; the eval arguments and the path."""
         out = tmp_path / "run"
         shutil.copytree(mac_run, out)
-        name, mutate = EVAL_CSV_BREAKAGES[breakage]
         args = ["eval", "--run", str(out)]
         path = out / name
         if name == "--reference":
@@ -842,23 +868,22 @@ class TestEvalCommand:
             shutil.copy(out / ARTIFACT_REFERENCE, path)
             args += ["--reference", str(path)]
         path.write_text(mutate(path.read_text()))
+        return args, path
+
+    @pytest.mark.parametrize("breakage", sorted(EVAL_CSV_BREAKAGES))
+    def test_short_or_empty_csv_exits_2(self, tmp_path, mac_run, breakage,
+                                        capsys):
+        args, _ = self.break_artifact(tmp_path, mac_run,
+                                      *EVAL_CSV_BREAKAGES[breakage])
         capsys.readouterr()
         assert run_cli(*args) == 2
         assert json.loads(capsys.readouterr().err)["error"] == \
             "InvalidScenarioError"
 
-    @pytest.mark.parametrize("name,value", EVAL_NON_FINITE)
-    def test_non_finite_cell_exits_2_and_names_file(self, tmp_path, mac_run,
-                                                   name, value, capsys):
-        out = tmp_path / "run"
-        shutil.copytree(mac_run, out)
-        args = ["eval", "--run", str(out)]
-        path = out / name
-        if name == "--reference":
-            path = tmp_path / "override.csv"
-            shutil.copy(out / ARTIFACT_REFERENCE, path)
-            args += ["--reference", str(path)]
-        path.write_text(set_last_cell(value)(path.read_text()))
+    @staticmethod
+    def assert_exit_2_naming(args, name, path, capsys):
+        """``coexlab eval`` exits 2, names the broken file and writes no
+        summary."""
         capsys.readouterr()
         assert run_cli(*args) == 2
         err = json.loads(capsys.readouterr().err)
@@ -866,7 +891,21 @@ class TestEvalCommand:
         assert err["message"].startswith(
             str(path) if name in ("--reference", ARTIFACT_REFERENCE)
             else name)
-        assert not (out / "eval_summary.json").exists()
+        assert not (Path(args[2]) / "eval_summary.json").exists()
+
+    @pytest.mark.parametrize("name,value", EVAL_NON_FINITE)
+    def test_non_finite_cell_exits_2_and_names_file(self, tmp_path, mac_run,
+                                                   name, value, capsys):
+        args, path = self.break_artifact(tmp_path, mac_run, name,
+                                         set_last_cell(value))
+        self.assert_exit_2_naming(args, name, path, capsys)
+
+    @pytest.mark.parametrize("breakage", sorted(EVAL_BAD_IDS))
+    def test_bad_or_repeated_id_exits_2_and_names_file(
+            self, tmp_path, mac_run, breakage, capsys):
+        name, mutate = EVAL_BAD_IDS[breakage]
+        args, path = self.break_artifact(tmp_path, mac_run, name, mutate)
+        self.assert_exit_2_naming(args, name, path, capsys)
 
     @pytest.mark.parametrize("breakage", sorted(EVAL_BREAKAGES))
     def test_malformed_run_artifact_exits_2(self, tmp_path, breakage,

@@ -3,12 +3,11 @@ environment."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from coexlab.errors import InvalidScenarioError, MissingDecisionError
 from coexlab.mac import (
+    MAC_FORMAT,
     BernoulliSlotPolicy,
     CsmaMachine,
     EbAlohaMachine,
@@ -17,12 +16,10 @@ from coexlab.mac import (
     NodeConfig,
     ScenarioSpec,
     SlotOutcome,
-    build_scenario,
     node_rng,
     run_frames,
-    scenario_from_doc,
-    scenario_to_json,
 )
+from coexlab.scenario import parse_scenario, scenario_doc
 
 
 def make_spec(nodes, total_frames=10, seed=42, frame_len=10):
@@ -45,7 +42,7 @@ def agent(**kw):
 def run_agents(*vectors):
     """One frame of two agents with fixed per-slot vectors."""
     spec = make_spec([agent(), agent()])
-    env = build_scenario(spec)
+    env = MacEnvironment(spec)
     policy = BernoulliSlotPolicy(spec.seed, dict(enumerate(vectors)))
     run_frames(env, policy, 1)
     return env
@@ -72,21 +69,21 @@ class TestSlotOutcomes:
         assert rec.reward_vector == (0, 0)
 
     def test_missing_decision_raises(self):
-        env = build_scenario(make_spec([agent()]))
+        env = MacEnvironment(make_spec([agent()]))
         with pytest.raises(MissingDecisionError):
             run_frames(env, None, 1)
 
 
 class TestTdma:
     def test_transmits_only_in_owned_slots_every_frame(self):
-        env = build_scenario(make_spec([tdma(slots=(3, 5))], total_frames=5))
+        env = MacEnvironment(make_spec([tdma(slots=(3, 5))], total_frames=5))
         log = run_frames(env, None, 5)
         for rec in log.records:
             expected = rec.frame_position in (3, 5)
             assert (rec.transmitters == (0,)) == expected
 
     def test_tdma_throughput_exact(self):
-        env = build_scenario(make_spec([tdma(slots=(3, 5))], total_frames=100))
+        env = MacEnvironment(make_spec([tdma(slots=(3, 5))], total_frames=100))
         log = run_frames(env, None, 100)
         wins = sum(r.reward_vector[0] for r in log.records)
         assert wins == 200  # 2 slots per frame, no contention
@@ -95,7 +92,7 @@ class TestTdma:
 class TestAloha:
     def test_rate_matches_q(self):
         # one ALOHA node alone: success rate == transmission rate == q
-        env = build_scenario(make_spec([aloha(q=0.2)], total_frames=2000, seed=99))
+        env = MacEnvironment(make_spec([aloha(q=0.2)], total_frames=2000, seed=99))
         log = run_frames(env, None, 2000)
         wins = sum(r.reward_vector[0] for r in log.records)
         rate = wins / len(log.records)
@@ -104,7 +101,7 @@ class TestAloha:
 
     def test_two_aloha_expected_rates(self):
         # each succeeds at q*(1-q) = 0.16
-        env = build_scenario(make_spec([aloha(), aloha()], total_frames=3000,
+        env = MacEnvironment(make_spec([aloha(), aloha()], total_frames=3000,
                                        seed=123))
         log = run_frames(env, None, 3000)
         for nid in (0, 1):
@@ -154,7 +151,7 @@ class TestBackoffMachines:
         # agent transmits every slot: CSMA never gets a word in
         spec = make_spec([agent(), NodeConfig(kind="csma", window=2, max_stage=4)],
                          total_frames=20)
-        env = build_scenario(spec)
+        env = MacEnvironment(spec)
         always = BernoulliSlotPolicy(spec.seed, {0: [1.0] * 10})
         log = run_frames(env, always, 20)
         assert all(rec.transmitters == (0,) for rec in log.records)
@@ -164,7 +161,7 @@ class TestPopulationDynamics:
     def test_leave_event_shrinks_reward_vector(self):
         spec = make_spec([aloha(), aloha(leave_frame=5), agent()],
                          total_frames=10)
-        env = build_scenario(spec)
+        env = MacEnvironment(spec)
         policy = BernoulliSlotPolicy(spec.seed, {2: [0.5] * 10})
         log = run_frames(env, policy, 10)
         assert log.records[0].live_ids == (0, 1, 2)
@@ -176,7 +173,7 @@ class TestPopulationDynamics:
 
     def test_join_event_extends_live_set(self):
         spec = make_spec([aloha(), tdma(join_frame=3)], total_frames=6)
-        env = build_scenario(spec)
+        env = MacEnvironment(spec)
         log = run_frames(env, None, 6)
         before = [r for r in log.records if r.frame_index < 3]
         assert all(r.live_ids == (0,) for r in before)
@@ -194,8 +191,8 @@ class TestPopulationDynamics:
             [aloha(q=0.3), aloha(q=0.3, leave_frame=10)],
             total_frames=20, seed=7,
         )
-        log_a = run_frames(build_scenario(base), None, 20)
-        log_b = run_frames(build_scenario(with_leave), None, 20)
+        log_a = run_frames(MacEnvironment(base), None, 20)
+        log_b = run_frames(MacEnvironment(with_leave), None, 20)
         tx_a = [0 in r.transmitters for r in log_a.records]
         tx_b = [0 in r.transmitters for r in log_b.records]
         assert tx_a == tx_b
@@ -204,8 +201,8 @@ class TestPopulationDynamics:
         spec_short = make_spec([aloha(), aloha()], total_frames=5, seed=11)
         spec_long = make_spec([aloha(), aloha(), tdma(join_frame=5)],
                               total_frames=8, seed=11)
-        log_short = run_frames(build_scenario(spec_short), None, 5)
-        log_long = run_frames(build_scenario(spec_long), None, 8)
+        log_short = run_frames(MacEnvironment(spec_short), None, 5)
+        log_long = run_frames(MacEnvironment(spec_long), None, 8)
         for a, b in zip(log_short.records, log_long.records[:50]):
             assert a.transmitters == b.transmitters
             assert a.outcome == b.outcome
@@ -220,7 +217,7 @@ class TestDeterminism:
         )
         runs = []
         for _ in range(2):
-            env = build_scenario(spec)
+            env = MacEnvironment(spec)
             policy = BernoulliSlotPolicy(spec.seed, {4: [0.4] * 10})
             log = run_frames(env, policy, 50)
             runs.append([(r.transmitters, r.outcome.value, r.reward_vector)
@@ -231,7 +228,7 @@ class TestDeterminism:
         outcomes = []
         for seed in (42, 99):
             spec = make_spec([aloha(), aloha()], total_frames=30, seed=seed)
-            log = run_frames(build_scenario(spec), None, 30)
+            log = run_frames(MacEnvironment(spec), None, 30)
             outcomes.append([r.transmitters for r in log.records])
         assert outcomes[0] != outcomes[1]
 
@@ -239,21 +236,21 @@ class TestDeterminism:
 class TestValidation:
     def test_bad_q_reports_field_path(self):
         with pytest.raises(InvalidScenarioError) as err:
-            build_scenario(make_spec([aloha(q=1.5)]))
+            MacEnvironment(make_spec([aloha(q=1.5)]))
         assert "nodes[0].q" in str(err.value)
 
     def test_tdma_slot_out_of_range(self):
         with pytest.raises(InvalidScenarioError) as err:
-            build_scenario(make_spec([tdma(slots=(3, 12))]))
+            MacEnvironment(make_spec([tdma(slots=(3, 12))]))
         assert "nodes[0].slots" in str(err.value)
 
     def test_leave_before_join_rejected(self):
         with pytest.raises(InvalidScenarioError):
-            build_scenario(make_spec([aloha(join_frame=5, leave_frame=5)]))
+            MacEnvironment(make_spec([aloha(join_frame=5, leave_frame=5)]))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidScenarioError):
-            build_scenario(make_spec([NodeConfig(kind="wifi")]))
+            MacEnvironment(make_spec([NodeConfig(kind="wifi")]))
 
 
 class TestScenarioJson:
@@ -263,13 +260,12 @@ class TestScenarioJson:
              NodeConfig(kind="eb_aloha", window=2, max_stage=2)],
             total_frames=100, seed=5,
         )
-        text = scenario_to_json(spec)
-        again = scenario_from_doc(json.loads(text))
+        again = parse_scenario(scenario_doc(spec), MAC_FORMAT)
         assert again == spec
 
     def test_unknown_field_rejected(self):
-        text = scenario_to_json(make_spec([aloha()]))
-        bad = text.replace('"kind": "aloha"', '"kind": "aloha", "power": 3')
+        bad = scenario_doc(make_spec([aloha()]))
+        bad["nodes"][0]["power"] = 3
         with pytest.raises(InvalidScenarioError) as err:
-            scenario_from_doc(json.loads(bad))
+            parse_scenario(bad, MAC_FORMAT)
         assert "power" in str(err.value)

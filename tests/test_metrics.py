@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from coexlab.errors import MetricDomainError
 from coexlab.mac import (
     BernoulliSlotPolicy,
+    MacEnvironment,
     NodeConfig,
     ScenarioSpec,
-    build_scenario,
     run_frames,
 )
 from coexlab.metrics import (
@@ -31,7 +31,7 @@ def tdma_log(total_frames=30):
         nodes=[NodeConfig(kind="tdma", slots=(3, 5))],
         total_frames=total_frames, seed=1,
     )
-    return run_frames(build_scenario(spec), None, total_frames)
+    return run_frames(MacEnvironment(spec), None, total_frames)
 
 
 class TestWindowedThroughput:
@@ -47,7 +47,7 @@ class TestWindowedThroughput:
         # frames always holds one full frame of successes
         spec = ScenarioSpec(nodes=[NodeConfig(kind="agent")], total_frames=8,
                             seed=1)
-        env = build_scenario(spec)
+        env = MacEnvironment(spec)
         policy = BernoulliSlotPolicy(spec.seed, {})
         for frame in range(8):
             policy.set_vector(0, [1.0 if frame % 2 == 0 else 0.0] * 10)
@@ -169,6 +169,6 @@ class TestSlotUtilization:
                    NodeConfig(kind="tdma", slots=(3,))],
             total_frames=10, seed=1,
         )
-        log = run_frames(build_scenario(spec), None, 10)
+        log = run_frames(MacEnvironment(spec), None, 10)
         util = slot_utilization(log, last_frames=10)
         assert util[3] == 1.0

@@ -16,9 +16,9 @@ import pytest
 from coexlab.errors import UnsupportedPopulationError
 from coexlab.mac import (
     BernoulliSlotPolicy,
+    MacEnvironment,
     NodeConfig,
     ScenarioSpec,
-    build_scenario,
     run_frames,
 )
 from coexlab.oracle import (
@@ -26,7 +26,6 @@ from coexlab.oracle import (
     aware_trajectory,
     expected_throughputs,
     population_from_scenario,
-    scenario_segments,
     solve_aware,
 )
 
@@ -63,7 +62,7 @@ class TestExpectedThroughputs:
                    NodeConfig(kind="tdma", slots=(7,))],
             total_frames=4000, seed=123,
         )
-        env = build_scenario(spec)
+        env = MacEnvironment(spec)
         log = run_frames(env, BernoulliSlotPolicy(123, {0: [0.35] * 10}), 4000)
         n = len(log.records)
         for idx, expect in [(0, agents[0]), (1, aloha[0]), (2, aloha[1]),
@@ -153,11 +152,12 @@ class TestPopulationMapping:
                    NodeConfig(kind="tdma", slots=(3, 5), join_frame=75)],
             total_frames=100, seed=1,
         )
-        segs = scenario_segments(spec)
-        assert [(s, e) for s, e, _ in segs] == [(0, 25), (25, 75), (75, 100)]
-        assert segs[0][2] == (0, 1, 2)
-        assert segs[1][2] == (0, 2)
-        assert segs[2][2] == (0, 2, 3)
+        _, segs = aware_trajectory(spec)
+        assert [(s.start_frame, s.end_frame) for s in segs] == \
+            [(0, 25), (25, 75), (75, 100)]
+        assert segs[0].live_ids == (0, 1, 2)
+        assert segs[1].live_ids == (0, 2)
+        assert segs[2].live_ids == (0, 2, 3)
 
     def test_aware_trajectory_piecewise_constant(self):
         spec = ScenarioSpec(

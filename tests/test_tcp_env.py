@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 import tcp_reference
 from coexlab.errors import InvalidScenarioError
 from coexlab.tcp import (
+    TCP_FORMAT,
     FlowState,
     RoundFeedback,
     TcpEnvironment,
@@ -20,11 +20,11 @@ from coexlab.tcp import (
     mean_flow_throughputs,
     reno_update,
     run_rounds,
+    TCP_FORMAT,
     tcp_reward,
-    tcp_scenario_from_doc,
-    tcp_scenario_to_json,
     vegas_update,
 )
+from coexlab.scenario import parse_scenario, scenario_doc
 from coexlab.metrics import jain_index
 
 
@@ -84,62 +84,76 @@ class TestRoundArithmetic:
 class TestRenoUpdate:
     def test_congestion_avoidance_adds_one(self):
         s = FlowState(cwnd=8, ssthresh=32, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=8, rtt=0.1, loss=False)
+        fb = RoundFeedback(acks=8, rtt=0.1, loss=False, base_rtt=0.1)
         assert reno_update(s, fb, 64).cwnd == 9
 
     def test_loss_halves_to_ssthresh(self):
         s = FlowState(cwnd=8, ssthresh=32, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=6, rtt=0.2, loss=True)
+        fb = RoundFeedback(acks=6, rtt=0.2, loss=True, base_rtt=0.1)
         after = reno_update(s, fb, 64)
         assert after.cwnd == 4 and after.ssthresh == 4
         assert after.mode == "congestion_avoidance"
 
     def test_loss_floor_at_two(self):
         s = FlowState(cwnd=3, ssthresh=16, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=1, rtt=0.2, loss=True)
+        fb = RoundFeedback(acks=1, rtt=0.2, loss=True, base_rtt=0.1)
         assert reno_update(s, fb, 64).cwnd == 2
 
     def test_slow_start_doubles(self):
         s = FlowState(cwnd=2, ssthresh=8, mode="slow_start")
-        fb = RoundFeedback(acks=2, rtt=0.1, loss=False)
+        fb = RoundFeedback(acks=2, rtt=0.1, loss=False, base_rtt=0.1)
         assert reno_update(s, fb, 64).cwnd == 4
 
     def test_slow_start_caps_at_ssthresh(self):
         s = FlowState(cwnd=6, ssthresh=8, mode="slow_start")
-        fb = RoundFeedback(acks=6, rtt=0.1, loss=False)
+        fb = RoundFeedback(acks=6, rtt=0.1, loss=False, base_rtt=0.1)
         after = reno_update(s, fb, 64)
         assert after.cwnd == 8 and after.mode == "congestion_avoidance"
 
 
 class TestVegasUpdate:
     def test_no_queue_grows(self):
-        s = FlowState(cwnd=10, ssthresh=32, mode="congestion_avoidance",
-                      base_rtt_est=0.1)
-        fb = RoundFeedback(acks=10, rtt=0.1, loss=False)
+        s = FlowState(cwnd=10, ssthresh=32, mode="congestion_avoidance")
+        fb = RoundFeedback(acks=10, rtt=0.1, loss=False, base_rtt=0.1)
         assert vegas_update(s, fb, 64).cwnd == 11
 
     def test_in_band_holds(self):
         # diff = cwnd*(1 - base/rtt) = 10*(1 - 0.8) = 2 packets
-        s = FlowState(cwnd=10, ssthresh=32, mode="congestion_avoidance",
-                      base_rtt_est=0.1)
-        fb = RoundFeedback(acks=10, rtt=0.125, loss=False)
+        s = FlowState(cwnd=10, ssthresh=32, mode="congestion_avoidance")
+        fb = RoundFeedback(acks=10, rtt=0.125, loss=False, base_rtt=0.1)
         assert vegas_update(s, fb, 64).cwnd == 10
 
     def test_above_band_shrinks(self):
         # diff = 20*(1 - 0.8) = 4 > 3
-        s = FlowState(cwnd=20, ssthresh=32, mode="congestion_avoidance",
-                      base_rtt_est=0.1)
-        fb = RoundFeedback(acks=20, rtt=0.125, loss=False)
+        s = FlowState(cwnd=20, ssthresh=32, mode="congestion_avoidance")
+        fb = RoundFeedback(acks=20, rtt=0.125, loss=False, base_rtt=0.1)
         assert vegas_update(s, fb, 64).cwnd == 19
 
+    def test_reads_base_rtt_from_feedback(self):
+        # the same window and rtt hold in band over a 0.1 s base, but
+        # queue nothing over a 0.125 s one
+        s = FlowState(cwnd=10, ssthresh=32, mode="congestion_avoidance")
+        held = RoundFeedback(acks=10, rtt=0.125, loss=False, base_rtt=0.1)
+        empty = RoundFeedback(acks=10, rtt=0.125, loss=False, base_rtt=0.125)
+        assert vegas_update(s, held, 64).cwnd == 10
+        assert vegas_update(s, empty, 64).cwnd == 11
+
     def test_tracks_minimum_rtt(self):
-        s = FlowState(cwnd=5, ssthresh=32, mode="congestion_avoidance",
-                      base_rtt_est=None)
-        fb = RoundFeedback(acks=5, rtt=0.14, loss=False)
-        after = vegas_update(s, fb, 64)
-        assert after.base_rtt_est == pytest.approx(0.14)
-        fb2 = RoundFeedback(acks=5, rtt=0.11, loss=False)
-        assert vegas_update(after, fb2, 64).base_rtt_est == pytest.approx(0.11)
+        # every round feeds Vegas the smallest rtt its flow has seen so
+        # far, while the Reno flow beside it keeps the queue growing
+        env = TcpEnvironment(spec_for(["reno", "vegas"], rounds=200))
+        seen = []
+
+        def spy(state, fb, cwnd_max):
+            seen.append((fb.rtt, fb.base_rtt))
+            return vegas_update(state, fb, cwnd_max)
+
+        env._updates = (env._updates[0], spy)
+        run_rounds(env)
+        rtts = [rtt for rtt, _ in seen]
+        assert [base for _, base in seen] == \
+            [min(rtts[:k + 1]) for k in range(len(rtts))]
+        assert rtts[-1] > seen[-1][1]
 
 
 class TestReward:
@@ -197,8 +211,7 @@ class TestDynamicsAndJson:
 
     def test_round_trip(self):
         spec = spec_for(["reno", "agent"], rounds=500, seed=9)
-        doc = json.loads(tcp_scenario_to_json(spec))
-        assert tcp_scenario_from_doc(doc) == spec
+        assert parse_scenario(scenario_doc(spec), TCP_FORMAT) == spec
 
     def test_validation_paths(self):
         with pytest.raises(InvalidScenarioError) as err:

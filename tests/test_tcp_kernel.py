@@ -23,12 +23,13 @@ from coexlab.agent.online import tcp_window_objective
 from coexlab.errors import CoexlabError
 from coexlab import runner
 from coexlab.runner import tcp_metrics_report
+from coexlab.scenario import live_segments
 from coexlab.tcp import (
     CONTROLLERS,
+    TCP_FORMAT,
     TcpEnvironment,
     TcpFlowConfig,
     TcpScenarioSpec,
-    live_segments,
     mean_flow_throughputs,
     mean_social_reward,
     run_rounds,
@@ -162,9 +163,9 @@ def test_live_set_changes_only_at_join_and_leave_rounds():
              TcpFlowConfig("vegas", join_round=10, leave_round=20),
              TcpFlowConfig("agent", join_round=10),
              TcpFlowConfig("reno", join_round=30, leave_round=40)]
-    assert live_segments(flows) == [(0, (0,)), (10, (0, 1, 2)),
-                                    (20, (0, 2)), (30, (0, 2, 3)),
-                                    (40, (0, 2))]
+    assert live_segments(TCP_FORMAT.lifetimes(flows)) == [
+        (0, (0,)), (10, (0, 1, 2)), (20, (0, 2)), (30, (0, 2, 3)),
+        (40, (0, 2))]
     env = TcpEnvironment(TcpScenarioSpec(flows=flows, total_rounds=50,
                                          seed=1))
     run_rounds(env)
