@@ -81,7 +81,10 @@ def actions_converged(actions: Sequence[object], epsilon: float,
     below ``epsilon`` in L-infinity. Needs periods + 1 actions."""
     if len(actions) < periods + 1:
         return False
-    recent = list(actions)[-(periods + 1):]
+    # the slice [-(periods + 1):], reading only those items of a history
+    # that grows by one action per period
+    recent = [actions[i] for i in
+              range(*slice(-(periods + 1), None).indices(len(actions)))]
     return all(_linf(prev, cur) < epsilon
                for prev, cur in zip(recent, recent[1:]))
 

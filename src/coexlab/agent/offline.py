@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..backends import (
     Backend,
     ITEMS_TOKEN,
@@ -179,10 +181,11 @@ def mac_j_estimate(log: TrajectoryLog, config: AgentConfig) -> float:
             f"evaluation log shorter than the {config.window_frames}-frame "
             f"throughput window")
     half = len(series.frames) // 2
-    values = []
-    for idx in range(half, len(series.frames)):
-        snapshot = [series.values[nid][idx] for nid in sorted(series.values)]
-        values.append(fair_objective(snapshot, config.alpha))
+    # one row per frame of the last half, nodes in ascending id order
+    rows = np.zeros((len(series.frames) - half, len(series.values)))
+    for k, nid in enumerate(sorted(series.values)):
+        rows[:, k] = series.values[nid][half:]
+    values = [fair_objective(row, config.alpha) for row in rows.tolist()]
     return sum(values) / len(values)
 
 
@@ -350,9 +353,9 @@ def run_offline(backend: Backend, spec, demos: DemoBundle,
     evaluated = {strategy.id}
     best, best_j = strategy, outcome.j
     if trace is not None:
-        trace.root.child("assistant", f"offline generation {strategy.id}",
-                         outputs=strategy_doc(strategy),
-                         j=round(outcome.j, 6), j_target=round(j_target, 6))
+        trace.child("assistant", f"offline generation {strategy.id}",
+                    outputs=strategy_doc(strategy),
+                    j=round(outcome.j, 6), j_target=round(j_target, 6))
 
     rounds = 0
     current, current_j, current_episode = strategy, outcome.j, outcome.episode
@@ -374,10 +377,9 @@ def run_offline(backend: Backend, spec, demos: DemoBundle,
                                    j_estimate=round(outcome.j, 6),
                                    summary=outcome.episode))
         if trace is not None:
-            trace.root.child("assistant",
-                             f"reflection round {rounds} {refined.id}",
-                             outputs=strategy_doc(refined),
-                             j=round(outcome.j, 6))
+            trace.child("assistant",
+                        f"reflection round {rounds} {refined.id}",
+                        outputs=strategy_doc(refined), j=round(outcome.j, 6))
         if outcome.j > best_j:
             best, best_j = refined, outcome.j
         current, current_j = refined, outcome.j

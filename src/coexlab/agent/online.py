@@ -297,7 +297,7 @@ class PeriodEngine:
 
         obs_node = None
         if self.trace is not None:
-            period_node = self.trace.root.child(
+            period_node = self.trace.child(
                 self.trace.root.actor,
                 f"period {index} {self.unit}s {t0}-{t0 + length - 1}")
             obs_node = period_node.child(

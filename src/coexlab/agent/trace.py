@@ -8,11 +8,12 @@ serialize with sorted keys, so identical runs emit identical bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, TextIO
+from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
 from ..errors import InvalidScenarioError
 
@@ -48,26 +49,157 @@ class TraceNode:
         self.children.append(node)
         return node
 
-    def to_doc(self) -> Dict[str, object]:
-        return {
-            "actor": self.actor,
-            "label": self.label,
-            "input_digest": self.input_digest,
-            "output_digest": self.output_digest,
-            "data": self.data,
-            "children": [c.to_doc() for c in self.children],
-        }
-
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-class DecisionTrace:
-    """A single rooted decision tree for one run or episode."""
+def _dot_label(nid: int, node: TraceNode) -> str:
+    label = _dot_escape(f"{node.actor}: {node.label}")
+    return f'  n{nid} [label="{label}"];\n'
 
-    def __init__(self, label: str, actor: str = ACTOR_ASSISTANT):
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(inner: str) -> Callable[[object], str]:
+    """``json``'s C encoder with sorted keys, joining items by ``",\n" +
+    inner``: the body of a container of leaves at that indent. One is kept
+    per nesting depth in use."""
+    return json.JSONEncoder(separators=(",\n" + inner, ": "),
+                            sort_keys=True).encode
+
+
+def _json_key(key: object) -> str:
+    """A dict key as ``json`` writes it: a string as it is, any other key
+    by its JSON text."""
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+
+
+def indented_json(value: object, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value that
+    opens on a line indented by ``indent``. The layout is built here, and
+    each leaf, or container of leaves only, goes through ``json``'s C
+    encoder, which ``indent=2`` would turn off."""
+    is_dict = isinstance(value, dict)
+    if not value or not (is_dict or isinstance(value, (list, tuple))):
+        return json.dumps(value)
+    inner = indent + "  "
+    opening, closing = "{}" if is_dict else "[]"
+    if any(isinstance(v, (dict, list, tuple))
+           for v in (value.values() if is_dict else value)):
+        items = (f"{_json_key(k)}: {indented_json(v, inner)}"
+                 for k, v in sorted(value.items())) if is_dict \
+            else (indented_json(v, inner) for v in value)
+        body = (",\n" + inner).join(items)
+    else:
+        body = _flat_encoder(inner)(value)[1:-1]
+    return f"{opening}\n{inner}{body}\n{indent}{closing}"
+
+
+def _node_ends(node: TraceNode, indent: str) -> Tuple[str, str]:
+    """The JSON text of ``node``, opening at ``indent``, before and after
+    the items of its ``children`` list: its keys sort as actor, children,
+    data, input_digest, label, output_digest."""
+    inner = indent + "  "
+    return (f'{{\n{inner}"actor": {json.dumps(node.actor)},\n'
+            f'{inner}"children": [',
+            f',\n{inner}"data": {indented_json(node.data, inner)},\n'
+            f'{inner}"input_digest": {json.dumps(node.input_digest)},\n'
+            f'{inner}"label": {json.dumps(node.label)},\n'
+            f'{inner}"output_digest": {json.dumps(node.output_digest)}\n'
+            f'{indent}}}')
+
+
+def _node_json(node: TraceNode, indent: str) -> str:
+    """``node``'s subtree as ``indented_json`` gives its document."""
+    head, tail = _node_ends(node, indent)
+    if not node.children:
+        return f"{head}]{tail}"
+    item = indent + "    "
+    items = (",\n" + item).join(_node_json(c, item) for c in node.children)
+    return f"{head}\n{item}{items}\n{indent}  ]{tail}"
+
+
+class TraceSink:
+    """Writes the text of ``to_json`` and ``to_dot`` (either file may be
+    None) one top-level subtree at a time: the root's opening first, then
+    each finished top-level subtree, then on ``close`` the root's other
+    keys. Only the subtree being written is encoded at once."""
+
+    def __init__(self, json_fh: Optional[TextIO],
+                 dot_fh: Optional[TextIO] = None):
+        self.json_fh = json_fh
+        self.dot_fh = dot_fh
+        self.written = 0        # top-level subtrees written
+        self.next_id = 1        # DOT id of the next node; the root is n0
+
+    def open(self, root: TraceNode) -> None:
+        if self.json_fh is not None:
+            self.json_fh.write(_node_ends(root, "")[0])
+        if self.dot_fh is not None:
+            self.dot_fh.write("digraph decision_trace {\n"
+                              "  node [shape=box];\n" + _dot_label(0, root))
+
+    def subtree(self, node: TraceNode) -> None:
+        if self.json_fh is not None:
+            self.json_fh.write(("," if self.written else "") + "\n    "
+                               + _node_json(node, "    "))
+        if self.dot_fh is not None:
+            lines: List[str] = []
+            nid = self._dot_walk(node, lines)
+            lines.append(f"  n0 -> n{nid};\n")
+            self.dot_fh.write("".join(lines))
+        self.written += 1
+
+    def _dot_walk(self, node: TraceNode, lines: List[str]) -> int:
+        """Number ``node``'s subtree in pre-order, appending each node's
+        label line and, after each child's subtree, the edge to it."""
+        nid = self.next_id
+        self.next_id += 1
+        lines.append(_dot_label(nid, node))
+        for c in node.children:
+            cid = self._dot_walk(c, lines)
+            lines.append(f"  n{nid} -> n{cid};\n")
+        return nid
+
+    def close(self, root: TraceNode) -> None:
+        if self.json_fh is not None:
+            self.json_fh.write(("\n  ]" if self.written else "]")
+                               + _node_ends(root, "")[1] + "\n")
+        if self.dot_fh is not None:
+            self.dot_fh.write("}\n")
+
+
+class DecisionTrace:
+    """A single rooted decision tree for one run or episode.
+
+    Without a sink the whole tree stays in memory. With one, the trace
+    is written as it grows: a top-level node goes to the sink, and out of
+    memory, when the next one is made, and ``close`` writes the rest. A
+    run's period nodes are top-level, so it holds one period at a time.
+    """
+
+    def __init__(self, label: str, actor: str = ACTOR_ASSISTANT,
+                 sink: Optional[TraceSink] = None):
         self.root = TraceNode(actor=actor, label=label)
+        self.sink = sink
+        if sink is not None:
+            sink.open(self.root)
+
+    def child(self, actor: str, label: str, **options: object) -> TraceNode:
+        """A new top-level node; see ``TraceNode.child``."""
+        self._flush()
+        return self.root.child(actor, label, **options)
+
+    def _flush(self) -> None:
+        if self.sink is not None:
+            for node in self.root.children:
+                self.sink.subtree(node)
+            self.root.children.clear()
+
+    def close(self) -> None:
+        """Write what a sinked trace still holds and the root's tail."""
+        self._flush()
+        self.sink.close(self.root)
 
     def find(self, predicate: Callable[[TraceNode], bool]) -> List[TraceNode]:
         found: List[TraceNode] = []
@@ -81,14 +213,17 @@ class DecisionTrace:
         walk(self.root)
         return found
 
-    def write_json(self, fh: TextIO) -> None:
-        """Write the tree to ``fh`` as indented JSON with sorted keys."""
-        json.dump(self.root.to_doc(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def _write(self, sink: TraceSink) -> None:
+        sink.open(self.root)
+        for c in self.root.children:
+            sink.subtree(c)
+        sink.close(self.root)
 
     def to_json(self) -> str:
+        """The tree as ``json.dumps(indent=2, sort_keys=True)`` gives it,
+        with a newline after it."""
         buf = io.StringIO()
-        self.write_json(buf)
+        self._write(TraceSink(buf))
         return buf.getvalue()
 
     def render(self) -> str:
@@ -103,23 +238,9 @@ class DecisionTrace:
         return "\n".join(lines) + "\n"
 
     def to_dot(self) -> str:
-        lines = ["digraph decision_trace {", "  node [shape=box];"]
-        counter = 0
-
-        def walk(node: TraceNode) -> int:
-            nonlocal counter
-            nid = counter
-            counter += 1
-            label = _dot_escape(f"{node.actor}: {node.label}")
-            lines.append(f'  n{nid} [label="{label}"];')
-            for c in node.children:
-                cid = walk(c)
-                lines.append(f"  n{nid} -> n{cid};")
-            return nid
-
-        walk(self.root)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        self._write(TraceSink(None, buf))
+        return buf.getvalue()
 
 
 def node_from_doc(doc: object) -> TraceNode:

@@ -8,7 +8,8 @@ import os
 import re
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import (Callable, Dict, List, Optional, Protocol, TextIO,
+                    Tuple)
 
 from .errors import (
     BackendUnavailableError,
@@ -77,33 +78,33 @@ class TranscriptRecorder:
     """Append-only request/response log, serialized as JSON lines.
 
     Entries carry a sequence number rather than wall-clock time so that
-    identical runs produce identical transcripts.
+    identical runs produce identical transcripts. Given an open file, the
+    recorder writes each entry's line to it as the entry is recorded and
+    keeps none; otherwise it keeps them in ``entries``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, fh: Optional[TextIO] = None) -> None:
+        self.fh = fh
         self.entries: List[Dict[str, object]] = []
+        self.count = 0
 
     def record(self, kind: str, req: CompletionRequest, response: str) -> None:
-        self.entries.append({
-            "seq": len(self.entries),
+        entry = {
+            "seq": self.count,
             "kind": kind,
             "tag": req.request_tag,
             "messages": [{"role": m.role, "content": m.content}
                          for m in req.messages],
             "response": response,
-        })
-
-    def record_note(self, kind: str, payload: Dict[str, object]) -> None:
-        self.entries.append({"seq": len(self.entries), "kind": kind,
-                             "note": payload})
+        }
+        self.count += 1
+        if self.fh is None:
+            self.entries.append(entry)
+        else:
+            self.fh.write(_jsonl_line(entry))
 
     def to_jsonl(self) -> str:
         return "".join(map(_jsonl_line, self.entries))
-
-    def write(self, path) -> None:
-        """Write the transcript one line at a time."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(map(_jsonl_line, self.entries))
 
 
 class RecordingBackend:

@@ -25,17 +25,17 @@ DEFAULT_WARMUP_FRAMES = 500
 class ThroughputSeries:
     """Windowed throughput per node, one value per frame index."""
 
-    frames: List[int]
-    values: Dict[int, List[float]]
+    frames: Sequence[int]
+    values: Mapping[int, Sequence[float]]
     window_frames: int
 
 
 def windowed_throughput(log: TrajectoryLog,
                         window_frames: int = DEFAULT_WINDOW_FRAMES) -> ThroughputSeries:
     """Per-node successes over the trailing window, divided by the number
-    of slots in the window. Defined for frames >= window_frames, so a log
-    shorter than the window gives empty series; a node contributes zero
-    for slots where it is not live."""
+    of slots in the window, as one float64 array per node. Defined for
+    frames >= window_frames, so a log shorter than the window gives empty
+    series; a node contributes zero for slots where it is not live."""
     if window_frames < 1:
         raise MetricDomainError("window_frames must be >= 1")
     if not log.n_slots:
@@ -48,14 +48,13 @@ def windowed_throughput(log: TrajectoryLog,
     window_sums = cumulative[window_frames:] \
         - cumulative[:max(0, total_frames + 1 - window_frames)]
 
-    frames = list(range(window_frames, total_frames + 1))
     slots_per_window = window_frames * log.frame_len
-    values = {nid: (window_sums[:, nid] / slots_per_window).tolist()
+    values = {nid: window_sums[:, nid] / slots_per_window
               for nid in node_ids}
     # Frame label f means "window ending at frame f", i.e. frames
     # (f - window, f] counted with 1-based frame numbering.
-    return ThroughputSeries(frames=frames, values=values,
-                            window_frames=window_frames)
+    return ThroughputSeries(frames=range(window_frames, total_frames + 1),
+                            values=values, window_frames=window_frames)
 
 
 def node_mean_throughputs(log: TrajectoryLog) -> Dict[int, float]:
@@ -105,21 +104,23 @@ def rmse_vs_reference(series: ThroughputSeries,
                       reference: Mapping[int, Sequence[float]],
                       warmup_frames: int = DEFAULT_WARMUP_FRAMES) -> float:
     """Root mean squared error between a measured series and a per-frame
-    reference, over every (node, frame) pair with frame > warmup.
+    reference, over every (node, frame) pair with frame > warmup, summed
+    frame by frame in ascending node order.
 
     ``reference`` maps node id to one value per frame (index = frame).
     Nodes present on only one side count as zero on the other.
     """
     node_ids = sorted(set(series.values) | set(reference))
+    measured = [np.asarray(series.values[nid], dtype=np.float64)
+                if nid in series.values else None for nid in node_ids]
+    references = [reference.get(nid) for nid in node_ids]
     count = 0
     acc = 0.0
     for idx, frame in enumerate(series.frames):
         if frame <= warmup_frames:
             continue
-        for nid in node_ids:
-            measured = series.values.get(nid)
-            m = measured[idx] if measured is not None else 0.0
-            ref_series = reference.get(nid)
+        for nid, column, ref_series in zip(node_ids, measured, references):
+            m = column.item(idx) if column is not None else 0.0
             if ref_series is None:
                 r = 0.0
             else:

@@ -8,14 +8,15 @@ the scripted backend reproduces every artifact byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    TextIO, Tuple, Union)
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, TextIO, Tuple, Union)
 
 import numpy as np
 
@@ -80,7 +81,12 @@ from .agent.config import AgentConfig, checked_agent_settings
 from .agent.demos import demo_bundle, demos_to_json
 from .agent.offline import OfflineResult, run_offline
 from .agent.online import MacPeriodEngine, TcpPeriodEngine
-from .agent.trace import DecisionTrace, trace_from_doc
+from .agent.trace import (
+    DecisionTrace,
+    TraceSink,
+    indented_json,
+    trace_from_doc,
+)
 
 BACKEND_SCRIPTED = "scripted"
 BACKEND_HTTP = "http"
@@ -216,7 +222,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, doc: Dict[str, object]) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, indented_json(doc) + "\n")
 
 
 # rows the CSV writers format and write at a time
@@ -256,7 +262,7 @@ def _write_csv(fh: TextIO, header: Sequence[str], n_rows: int,
 
 
 def _write_node_csv(fh: TextIO, frames: Sequence[int],
-                    values: Dict[int, List[float]]) -> None:
+                    values: Mapping[int, Sequence[float]]) -> None:
     """A ``frame`` column, then one column per node id, ascending."""
     node_ids = sorted(values)
 
@@ -462,19 +468,56 @@ def _prepare(config: RunConfig) -> Tuple[AnyScenario, str, int]:
     return spec, family, demo_seed
 
 
+@contextlib.contextmanager
+def _transcript(out: str, backend: Optional[Backend]):
+    """``backend`` recording into ``transcript.jsonl`` line by line, or
+    None when there is no backend (and no transcript)."""
+    if backend is None:
+        yield None
+        return
+    with open(os.path.join(out, ARTIFACT_TRANSCRIPT), "w", encoding="utf-8",
+              newline="\n") as fh:
+        yield RecordingBackend(backend, TranscriptRecorder(fh))
+
+
+@contextlib.contextmanager
+def _streamed_trace(config: RunConfig):
+    """A decision trace written to ``trace.json`` and ``trace.dot`` as the
+    run goes, or None when tracing is off. Both files are removed if the
+    run fails before the trace is closed."""
+    if not config.trace:
+        yield None
+        return
+    paths = [os.path.join(config.out_dir, name)
+             for name in (ARTIFACT_TRACE, ARTIFACT_DOT)]
+    try:
+        with open(paths[0], "w", encoding="utf-8", newline="") as json_fh, \
+                open(paths[1], "w", encoding="utf-8", newline="") as dot_fh:
+            trace = DecisionTrace(
+                f"run {os.path.basename(config.scenario_path)}",
+                sink=TraceSink(json_fh, dot_fh))
+            yield trace
+            trace.close()
+    except BaseException:
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+
+
 def cmd_run(config: RunConfig) -> RunResult:
     """Offline stage (unless a cached strategy is supplied), online stage,
-    then the full artifact set."""
+    then the full artifact set. The transcript and the decision trace are
+    written while the run goes."""
     spec, family, demo_seed = _prepare(config)
+    with _transcript(config.out_dir, make_backend(config)) as wrapped:
+        return _run_stages(config, spec, family, demo_seed, wrapped)
+
+
+def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
+                demo_seed: int, wrapped: Optional[Backend]) -> RunResult:
     out = config.out_dir
     agent_cfg = config.agent
-
-    recorder = TranscriptRecorder()
-    backend = make_backend(config)
-    wrapped = RecordingBackend(backend, recorder) \
-        if backend is not None else None
-    trace = DecisionTrace(f"run {os.path.basename(config.scenario_path)}") \
-        if config.trace else None
 
     offline_result: Optional[OfflineResult] = None
     demos = None
@@ -491,16 +534,11 @@ def cmd_run(config: RunConfig) -> RunResult:
             reference = None
         if has_aware:
             log = run_aware_reference(spec, segments)
-            trace = None
         elif not has_agent:
             log = run_frames(MacEnvironment(spec), None, spec.total_frames)
-            trace = None
         else:
-            strategy, offline_result, demos = _obtain_strategy(
-                config, wrapped, spec, "mac", demo_seed)
-            engine = MacPeriodEngine(spec, strategy, agent_cfg,
-                                     backend=wrapped, trace=trace)
-            log = engine.run(spec.total_frames)
+            log, offline_result, demos = _run_agents(
+                config, wrapped, spec, family, demo_seed)
         series = windowed_throughput(log, agent_cfg.window_frames)
         metrics = mac_metrics_report(series, node_mean_throughputs(log),
                                      reference, agent_cfg)
@@ -512,14 +550,10 @@ def cmd_run(config: RunConfig) -> RunResult:
     else:
         has_agent = any(f.controller == CONTROLLER_AGENT for f in spec.flows)
         if has_agent:
-            strategy, offline_result, demos = _obtain_strategy(
-                config, wrapped, spec, "tcp", demo_seed)
-            engine = TcpPeriodEngine(spec, strategy, agent_cfg,
-                                     backend=wrapped, trace=trace)
-            tcp_log = engine.run(spec.total_rounds)
+            tcp_log, offline_result, demos = _run_agents(
+                config, wrapped, spec, family, demo_seed)
         else:
             tcp_log = run_rounds(TcpEnvironment(spec), None, spec.total_rounds)
-            trace = None
         metrics = tcp_metrics_report(tcp_log, agent_cfg)
         _write_file(os.path.join(out, ARTIFACT_TRAJECTORY),
                     _write_tcp_trajectory, tcp_log, len(spec.flows))
@@ -532,13 +566,23 @@ def cmd_run(config: RunConfig) -> RunResult:
     if offline_result is not None and demos is not None:
         _offline_artifacts(out, family, agent_cfg.demo_k, demo_seed,
                            demos, offline_result)
-    if wrapped is not None:
-        recorder.write(os.path.join(out, ARTIFACT_TRANSCRIPT))
-    if trace is not None:
-        _write_file(os.path.join(out, ARTIFACT_TRACE), trace.write_json)
-        _write_text(os.path.join(out, ARTIFACT_DOT), trace.to_dot())
     return RunResult(out_dir=out, family=family, metrics=metrics,
                      offline=offline_result)
+
+
+def _run_agents(config: RunConfig, backend: Optional[Backend],
+                spec: AnyScenario, family: str, demo_seed: int):
+    """The strategy (offline stage or cached), then the period engine run
+    with its decision trace streamed; returns the trajectory log, the
+    offline result and the demos."""
+    strategy, offline_result, demos = _obtain_strategy(
+        config, backend, spec, family, demo_seed)
+    engine_cls, horizon = (MacPeriodEngine, spec.total_frames) \
+        if family == "mac" else (TcpPeriodEngine, spec.total_rounds)
+    with _streamed_trace(config) as trace:
+        engine = engine_cls(spec, strategy, config.agent, backend=backend,
+                            trace=trace)
+        return engine.run(horizon), offline_result, demos
 
 
 def _obtain_strategy(config: RunConfig, backend: Optional[Backend],
@@ -566,17 +610,15 @@ def cmd_offline(config: RunConfig) -> OfflineResult:
     if backend is None:
         raise InvalidScenarioError("backend",
                                    "offline learning needs a backend")
-    recorder = TranscriptRecorder()
-    wrapped = RecordingBackend(backend, recorder)
     demos = demo_bundle(family, config.agent.demo_k, demo_seed,
                         config=config.agent)
-    result = run_offline(wrapped, spec, demos, config.agent)
+    with _transcript(out, backend) as wrapped:
+        result = run_offline(wrapped, spec, demos, config.agent)
 
     _write_json(os.path.join(out, ARTIFACT_CONFIG),
                 _config_snapshot(config, spec, family))
     _offline_artifacts(out, family, config.agent.demo_k, demo_seed,
                        demos, result)
-    recorder.write(os.path.join(out, ARTIFACT_TRANSCRIPT))
     return result
 
 
@@ -708,6 +750,12 @@ def cmd_eval(run_dir: str,
             with open(ref_file, "r", encoding="utf-8", newline="") as fh:
                 _, reference = _read_wide_csv(fh.read(), ref_file,
                                               "frame", "node_")
+            # a node may join at the horizon: in the reference, in no window
+            missing = sorted(set(values) - set(reference))
+            if missing:
+                raise InvalidScenarioError(
+                    ref_file, f"has no column for node_{missing[0]}, "
+                              f"which {ARTIFACT_TRAJECTORY} holds")
         summary = mac_metrics_report(series, means, reference, agent_cfg)
     else:
         metrics_doc = json.loads(_read_artifact(run_dir, ARTIFACT_METRICS))

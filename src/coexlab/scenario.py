@@ -5,6 +5,7 @@ Fields are checked in table order, so an error names the first bad one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -95,9 +96,20 @@ def parse_scenario(doc: object, fmt: ScenarioFormat):
     return spec
 
 
+def _check_finite(obj, fields: Sequence[Field], prefix: str) -> None:
+    """Refuse NaN or an infinity in any of ``fields`` of ``obj``, with the
+    field's message. A parsed document's type tests refuse them already;
+    a spec built in code meets them here."""
+    for f in fields:
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidScenarioError(prefix + f.name, f.message)
+
+
 def validate_scenario(spec) -> None:
     """Check a spec, parsed or built in code, against its format."""
     fmt = FORMATS[type(spec)]
+    _check_finite(spec, fmt.fields, "")
     for name, out_of_range, message in fmt.ranges:
         if out_of_range(getattr(spec, name)):
             raise InvalidScenarioError(name, message)
@@ -109,6 +121,7 @@ def validate_scenario(spec) -> None:
     for i, (member, (join, leave)) in enumerate(
             zip(members, fmt.lifetimes(members))):
         path = f"{fmt.member_key}[{i}]"
+        _check_finite(member, fmt.member_fields, f"{path}.")
         tag = getattr(member, fmt.tag)
         if tag not in fmt.tags:
             raise InvalidScenarioError(f"{path}.{fmt.tag}",

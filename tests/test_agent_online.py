@@ -1,6 +1,7 @@
 """Observer analysis and the online control loop."""
 
 import json
+from collections.abc import Sequence
 
 import pytest
 
@@ -123,6 +124,26 @@ class TestMacObserver:
         assert signals.window == (50, 149)
 
 
+class TailOnly(Sequence):
+    """A history that fails a test when any item before its last ``keep``
+    is read, so also when it is iterated or copied whole."""
+
+    def __init__(self, items, keep):
+        self.items = items
+        self.keep = keep
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        if not isinstance(index, int):
+            raise AssertionError(f"read by {index!r}")
+        position = index % len(self.items)
+        if position < len(self.items) - self.keep:
+            raise AssertionError(f"read item {position} of the history")
+        return self.items[position]
+
+
 class TestConvergence:
     def test_identical_actions_converge(self):
         actions = [[0.5] * 10] * 4
@@ -147,6 +168,15 @@ class TestConvergence:
     def test_old_history_is_ignored(self):
         actions = [[0.1] * 10] + [[0.5] * 10] * 4
         assert actions_converged(actions, 0.02, 3)
+
+    @pytest.mark.parametrize("periods", [1, 3])
+    @pytest.mark.parametrize("last", [0.5, 0.6])
+    def test_reads_only_the_last_periods_plus_one_actions(self, periods,
+                                                          last):
+        actions = [[0.1] * 10] * 1000 + [[0.5] * 10] * periods + [[last] * 10]
+        history = TailOnly(actions, periods + 1)
+        assert actions_converged(history, 0.02, periods) \
+            == actions_converged(actions, 0.02, periods) == (last == 0.5)
 
 
 class TestTcpObserver:

@@ -170,6 +170,13 @@ EVAL_BAD_IDS = {
 }
 
 
+def drop_column(col):
+    def mutate(text):
+        rows = [line.split(",") for line in text.splitlines()]
+        return "\n".join(",".join(r[:col] + r[col + 1:]) for r in rows) + "\n"
+    return mutate
+
+
 def nested_trace(depth):
     node = '{"actor": "a", "label": "b", "children": ['
     return node * depth + "]}" * depth
@@ -906,6 +913,31 @@ class TestEvalCommand:
         name, mutate = EVAL_BAD_IDS[breakage]
         args, path = self.break_artifact(tmp_path, mac_run, name, mutate)
         self.assert_exit_2_naming(args, name, path, capsys)
+
+    @pytest.mark.parametrize("name", [ARTIFACT_REFERENCE, "--reference"])
+    def test_reference_without_a_trajectory_node_exits_2_and_names_file(
+            self, tmp_path, mac_run, name, capsys):
+        args, path = self.break_artifact(tmp_path, mac_run, name,
+                                         drop_column(2))
+        self.assert_exit_2_naming(args, name, path, capsys)
+
+    def test_reference_may_hold_a_node_no_window_saw(self, tmp_path, capsys):
+        """A node that joins at the horizon has a reference column but no
+        trajectory column; a reference lacking a trajectory node is
+        refused."""
+        scenario = write_mac_scenario(tmp_path / "late.json", [
+            {"kind": "aloha", "q": 0.3}, {"kind": "tdma", "slots": [3]},
+            {"kind": "aloha", "q": 0.3, "join_frame": 600}], frames=600)
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
+        assert "node_2" in (out / ARTIFACT_REFERENCE).read_text()
+        assert "node_2" not in (out / ARTIFACT_TRAJECTORY).read_text()
+        args, path = self.break_artifact(tmp_path / "broken", out,
+                                         ARTIFACT_REFERENCE, drop_column(1))
+        self.assert_exit_2_naming(args, ARTIFACT_REFERENCE, path, capsys)
+        assert run_cli("eval", "--run", str(out)) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["rmse"] == read_json(out, ARTIFACT_METRICS)["rmse"]
 
     @pytest.mark.parametrize("breakage", sorted(EVAL_BREAKAGES))
     def test_malformed_run_artifact_exits_2(self, tmp_path, breakage,

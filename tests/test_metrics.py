@@ -38,7 +38,7 @@ class TestWindowedThroughput:
     def test_tdma_constant_rate(self):
         log = tdma_log(30)
         series = windowed_throughput(log, window_frames=10)
-        assert series.frames == list(range(10, 31))
+        assert list(series.frames) == list(range(10, 31))
         # 2 successes per frame, 100 slots per window
         assert all(abs(v - 0.2) < 1e-12 for v in series.values[0])
 
@@ -57,13 +57,13 @@ class TestWindowedThroughput:
 
     def test_log_shorter_than_window_gives_empty_series(self):
         series = windowed_throughput(tdma_log(5), window_frames=10)
-        assert series.frames == []
-        assert series.values == {0: []}
+        assert list(series.frames) == []
+        assert {n: v.tolist() for n, v in series.values.items()} == {0: []}
 
     def test_window_longer_than_log_rejected(self):
         log = tdma_log(5)
         series = windowed_throughput(log, window_frames=5)
-        assert series.frames == [5]
+        assert list(series.frames) == [5]
         with pytest.raises(MetricDomainError):
             windowed_throughput(log, window_frames=0)
 

@@ -7,13 +7,16 @@ Documents drawn sound and then mutated (wrong types, ``null``, NaN and
 the infinities, ints of 10**400, unknown or missing keys, empty or
 non-list members, bad lifetimes) must give the same spec or the same
 error text, and every accepted spec the same serialized document. Specs
-built in code must give the same validation error. The oracle's
-population segments must equal the reference split.
+built in code must give the same validation error, except that the
+tables refuse every non-finite number, which the reference lets through
+in some fields. The oracle's population segments must equal the
+reference split.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import combinations
 
 import pytest
@@ -21,12 +24,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scenario_reference as ref
-from coexlab.mac import ALL_KINDS, MAC_FORMAT, NodeConfig, ScenarioSpec
+from coexlab.errors import InvalidScenarioError
+from coexlab.mac import (
+    ALL_KINDS,
+    MAC_FORMAT,
+    MacEnvironment,
+    NodeConfig,
+    ScenarioSpec,
+)
 from coexlab.oracle import aware_trajectory
 from coexlab.scenario import parse_scenario, scenario_doc, validate_scenario
 from coexlab.tcp import (
     CONTROLLERS,
     TCP_FORMAT,
+    TcpEnvironment,
     TcpFlowConfig,
     TcpScenarioSpec,
 )
@@ -213,18 +224,54 @@ tcp_specs = st.builds(
     cwnd_max=mostly(TCP_TOP_OPTIONAL["cwnd_max"], nonpositive))
 
 
+def non_finite(spec) -> bool:
+    """Whether a float of ``spec`` or of one of its members is NaN or
+    infinite."""
+    members = spec.nodes if isinstance(spec, ScenarioSpec) else spec.flows
+    return any(isinstance(value, float) and not math.isfinite(value)
+               for obj in (spec, *members) for value in vars(obj).values())
+
+
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(spec=mac_specs | tcp_specs)
 def test_specs_built_in_code_match_reference(spec):
+    """The reference lets some non-finite numbers through (every range
+    check is a comparison NaN fails); the table refuses each one."""
     ref_validate, ref_to_json = (
         (ref.validate_scenario, ref.scenario_to_json)
         if isinstance(spec, ScenarioSpec)
         else (ref.validate_tcp_scenario, ref.tcp_scenario_to_json))
     got = outcome(validate_scenario, spec)
+    if non_finite(spec):
+        assert got is not None and got[0] == "InvalidScenarioError"
+        return
     assert got == outcome(ref_validate, spec)
     if got is None:
         assert json.dumps(scenario_doc(spec), indent=2, sort_keys=True) \
             + "\n" == ref_to_json(spec)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make,path", [
+    (lambda v: MacEnvironment(ScenarioSpec(
+        [NodeConfig("aloha", q=0.2)], total_frames=5, seed=1,
+        slot_duration_ms=v)), "slot_duration_ms"),
+    (lambda v: MacEnvironment(ScenarioSpec(
+        [NodeConfig("aloha", q=v)], total_frames=5, seed=1)), "nodes[0].q"),
+    (lambda v: TcpEnvironment(TcpScenarioSpec(
+        [TcpFlowConfig("reno")], total_rounds=5, seed=1,
+        link_capacity_pps=v)), "link_capacity_pps"),
+    (lambda v: TcpEnvironment(TcpScenarioSpec(
+        [TcpFlowConfig("reno")], total_rounds=5, seed=1, base_rtt_s=v)),
+     "base_rtt_s"),
+    (lambda v: TcpEnvironment(TcpScenarioSpec(
+        [TcpFlowConfig("reno")], total_rounds=5, seed=1, buffer_pkts=v)),
+     "buffer_pkts"),
+])
+def test_environments_refuse_non_finite_numbers(make, path, value):
+    with pytest.raises(InvalidScenarioError) as info:
+        make(value)
+    assert info.value.path == path
 
 
 # populations the oracle solves quickly: short frames, no backoff kinds

@@ -1,0 +1,177 @@
+"""The transcript and the decision trace written while a run goes.
+
+A period engine given a ``TranscriptRecorder`` over an open file and a
+``DecisionTrace`` with a ``TraceSink`` must write the bytes that
+``to_jsonl``, ``to_json`` and ``to_dot`` give for the same run built in
+memory, while holding no transcript entry and one period of the trace.
+``cmd_run`` streams both into the run directory, and a run that fails
+leaves complete transcript lines and no partial trace.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import tracemalloc
+
+import pytest
+
+import coexlab.agent.trace
+import coexlab.backends
+import coexlab.scripted
+from coexlab.agent.config import AgentConfig
+from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
+from coexlab.agent.trace import DecisionTrace, TraceSink
+from coexlab.backends import RecordingBackend, TranscriptRecorder
+from coexlab.runner import (
+    ARTIFACT_DOT,
+    ARTIFACT_TRACE,
+    ARTIFACT_TRANSCRIPT,
+    RunConfig,
+    cmd_run,
+)
+from coexlab.scripted import ScriptedBackend
+from coexlab.tcp import CONTROLLER_AGENT, CONTROLLER_RENO
+from test_engine_digests import mac_spec, mac_strategy, tcp_spec, tcp_strategy
+
+
+def run_engine(case, transcript_fh=None, sink=None):
+    """Run ``case`` (engine class, spec, strategy, config, escape) with the
+    recorder and trace given those outputs; returns the engine, recorder
+    and trace."""
+    cls, spec, strategy, config, escape = case
+    recorder = TranscriptRecorder(transcript_fh)
+    trace = DecisionTrace("engine run", sink=sink)
+    engine = cls(spec, strategy, config,
+                 backend=RecordingBackend(ScriptedBackend(), recorder),
+                 trace=trace)
+    horizon = spec.total_frames if cls is MacPeriodEngine \
+        else spec.total_rounds
+    if escape:
+        # pretend a much better window was seen before the last third
+        engine.run(horizon * 2 // 3)
+        engine._best_objective += 10.0
+        engine.run(horizon - horizon * 2 // 3)
+    else:
+        engine.run(horizon)
+    if sink is not None:
+        trace.close()
+    return engine, recorder, trace
+
+
+CASES = {
+    "mac online ranker": (MacPeriodEngine, mac_spec(300), mac_strategy(),
+                          AgentConfig(ranker_online=True), False),
+    "tcp": (TcpPeriodEngine, tcp_spec(800, CONTROLLER_AGENT, CONTROLLER_RENO),
+            tcp_strategy(), AgentConfig(), False),
+    "mac forced escape": (MacPeriodEngine, mac_spec(900),
+                          mac_strategy(0.0, 0.0), AgentConfig(), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_streamed_records_equal_records_built_in_memory(name):
+    _, memory_recorder, memory_trace = run_engine(CASES[name])
+    transcript, json_fh, dot_fh = io.StringIO(), io.StringIO(), io.StringIO()
+    engine, recorder, trace = run_engine(CASES[name], transcript,
+                                         TraceSink(json_fh, dot_fh))
+    assert transcript.getvalue() == memory_recorder.to_jsonl()
+    assert json_fh.getvalue() == memory_trace.to_json()
+    assert dot_fh.getvalue() == memory_trace.to_dot()
+    assert recorder.entries == [] and trace.root.children == []
+    assert recorder.count == len(memory_recorder.entries) > 0
+    assert len(memory_trace.root.children) == len(engine.periods)
+    assert any(p.escaped for p in engine.periods) == CASES[name][4]
+
+
+def retained_record_bytes(periods, streamed):
+    """Bytes still allocated, after a MAC engine ran ``periods`` periods,
+    by calls into the trace and backend modules other than the scripted
+    backend's own work: the trace nodes and the transcript entries."""
+    cls, spec, strategy, config, _ = CASES["mac online ranker"]
+    frames = periods * config.query_period_slots // spec.frame_len
+    case = (cls, mac_spec(frames), strategy, config, False)
+    with open(os.devnull, "w", encoding="utf-8") as null:
+        tracemalloc.start(16)
+        try:
+            outputs = (null, TraceSink(null, null)) if streamed else ()
+            kept = run_engine(case, *outputs)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+    del kept
+    snapshot = snapshot.filter_traces([
+        tracemalloc.Filter(True, coexlab.agent.trace.__file__,
+                           all_frames=True),
+        tracemalloc.Filter(True, coexlab.backends.__file__, all_frames=True),
+        tracemalloc.Filter(False, coexlab.scripted.__file__,
+                           all_frames=True)])
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def test_streamed_record_memory_does_not_grow_with_the_run():
+    n = 20
+    streamed = [retained_record_bytes(k, True) for k in (n, 2 * n)]
+    in_memory = [retained_record_bytes(k, False) for k in (n, 2 * n)]
+    per_period = (in_memory[1] - in_memory[0]) / n
+    # built in memory, each period's trace nodes and transcript entries
+    # stay: over 2 KiB of them
+    assert per_period > 2 * 2**10
+    # streamed, the two horizons differ by less than one period's records
+    assert abs(streamed[1] - streamed[0]) < per_period
+
+
+def write_scenario(path):
+    doc = {"version": "mac-v1", "frame_len": 10, "total_frames": 600,
+           "slot_duration_ms": 1.0, "seed": 5, "nodes": [
+               {"kind": "agent"}, {"kind": "tdma", "slots": [3, 5]}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+FAST_AGENT = AgentConfig(demo_k=3, demo_frames=40, eval_frames=400,
+                         n_max=2)
+
+
+def test_failed_run_keeps_transcript_lines_and_no_partial_trace(
+        tmp_path, monkeypatch):
+    run_period = MacPeriodEngine.run_period
+
+    def failing(self, *args, **kwargs):
+        if self.trace is not None and len(self.periods) == 20:
+            raise RuntimeError("simulated failure")
+        return run_period(self, *args, **kwargs)
+
+    monkeypatch.setattr(MacPeriodEngine, "run_period", failing)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="simulated failure"):
+        cmd_run(RunConfig(scenario_path=write_scenario(tmp_path / "s.json"),
+                          out_dir=str(out), agent=FAST_AGENT))
+    assert not (out / ARTIFACT_TRACE).exists()
+    assert not (out / ARTIFACT_DOT).exists()
+    lines = (out / ARTIFACT_TRANSCRIPT).read_text().splitlines()
+    entries = [json.loads(line) for line in lines]
+    assert [e["seq"] for e in entries] == list(range(len(entries)))
+    # the online stage got as far as period 19 before the failure
+    assert any(e["tag"].endswith("/p19") for e in entries)
+
+
+def test_trace_files_are_written_while_the_run_goes(tmp_path, monkeypatch):
+    """By the online stage's last period the trace file holds the earlier
+    periods, all but those still in the file's write buffer."""
+    out = tmp_path / "run"
+    seen = {}
+    run_period = MacPeriodEngine.run_period
+
+    def watching(self, *args, **kwargs):
+        if len(self.periods) == 59:
+            seen["text"] = (out / ARTIFACT_TRACE).read_text()
+        return run_period(self, *args, **kwargs)
+
+    monkeypatch.setattr(MacPeriodEngine, "run_period", watching)
+    cmd_run(RunConfig(scenario_path=write_scenario(tmp_path / "s.json"),
+                      out_dir=str(out), agent=FAST_AGENT))
+    assert seen["text"].count('"label": "period ') >= 50
+    doc = json.loads((out / ARTIFACT_TRACE).read_text())
+    assert len(doc["children"]) == 60

@@ -267,8 +267,11 @@ class TestWindowStatistics:
             assert report.signals == expected
         assert mac_window_objective(log, window) \
             == ref_window_objective(log, window)
-        assert windowed_throughput(log, window) \
-            == ref_windowed_throughput(log, window)
+        series = windowed_throughput(log, window)
+        assert ThroughputSeries(
+            list(series.frames),
+            {nid: column.tolist() for nid, column in series.values.items()},
+            series.window_frames) == ref_windowed_throughput(log, window)
         assert list(node_mean_throughputs(log).items()) \
             == list(ref_node_means(log).items())
         assert slot_utilization(log, last_frames) \
