@@ -18,8 +18,9 @@ toggling exploration never shifts any other random draw.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -172,8 +173,10 @@ class PeriodEngine:
     """The observe -> decide -> actuate loop shared by both domains.
 
     Each period observes the trailing window, checks for escape, then
-    decides, interprets and actuates every live team member, records a
-    ``PeriodRecord`` and advances the environment. A domain engine
+    decides, interprets and actuates every live team member, returns a
+    ``PeriodRecord`` and advances the environment. The engine keeps no
+    period list: only a period count and the last proposals that the
+    convergence check reads. A domain engine
     supplies the environment and its clock, the observation, the decision
     payload and action context, action parsing, the trace wording and the
     actuation of a held action.
@@ -210,8 +213,12 @@ class PeriodEngine:
             mid: purpose_rng(spec.seed, PERTURBATION_STREAM, mid)
             for mid in self.team
         }
-        self.periods: List[PeriodRecord] = []
-        self.proposal_history: List[Tuple[float, ...]] = []
+        if config.convergence_periods < 0:
+            raise ValueError("convergence_periods must be >= 0")
+        self.n_periods = 0
+        # the convergence check reads the last convergence_periods + 1
+        self.proposal_history: Deque[Tuple[float, ...]] = deque(
+            maxlen=config.convergence_periods + 1)
         self._prev_decision: Dict[int, object] = {}
         self._best_objective: Optional[float] = None
 
@@ -285,7 +292,7 @@ class PeriodEngine:
         if length < 1:
             raise ValueError(f"a period needs at least one {self.unit}")
         t0 = self._clock()
-        index = len(self.periods)
+        index = self.n_periods
         team = self._live_team(t0, t0 + length)
         # the reports that set the period's flags, and each member's own
         shared, reports = self._observe(t0, team)
@@ -349,7 +356,7 @@ class PeriodEngine:
         record.fallbacks = tuple(fallbacks)
         self.proposal_history.append(tuple(flat_proposal))
         self._advance(t0, length, first)
-        self.periods.append(record)
+        self.n_periods += 1
         return record
 
     def run(self, length: int):

@@ -27,9 +27,11 @@ from .errors import (
     UnsupportedPopulationError,
 )
 from .runner import (
+    ARTIFACT_REPLICAS,
     BACKEND_SCRIPTED,
     BACKENDS,
     RunConfig,
+    clear_artifacts,
     cmd_demos,
     cmd_eval,
     cmd_offline,
@@ -88,7 +90,6 @@ def _emit(doc: Dict[str, object]) -> None:
 
 
 REPLICA_STATS = ("jain", "alpha_fair", "rmse")
-ARTIFACT_REPLICAS = "replicas.json"
 
 
 def _run_replica(config: RunConfig) -> Dict[str, object]:
@@ -125,6 +126,7 @@ def _run_replicas(config: RunConfig, replicas: int) -> None:
 
     config.validate()
     spec = load_scenario(config.scenario_path)
+    clear_artifacts(config)
     base_seed = config.seed if config.seed is not None else spec.seed
     configs = [replace(config, seed=base_seed + i,
                        out_dir=f"{config.out_dir}/replica_{i}")

@@ -120,6 +120,7 @@ _OUTCOMES = tuple(SlotOutcome)      # outcome code -> outcome
 _CODE_BY_COUNT = np.array([_OUTCOMES.index(o) for o in (
     SlotOutcome.IDLE, SlotOutcome.SUCCESS, SlotOutcome.COLLIDED)],
     dtype=np.int8)
+_SUCCESS = _OUTCOMES.index(SlotOutcome.SUCCESS)
 
 # Slots one kernel pass resolves at most; bounds its temporary arrays
 # whatever the horizon.
@@ -127,13 +128,14 @@ KERNEL_CHUNK_SLOTS = 1 << 16
 
 
 class TrajectoryLog:
-    """Slot history of a run, stored as columns: per slot an outcome code,
-    a transmit flag per node and each controlled node's slot probability,
-    in numpy arrays that grow by doubling. Liveness is kept once per
+    """Slot history of a run, stored as columns: per slot an outcome code
+    and a transmit flag per node, in numpy arrays that grow by doubling,
+    and per frame each node's successes. Liveness is kept once per
     population segment, which takes effect at the first slot of its start
-    frame. The counting methods cover the logged slots of frames
-    ``[f0, f1)``, 0 <= f0 <= f1; ``records`` rebuilds ``SlotRecord``s on
-    demand."""
+    frame. The controlled nodes' policy vectors are kept once per kernel
+    segment, as a row that takes effect at that segment's first slot. The
+    counting methods cover the logged slots of frames ``[f0, f1)``,
+    0 <= f0 <= f1; ``records`` rebuilds ``SlotRecord``s on demand."""
 
     def __init__(self, frame_len: int, n_nodes: int,
                  controlled: Sequence[int] = ()):
@@ -142,30 +144,53 @@ class TrajectoryLog:
         self.n_slots = 0
         # (start_frame, live node ids) for every population segment, in order.
         self.segments: List[Tuple[int, Tuple[int, ...]]] = []
-        self._prob_col = {nid: col for col, nid in enumerate(controlled)}
         self._outcome = np.zeros(1024, dtype=np.int8)
         self._tx = np.zeros((1024, n_nodes), dtype=bool)
-        self._prob = np.zeros((1024, len(self._prob_col)))
+        # a node succeeds at most once per slot, so frame_len bounds a count
+        self._won = np.zeros((1024, n_nodes),
+                             dtype=np.min_scalar_type(frame_len))
+        self._vector_col = {nid: col for col, nid in enumerate(controlled)}
+        self.n_rows = 0
+        self._row_start = np.zeros(16, dtype=np.int64)
+        self._rows = np.zeros((16, len(self._vector_col), frame_len))
         self.records = SlotRecordView(self)
 
     @property
     def n_frames(self) -> int:
         return -(-self.n_slots // self.frame_len)
 
-    def append_slots(self, outcome: np.ndarray, tx: np.ndarray,
-                     probs: Dict[int, np.ndarray]) -> None:
-        """Append n slots: outcome codes (indexes into ``SlotOutcome``),
-        an (n, n_nodes) transmit mask and the slot probabilities of the
-        live controlled nodes."""
+    def append_vectors(self, vectors: Dict[int, np.ndarray]) -> None:
+        """Record the policy vectors of the live controlled nodes, in
+        force from the next appended slot on."""
+        if self.n_rows == len(self._row_start):
+            self._row_start, self._rows = (
+                np.concatenate([col, np.zeros_like(col)])
+                for col in (self._row_start, self._rows))
+        self._row_start[self.n_rows] = self.n_slots
+        for nid, vector in vectors.items():
+            self._rows[self.n_rows, self._vector_col[nid]] = vector
+        self.n_rows += 1
+
+    def append_slots(self, outcome: np.ndarray, tx: np.ndarray) -> None:
+        """Append n slots: outcome codes (indexes into ``SlotOutcome``)
+        and an (n, n_nodes) transmit mask. The first and last frame they
+        touch may be partial; their successes add to the frames' counts."""
         i, j = self.n_slots, self.n_slots + len(outcome)
         while j > len(self._outcome):
-            self._outcome, self._tx, self._prob = (
+            self._outcome, self._tx = (
                 np.concatenate([col, np.zeros_like(col)])
-                for col in (self._outcome, self._tx, self._prob))
+                for col in (self._outcome, self._tx))
+        f0, f1 = i // self.frame_len, -(-j // self.frame_len)
+        while f1 > len(self._won):
+            self._won = np.concatenate([self._won, np.zeros_like(self._won)])
         self._outcome[i:j] = outcome
         self._tx[i:j] = tx
-        for nid, p in probs.items():
-            self._prob[i:j, self._prob_col[nid]] = p
+        won = np.flatnonzero(outcome == _SUCCESS)
+        slot, nid = np.nonzero(tx[won])
+        cells = ((i + won[slot]) // self.frame_len - f0) * self.n_nodes + nid
+        self._won[f0:f1] += np.bincount(
+            cells, minlength=(f1 - f0) * self.n_nodes).reshape(
+                f1 - f0, self.n_nodes).astype(self._won.dtype)
         self.n_slots = j
 
     def _slots(self, f0: int, f1: int) -> slice:
@@ -174,17 +199,15 @@ class TrajectoryLog:
 
     def frame_successes(self, f0: int, f1: int) -> np.ndarray:
         """Successes per frame and node id, shape (f1 - f0, n_nodes)."""
-        span = self._slots(f0, f1)
-        won = np.zeros(((f1 - f0) * self.frame_len, self.n_nodes), dtype=bool)
-        success = self._outcome[span] == _OUTCOMES.index(SlotOutcome.SUCCESS)
-        np.logical_and(self._tx[span], success[:, None],
-                       out=won[:span.stop - span.start])
-        return won.reshape(f1 - f0, self.frame_len, -1).sum(
-            axis=1, dtype=np.int64)
+        won = np.zeros((f1 - f0, self.n_nodes), dtype=np.int64)
+        logged = self._won[f0:min(f1, self.n_frames)]
+        won[:len(logged)] = logged
+        return won
 
     def success_rates(self, f0: int, f1: int) -> Dict[int, float]:
         """Successes over live slots, per node id live in the range."""
-        won = self.frame_successes(f0, f1).sum(axis=0).tolist()
+        won = self._won[f0:min(f1, self.n_frames)].sum(
+            axis=0, dtype=np.int64).tolist()
         live = [0] * self.n_nodes
         for ids, length in self._segment_overlaps(f0, f1):
             for nid in ids:
@@ -235,6 +258,9 @@ class SlotRecordView(abc.Sequence):
         log = self._log
         frame, position = divmod(i, log.frame_len)
         live = [ids for start, ids in log.segments if start <= frame][-1]
+        # the last policy row that took effect at or before slot i
+        row = int(np.searchsorted(log._row_start[:log.n_rows], i,
+                                  side="right")) - 1
         outcome = _OUTCOMES[log._outcome[i]]
         transmitters = tuple(np.flatnonzero(log._tx[i]).tolist())
         won = outcome is SlotOutcome.SUCCESS
@@ -243,8 +269,9 @@ class SlotRecordView(abc.Sequence):
             outcome=outcome, transmitters=transmitters, live_ids=live,
             reward_vector=tuple(int(won and nid in transmitters)
                                 for nid in live),
-            agent_probs={nid: float(log._prob[i, log._prob_col[nid]])
-                         for nid in live if nid in log._prob_col},
+            agent_probs={nid: float(log._rows[row, log._vector_col[nid],
+                                              position])
+                         for nid in live if nid in log._vector_col},
         )
 
 
@@ -487,6 +514,7 @@ class MacEnvironment:
         walkers = [(nid, self.machines[nid]) for _, nid in sorted(
             (nodes[nid].kind == KIND_CSMA, nid)
             for nid in self.live if nid in self.machines)]
+        self.log.append_vectors(vectors)
         for start in range(0, n_slots, KERNEL_CHUNK_SLOTS):
             n = min(KERNEL_CHUNK_SLOTS, n_slots - start)
             positions = np.arange(self.slot_index,
@@ -496,15 +524,12 @@ class MacEnvironment:
                 tx[:, nid] = self._rngs[nid].random(n) < nodes[nid].q
             for nid, owned in tdma.items():
                 tx[:, nid] = owned[positions]
-            probs = {}
             for nid, vector in vectors.items():
-                probs[nid] = vector[positions]
-                tx[:, nid] = policy._rngs[nid].random(n) < probs[nid]
+                tx[:, nid] = policy._rngs[nid].random(n) < vector[positions]
             counts = tx.sum(axis=1)
             if walkers:
                 counts = _walk(walkers, tx, counts)
-            self.log.append_slots(_CODE_BY_COUNT[np.minimum(counts, 2)],
-                                  tx, probs)
+            self.log.append_slots(_CODE_BY_COUNT[np.minimum(counts, 2)], tx)
             self.slot_index += n
 
 

@@ -7,7 +7,9 @@ succeeds in 20% of slots contributes g(20).
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import abc
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
@@ -19,6 +21,8 @@ from .mac import TrajectoryLog
 THROUGHPUT_SCALE = 100.0
 DEFAULT_WINDOW_FRAMES = 100
 DEFAULT_WARMUP_FRAMES = 500
+# frames whose squared errors ``rmse_vs_reference`` sums at a time
+_RMSE_BLOCK = 4096
 
 
 @dataclass
@@ -28,6 +32,35 @@ class ThroughputSeries:
     frames: Sequence[int]
     values: Mapping[int, Sequence[float]]
     window_frames: int
+
+
+class StepSeries(abc.Sequence):
+    """A read-only per-frame series held per step: ``values[k]`` holds
+    from frame ``starts[k]`` (``starts[0]`` is 0, ascending) up to the
+    next start, the last one up to ``length``. Memory grows with the
+    steps, not the frames."""
+
+    def __init__(self, starts: Sequence[int], values: Sequence[float],
+                 length: int):
+        self.starts = starts
+        self.values = values
+        self.length = length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            frames = np.arange(*index.indices(self.length))
+            steps = np.searchsorted(self.starts, frames, side="right") - 1
+            return np.asarray(self.values, dtype=np.float64)[steps].tolist()
+        frame = range(self.length)[index]
+        return self.values[bisect.bisect_right(self.starts, frame) - 1]
+
+    def __array__(self, dtype=None, copy=None):
+        bounds = np.asarray([*self.starts, self.length], dtype=np.int64)
+        return np.repeat(np.asarray(self.values, dtype=dtype),
+                         np.diff(bounds))
 
 
 def windowed_throughput(log: TrajectoryLog,
@@ -107,33 +140,43 @@ def rmse_vs_reference(series: ThroughputSeries,
     reference, over every (node, frame) pair with frame > warmup, summed
     frame by frame in ascending node order.
 
-    ``reference`` maps node id to one value per frame (index = frame).
+    ``reference`` maps node id to one value per frame (index = frame): a
+    list, or a ``StepSeries`` as the oracle gives.
     Nodes present on only one side count as zero on the other.
     """
     node_ids = sorted(set(series.values) | set(reference))
-    measured = [np.asarray(series.values[nid], dtype=np.float64)
-                if nid in series.values else None for nid in node_ids]
-    references = [reference.get(nid) for nid in node_ids]
-    count = 0
-    acc = 0.0
-    for idx, frame in enumerate(series.frames):
-        if frame <= warmup_frames:
-            continue
-        for nid, column, ref_series in zip(node_ids, measured, references):
-            m = column.item(idx) if column is not None else 0.0
-            if ref_series is None:
-                r = 0.0
-            else:
-                if frame - 1 >= len(ref_series):
-                    raise MetricDomainError(
-                        f"reference for node {nid} shorter than series "
-                        f"(frame {frame})"
-                    )
-                r = float(ref_series[frame - 1])
-            acc += (m - r) ** 2
-            count += 1
+    frames = np.asarray(series.frames, dtype=np.int64)
+    kept = np.flatnonzero(frames > warmup_frames)
+    index = frames[kept] - 1
+    # (position, node) of each node's first frame past its reference; the
+    # least is the first such pair in summing order
+    short = []
+    for nid in node_ids:
+        past = index >= len(reference[nid]) if nid in reference else None
+        if past is not None and past.any():
+            short.append((int(np.argmax(past)), nid))
+    if short:
+        position, nid = min(short)
+        raise MetricDomainError(
+            f"reference for node {nid} shorter than series "
+            f"(frame {index[position] + 1})")
+    # m - r per node: numpy subtracts float64 as Python subtracts floats,
+    # and the squares below stay Python's ``** 2``, so the sum is the same
+    diffs = []
+    for nid in node_ids:
+        m = np.asarray(series.values[nid], dtype=np.float64)[kept] \
+            if nid in series.values else np.zeros(len(kept))
+        r = np.asarray(reference[nid], dtype=np.float64)[index] \
+            if nid in reference else 0.0
+        diffs.append(m - r)
+    count = len(kept) * len(node_ids)
     if count == 0:
         raise MetricDomainError("no frames after warmup to compare")
+    acc = 0.0
+    for k0 in range(0, len(kept), _RMSE_BLOCK):
+        for row in zip(*(d[k0:k0 + _RMSE_BLOCK].tolist() for d in diffs)):
+            for d in row:
+                acc += d ** 2
     return math.sqrt(acc / count)
 
 

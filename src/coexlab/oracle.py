@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .errors import UnsupportedPopulationError
 from .mac import (CONTROLLED_KINDS, KIND_ALOHA, KIND_TDMA, MAC_FORMAT,
                   ScenarioSpec)
-from .metrics import THROUGHPUT_SCALE
+from .metrics import THROUGHPUT_SCALE, StepSeries
 from .scenario import live_segments
 
 POLICY_CLASS_CAVEAT = (
@@ -289,19 +289,20 @@ class ReferenceSegment:
 
 
 def aware_trajectory(spec: ScenarioSpec,
-                     alpha: float = 1.0) -> Tuple[Dict[int, List[float]], List[ReferenceSegment]]:
-    """Piecewise-constant per-frame reference throughput for every node.
+                     alpha: float = 1.0) -> Tuple[Dict[int, StepSeries], List[ReferenceSegment]]:
+    """Piecewise-constant per-frame reference throughput for every node,
+    one ``StepSeries`` per node id over the segments.
 
     Each population segment is solved independently; a node absent from a
     segment holds value 0 there.
     """
-    reference = {nid: [0.0] * spec.total_frames
-                 for nid in range(len(spec.nodes))}
     segments_out = []
     segments = [seg for seg in live_segments(MAC_FORMAT.lifetimes(spec.nodes))
                 if seg[0] < spec.total_frames]
+    # node id -> its value in each segment
+    values = {nid: [0.0] * len(segments) for nid in range(len(spec.nodes))}
     ends = [start for start, _ in segments[1:]] + [spec.total_frames]
-    for (start, live), end in zip(segments, ends):
+    for k, ((start, live), end) in enumerate(zip(segments, ends)):
         pop = population_from_scenario(spec, live)
         solution = _solved(pop.n_agents, tuple(pop.aloha_q),
                            tuple(pop.tdma_slots), pop.frame_len, alpha)
@@ -315,6 +316,9 @@ def aware_trajectory(spec: ScenarioSpec,
                 ordered, solution.agent_throughputs
                 + solution.aloha_throughputs + solution.tdma_throughputs)))
         for nid, val in seg.node_values.items():
-            reference[nid][start:end] = [val] * (end - start)
+            values[nid][k] = val
         segments_out.append(seg)
+    starts = [start for start, _ in segments]
+    reference = {nid: StepSeries(starts, column, spec.total_frames)
+                 for nid, column in values.items()}
     return reference, segments_out

@@ -109,6 +109,14 @@ ARTIFACT_DOT = "trace.dot"
 ARTIFACT_TREE = "trace.txt"
 ARTIFACT_EVAL = "eval_summary.json"
 ARTIFACT_ORACLE = "oracle_report.json"
+ARTIFACT_REPLICAS = "replicas.json"
+# every file a command writes into a run directory
+ARTIFACTS = (ARTIFACT_CONFIG, ARTIFACT_DEMOS, ARTIFACT_STRATEGIES,
+             ARTIFACT_STRATEGY, ARTIFACT_EPISODES, ARTIFACT_OFFLINE,
+             ARTIFACT_TRANSCRIPT, ARTIFACT_TRAJECTORY, ARTIFACT_THROUGHPUT,
+             ARTIFACT_REFERENCE, ARTIFACT_METRICS, ARTIFACT_TRACE,
+             ARTIFACT_DOT, ARTIFACT_TREE, ARTIFACT_EVAL, ARTIFACT_ORACLE,
+             ARTIFACT_REPLICAS)
 
 AnyScenario = Union[ScenarioSpec, TcpScenarioSpec]
 
@@ -274,7 +282,8 @@ def _write_node_csv(fh: TextIO, frames: Sequence[int],
                len(frames), block)
 
 
-def _write_reference(fh: TextIO, reference: Dict[int, List[float]]) -> None:
+def _write_reference(fh: TextIO,
+                     reference: Mapping[int, Sequence[float]]) -> None:
     total = len(reference[min(reference)]) if reference else 0
     _write_node_csv(fh, range(1, total + 1), reference)
 
@@ -317,7 +326,7 @@ def _write_throughput(fh: TextIO, metrics: Dict[str, object],
 
 
 def mac_metrics_report(series: ThroughputSeries, means: Dict[int, float],
-                       reference: Optional[Dict[int, List[float]]],
+                       reference: Optional[Mapping[int, Sequence[float]]],
                        config: AgentConfig) -> Dict[str, object]:
     report: Dict[str, object] = {
         "artifact": "metrics-v1",
@@ -505,11 +514,26 @@ def _streamed_trace(config: RunConfig):
         raise
 
 
+def clear_artifacts(config: RunConfig) -> None:
+    """Remove every artifact an earlier command left in the output
+    directory, so that it holds only this run's; a cached strategy read
+    from there stays."""
+    for name in ARTIFACTS:
+        path = os.path.join(config.out_dir, name)
+        if config.strategy_path is not None and os.path.isfile(path) \
+                and os.path.samefile(path, config.strategy_path):
+            continue
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+
+
 def cmd_run(config: RunConfig) -> RunResult:
     """Offline stage (unless a cached strategy is supplied), online stage,
-    then the full artifact set. The transcript and the decision trace are
-    written while the run goes."""
+    then the full artifact set, in an output directory cleared of older
+    artifacts. The transcript and the decision trace are written while the
+    run goes."""
     spec, family, demo_seed = _prepare(config)
+    clear_artifacts(config)
     with _transcript(config.out_dir, make_backend(config)) as wrapped:
         return _run_stages(config, spec, family, demo_seed, wrapped)
 

@@ -5,7 +5,8 @@
 policy stream, then the live nodes are evaluated in id order with CSMA
 nodes last, so that carrier sensing sees every commitment already made
 for the slot. ``run_frames`` applies population events at every frame
-boundary and steps each slot in turn.
+boundary and steps each slot in turn. ``slot_probs`` rebuilds the
+per-slot probability column the log once stored from its policy rows.
 """
 
 from __future__ import annotations
@@ -37,15 +38,14 @@ def step_slot(env, policy) -> None:
     for nid in controlled:
         p = float(policy.vectors[nid][position])
         u = float(policy._rngs[nid].random())
-        decisions[nid] = (u < p, p)
+        decisions[nid] = u < p
 
-    transmitters, probs, deferred_csma = [], {}, []
+    transmitters, deferred_csma = [], []
     for nid in env.live:
         kind = nodes[nid].kind
         if kind in CONTROLLED_KINDS:
-            if decisions[nid][0]:
+            if decisions[nid]:
                 transmitters.append(nid)
-            probs[nid] = decisions[nid][1]
         elif kind == KIND_CSMA:
             deferred_csma.append(nid)
         elif kind == KIND_ALOHA:
@@ -72,8 +72,10 @@ def step_slot(env, policy) -> None:
 
     tx = np.zeros((1, len(nodes)), dtype=bool)
     tx[0, transmitters] = True
-    env.log.append_slots(np.array([OUTCOME_CODES[outcome]]), tx,
-                         {nid: np.array([p]) for nid, p in probs.items()})
+    # one policy row per slot
+    env.log.append_vectors({nid: np.asarray(policy.vectors[nid], dtype=float)
+                            for nid in controlled})
+    env.log.append_slots(np.array([OUTCOME_CODES[outcome]]), tx)
     env.slot_index += 1
 
 
@@ -83,3 +85,13 @@ def run_frames(env, policy, n_frames: int):
         for _ in range(env.frame_len):
             step_slot(env, policy)
     return env.log
+
+
+def slot_probs(log) -> np.ndarray:
+    """Each logged slot's transmit probability per controlled node, in the
+    log's controlled order, 0.0 where the node is not live: the policy
+    row in force at the slot, read at its frame position."""
+    slots = np.arange(log.n_slots)
+    rows = np.searchsorted(log._row_start[:log.n_rows], slots,
+                           side="right") - 1
+    return log._rows[rows, :, slots % log.frame_len]

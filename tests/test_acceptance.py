@@ -71,6 +71,7 @@ from coexlab.tcp import (
     run_rounds,
 )
 from coexlab.templates import TEMPLATE_STRATEGY_GEN, render_template
+from period_records import run_collect
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -180,7 +181,8 @@ def test_criterion_05_dynamic_scripted_pipeline():
     demos = demo_bundle("mac", config.demo_k, spec.seed, config=config)
     offline = run_offline(backend, spec, demos, config)
     engine = MacPeriodEngine(spec, offline.strategy, config, backend=backend)
-    log = engine.run(spec.total_frames)
+    periods = run_collect(engine, spec.total_frames)
+    log = engine.env.log
 
     series = windowed_throughput(log, config.window_frames)
     reference, _ = aware_trajectory(spec, alpha=config.alpha)
@@ -190,12 +192,12 @@ def test_criterion_05_dynamic_scripted_pipeline():
     period = engine.period_frames
     lags = {}
     for event in (2500, 5000, 7500):
-        hits = [p.start for p in engine.periods
+        hits = [p.start for p in periods
                 if p.env_changed and event <= p.start <= event + 2 * period]
         lags[event] = (hits[0] - event) // period if hits else None
     detect_ok = all(lag is not None for lag in lags.values())
 
-    late = [p for p in engine.periods if p.start >= 7600]
+    late = [p for p in periods if p.start >= 7600]
     avoid_ok = bool(late) and all(
         p.proposals[0][3] == 0.0 and p.proposals[0][5] == 0.0 for p in late)
 

@@ -6,6 +6,7 @@ from collections.abc import Sequence
 import pytest
 
 import tcp_reference
+from period_records import run_collect
 
 from coexlab.agent.trace import (
     ACTOR_NODE,
@@ -363,8 +364,7 @@ class TestMacPeriodEngine:
         eng = MacPeriodEngine(static_mac_spec(frames=500),
                               mac_strategy_json(),
                               backend=ScriptedBackend())
-        eng.run(500)
-        last = eng.periods[-1]
+        last = run_collect(eng, 500)[-1]
         assert last.had_report
         assert last.proposals[0] == pytest.approx([1 / 3] * 10, abs=1e-5)
 
@@ -395,20 +395,20 @@ class TestMacPeriodEngine:
         eng = MacPeriodEngine(static_mac_spec(frames=300),
                               mac_strategy_json(),
                               explore=ExploreSpec(0.0, 0.0))
-        eng.run(300)
-        first = eng.periods[0]
+        periods = run_collect(eng, 300)
+        first = periods[0]
         assert all(p.proposals[0] == first.proposals[0]
-                   for p in eng.periods)
-        assert all(p.actuated[0] == p.proposals[0] for p in eng.periods)
+                   for p in periods)
+        assert all(p.actuated[0] == p.proposals[0] for p in periods)
 
     def test_outage_reuses_previous_decision(self):
         eng = MacPeriodEngine(static_mac_spec(frames=300),
                               mac_strategy_json(),
                               backend=FlakyBackend(fail_after=4))
-        eng.run(300)
-        degraded = [p for p in eng.periods if p.fallbacks]
+        periods = run_collect(eng, 300)
+        degraded = [p for p in periods if p.fallbacks]
         assert degraded and degraded[0].index == 4
-        assert degraded[0].decisions[0] == eng.periods[3].decisions[0]
+        assert degraded[0].decisions[0] == periods[3].decisions[0]
 
     def test_first_period_outage_propagates(self):
         eng = MacPeriodEngine(static_mac_spec(frames=300),
@@ -441,17 +441,17 @@ class TestMacPeriodEngine:
         spec = ScenarioSpec(nodes=nodes, total_frames=400, seed=7)
         eng = MacPeriodEngine(spec, mac_strategy_json(),
                               backend=ScriptedBackend())
-        eng.run(400)
-        first = next(p.start for p in eng.periods if p.env_changed)
+        first = next(p.start for p in run_collect(eng, 400)
+                     if p.env_changed)
         assert 250 <= first <= 270
 
     def test_escape_restores_exploration_when_stuck(self):
         eng = MacPeriodEngine(static_mac_spec(frames=800),
                               mac_strategy_json(sigma=0.0),
                               backend=ScriptedBackend())
-        eng.run(600)
-        assert eng.periods[-1].converged
-        assert not any(p.escaped for p in eng.periods)
+        periods = run_collect(eng, 600)
+        assert periods[-1].converged
+        assert not any(p.escaped for p in periods)
         # pretend a much better window was seen earlier
         eng._best_objective = eng._best_objective + 10.0
         rec = eng.run_period()
@@ -523,10 +523,10 @@ class TestTcpPeriodEngine:
                   "effect": {"kind": "adjust_cwnd", "delta": -2}}]
         eng = TcpPeriodEngine(spec, tcp_strategy_json(base=8, rules=rules),
                               backend=ScriptedBackend())
-        eng.run(600)
-        quiet = eng.periods[1]
+        periods = run_collect(eng, 600)
+        quiet = periods[1]
         assert quiet.had_report and quiet.proposals[0] == 8
-        last = eng.periods[-1]
+        last = periods[-1]
         assert last.proposals[0] == 6
 
     def test_bit_deterministic_across_runs(self):
@@ -560,18 +560,18 @@ class TestTcpPeriodEngine:
                                total_rounds=250, seed=1)
         eng = TcpPeriodEngine(spec, tcp_strategy_json(),
                               backend=ScriptedBackend())
-        log = eng.run(250)
-        assert log.n_rounds == 250
-        assert [p.length for p in eng.periods] == [100, 100, 50]
+        periods = run_collect(eng, 250)
+        assert eng.env.log.n_rounds == 250
+        assert [p.length for p in periods] == [100, 100, 50]
 
     def test_no_report_before_window_fills(self):
         spec = TcpScenarioSpec(flows=self.flows(CONTROLLER_AGENT),
                                total_rounds=300, seed=1)
         eng = TcpPeriodEngine(spec, tcp_strategy_json(),
                               backend=ScriptedBackend())
-        eng.run(300)
-        assert not eng.periods[0].had_report
-        assert eng.periods[1].had_report
+        periods = run_collect(eng, 300)
+        assert not periods[0].had_report
+        assert periods[1].had_report
 
 
 class DecisionsThen:
@@ -621,8 +621,8 @@ class TestNonFiniteDecisions:
 
     def test_later_reply_reuses_previous_decision(self, domain, value):
         engine = non_finite_engine(domain, 2, value)
-        engine.run(engine.period * 4)
-        assert [p.fallbacks for p in engine.periods] == [(), (), (0,), (0,)]
-        assert engine.periods[3].decisions[0] \
-            == engine.periods[2].decisions[0] \
-            == engine.periods[1].decisions[0]
+        periods = run_collect(engine, engine.period * 4)
+        assert [p.fallbacks for p in periods] == [(), (), (0,), (0,)]
+        assert periods[3].decisions[0] \
+            == periods[2].decisions[0] \
+            == periods[1].decisions[0]

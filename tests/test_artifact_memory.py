@@ -77,7 +77,7 @@ def test_frame_successes_allocates_no_slot_by_node_int64():
     # a partial last frame, padded with no successes
     n = SLOTS + frame_len // 2
     log.append_slots(rng.integers(0, 3, n).astype(np.int8),
-                     rng.random((n, n_nodes)) < 0.3, {})
+                     rng.random((n, n_nodes)) < 0.3)
     won, peak = traced_peak(log.frame_successes, 0, log.n_frames)
     assert peak < n * n_nodes * np.dtype(np.int64).itemsize // 2
     assert won.dtype == np.int64

@@ -21,6 +21,7 @@ from coexlab.errors import InvalidScenarioError, MemoryFrozenError
 from coexlab.runner import (
     ARTIFACT_CONFIG,
     ARTIFACT_DEMOS,
+    ARTIFACT_DOT,
     ARTIFACT_EPISODES,
     ARTIFACT_METRICS,
     ARTIFACT_OFFLINE,
@@ -472,6 +473,16 @@ class TestRunCommand:
         assert code == 0
         assert not os.path.exists(os.path.join(cached, ARTIFACT_DEMOS))
         assert not os.path.exists(os.path.join(cached, ARTIFACT_STRATEGIES))
+        assert read_bytes(first, ARTIFACT_TRAJECTORY) \
+            == read_bytes(cached, ARTIFACT_TRAJECTORY)
+        # rerun from the strategy cached in its own output directory: that
+        # file stays while the older run's other artifacts go
+        code = run_cli("run", "--scenario", tdma_scenario, "--out", first,
+                       "--agent-json", agent_json, "--backend", "none",
+                       "--strategy", os.path.join(first, ARTIFACT_STRATEGY))
+        assert code == 0
+        assert os.path.isfile(os.path.join(first, ARTIFACT_STRATEGY))
+        assert not os.path.exists(os.path.join(first, ARTIFACT_DEMOS))
         assert read_bytes(first, ARTIFACT_TRAJECTORY) \
             == read_bytes(cached, ARTIFACT_TRAJECTORY)
 
@@ -978,6 +989,30 @@ class TestTraceCommand:
         capsys.readouterr()
         code = run_cli("trace", "--run", out)
         assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] \
+            == "TracingDisabledError"
+
+    @pytest.mark.parametrize("replicas", ["1", "2"])
+    def test_reused_out_dir_keeps_no_older_run_artifacts(self, tmp_path,
+                                                         agent_json, capsys,
+                                                         replicas):
+        out = str(tmp_path / "run")
+        assert run_cli("run", "--scenario",
+                       str(ROOT / "scenarios" / "tcp_agent_reno.json"),
+                       "--out", out, "--agent-json", agent_json) == 0
+        agent_only = (ARTIFACT_TRACE, ARTIFACT_DOT, ARTIFACT_DEMOS,
+                      ARTIFACT_STRATEGIES, ARTIFACT_STRATEGY,
+                      ARTIFACT_OFFLINE, ARTIFACT_EPISODES)
+        assert all(os.path.isfile(os.path.join(out, name))
+                   for name in agent_only)
+        assert run_cli("run", "--scenario",
+                       str(ROOT / "scenarios" / "tcp_reno2.json"),
+                       "--out", out, "--replicas", replicas) == 0
+        assert not any(os.path.exists(os.path.join(out, name))
+                       for name in agent_only)
+        capsys.readouterr()
+        # as on a run that was never traced
+        assert run_cli("trace", "--run", out) == 2
         assert json.loads(capsys.readouterr().err)["error"] \
             == "TracingDisabledError"
 

@@ -3,8 +3,8 @@ the order-reversal ranker online, fallback after a backend outage, a
 forced escape, and team members that join late or leave early.
 
 Each case drives a ``MacPeriodEngine`` or ``TcpPeriodEngine`` directly and
-hashes four things: the ``PeriodRecord`` list, the decision trace, the
-backend transcript and the environment trajectory. The digests live in
+hashes four things: the ``PeriodRecord`` list its periods returned, the
+decision trace, the backend transcript and the environment trajectory. The digests live in
 ``engine_digests.json`` beside this file. After a change that alters
 engine output on purpose, regenerate them with
 
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import tcp_reference
+from period_records import run_collect
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
 from coexlab.agent.trace import DecisionTrace
@@ -107,47 +108,49 @@ def _engine(cls, spec, strategy, inner, **kwargs):
     return engine, trace, recorder
 
 
+def _run(parts, *lengths):
+    """Run the engine of ``parts`` for each of ``lengths`` in turn; returns
+    the engine, its period records, the trace and the recorder."""
+    engine, trace, recorder = parts
+    periods = [record for length in lengths
+               for record in run_collect(engine, length)]
+    return engine, periods, trace, recorder
+
+
 def case_mac_ranker():
-    parts = _engine(MacPeriodEngine, mac_spec(300), mac_strategy(),
-                    ScriptedBackend(), config=AgentConfig(ranker_online=True))
-    parts[0].run(300)
-    return parts
+    return _run(_engine(MacPeriodEngine, mac_spec(300), mac_strategy(),
+                        ScriptedBackend(),
+                        config=AgentConfig(ranker_online=True)), 300)
 
 
 def case_mac_outage():
-    parts = _engine(MacPeriodEngine, mac_spec(400), mac_strategy(),
-                    FlakyBackend(fail_after=4))
-    parts[0].run(400)
-    return parts
+    return _run(_engine(MacPeriodEngine, mac_spec(400), mac_strategy(),
+                        FlakyBackend(fail_after=4)), 400)
 
 
 def case_tcp_outage():
-    parts = _engine(TcpPeriodEngine,
-                    tcp_spec(800, CONTROLLER_AGENT, CONTROLLER_RENO),
-                    tcp_strategy(), FlakyBackend(fail_after=3))
-    parts[0].run(800)
-    return parts
+    return _run(_engine(TcpPeriodEngine,
+                        tcp_spec(800, CONTROLLER_AGENT, CONTROLLER_RENO),
+                        tcp_strategy(), FlakyBackend(fail_after=3)), 800)
 
 
 def case_mac_escape():
     parts = _engine(MacPeriodEngine, mac_spec(900), mac_strategy(0.0, 0.0),
                     ScriptedBackend())
-    engine = parts[0]
-    engine.run(600)
+    engine, periods, trace, recorder = _run(parts, 600)
     engine._best_objective += 10.0
-    engine.run(300)
-    return parts
+    periods += _run(parts, 300)[1]
+    return engine, periods, trace, recorder
 
 
 def case_tcp_escape():
     parts = _engine(TcpPeriodEngine,
                     tcp_spec(900, CONTROLLER_AGENT, CONTROLLER_VEGAS),
                     tcp_strategy(sigma=0.0), ScriptedBackend())
-    engine = parts[0]
-    engine.run(600)
+    engine, periods, trace, recorder = _run(parts, 600)
     engine._best_objective += 10.0
-    engine.run(300)
-    return parts
+    periods += _run(parts, 300)[1]
+    return engine, periods, trace, recorder
 
 
 def case_mac_churn():
@@ -157,9 +160,8 @@ def case_mac_churn():
                                NodeConfig(KIND_TDMA, slots=(2, 7),
                                           join_frame=250)],
                         total_frames=600, seed=8)
-    parts = _engine(MacPeriodEngine, spec, mac_strategy(), ScriptedBackend())
-    parts[0].run(600)
-    return parts
+    return _run(_engine(MacPeriodEngine, spec, mac_strategy(),
+                        ScriptedBackend()), 600)
 
 
 def case_tcp_churn():
@@ -169,9 +171,8 @@ def case_tcp_churn():
                TcpFlowConfig(CONTROLLER_RENO, join_round=120,
                              leave_round=820)],
         total_rounds=1000, seed=6)
-    parts = _engine(TcpPeriodEngine, spec, tcp_strategy(), ScriptedBackend())
-    parts[0].run(1000)
-    return parts
+    return _run(_engine(TcpPeriodEngine, spec, tcp_strategy(),
+                        ScriptedBackend()), 1000)
 
 
 CASES = {
@@ -190,11 +191,11 @@ def _sha(text: str) -> str:
 
 
 def case_digests(name: str) -> dict:
-    engine, trace, recorder = CASES[name]()
+    engine, periods, trace, recorder = CASES[name]()
     trajectory = engine.env.log.records if isinstance(engine, MacPeriodEngine) \
         else tcp_reference.records_from_log(engine.env)
     return {
-        "periods": _sha(repr(engine.periods)),
+        "periods": _sha(repr(periods)),
         "trace": _sha(trace.to_json()),
         "transcript": _sha(recorder.to_jsonl()),
         "trajectory": _sha(repr(list(trajectory))),
@@ -207,12 +208,12 @@ def test_engine_path_matches_recorded_digests(name):
 
 
 def test_cases_reach_their_paths():
-    outage, _, _ = case_mac_outage()
-    assert any(p.fallbacks for p in outage.periods)
-    escape, _, _ = case_tcp_escape()
-    assert any(p.escaped for p in escape.periods)
-    churn, _, _ = case_mac_churn()
-    assert [len(p.decisions) for p in churn.periods][::15] == [1, 2, 2, 1]
+    _, outage, _, _ = case_mac_outage()
+    assert any(p.fallbacks for p in outage)
+    _, escape, _, _ = case_tcp_escape()
+    assert any(p.escaped for p in escape)
+    _, churn, _, _ = case_mac_churn()
+    assert [len(p.decisions) for p in churn][::15] == [1, 2, 2, 1]
 
 
 def test_every_case_has_digests():

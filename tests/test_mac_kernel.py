@@ -7,14 +7,19 @@ in the same random split of calls with the same ``set_vector`` updates
 between them. The logs must agree column for column, and every node
 stream, policy stream and backoff machine must end in the same state.
 A small chunk size makes the kernel cross chunk boundaries.
+
+A second test checks what the log keeps in place of per-slot columns:
+the per-frame success counts against a recount of the slot columns, and
+each slot's probabilities against the vectors ``run_frames`` was given.
 """
 
 from __future__ import annotations
 
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mac_reference
@@ -27,6 +32,7 @@ from coexlab.mac import (
     MacEnvironment,
     NodeConfig,
     ScenarioSpec,
+    SlotOutcome,
     run_frames,
 )
 
@@ -90,7 +96,7 @@ def simulate(spec, initial, calls, run):
 def columns(log):
     n = log.n_slots
     return (n, log.segments, log._outcome[:n].tolist(),
-            log._tx[:n].tolist(), log._prob[:n].tolist())
+            log._tx[:n].tolist(), mac_reference.slot_probs(log).tolist())
 
 
 def machine_states(env):
@@ -113,6 +119,55 @@ def test_kernel_equals_per_slot_reference(run, chunk):
         for nid in streams:
             assert streams[nid].bit_generator.state \
                 == expected[nid].bit_generator.state
+
+
+# one node succeeding in every slot of 200-slot frames: counts above 127
+WIDE_FRAME = (ScenarioSpec(nodes=[NodeConfig(kind="aloha", q=1.0),
+                                  NodeConfig(kind="agent", join_frame=1)],
+                           total_frames=3, seed=2, frame_len=200),
+              {1: [0.0] * 200}, [(1, {1: [0.0] * 199 + [0.5]}), (2, {})])
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=runs(), chunk=st.integers(2, 9), tail=st.integers(0, 5))
+@example(run=WIDE_FRAME, chunk=7, tail=150)
+def test_frame_counts_and_policy_rows_equal_per_slot_values(run, chunk, tail):
+    spec, initial, calls = run
+    frame_len = spec.frame_len
+    # chunks that end mid-frame
+    assume(chunk % frame_len)
+    seen = []       # (first slot, end slot, vectors) per run_frames call
+
+    def spy(env, policy, n):
+        first = env.slot_index
+        vectors = {nid: list(v) for nid, v in policy.vectors.items()}
+        run_frames(env, policy, n)
+        seen.append((first, env.slot_index, vectors))
+
+    with mock.patch.object(mac, "KERNEL_CHUNK_SLOTS", chunk):
+        env, policy = simulate(spec, initial, calls, spy)
+    # a horizon that ends inside a frame
+    first = env.slot_index
+    for _ in range(tail % frame_len):
+        mac_reference.step_slot(env, policy)
+    seen.append((first, env.slot_index, dict(policy.vectors)))
+
+    log = env.log
+    success = mac_reference.OUTCOME_CODES[SlotOutcome.SUCCESS]
+    recount = np.zeros((log.n_frames, log.n_nodes), dtype=np.int64)
+    for i in range(log.n_slots):
+        if log._outcome[i] == success:
+            recount[i // frame_len] += log._tx[i]
+    assert log.frame_successes(0, log.n_frames).tolist() == recount.tolist()
+
+    controlled = {nid for nid, cfg in enumerate(spec.nodes)
+                  if cfg.kind in CONTROLLED_KINDS}
+    for first, end, vectors in seen:
+        for i in range(first, end):
+            record = log.records[i]
+            assert record.agent_probs == {
+                nid: float(vectors[nid][i % frame_len])
+                for nid in record.live_ids if nid in controlled}
 
 
 def test_large_horizon_spans_chunks():

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,9 @@ from coexlab.oracle import (
     population_from_scenario,
     solve_aware,
 )
+from coexlab.runner import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestExpectedThroughputs:
@@ -177,3 +183,25 @@ class TestPopulationMapping:
         # the departed node holds zero afterwards
         assert reference[1][49] == pytest.approx(0.32 / 3, abs=2e-3)
         assert reference[1][50] == 0.0
+
+
+def reference_bytes(frames):
+    """Bytes the result of ``aware_trajectory`` holds for ``mac_2a1h`` at
+    ``frames`` frames, with the population's solve already cached."""
+    spec = replace(load_scenario(str(SCENARIOS / "mac_2a1h.json")),
+                   total_frames=frames)
+    aware_trajectory(spec)
+    tracemalloc.start()
+    try:
+        kept = aware_trajectory(spec)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept[0][0][frames - 1] == kept[0][0][0] > 0.0
+    return held
+
+
+def test_reference_memory_does_not_grow_with_the_horizon():
+    # one value per node and segment, not per node and frame
+    short, long = reference_bytes(10 ** 4), reference_bytes(10 ** 5)
+    assert abs(long - short) < 2 ** 10

@@ -2,7 +2,8 @@
 per node, and its two readers (``rmse_vs_reference`` and
 ``offline.mac_j_estimate``), against the list-based versions kept in
 ``metrics_reference``. Every value and every result must be the same
-float, and a failing input the same error."""
+float, and a failing input the same error, with the reference given as
+lists or per step."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from coexlab.mac import (
     ScenarioSpec,
     run_frames,
 )
-from coexlab.metrics import rmse_vs_reference, windowed_throughput
+from coexlab.metrics import StepSeries, rmse_vs_reference, windowed_throughput
 
 
 @st.composite
@@ -49,6 +50,12 @@ def logs(draw):
                       BernoulliSlotPolicy(spec.seed, vectors), frames)
 
 
+def step_series(values):
+    """``values`` as a ``StepSeries``, one step per run of equal values."""
+    starts = [k for k, v in enumerate(values) if k == 0 or v != values[k - 1]]
+    return StepSeries(starts, [values[k] for k in starts], len(values))
+
+
 def outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -73,9 +80,15 @@ def test_array_series_and_readers_equal_list_reference(log, window, warmup,
     # a reference per node id, some ids on one side only, some too short
     ids = data.draw(st.sets(st.integers(0, 5), max_size=4))
     reference = {nid: data.draw(st.lists(
-        st.floats(0.0, 1.0), min_size=log.n_frames - 1,
-        max_size=log.n_frames + 1)) for nid in sorted(ids)}
+        st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5]),
+        min_size=log.n_frames - 1, max_size=log.n_frames + 1))
+        for nid in sorted(ids)}
     assert outcome(rmse_vs_reference, series, reference, warmup) \
+        == outcome(ref.rmse_vs_reference, expected, reference, warmup)
+    # the same reference held per step, as the oracle gives it
+    steps = {nid: step_series(values) for nid, values in reference.items()}
+    assert [steps[nid][:] for nid in steps] == list(reference.values())
+    assert outcome(rmse_vs_reference, series, steps, warmup) \
         == outcome(ref.rmse_vs_reference, expected, reference, warmup)
 
     for alpha in (1.0, 2.0):

@@ -5,15 +5,20 @@ A period engine given a ``TranscriptRecorder`` over an open file and a
 ``to_jsonl``, ``to_json`` and ``to_dot`` give for the same run built in
 memory, while holding no transcript entry and one period of the trace.
 ``cmd_run`` streams both into the run directory, and a run that fails
-leaves complete transcript lines and no partial trace.
+leaves complete transcript lines and no partial trace. Nor does the
+engine keep its period records: what it holds does not grow with the
+periods it has run.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
+import sys
 import tracemalloc
+import types
 
 import pytest
 
@@ -24,6 +29,7 @@ from coexlab.agent.config import AgentConfig
 from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
 from coexlab.agent.trace import DecisionTrace, TraceSink
 from coexlab.backends import RecordingBackend, TranscriptRecorder
+from coexlab.mac import KIND_AGENT, KIND_TDMA, NodeConfig, ScenarioSpec
 from coexlab.runner import (
     ARTIFACT_DOT,
     ARTIFACT_TRACE,
@@ -33,13 +39,14 @@ from coexlab.runner import (
 )
 from coexlab.scripted import ScriptedBackend
 from coexlab.tcp import CONTROLLER_AGENT, CONTROLLER_RENO
+from period_records import run_collect
 from test_engine_digests import mac_spec, mac_strategy, tcp_spec, tcp_strategy
 
 
 def run_engine(case, transcript_fh=None, sink=None):
     """Run ``case`` (engine class, spec, strategy, config, escape) with the
-    recorder and trace given those outputs; returns the engine, recorder
-    and trace."""
+    recorder and trace given those outputs; returns the engine, its period
+    records, the recorder and the trace."""
     cls, spec, strategy, config, escape = case
     recorder = TranscriptRecorder(transcript_fh)
     trace = DecisionTrace("engine run", sink=sink)
@@ -50,14 +57,14 @@ def run_engine(case, transcript_fh=None, sink=None):
         else spec.total_rounds
     if escape:
         # pretend a much better window was seen before the last third
-        engine.run(horizon * 2 // 3)
+        periods = run_collect(engine, horizon * 2 // 3)
         engine._best_objective += 10.0
-        engine.run(horizon - horizon * 2 // 3)
+        periods += run_collect(engine, horizon - horizon * 2 // 3)
     else:
-        engine.run(horizon)
+        periods = run_collect(engine, horizon)
     if sink is not None:
         trace.close()
-    return engine, recorder, trace
+    return engine, periods, recorder, trace
 
 
 CASES = {
@@ -72,17 +79,17 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_streamed_records_equal_records_built_in_memory(name):
-    _, memory_recorder, memory_trace = run_engine(CASES[name])
+    _, _, memory_recorder, memory_trace = run_engine(CASES[name])
     transcript, json_fh, dot_fh = io.StringIO(), io.StringIO(), io.StringIO()
-    engine, recorder, trace = run_engine(CASES[name], transcript,
-                                         TraceSink(json_fh, dot_fh))
+    _, periods, recorder, trace = run_engine(CASES[name], transcript,
+                                             TraceSink(json_fh, dot_fh))
     assert transcript.getvalue() == memory_recorder.to_jsonl()
     assert json_fh.getvalue() == memory_trace.to_json()
     assert dot_fh.getvalue() == memory_trace.to_dot()
     assert recorder.entries == [] and trace.root.children == []
     assert recorder.count == len(memory_recorder.entries) > 0
-    assert len(memory_trace.root.children) == len(engine.periods)
-    assert any(p.escaped for p in engine.periods) == CASES[name][4]
+    assert len(memory_trace.root.children) == len(periods)
+    assert any(p.escaped for p in periods) == CASES[name][4]
 
 
 def retained_record_bytes(periods, streamed):
@@ -122,6 +129,68 @@ def test_streamed_record_memory_does_not_grow_with_the_run():
     assert abs(streamed[1] - streamed[0]) < per_period
 
 
+SHARED = (type, types.ModuleType, types.FunctionType,
+          types.BuiltinFunctionType, types.MethodType)
+
+
+def reachable_bytes(root, skip=()):
+    """``sys.getsizeof`` summed over the objects reachable from ``root``,
+    each once, leaving out those in ``skip`` and the classes, modules and
+    functions the program shares."""
+    seen = {id(obj) for obj in skip}
+    stack, total = [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, SHARED):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def engine_bytes(periods, keep_records):
+    """What a MAC engine streaming its transcript and trace holds after
+    ``periods`` periods, without its trajectory log's columns; with
+    ``keep_records`` the records of those periods are counted too.
+    Returns the bytes and the engine."""
+    config = AgentConfig()
+    # a team member beside a TDMA node: the observer sees the same window
+    # every period, so both horizons end in engine states of one shape
+    spec = ScenarioSpec(nodes=[NodeConfig(KIND_AGENT),
+                               NodeConfig(KIND_TDMA, slots=(3, 5))],
+                        total_frames=periods * config.query_period_slots
+                        // 10, seed=5)
+    with open(os.devnull, "w", encoding="utf-8") as null:
+        engine = MacPeriodEngine(
+            spec, mac_strategy(0.0, 0.0), config,
+            backend=RecordingBackend(ScriptedBackend(),
+                                     TranscriptRecorder(null)),
+            trace=DecisionTrace("engine run", sink=TraceSink(null, null)))
+        records = run_collect(engine, spec.total_frames) if keep_records \
+            else engine.run(spec.total_frames)
+    # counted once the file is closed, which drops its pending writes
+    log = engine.env.log
+    columns = (log._outcome, log._tx, log._won, log._row_start, log._rows)
+    return reachable_bytes((engine, records), columns), engine
+
+
+def test_engine_memory_does_not_grow_with_the_run():
+    n = 20
+    kept = [engine_bytes(k, True)[0] for k in (n, 2 * n)]
+    per_period = (kept[1] - kept[0]) / n
+    # each period's record: its flags and its decision, proposal and
+    # actuated action per team member
+    assert per_period > 2**10
+    (short, _), (long, engine) = (engine_bytes(k, False)
+                                  for k in (n, 2 * n))
+    # the engine holds no record, so the horizons differ by less than one
+    # period's records
+    assert abs(long - short) < per_period
+    assert len(engine.proposal_history) \
+        <= engine.config.convergence_periods + 1
+
+
 def write_scenario(path):
     doc = {"version": "mac-v1", "frame_len": 10, "total_frames": 600,
            "slot_duration_ms": 1.0, "seed": 5, "nodes": [
@@ -139,7 +208,7 @@ def test_failed_run_keeps_transcript_lines_and_no_partial_trace(
     run_period = MacPeriodEngine.run_period
 
     def failing(self, *args, **kwargs):
-        if self.trace is not None and len(self.periods) == 20:
+        if self.trace is not None and self.n_periods == 20:
             raise RuntimeError("simulated failure")
         return run_period(self, *args, **kwargs)
 
@@ -165,7 +234,7 @@ def test_trace_files_are_written_while_the_run_goes(tmp_path, monkeypatch):
     run_period = MacPeriodEngine.run_period
 
     def watching(self, *args, **kwargs):
-        if len(self.periods) == 59:
+        if self.n_periods == 59:
             seen["text"] = (out / ARTIFACT_TRACE).read_text()
         return run_period(self, *args, **kwargs)
 

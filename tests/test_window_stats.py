@@ -210,12 +210,13 @@ def runs(draw):
 def simulate(spec, vectors, tail_slots):
     """Run the scenario, plus ``tail_slots`` slots of one more frame
     stepped by the per-slot reference loop, and rebuild each slot's record
-    from what the environment logs."""
+    from what the environment logs and the policy it runs."""
     env = MacEnvironment(spec)
+    policy = BernoulliSlotPolicy(spec.seed, vectors)
     rebuilt = []
     append = env.log.append_slots
 
-    def recording_append(outcome, tx, probs):
+    def recording_append(outcome, tx):
         live = tuple(env.live)
         for k, code in enumerate(outcome.tolist()):
             i = env.slot_index + k
@@ -233,12 +234,13 @@ def simulate(spec, vectors, tail_slots):
                     int(result is SlotOutcome.SUCCESS
                         and nid in transmitters)
                     for nid in live),
-                agent_probs={nid: float(p[k]) for nid, p in probs.items()},
+                agent_probs={nid: float(policy.vectors[nid][
+                    i % spec.frame_len]) for nid in live
+                    if spec.nodes[nid].kind in CONTROLLED_KINDS},
             ))
-        append(outcome, tx, probs)
+        append(outcome, tx)
 
     env.log.append_slots = recording_append
-    policy = BernoulliSlotPolicy(spec.seed, vectors)
     run_frames(env, policy, spec.total_frames)
     for _ in range(tail_slots):
         mac_reference.step_slot(env, policy)
