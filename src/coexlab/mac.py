@@ -127,6 +127,14 @@ _SUCCESS = _OUTCOMES.index(SlotOutcome.SUCCESS)
 KERNEL_CHUNK_SLOTS = 1 << 16
 
 
+def _doubled(col: np.ndarray) -> np.ndarray:
+    """``col`` followed by as many zeroed rows, built in one new array
+    so that growing holds only the old column and the new one."""
+    grown = np.zeros((2 * len(col),) + col.shape[1:], dtype=col.dtype)
+    grown[:len(col)] = col
+    return grown
+
+
 class TrajectoryLog:
     """Slot history of a run, stored as columns: per slot an outcome code
     and a transmit flag per node, in numpy arrays that grow by doubling,
@@ -163,9 +171,8 @@ class TrajectoryLog:
         """Record the policy vectors of the live controlled nodes, in
         force from the next appended slot on."""
         if self.n_rows == len(self._row_start):
-            self._row_start, self._rows = (
-                np.concatenate([col, np.zeros_like(col)])
-                for col in (self._row_start, self._rows))
+            self._row_start = _doubled(self._row_start)
+            self._rows = _doubled(self._rows)
         self._row_start[self.n_rows] = self.n_slots
         for nid, vector in vectors.items():
             self._rows[self.n_rows, self._vector_col[nid]] = vector
@@ -177,12 +184,11 @@ class TrajectoryLog:
         touch may be partial; their successes add to the frames' counts."""
         i, j = self.n_slots, self.n_slots + len(outcome)
         while j > len(self._outcome):
-            self._outcome, self._tx = (
-                np.concatenate([col, np.zeros_like(col)])
-                for col in (self._outcome, self._tx))
+            self._outcome = _doubled(self._outcome)
+            self._tx = _doubled(self._tx)
         f0, f1 = i // self.frame_len, -(-j // self.frame_len)
         while f1 > len(self._won):
-            self._won = np.concatenate([self._won, np.zeros_like(self._won)])
+            self._won = _doubled(self._won)
         self._outcome[i:j] = outcome
         self._tx[i:j] = tx
         won = np.flatnonzero(outcome == _SUCCESS)
@@ -203,6 +209,13 @@ class TrajectoryLog:
         logged = self._won[f0:min(f1, self.n_frames)]
         won[:len(logged)] = logged
         return won
+
+    def node_frame_successes(self, nid: int) -> np.ndarray:
+        """Node ``nid``'s successes in each logged frame, as a read-only
+        view of the per-frame counts."""
+        column = self._won[:self.n_frames, nid]
+        column.flags.writeable = False
+        return column
 
     def success_rates(self, f0: int, f1: int) -> Dict[int, float]:
         """Successes over live slots, per node id live in the range."""

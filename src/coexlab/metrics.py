@@ -75,15 +75,17 @@ def windowed_throughput(log: TrajectoryLog,
         raise MetricDomainError("empty trajectory log")
     node_ids = sorted({nid for _, ids in log.segments for nid in ids})
     total_frames = log.n_frames
-    cumulative = np.zeros((total_frames + 1, log.n_nodes), dtype=np.int64)
-    np.cumsum(log.frame_successes(0, total_frames), axis=0,
-              out=cumulative[1:])
-    window_sums = cumulative[window_frames:] \
-        - cumulative[:max(0, total_frames + 1 - window_frames)]
-
     slots_per_window = window_frames * log.frame_len
-    values = {nid: window_sums[:, nid] / slots_per_window
-              for nid in node_ids}
+    # one node at a time, so that only one column of cumulative counts
+    # and one of window sums are held beside the result
+    cumulative = np.zeros(total_frames + 1, dtype=np.int64)
+    values = {}
+    for nid in node_ids:
+        np.cumsum(log.node_frame_successes(nid), dtype=np.int64,
+                  out=cumulative[1:])
+        window_sums = cumulative[window_frames:] \
+            - cumulative[:max(0, total_frames + 1 - window_frames)]
+        values[nid] = window_sums / slots_per_window
     # Frame label f means "window ending at frame f", i.e. frames
     # (f - window, f] counted with 1-based frame numbering.
     return ThroughputSeries(frames=range(window_frames, total_frames + 1),

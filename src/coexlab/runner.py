@@ -626,7 +626,8 @@ def _obtain_strategy(config: RunConfig, backend: Optional[Backend],
 
 
 def cmd_offline(config: RunConfig) -> OfflineResult:
-    """Offline stage only; artifacts cover demos, memory and the outcome."""
+    """Offline stage only; artifacts cover demos, memory and the outcome,
+    in an output directory cleared of older artifacts."""
     spec, family, demo_seed = _prepare(config)
     out = config.out_dir
 
@@ -634,6 +635,7 @@ def cmd_offline(config: RunConfig) -> OfflineResult:
     if backend is None:
         raise InvalidScenarioError("backend",
                                    "offline learning needs a backend")
+    clear_artifacts(config)
     demos = demo_bundle(family, config.agent.demo_k, demo_seed,
                         config=config.agent)
     with _transcript(out, backend) as wrapped:

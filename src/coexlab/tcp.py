@@ -16,9 +16,10 @@ contiguous range starting at its ``join_round``; its ``cwnd``, ``acks``
 and ``loss`` columns cover exactly that range. All live flows queue at
 the same bottleneck and see the same RTT, so ``rtt`` is one column
 indexed by round. The live set follows from the flows' join and leave
-rounds alone and is kept as segments cut only at those rounds. Each
-flow's minimum RTT is a running minimum updated as rounds are appended;
-it is the BaseRTT Vegas reads, and an observer reads it without
+rounds alone and is kept as segments cut only at those rounds, and
+``run_rounds`` plays each such stretch in one loop over plain floats.
+Each flow's minimum RTT is a running minimum updated as rounds are
+played; it is the BaseRTT Vegas reads, and an observer reads it without
 rescanning the history.
 
 Readers slice the columns for the rounds they need. Their sums run over
@@ -112,14 +113,6 @@ class FlowState:
     mode: str
 
 
-@dataclass(slots=True)
-class RoundFeedback:
-    acks: float
-    rtt: float
-    loss: bool
-    base_rtt: float     # the flow's minimum RTT so far, this round's included
-
-
 def initial_state(controller: str, cwnd_max: int) -> FlowState:
     if controller == CONTROLLER_RENO:
         return FlowState(cwnd=2.0, ssthresh=cwnd_max / 2.0,
@@ -130,22 +123,27 @@ def initial_state(controller: str, cwnd_max: int) -> FlowState:
                      mode=MODE_CONGESTION_AVOIDANCE)
 
 
-def reno_update(state: FlowState, fb: RoundFeedback, cwnd_max: int) -> FlowState:
+# A window controller maps a flow's (cwnd, ssthresh, slow_start) and one
+# round's feedback (loss, rtt, and base_rtt: the flow's minimum RTT so far,
+# this round's included) to its state for the next round. ``cwnd_max`` is
+# a float.
+def reno_update(cwnd: float, ssthresh: float, slow_start: bool, loss: bool,
+                rtt: float, base_rtt: float,
+                cwnd_max: float) -> Tuple[float, float, bool]:
     """Slow-start doubling, +1 per round in congestion avoidance, and a
     multiplicative halving to ssthresh on loss."""
-    if fb.loss:
-        ssthresh = max(state.cwnd / 2.0, 2.0)
-        return FlowState(ssthresh, ssthresh, MODE_CONGESTION_AVOIDANCE)
-    if state.mode == MODE_SLOW_START and state.cwnd < state.ssthresh:
-        cwnd = min(state.cwnd * 2.0, state.ssthresh)
-        mode = (MODE_CONGESTION_AVOIDANCE if cwnd >= state.ssthresh
-                else MODE_SLOW_START)
-        return FlowState(min(cwnd, float(cwnd_max)), state.ssthresh, mode)
-    return FlowState(min(state.cwnd + 1.0, float(cwnd_max)), state.ssthresh,
-                     MODE_CONGESTION_AVOIDANCE)
+    if loss:
+        ssthresh = max(cwnd / 2.0, 2.0)
+        return ssthresh, ssthresh, False
+    if slow_start and cwnd < ssthresh:
+        cwnd = min(cwnd * 2.0, ssthresh)
+        return min(cwnd, cwnd_max), ssthresh, cwnd < ssthresh
+    return min(cwnd + 1.0, cwnd_max), ssthresh, False
 
 
-def vegas_update(state: FlowState, fb: RoundFeedback, cwnd_max: int) -> FlowState:
+def vegas_update(cwnd: float, ssthresh: float, slow_start: bool, loss: bool,
+                 rtt: float, base_rtt: float,
+                 cwnd_max: float) -> Tuple[float, float, bool]:
     """Keep the estimated packets queued at the bottleneck between
     VEGAS_ALPHA and VEGAS_BETA.
 
@@ -153,17 +151,15 @@ def vegas_update(state: FlowState, fb: RoundFeedback, cwnd_max: int) -> FlowStat
     itself parks in the queue, measured in packets. On loss the flow
     falls back to a Reno-style halving.
     """
-    if fb.loss:
-        ssthresh = max(state.cwnd / 2.0, 2.0)
-        return FlowState(ssthresh, ssthresh, MODE_CONGESTION_AVOIDANCE)
-    diff = (state.cwnd / fb.base_rtt - state.cwnd / fb.rtt) * fb.base_rtt
+    if loss:
+        ssthresh = max(cwnd / 2.0, 2.0)
+        return ssthresh, ssthresh, False
+    diff = (cwnd / base_rtt - cwnd / rtt) * base_rtt
     if diff < VEGAS_ALPHA:
-        cwnd = min(state.cwnd + 1.0, float(cwnd_max))
+        cwnd = min(cwnd + 1.0, cwnd_max)
     elif diff > VEGAS_BETA:
-        cwnd = max(state.cwnd - 1.0, 1.0)
-    else:
-        cwnd = state.cwnd
-    return FlowState(cwnd, state.ssthresh, MODE_CONGESTION_AVOIDANCE)
+        cwnd = max(cwnd - 1.0, 1.0)
+    return cwnd, ssthresh, False
 
 
 def tcp_reward(acks: float, rtt: float) -> float:
@@ -234,7 +230,9 @@ class TcpRoundLog:
 
 
 class TcpEnvironment:
-    """Round-driven state for all flows plus the columnar round log."""
+    """Per-flow controller state plus the columnar round log. ``live`` is
+    the live set of the last round played, or of round 0 before any, and
+    ``states`` holds each of its flows' state for the flow's next round."""
 
     def __init__(self, spec: TcpScenarioSpec):
         validate_scenario(spec)
@@ -242,7 +240,6 @@ class TcpEnvironment:
         self.states: Dict[int, FlowState] = {}
         self.live: List[int] = []
         self.log = TcpRoundLog(spec.flows)
-        self._change_rounds = {start for start, _ in self.log.segments}
         # each flow's window controller; agent flows have none
         self._updates = tuple(
             {CONTROLLER_RENO: reno_update,
@@ -264,48 +261,6 @@ class TcpEnvironment:
             del self.states[fid]
         self.live = list(live)
 
-    def step_round(self, agent_cwnds: Optional[Dict[int, int]] = None) -> None:
-        """Advance one round, appending it to the log. ``agent_cwnds``
-        overrides the window of every live agent flow before the round is
-        played out."""
-        if self.round_index in self._change_rounds:
-            self._refresh_live()
-        spec = self.spec
-        states = self.states
-        if agent_cwnds:
-            for fid, cwnd in agent_cwnds.items():
-                state = states.get(fid)
-                if state is not None:
-                    bounded = min(max(int(cwnd), 1), spec.cwnd_max)
-                    states[fid] = FlowState(float(bounded), state.ssthresh,
-                                            state.mode)
-
-        pipe = spec.link_capacity_pps * spec.base_rtt_s
-        offered = sum([states[fid].cwnd for fid in self.live])
-        backlog = max(0.0, offered - pipe)
-        queue = min(backlog, spec.buffer_pkts)
-        overflow = max(0.0, backlog - spec.buffer_pkts)
-        rtt = spec.base_rtt_s + queue / spec.link_capacity_pps
-
-        log = self.log
-        log.rtt.append(rtt)
-        for fid in self.live:
-            state = states[fid]
-            drops = overflow * state.cwnd / offered if offered > 0 else 0.0
-            acks = state.cwnd - drops
-            loss = drops > 0.0
-            log.cwnd[fid].append(state.cwnd)
-            log.acks[fid].append(acks)
-            log.loss[fid].append(loss)
-            if rtt < log.min_rtt[fid]:
-                log.min_rtt[fid] = rtt
-            update = self._updates[fid]
-            if update is not None:
-                states[fid] = update(
-                    state, RoundFeedback(acks, rtt, loss, log.min_rtt[fid]),
-                    spec.cwnd_max)
-        log.n_rounds += 1
-
 
 def run_rounds(env: TcpEnvironment,
                overrides: Optional[Dict[int, int]] = None,
@@ -317,9 +272,70 @@ def run_rounds(env: TcpEnvironment,
     joining mid-call plays its held window from its first round.
     """
     target = env.spec.total_rounds if n_rounds is None else n_rounds
-    while env.round_index < target:
-        env.step_round(overrides)
+    for _, end, _ in env.log.segments_between(env.round_index, target):
+        env._refresh_live()
+        _play_stretch(env, overrides or {}, end)
     return env.log
+
+
+def _play_stretch(env: TcpEnvironment, overrides: Dict[int, int],
+                  end: int) -> None:
+    """Play rounds up to ``end``, all with the live set ``env.live``.
+
+    Each live flow's state is held in local lists for the stretch and
+    written back to ``env.states`` and ``log.min_rtt`` at its end. Every
+    round, each held window is put in place before the link is played
+    out; the offered load is summed over the live flows in ascending id.
+    """
+    spec, log, live = env.spec, env.log, env.live
+    states = [env.states[fid] for fid in live]
+    cwnds = [state.cwnd for state in states]
+    ssthreshs = [state.ssthresh for state in states]
+    slow = [state.mode == MODE_SLOW_START for state in states]
+    min_rtts = [log.min_rtt[fid] for fid in live]
+    held = [(k, float(min(max(int(overrides[fid]), 1), spec.cwnd_max)))
+            for k, fid in enumerate(live) if fid in overrides]
+    flows = [(k, env._updates[fid], log.cwnd[fid].append,
+              log.acks[fid].append, log.loss[fid].append)
+             for k, fid in enumerate(live)]
+    rtt_append = log.rtt.append
+    capacity, base_rtt = spec.link_capacity_pps, spec.base_rtt_s
+    buffer, cwnd_max = spec.buffer_pkts, float(spec.cwnd_max)
+    pipe = capacity * base_rtt
+    # the largest of the live flows' minimum RTTs: a round whose rtt is
+    # not below it lowers none of them
+    highest_min = max(min_rtts, default=-math.inf)
+
+    for _ in range(log.n_rounds, end):
+        for k, cwnd in held:
+            cwnds[k] = cwnd
+        offered = sum(cwnds)
+        backlog = max(0.0, offered - pipe)
+        queue = min(backlog, buffer)
+        overflow = max(0.0, backlog - buffer)
+        rtt = base_rtt + queue / capacity
+        rtt_append(rtt)
+        if rtt < highest_min:
+            min_rtts = [min(rtt, low) for low in min_rtts]
+            highest_min = max(min_rtts)
+        for k, update, cwnd_append, acks_append, loss_append in flows:
+            cwnd = cwnds[k]
+            drops = overflow * cwnd / offered if offered > 0 else 0.0
+            loss = drops > 0.0
+            cwnd_append(cwnd)
+            acks_append(cwnd - drops)
+            loss_append(loss)
+            if update is not None:
+                cwnds[k], ssthreshs[k], slow[k] = update(
+                    cwnd, ssthreshs[k], slow[k], loss, rtt, min_rtts[k],
+                    cwnd_max)
+
+    for k, fid in enumerate(live):
+        env.states[fid] = FlowState(
+            cwnds[k], ssthreshs[k],
+            MODE_SLOW_START if slow[k] else MODE_CONGESTION_AVOIDANCE)
+        log.min_rtt[fid] = min_rtts[k]
+    log.n_rounds = end
 
 
 def mean_social_reward(log: TcpRoundLog, first_round: int = 0) -> float:

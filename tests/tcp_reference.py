@@ -103,6 +103,9 @@ class ReferenceTcpEnvironment:
         self.base_rtt: Dict[int, float] = {}
         self.live: List[int] = []
         self.records: List[TcpRoundRecord] = []
+        # (fid, cwnd, ssthresh, slow_start, loss, rtt, base_rtt, cwnd_max)
+        # of every Reno and Vegas update, in the order they are made
+        self.update_calls: List[tuple] = []
         self._refresh_live()
 
     def _refresh_live(self) -> None:
@@ -154,6 +157,11 @@ class ReferenceTcpEnvironment:
             if base is None or fb.rtt < base:
                 self.base_rtt[fid] = fb.rtt
             controller = spec.flows[fid].controller
+            if controller in (CONTROLLER_RENO, CONTROLLER_VEGAS):
+                self.update_calls.append((
+                    fid, state.cwnd, state.ssthresh,
+                    state.mode == MODE_SLOW_START, fb.loss, fb.rtt,
+                    self.base_rtt[fid], float(spec.cwnd_max)))
             if controller == CONTROLLER_RENO:
                 self.states[fid] = reno_update(state, fb, spec.cwnd_max)
             elif controller == CONTROLLER_VEGAS:

@@ -1,6 +1,8 @@
 """Bounded memory at long horizons: writing a TCP trajectory holds one
-block of rows, never the whole text, and counting per-frame successes
-allocates no (slots x nodes) int64 array. Peaks are measured with
+block of rows, never the whole text; counting per-frame successes
+allocates no (slots x nodes) int64 array; growing a slot log's columns
+holds only the old columns and the new ones; and the windowed throughput
+holds one node's counts beside its result. Peaks are measured with
 ``tracemalloc``, which NumPy reports its array buffers to."""
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ from array import array
 
 import numpy as np
 
+import metrics_reference
+
 from coexlab import runner
 from coexlab.mac import TrajectoryLog
+from coexlab.metrics import windowed_throughput
 from coexlab.tcp import TcpFlowConfig, TcpRoundLog
 
 # two horizons: a writer that holds one block peaks the same at both
@@ -21,7 +26,8 @@ SLOTS = 1_000_000
 # as large (checked below), so a writer that builds it cannot stay under
 WRITE_PEAK_BOUND = 4 * 2**20
 # what the two horizons' peaks may differ by: the writer's own state is
-# independent of the horizon, so only allocator noise is left
+# independent of the horizon, so only allocator noise is left; also what
+# a bound given by array sizes allows for small temporaries
 PEAK_SLACK = 64 * 2**10
 
 
@@ -89,3 +95,76 @@ def test_frame_successes_allocates_no_slot_by_node_int64():
     expected = padded.reshape(f1, frame_len, n_nodes).sum(axis=1)
     np.testing.assert_array_equal(log.frame_successes(0, f1), expected)
     np.testing.assert_array_equal(log.frame_successes(5, 9), expected[5:9])
+
+
+def growth_peak(log, columns, grow):
+    """Bytes ``grow(log)`` allocates at its peak above what was held
+    before, and the bytes of the named columns once it has grown them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grow(log)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, sum(getattr(log, name).nbytes for name in columns)
+
+
+def test_slot_column_growth_holds_old_and_new_columns_only():
+    frame_len, n_nodes = 4, 3
+    n = 2**22
+    log = TrajectoryLog(frame_len, n_nodes)
+    # no transmissions, so no successes: only the columns' sizes matter
+    log.append_slots(np.ones(n, dtype=np.int8),
+                     np.zeros((n, n_nodes), dtype=bool))
+    columns = ("_outcome", "_tx", "_won")
+    assert len(log._outcome) == n and len(log._won) == n // frame_len
+    old = sum(getattr(log, name).nbytes for name in columns)
+    assert old >= 16 * 2**20
+    peak, new = growth_peak(log, columns, lambda log: log.append_slots(
+        np.ones(1, dtype=np.int8), np.zeros((1, n_nodes), dtype=bool)))
+    assert new == 2 * old
+    # the old columns were held before the call: it may add the new ones
+    assert peak <= new + PEAK_SLACK
+    assert log.n_slots == n + 1
+    assert not log._tx.any() and (log._outcome[:n + 1] == 1).all()
+
+
+def test_vector_row_growth_holds_old_and_new_rows_only():
+    frame_len, rows = 64, 2**12
+    log = TrajectoryLog(frame_len, 2, controlled=(0, 1))
+    vector = np.linspace(0.0, 1.0, frame_len)
+    for _ in range(rows):
+        log.append_vectors({0: vector, 1: vector})
+    columns = ("_row_start", "_rows")
+    assert len(log._row_start) == rows
+    old = sum(getattr(log, name).nbytes for name in columns)
+    peak, new = growth_peak(log, columns,
+                            lambda log: log.append_vectors({0: vector}))
+    assert new == 2 * old
+    assert peak <= new + PEAK_SLACK
+    assert log.n_rows == rows + 1
+    np.testing.assert_array_equal(log._rows[rows - 1, 1], vector)
+    assert not log._rows[rows, 1].any()
+
+
+def test_windowed_throughput_holds_one_node_column_beside_its_result():
+    frame_len, n_nodes, frames, window = 10, 3, 100_000, 20
+    rng = np.random.default_rng(5)
+    log = TrajectoryLog(frame_len, n_nodes)
+    log.segments.append((0, tuple(range(n_nodes))))
+    n = frames * frame_len
+    log.append_slots(rng.integers(0, 3, n).astype(np.int8),
+                     rng.random((n, n_nodes)) < 0.3)
+    series, peak = traced_peak(windowed_throughput, log, window)
+    result = sum(values.nbytes for values in series.values.values())
+    assert len(series.values) == n_nodes
+    assert result == n_nodes * (frames + 1 - window) * 8
+    # the result, one column of cumulative counts and one of window sums,
+    # and the buffer a ufunc casts the counts to int64 through
+    cast_buffer = np.getbufsize() * np.dtype(np.int64).itemsize
+    assert peak <= result + 2 * (frames + 1) * 8 + cast_buffer + PEAK_SLACK
+    expected = metrics_reference.windowed_throughput(log, window)
+    assert list(series.frames) == list(expected.frames)
+    for nid in range(n_nodes):
+        assert series.values[nid].tolist() == expected.values[nid]

@@ -1063,3 +1063,24 @@ class TestOfflineCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["strategy_id"] == report["strategy_id"]
         assert os.path.isfile(os.path.join(out, ARTIFACT_TRANSCRIPT))
+
+    def test_reused_out_dir_keeps_no_older_run_artifacts(self, tmp_path,
+                                                         agent_json, capsys):
+        out = str(tmp_path / "run")
+        assert run_cli("run", "--scenario",
+                       str(ROOT / "scenarios" / "tcp_agent_reno.json"),
+                       "--out", out, "--agent-json", agent_json) == 0
+        run_only = (ARTIFACT_TRAJECTORY, ARTIFACT_THROUGHPUT,
+                    ARTIFACT_METRICS, ARTIFACT_TRACE, ARTIFACT_DOT)
+        assert all(os.path.isfile(os.path.join(out, name))
+                   for name in run_only)
+        assert run_cli("offline", "--scenario",
+                       str(ROOT / "scenarios" / "tcp_agent_vegas.json"),
+                       "--out", out, "--agent-json", agent_json) == 0
+        assert not any(os.path.exists(os.path.join(out, name))
+                       for name in run_only)
+        assert read_json(out, ARTIFACT_CONFIG)["scenario"]["flows"][1] \
+            ["controller"] == "vegas"
+        capsys.readouterr()
+        # no trajectory is left for eval to report the Reno run's metrics
+        assert run_cli("eval", "--run", out) != 0

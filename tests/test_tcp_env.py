@@ -12,8 +12,6 @@ import tcp_reference
 from coexlab.errors import InvalidScenarioError
 from coexlab.tcp import (
     TCP_FORMAT,
-    FlowState,
-    RoundFeedback,
     TcpEnvironment,
     TcpFlowConfig,
     TcpScenarioSpec,
@@ -36,8 +34,8 @@ def spec_for(controllers, rounds=2000, seed=42, **kw):
 
 
 def play_round(env, overrides):
-    """Step one round and return it as the reference record."""
-    env.step_round(overrides)
+    """Play one round and return it as the reference record."""
+    run_rounds(env, overrides, env.round_index + 1)
     return tcp_reference.records_from_log(env)[-1]
 
 
@@ -83,60 +81,61 @@ class TestRoundArithmetic:
 
 class TestRenoUpdate:
     def test_congestion_avoidance_adds_one(self):
-        s = FlowState(cwnd=8, ssthresh=32, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=8, rtt=0.1, loss=False, base_rtt=0.1)
-        assert reno_update(s, fb, 64).cwnd == 9
+        cwnd, _, _ = reno_update(8.0, 32.0, False, loss=False, rtt=0.1,
+                                 base_rtt=0.1, cwnd_max=64.0)
+        assert cwnd == 9
 
     def test_loss_halves_to_ssthresh(self):
-        s = FlowState(cwnd=8, ssthresh=32, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=6, rtt=0.2, loss=True, base_rtt=0.1)
-        after = reno_update(s, fb, 64)
-        assert after.cwnd == 4 and after.ssthresh == 4
-        assert after.mode == "congestion_avoidance"
+        cwnd, ssthresh, slow_start = reno_update(
+            8.0, 32.0, False, loss=True, rtt=0.2, base_rtt=0.1,
+            cwnd_max=64.0)
+        assert cwnd == 4 and ssthresh == 4
+        assert not slow_start
 
     def test_loss_floor_at_two(self):
-        s = FlowState(cwnd=3, ssthresh=16, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=1, rtt=0.2, loss=True, base_rtt=0.1)
-        assert reno_update(s, fb, 64).cwnd == 2
+        cwnd, _, _ = reno_update(3.0, 16.0, False, loss=True, rtt=0.2,
+                                 base_rtt=0.1, cwnd_max=64.0)
+        assert cwnd == 2
 
     def test_slow_start_doubles(self):
-        s = FlowState(cwnd=2, ssthresh=8, mode="slow_start")
-        fb = RoundFeedback(acks=2, rtt=0.1, loss=False, base_rtt=0.1)
-        assert reno_update(s, fb, 64).cwnd == 4
+        cwnd, _, _ = reno_update(2.0, 8.0, True, loss=False, rtt=0.1,
+                                 base_rtt=0.1, cwnd_max=64.0)
+        assert cwnd == 4
 
     def test_slow_start_caps_at_ssthresh(self):
-        s = FlowState(cwnd=6, ssthresh=8, mode="slow_start")
-        fb = RoundFeedback(acks=6, rtt=0.1, loss=False, base_rtt=0.1)
-        after = reno_update(s, fb, 64)
-        assert after.cwnd == 8 and after.mode == "congestion_avoidance"
+        cwnd, _, slow_start = reno_update(6.0, 8.0, True, loss=False,
+                                          rtt=0.1, base_rtt=0.1,
+                                          cwnd_max=64.0)
+        assert cwnd == 8 and not slow_start
 
 
 class TestVegasUpdate:
     def test_no_queue_grows(self):
-        s = FlowState(cwnd=10, ssthresh=32, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=10, rtt=0.1, loss=False, base_rtt=0.1)
-        assert vegas_update(s, fb, 64).cwnd == 11
+        cwnd, _, _ = vegas_update(10.0, 32.0, False, loss=False, rtt=0.1,
+                                  base_rtt=0.1, cwnd_max=64.0)
+        assert cwnd == 11
 
     def test_in_band_holds(self):
         # diff = cwnd*(1 - base/rtt) = 10*(1 - 0.8) = 2 packets
-        s = FlowState(cwnd=10, ssthresh=32, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=10, rtt=0.125, loss=False, base_rtt=0.1)
-        assert vegas_update(s, fb, 64).cwnd == 10
+        cwnd, _, _ = vegas_update(10.0, 32.0, False, loss=False, rtt=0.125,
+                                  base_rtt=0.1, cwnd_max=64.0)
+        assert cwnd == 10
 
     def test_above_band_shrinks(self):
         # diff = 20*(1 - 0.8) = 4 > 3
-        s = FlowState(cwnd=20, ssthresh=32, mode="congestion_avoidance")
-        fb = RoundFeedback(acks=20, rtt=0.125, loss=False, base_rtt=0.1)
-        assert vegas_update(s, fb, 64).cwnd == 19
+        cwnd, _, _ = vegas_update(20.0, 32.0, False, loss=False, rtt=0.125,
+                                  base_rtt=0.1, cwnd_max=64.0)
+        assert cwnd == 19
 
     def test_reads_base_rtt_from_feedback(self):
         # the same window and rtt hold in band over a 0.1 s base, but
         # queue nothing over a 0.125 s one
-        s = FlowState(cwnd=10, ssthresh=32, mode="congestion_avoidance")
-        held = RoundFeedback(acks=10, rtt=0.125, loss=False, base_rtt=0.1)
-        empty = RoundFeedback(acks=10, rtt=0.125, loss=False, base_rtt=0.125)
-        assert vegas_update(s, held, 64).cwnd == 10
-        assert vegas_update(s, empty, 64).cwnd == 11
+        held = vegas_update(10.0, 32.0, False, loss=False, rtt=0.125,
+                            base_rtt=0.1, cwnd_max=64.0)
+        empty = vegas_update(10.0, 32.0, False, loss=False, rtt=0.125,
+                             base_rtt=0.125, cwnd_max=64.0)
+        assert held[0] == 10
+        assert empty[0] == 11
 
     def test_tracks_minimum_rtt(self):
         # every round feeds Vegas the smallest rtt its flow has seen so
@@ -144,12 +143,14 @@ class TestVegasUpdate:
         env = TcpEnvironment(spec_for(["reno", "vegas"], rounds=200))
         seen = []
 
-        def spy(state, fb, cwnd_max):
-            seen.append((fb.rtt, fb.base_rtt))
-            return vegas_update(state, fb, cwnd_max)
+        def spy(cwnd, ssthresh, slow_start, loss, rtt, base_rtt, cwnd_max):
+            seen.append((rtt, base_rtt))
+            return vegas_update(cwnd, ssthresh, slow_start, loss, rtt,
+                                base_rtt, cwnd_max)
 
         env._updates = (env._updates[0], spy)
         run_rounds(env)
+        assert len(seen) == 200
         rtts = [rtt for rtt, _ in seen]
         assert [base for _, base in seen] == \
             [min(rtts[:k + 1]) for k in range(len(rtts))]

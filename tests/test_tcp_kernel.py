@@ -2,12 +2,16 @@
 reader of it must equal the per-round record loop and record-walking
 readers kept in ``tcp_reference``, for random flow mixes with joins and
 leaves, random link parameters, and random ``run_rounds`` splits with
-overrides that change between calls."""
+overrides that change between calls. Between calls the windows of some
+live flows may be set to any positive float, which the controllers never
+produce, so that the order in which the offered load is summed shows in
+the last bits."""
 
 from __future__ import annotations
 
 import io
 import math
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -58,14 +62,41 @@ def scenarios(draw):
 
 @st.composite
 def schedules(draw, spec):
-    """``(end round, overrides)`` per ``run_rounds`` call: the overrides
-    may name any flow, live or not, and windows outside ``[1, cwnd_max]``."""
+    """``(end round, overrides, windows)`` per ``run_rounds`` call: the
+    overrides may name any flow, live or not, and windows outside
+    ``[1, cwnd_max]``; ``windows`` are put into the states of the flows
+    they name that are live before the call."""
     ends = sorted(draw(st.lists(st.integers(0, spec.total_rounds),
                                 max_size=6)))
     fids = st.integers(0, len(spec.flows))
     cwnds = st.integers(-2, spec.cwnd_max + 5)
-    return [(end, draw(st.dictionaries(fids, cwnds, max_size=3)))
+    floats = st.floats(0.5, spec.cwnd_max + 5.0)
+    return [(end, draw(st.dictionaries(fids, cwnds, max_size=3)),
+             draw(st.dictionaries(fids, floats, max_size=3)))
             for end in ends + [spec.total_rounds]]
+
+
+def record_updates(env):
+    """Wrap each flow's window controller so that every call is listed
+    as ``ReferenceTcpEnvironment.update_calls`` lists it."""
+    calls = []
+
+    def recording(fid, update):
+        def call(*args):
+            calls.append((fid, *args))
+            return update(*args)
+        return call
+
+    env._updates = tuple(None if update is None else recording(fid, update)
+                         for fid, update in enumerate(env._updates))
+    return calls
+
+
+def set_windows(env, ref_env, windows):
+    for fid, cwnd in windows.items():
+        if fid in env.states:
+            env.states[fid] = replace(env.states[fid], cwnd=cwnd)
+            ref_env.states[fid] = replace(ref_env.states[fid], cwnd=cwnd)
 
 
 def outcome(fn, *args, **kwargs):
@@ -148,12 +179,16 @@ def check_readers(env, records, data):
 def test_columnar_log_and_readers_equal_reference(data):
     spec = data.draw(scenarios(), label="spec")
     env = TcpEnvironment(spec)
+    calls = record_updates(env)
     ref_env = ref.ReferenceTcpEnvironment(spec)
-    for end, overrides in data.draw(schedules(spec), label="schedule"):
+    for end, overrides, windows in data.draw(schedules(spec),
+                                             label="schedule"):
+        set_windows(env, ref_env, windows)
         log = run_rounds(env, overrides, n_rounds=end)
         assert log is env.log
         ref.run_rounds(ref_env, overrides, n_rounds=end)
         check_state(env, ref_env)
+        assert calls == ref_env.update_calls
     check_columns(env, ref_env.records)
     check_readers(env, ref_env.records, data)
 
