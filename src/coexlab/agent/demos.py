@@ -151,7 +151,7 @@ def _mac_summary(log: TrajectoryLog) -> Dict[str, object]:
     outcome_counts = log.outcome_counts(0, frames)
     total = log.n_slots
     return {
-        "live_n": len(log.segments_between(frames - 1, frames)[-1]),
+        "live_n": len(log.timeline.live_at(frames - 1)),
         "slot_utilization": [round(u, 6) for u in util],
         "success_rate": round(outcome_counts[SlotOutcome.SUCCESS] / total, 6),
         "collision_rate": round(outcome_counts[SlotOutcome.COLLIDED] / total, 6),
@@ -197,7 +197,7 @@ def _tcp_summary(log: TcpRoundLog, flow_id: int,
     acks = []
     rtts = []
     tputs = []
-    for r0, r1, live in log.segments_between(first_round, log.n_rounds):
+    for r0, r1, live in log.timeline.stretches(first_round, log.n_rounds):
         if not live:
             continue
         per_flow = [log.flow_values(log.acks, fid, r0, r1) for fid in live]
@@ -217,7 +217,7 @@ def _tcp_summary(log: TcpRoundLog, flow_id: int,
         "max_rtt": round(max(rtts), 6),
         "mean_tput": round(sum(tputs) / len(tputs), 6),
         "loss_rate": round(flow_loss_rounds / max(1, flow_rounds), 6),
-        "live_n": len(log.live_at(log.n_rounds - 1)),
+        "live_n": len(log.timeline.live_at(log.n_rounds - 1)),
     }
 
 

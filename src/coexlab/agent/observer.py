@@ -124,11 +124,10 @@ def mac_window_signals(log: TrajectoryLog, window_frames: int,
     util_counts = log.transmissions_by_position(first_frame, end, exclude_ids)
     return MacWindowSignals(
         window=(first_frame, end - 1),
-        live_n=len(log.segments_between(end - 1, end)[-1]),
+        live_n=len(log.timeline.live_at(end - 1)),
         slot_utilization=tuple(c / window_frames for c in util_counts),
         collision_rate=collided / sum(half_totals),
-        membership_changed=len(set(log.segments_between(first_frame,
-                                                        end))) > 1,
+        membership_changed=len(log.timeline.stretches(first_frame, end)) > 1,
         rate_shift=rate_shift,
     )
 
@@ -196,13 +195,12 @@ def tcp_window_signals(log: TcpRoundLog,
         rate_shift = max(abs(loss1 - loss0), abs(rtt1 - rtt0) / min_rtt)
     return TcpWindowSignals(
         window=(start, end - 1),
-        live_n=len(log.live_at(end - 1)),
+        live_n=len(log.timeline.live_at(end - 1)),
         loss_rate=sum(loss) / len(loss),
         mean_rtt=mean_rtt,
         min_rtt=min_rtt,
         rtt_inflation=(mean_rtt - min_rtt) / min_rtt,
-        membership_changed=len({live for _, _, live
-                                in log.segments_between(start, end)}) > 1,
+        membership_changed=len(log.timeline.stretches(start, end)) > 1,
         rate_shift=rate_shift,
     )
 

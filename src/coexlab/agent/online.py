@@ -191,7 +191,7 @@ class PeriodEngine:
     period = 0               # ticks per query period
 
     def __init__(self, spec, strategy: Strategy, config: AgentConfig,
-                 lifetimes: Dict[int, Tuple[int, Optional[int]]], *,
+                 team: Tuple[int, ...], *,
                  backend: Optional[Backend] = None,
                  trace: Optional[DecisionTrace] = None,
                  explore: Optional[ExploreSpec] = None):
@@ -206,9 +206,7 @@ class PeriodEngine:
         self.strategy = strategy if explore is None \
             else replace(strategy, explore=explore)
         self._calm = replace(self.strategy, explore=ExploreSpec(0.0, 0.0))
-        # member id -> (first live tick, first tick gone or None)
-        self.lifetimes = lifetimes
-        self.team = tuple(lifetimes)
+        self.team = team
         self._noise_rngs = {
             mid: purpose_rng(spec.seed, PERTURBATION_STREAM, mid)
             for mid in self.team
@@ -262,8 +260,9 @@ class PeriodEngine:
     # -- period pipeline ---------------------------------------------------
 
     def _live_team(self, t0: int, t1: int) -> List[int]:
-        return [mid for mid, (join, leave) in self.lifetimes.items()
-                if join < t1 and (leave is None or leave > t0)]
+        live = {mid for _, _, ids in self.env.log.timeline.stretches(t0, t1)
+                for mid in ids}
+        return [mid for mid in self.team if mid in live]
 
     def _check_escape(self, had_report: bool, converged: bool) \
             -> Tuple[bool, Optional[float]]:
@@ -383,10 +382,9 @@ class MacPeriodEngine(PeriodEngine):
 
     def __init__(self, spec: ScenarioSpec, strategy: Strategy,
                  config: AgentConfig = AgentConfig(), **options):
-        super().__init__(spec, strategy, config, {
-            nid: (cfg.join_frame, cfg.leave_frame)
-            for nid, cfg in enumerate(spec.nodes) if cfg.kind == KIND_AGENT
-        }, **options)
+        super().__init__(spec, strategy, config, tuple(
+            nid for nid, cfg in enumerate(spec.nodes)
+            if cfg.kind == KIND_AGENT), **options)
         config.validate(spec.frame_len)
         if any(cfg.kind == KIND_AWARE for cfg in spec.nodes):
             raise InvalidScenarioError(
@@ -504,11 +502,9 @@ class TcpPeriodEngine(PeriodEngine):
 
     def __init__(self, spec: TcpScenarioSpec, strategy: Strategy,
                  config: AgentConfig = AgentConfig(), **options):
-        super().__init__(spec, strategy, config, {
-            fid: (cfg.join_round, cfg.leave_round)
-            for fid, cfg in enumerate(spec.flows)
-            if cfg.controller == CONTROLLER_AGENT
-        }, **options)
+        super().__init__(spec, strategy, config, tuple(
+            fid for fid, cfg in enumerate(spec.flows)
+            if cfg.controller == CONTROLLER_AGENT), **options)
         self.env = TcpEnvironment(spec)
         self.period = config.tcp_query_period_rounds
         self._held: Dict[int, int] = {}
@@ -522,7 +518,7 @@ class TcpPeriodEngine(PeriodEngine):
         for fid in team:
             # a flow joining inside this period has no rounds logged yet
             if r0 < cfg.tcp_observer_window_rounds \
-                    or self.lifetimes[fid][0] >= r0:
+                    or self.env.log.timeline.lifetimes[fid][0] >= r0:
                 reports[fid] = None
                 continue
             reports[fid] = tcp_observer_analyze(

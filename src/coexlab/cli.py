@@ -39,6 +39,7 @@ from .runner import (
     cmd_run,
     cmd_trace,
     load_scenario,
+    _read_json,
 )
 
 EXIT_OK = 0
@@ -61,8 +62,8 @@ _AGENT_FLAG_FIELDS = {
 def _agent_config(args: argparse.Namespace) -> AgentConfig:
     overrides: Dict[str, object] = {}
     if getattr(args, "agent_json", None):
-        with open(args.agent_json, "r", encoding="utf-8") as fh:
-            overrides.update(checked_agent_settings(json.load(fh)))
+        overrides.update(checked_agent_settings(
+            _read_json(args.agent_json, "agent")))
     for flag, field_name in _AGENT_FLAG_FIELDS.items():
         value = getattr(args, flag, None)
         if value is not None:

@@ -23,10 +23,10 @@ Determinism: every node draws from its own PRNG stream derived from the
 scenario seed and the node id, so adding or removing one node never
 perturbs the randomness of the others.
 
-Kernel: ``run_frames`` cuts its frames at the join and leave frames of
-``spec.nodes`` and, within each such segment, resolves up to
+Kernel: ``run_frames`` cuts its frames into the live-set stretches of the
+log's ``timeline`` and, within each stretch, resolves up to
 ``KERNEL_CHUNK_SLOTS`` slots at a time. The live set and the policy
-vectors are fixed inside a segment, and aloha, tdma and controlled nodes
+vectors are fixed inside a stretch, and aloha, tdma and controlled nodes
 have no memory, so each of them is drawn in bulk: one ``random(n)`` call
 on its own stream, or its owned-slot mask, per chunk. Only the stateful
 backoff kinds are walked slot by slot, backoff ALOHA in id order and
@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidScenarioError, MissingDecisionError
-from .scenario import (Field, ScenarioFormat, live_segments, nullable,
+from .scenario import (Field, ScenarioFormat, Timeline, nullable,
                        validate_scenario)
 from .strategy import finite_integer, finite_number
 
@@ -138,20 +138,19 @@ def _doubled(col: np.ndarray) -> np.ndarray:
 class TrajectoryLog:
     """Slot history of a run, stored as columns: per slot an outcome code
     and a transmit flag per node, in numpy arrays that grow by doubling,
-    and per frame each node's successes. Liveness is kept once per
-    population segment, which takes effect at the first slot of its start
-    frame. The controlled nodes' policy vectors are kept once per kernel
-    segment, as a row that takes effect at that segment's first slot. The
-    counting methods cover the logged slots of frames ``[f0, f1)``,
-    0 <= f0 <= f1; ``records`` rebuilds ``SlotRecord``s on demand."""
+    and per frame each node's successes. Liveness is the ``timeline`` of
+    frames, one entry per node. The controlled nodes' policy vectors are
+    kept once per kernel stretch, as a row that takes effect at that
+    stretch's first slot. The counting methods cover the logged slots of
+    frames ``[f0, f1)``, 0 <= f0 <= f1; ``records`` rebuilds
+    ``SlotRecord``s on demand."""
 
-    def __init__(self, frame_len: int, n_nodes: int,
+    def __init__(self, frame_len: int, timeline: Timeline,
                  controlled: Sequence[int] = ()):
         self.frame_len = frame_len
-        self.n_nodes = n_nodes
+        self.timeline = timeline
+        self.n_nodes = n_nodes = len(timeline.lifetimes)
         self.n_slots = 0
-        # (start_frame, live node ids) for every population segment, in order.
-        self.segments: List[Tuple[int, Tuple[int, ...]]] = []
         self._outcome = np.zeros(1024, dtype=np.int8)
         self._tx = np.zeros((1024, n_nodes), dtype=bool)
         # a node succeeds at most once per slot, so frame_len bounds a count
@@ -222,9 +221,10 @@ class TrajectoryLog:
         won = self._won[f0:min(f1, self.n_frames)].sum(
             axis=0, dtype=np.int64).tolist()
         live = [0] * self.n_nodes
-        for ids, length in self._segment_overlaps(f0, f1):
+        for first, end, ids in self.timeline.stretches(f0, f1):
+            span = self._slots(first, end)
             for nid in ids:
-                live[nid] += length
+                live[nid] += span.stop - span.start
         return {nid: won[nid] / n for nid, n in enumerate(live) if n}
 
     def outcome_counts(self, f0: int, f1: int) -> Dict[SlotOutcome, int]:
@@ -242,18 +242,6 @@ class TrajectoryLog:
         positions = np.arange(span.start, span.stop) % self.frame_len
         return np.bincount(positions[hit], minlength=self.frame_len).tolist()
 
-    def segments_between(self, f0: int, f1: int) -> List[Tuple[int, ...]]:
-        """Live ids of each segment holding a slot in the range, in order."""
-        return [ids for ids, _ in self._segment_overlaps(f0, f1)]
-
-    def _segment_overlaps(self, f0: int, f1: int):
-        span = self._slots(f0, f1)
-        starts = [start * self.frame_len for start, _ in self.segments]
-        for (_, ids), start, end in zip(self.segments, starts,
-                                        starts[1:] + [self.n_slots]):
-            if min(end, span.stop) > max(start, span.start):
-                yield ids, min(end, span.stop) - max(start, span.start)
-
 
 class SlotRecordView(abc.Sequence):
     """Read-only ``Sequence[SlotRecord]`` over a log, built on demand."""
@@ -270,7 +258,7 @@ class SlotRecordView(abc.Sequence):
             return [self[k] for k in i]
         log = self._log
         frame, position = divmod(i, log.frame_len)
-        live = [ids for start, ids in log.segments if start <= frame][-1]
+        live = log.timeline.live_at(frame)
         # the last policy row that took effect at or before slot i
         row = int(np.searchsorted(log._row_start[:log.n_rows], i,
                                   side="right")) - 1
@@ -383,9 +371,7 @@ class _BackoffMachine:
         self.w -= 1
         return False
 
-    def on_outcome(self, transmitted: bool, outcome: SlotOutcome) -> None:
-        if not transmitted:
-            return
+    def on_outcome(self, outcome: SlotOutcome) -> None:
         if outcome is SlotOutcome.COLLIDED:
             self.stage = min(self.stage + 1, self.cfg.max_stage)
         elif outcome is SlotOutcome.SUCCESS:
@@ -458,42 +444,39 @@ class MacEnvironment:
         validate_scenario(spec)
         self.spec = spec
         self.frame_len = spec.frame_len
-        self.slot_index = 0
         self.machines: Dict[int, _BackoffMachine] = {}
         self.live: List[int] = []
         self.log = TrajectoryLog(
-            spec.frame_len, len(spec.nodes),
+            spec.frame_len, Timeline(MAC_FORMAT.lifetimes(spec.nodes)),
             [nid for nid, cfg in enumerate(spec.nodes)
              if cfg.kind in CONTROLLED_KINDS])
         self._rngs = {
             nid: node_rng(spec.seed, nid) for nid in range(len(spec.nodes))
         }
-        self._segments = live_segments(MAC_FORMAT.lifetimes(spec.nodes))
-        self.apply_population_event(0)
+        self._enter(self.log.timeline.live_at(0))
+
+    @property
+    def slot_index(self) -> int:
+        return self.log.n_slots
 
     @property
     def frame_index(self) -> int:
         return self.slot_index // self.frame_len
 
-    def apply_population_event(self, frame_index: int) -> None:
-        """Take the live set of the population segment holding
-        ``frame_index``, a frame boundary.
+    def _enter(self, live: Sequence[int]) -> None:
+        """Take ``live`` as the live set, at a frame boundary.
 
         A fresh state machine is built for every newly joined stateful
         node; each machine keeps drawing from its own node stream, so the
         rest of the population is unaffected.
         """
-        live = [ids for start, ids in self._segments
-                if start <= frame_index][-1]
         for nid in set(self.machines) - set(live):
             del self.machines[nid]
         for nid in live:
             cfg = self.spec.nodes[nid]
             if nid not in self.machines and cfg.kind in _MACHINES:
                 self.machines[nid] = _MACHINES[cfg.kind](cfg, self._rngs[nid])
-        if list(live) != self.live or not self.log.segments:
-            self.live = list(live)
-            self.log.segments.append((frame_index, live))
+        self.live = list(live)
 
     def _policy_vectors(self, policy: Optional[BernoulliSlotPolicy]) \
             -> Dict[int, np.ndarray]:
@@ -543,7 +526,6 @@ class MacEnvironment:
             if walkers:
                 counts = _walk(walkers, tx, counts)
             self.log.append_slots(_CODE_BY_COUNT[np.minimum(counts, 2)], tx)
-            self.slot_index += n
 
 
 def _walk(walkers: List[Tuple[int, _BackoffMachine]], tx: np.ndarray,
@@ -563,7 +545,7 @@ def _walk(walkers: List[Tuple[int, _BackoffMachine]], tx: np.ndarray,
             outcome = SlotOutcome.SUCCESS if count == 1 \
                 else SlotOutcome.COLLIDED
             for nid, machine in sent:
-                machine.on_outcome(True, outcome)
+                machine.on_outcome(outcome)
                 tx[t, nid] = True
             counts[t] = count
     return np.array(counts)
@@ -571,17 +553,11 @@ def _walk(walkers: List[Tuple[int, _BackoffMachine]], tx: np.ndarray,
 
 def run_frames(env: MacEnvironment, policy: Optional[BernoulliSlotPolicy],
                n_frames: int) -> TrajectoryLog:
-    """Run ``n_frames`` full frames. Population events apply at the
-    frames where a node joins or leaves; ``policy`` must hold a
-    ``frame_len``-entry vector for every live controlled node (it may be
-    None when there are none)."""
-    if n_frames < 1:
-        return env.log
+    """Run ``n_frames`` full frames, one live-set stretch of the log's
+    timeline at a time; ``policy`` must hold a ``frame_len``-entry vector
+    for every live controlled node (it may be None when there are none)."""
     start = env.frame_index
-    end = start + n_frames
-    cuts = [start, *(frame for frame, _ in env._segments
-                     if start < frame < end), end]
-    for f0, f1 in zip(cuts, cuts[1:]):
-        env.apply_population_event(f0)
+    for f0, f1, live in env.log.timeline.stretches(start, start + n_frames):
+        env._enter(live)
         env._run_segment(policy, (f1 - f0) * env.frame_len)
     return env.log

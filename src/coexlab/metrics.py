@@ -73,8 +73,9 @@ def windowed_throughput(log: TrajectoryLog,
         raise MetricDomainError("window_frames must be >= 1")
     if not log.n_slots:
         raise MetricDomainError("empty trajectory log")
-    node_ids = sorted({nid for _, ids in log.segments for nid in ids})
     total_frames = log.n_frames
+    node_ids = sorted({nid for _, _, ids in log.timeline.stretches(
+        0, total_frames) for nid in ids})
     slots_per_window = window_frames * log.frame_len
     # one node at a time, so that only one column of cumulative counts
     # and one of window sums are held beside the result

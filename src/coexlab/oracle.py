@@ -23,7 +23,7 @@ from .errors import UnsupportedPopulationError
 from .mac import (CONTROLLED_KINDS, KIND_ALOHA, KIND_TDMA, MAC_FORMAT,
                   ScenarioSpec)
 from .metrics import THROUGHPUT_SCALE, StepSeries
-from .scenario import live_segments
+from .scenario import Timeline
 
 POLICY_CLASS_CAVEAT = (
     "reference optimum searched over per-slot Bernoulli policies only; "
@@ -297,12 +297,11 @@ def aware_trajectory(spec: ScenarioSpec,
     segment holds value 0 there.
     """
     segments_out = []
-    segments = [seg for seg in live_segments(MAC_FORMAT.lifetimes(spec.nodes))
-                if seg[0] < spec.total_frames]
+    segments = Timeline(MAC_FORMAT.lifetimes(spec.nodes)).stretches(
+        0, spec.total_frames)
     # node id -> its value in each segment
     values = {nid: [0.0] * len(segments) for nid in range(len(spec.nodes))}
-    ends = [start for start, _ in segments[1:]] + [spec.total_frames]
-    for k, ((start, live), end) in enumerate(zip(segments, ends)):
+    for k, (start, end, live) in enumerate(segments):
         pop = population_from_scenario(spec, live)
         solution = _solved(pop.n_agents, tuple(pop.aloha_q),
                            tuple(pop.tdma_slots), pop.frame_len, alpha)
@@ -318,7 +317,7 @@ def aware_trajectory(spec: ScenarioSpec,
         for nid, val in seg.node_values.items():
             values[nid][k] = val
         segments_out.append(seg)
-    starts = [start for start, _ in segments]
+    starts = [start for start, _, _ in segments]
     reference = {nid: StepSeries(starts, column, spec.total_frames)
                  for nid, column in values.items()}
     return reference, segments_out

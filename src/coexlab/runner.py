@@ -187,8 +187,8 @@ def load_cached_strategy(path: str, spec: AnyScenario) -> Strategy:
     (tcp)."""
     doc = _read_json(path, "strategy")
     if isinstance(doc, dict) and doc.get("version") == "strategies-v1":
-        entries = doc.get("strategies", [])
-        if not entries:
+        entries = doc.get("strategies")
+        if not isinstance(entries, list) or not entries:
             raise InvalidScenarioError("strategy", f"{path} holds no strategies")
         doc = entries[-1]
     # the embedded id is recomputed from content on parse
@@ -695,12 +695,17 @@ def cmd_demos(family: str, k: int, seed: int, out_dir: str) -> str:
     return path
 
 
-def _read_artifact(run_dir: str, name: str) -> str:
+def _artifact(run_dir: str, name: str) -> str:
     path = os.path.join(run_dir, name)
     if not os.path.isfile(path):
         raise InvalidScenarioError("run_dir",
                                    f"missing artifact: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    return path
+
+
+def _read_artifact(run_dir: str, name: str) -> str:
+    with open(_artifact(run_dir, name), "r", encoding="utf-8",
+              newline="") as fh:
         return fh.read()
 
 
@@ -751,7 +756,7 @@ def _check_finite(values: Iterable[float], name: str) -> None:
 def cmd_eval(run_dir: str,
              reference_path: Optional[str] = None) -> Dict[str, object]:
     """Recompute the metrics summary from a run directory's artifacts."""
-    cfg_doc = json.loads(_read_artifact(run_dir, ARTIFACT_CONFIG))
+    cfg_doc = _read_json(_artifact(run_dir, ARTIFACT_CONFIG), ARTIFACT_CONFIG)
     family = cfg_doc.get("family") if isinstance(cfg_doc, dict) else None
     if family not in ("mac", "tcp"):
         raise InvalidScenarioError(
@@ -784,7 +789,8 @@ def cmd_eval(run_dir: str,
                               f"which {ARTIFACT_TRAJECTORY} holds")
         summary = mac_metrics_report(series, means, reference, agent_cfg)
     else:
-        metrics_doc = json.loads(_read_artifact(run_dir, ARTIFACT_METRICS))
+        metrics_doc = _read_json(_artifact(run_dir, ARTIFACT_METRICS),
+                                 ARTIFACT_METRICS)
         if not isinstance(metrics_doc, dict) or "params" not in metrics_doc:
             raise InvalidScenarioError(ARTIFACT_METRICS,
                                        "must be an object holding params")

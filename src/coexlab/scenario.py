@@ -6,6 +6,7 @@ Fields are checked in table order, so an error names the first bad one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -152,20 +153,32 @@ def scenario_doc(spec) -> Dict[str, object]:
             fmt.member_key: members}
 
 
-def live_segments(lifetimes: Sequence[Tuple[int, Optional[int]]]) \
-        -> List[Tuple[int, Tuple[int, ...]]]:
-    """``(start, live member ids)`` for each stretch with one live set,
-    given each member's ``(join, leave)``, leave exclusive or None; cut
-    only at join and leave points, the last open-ended."""
-    cuts = {0}
-    for join, leave in lifetimes:
-        cuts.add(join)
-        if leave is not None:
-            cuts.add(leave)
-    segments: List[Tuple[int, Tuple[int, ...]]] = []
-    for start in sorted(cuts):
-        live = tuple(i for i, (join, leave) in enumerate(lifetimes)
-                     if join <= start and (leave is None or start < leave))
-        if not segments or segments[-1][1] != live:
-            segments.append((start, live))
-    return segments
+class Timeline:
+    """Who is live at each tick (a MAC frame or a TCP round), given each
+    member's ``(join, leave)``, leave exclusive or None: ``segments`` holds
+    ``(start, live member ids)`` per stretch with one live set, cut only at
+    join and leave points, so consecutive live sets differ."""
+
+    def __init__(self, lifetimes: Sequence[Tuple[int, Optional[int]]]):
+        self.lifetimes = tuple(lifetimes)
+        self.starts = sorted({0, *(t for lifetime in self.lifetimes
+                                   for t in lifetime if t is not None)})
+        self.segments = [(start, tuple(
+            i for i, (join, leave) in enumerate(self.lifetimes)
+            if join <= start and (leave is None or start < leave)))
+            for start in self.starts]
+
+    def live_at(self, t: int) -> Tuple[int, ...]:
+        """Live member ids, ascending, at tick ``t``."""
+        return self.segments[bisect_right(self.starts, t) - 1][1]
+
+    def stretches(self, t0: int, t1: int) \
+            -> List[Tuple[int, int, Tuple[int, ...]]]:
+        """``(first, end, live ids)`` for each live-set stretch of ticks
+        ``[t0, t1)``, in order; none when ``t0 >= t1``."""
+        if t0 >= t1:
+            return []
+        lo, hi = bisect_right(self.starts, t0), bisect_left(self.starts, t1)
+        bounds = [t0, *self.starts[lo:hi], t1]
+        return [(first, end, ids) for first, end, (_, ids) in zip(
+            bounds, bounds[1:], self.segments[lo - 1:hi])]

@@ -16,8 +16,8 @@ contiguous range starting at its ``join_round``; its ``cwnd``, ``acks``
 and ``loss`` columns cover exactly that range. All live flows queue at
 the same bottleneck and see the same RTT, so ``rtt`` is one column
 indexed by round. The live set follows from the flows' join and leave
-rounds alone and is kept as segments cut only at those rounds, and
-``run_rounds`` plays each such stretch in one loop over plain floats.
+rounds alone and is the log's ``timeline`` of rounds, and ``run_rounds``
+plays each of its stretches in one loop over plain floats.
 Each flow's minimum RTT is a running minimum updated as rounds are
 played; it is the BaseRTT Vegas reads, and an observer reads it without
 rescanning the history.
@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import MetricDomainError
-from .scenario import (Field, ScenarioFormat, live_segments, nullable,
+from .scenario import (Field, ScenarioFormat, Timeline, nullable,
                        validate_scenario)
 from .strategy import finite_integer, finite_number
 
@@ -175,57 +174,37 @@ def tcp_reward(acks: float, rtt: float) -> float:
 class TcpRoundLog:
     """Columnar record of every round played so far (see the module
     docstring). Flow ``fid``'s columns ``cwnd[fid]``, ``acks[fid]`` and
-    ``loss[fid]`` hold its live rounds from ``join_rounds[fid]`` on;
-    ``rtt`` holds every round; ``min_rtt[fid]`` is the smallest RTT the
+    ``loss[fid]`` hold its live rounds from its join round in ``timeline``
+    on; ``rtt`` holds every round; ``min_rtt[fid]`` is the smallest RTT the
     flow has seen, ``math.inf`` before it first plays."""
 
-    def __init__(self, flows: Sequence[TcpFlowConfig]):
+    def __init__(self, timeline: Timeline):
         self.n_rounds = 0
-        self.join_rounds = tuple(cfg.join_round for cfg in flows)
-        self.leave_rounds = tuple(cfg.leave_round for cfg in flows)
+        self.timeline = timeline
         self.rtt = array("d")
-        self.cwnd = [array("d") for _ in flows]
-        self.acks = [array("d") for _ in flows]
-        self.loss = [array("b") for _ in flows]
-        self.min_rtt = [math.inf] * len(flows)
-        self.segments = live_segments(TCP_FORMAT.lifetimes(flows))
-        self._starts = [start for start, _ in self.segments]
-
-    def live_at(self, r: int) -> Tuple[int, ...]:
-        """Live flow ids, ascending, in round ``r``."""
-        return self.segments[bisect_right(self._starts, r) - 1][1]
-
-    def segments_between(self, r0: int, r1: int) \
-            -> List[Tuple[int, int, Tuple[int, ...]]]:
-        """``(first, end, live ids)`` for each live-set stretch of rounds
-        ``[r0, r1)``, in round order."""
-        out = []
-        i = bisect_right(self._starts, r0) - 1
-        while r0 < r1:
-            end = r1 if i + 1 == len(self._starts) \
-                else min(r1, self._starts[i + 1])
-            out.append((r0, end, self.segments[i][1]))
-            r0 = end
-            i += 1
-        return out
+        self.cwnd = [array("d") for _ in timeline.lifetimes]
+        self.acks = [array("d") for _ in timeline.lifetimes]
+        self.loss = [array("b") for _ in timeline.lifetimes]
+        self.min_rtt = [math.inf] * len(timeline.lifetimes)
 
     def flow_rounds(self, fid: int, r0: int, r1: int) -> Tuple[int, int]:
         """The logged rounds of ``[r0, r1)`` in which flow ``fid`` was live,
         as ``(first, end)``; empty when ``first >= end``, as it is for an
         id that names no flow."""
-        if not 0 <= fid < len(self.join_rounds):
+        if not 0 <= fid < len(self.timeline.lifetimes):
             return r0, r0
+        join, leave = self.timeline.lifetimes[fid]
         end = min(r1, self.n_rounds)
-        if self.leave_rounds[fid] is not None:
-            end = min(end, self.leave_rounds[fid])
-        return max(r0, self.join_rounds[fid]), end
+        if leave is not None:
+            end = min(end, leave)
+        return max(r0, join), end
 
     def flow_values(self, column: List[array], fid: int, r0: int,
                     r1: int) -> list:
         """Flow ``fid``'s entries of ``column`` (``cwnd``, ``acks`` or
         ``loss``) for rounds ``[r0, r1)``, all of them live rounds of the
         flow."""
-        join = self.join_rounds[fid]
+        join = self.timeline.lifetimes[fid][0]
         return column[fid][r0 - join:r1 - join].tolist()
 
 
@@ -239,20 +218,20 @@ class TcpEnvironment:
         self.spec = spec
         self.states: Dict[int, FlowState] = {}
         self.live: List[int] = []
-        self.log = TcpRoundLog(spec.flows)
+        self.log = TcpRoundLog(Timeline(TCP_FORMAT.lifetimes(spec.flows)))
         # each flow's window controller; agent flows have none
         self._updates = tuple(
             {CONTROLLER_RENO: reno_update,
              CONTROLLER_VEGAS: vegas_update}.get(cfg.controller)
             for cfg in spec.flows)
-        self._refresh_live()
+        self._enter(self.log.timeline.live_at(0))
 
     @property
     def round_index(self) -> int:
         return self.log.n_rounds
 
-    def _refresh_live(self) -> None:
-        live = self.log.live_at(self.round_index)
+    def _enter(self, live: Sequence[int]) -> None:
+        """Take ``live`` as the live set; a joining flow starts afresh."""
         for fid in live:
             if fid not in self.states:
                 self.states[fid] = initial_state(
@@ -272,8 +251,8 @@ def run_rounds(env: TcpEnvironment,
     joining mid-call plays its held window from its first round.
     """
     target = env.spec.total_rounds if n_rounds is None else n_rounds
-    for _, end, _ in env.log.segments_between(env.round_index, target):
-        env._refresh_live()
+    for _, end, live in env.log.timeline.stretches(env.round_index, target):
+        env._enter(live)
         _play_stretch(env, overrides or {}, end)
     return env.log
 
@@ -342,8 +321,8 @@ def mean_social_reward(log: TcpRoundLog, first_round: int = 0) -> float:
     """Mean over rounds from ``first_round`` on of the average per-flow
     reward among live flows; rounds with no live flow are skipped."""
     values: List[float] = []
-    for r0, r1, live in log.segments_between(max(0, first_round),
-                                             log.n_rounds):
+    for r0, r1, live in log.timeline.stretches(max(0, first_round),
+                                               log.n_rounds):
         if not live:
             continue
         rtts = log.rtt[r0:r1].tolist()
@@ -362,7 +341,7 @@ def mean_flow_throughputs(log: TcpRoundLog,
     of the log starting at ``first_round``, keyed in the order the flows
     first play in that tail."""
     ranges = [(*log.flow_rounds(fid, first_round, log.n_rounds), fid)
-              for fid in range(len(log.join_rounds))]
+              for fid in range(len(log.timeline.lifetimes))]
     means: Dict[int, float] = {}
     for r0, r1, fid in sorted((r for r in ranges if r[0] < r[1]),
                               key=lambda r: (r[0], r[2])):

@@ -4,8 +4,8 @@
 ``step_slot`` decides one slot: every controlled node draws from its
 policy stream, then the live nodes are evaluated in id order with CSMA
 nodes last, so that carrier sensing sees every commitment already made
-for the slot. ``run_frames`` applies population events at every frame
-boundary and steps each slot in turn. ``slot_probs`` rebuilds the
+for the slot. ``run_frames`` enters the timeline's live set at every
+frame boundary and steps each slot in turn. ``slot_probs`` rebuilds the
 per-slot probability column the log once stored from its policy rows.
 """
 
@@ -68,7 +68,7 @@ def step_slot(env, policy) -> None:
         outcome = SlotOutcome.IDLE
     for nid in transmitters:
         if nid in env.machines:
-            env.machines[nid].on_outcome(True, outcome)
+            env.machines[nid].on_outcome(outcome)
 
     tx = np.zeros((1, len(nodes)), dtype=bool)
     tx[0, transmitters] = True
@@ -76,12 +76,11 @@ def step_slot(env, policy) -> None:
     env.log.append_vectors({nid: np.asarray(policy.vectors[nid], dtype=float)
                             for nid in controlled})
     env.log.append_slots(np.array([OUTCOME_CODES[outcome]]), tx)
-    env.slot_index += 1
 
 
 def run_frames(env, policy, n_frames: int):
     for _ in range(n_frames):
-        env.apply_population_event(env.frame_index)
+        env._enter(env.log.timeline.live_at(env.frame_index))
         for _ in range(env.frame_len):
             step_slot(env, policy)
     return env.log

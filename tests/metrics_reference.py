@@ -24,7 +24,8 @@ def windowed_throughput(log, window_frames: int) -> ThroughputSeries:
         raise MetricDomainError("window_frames must be >= 1")
     if not log.n_slots:
         raise MetricDomainError("empty trajectory log")
-    node_ids = sorted({nid for _, ids in log.segments for nid in ids})
+    node_ids = sorted({nid for _, _, ids in log.timeline.stretches(
+        0, log.n_frames) for nid in ids})
     total_frames = log.n_frames
     cumulative = np.zeros((total_frames + 1, log.n_nodes), dtype=np.int64)
     np.cumsum(log.frame_successes(0, total_frames), axis=0,

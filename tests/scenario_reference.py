@@ -5,13 +5,14 @@ must equal: the same spec or the same ``InvalidScenarioError`` text for
 every document, the same validation error for every spec built in code,
 and the same serialized document for every accepted spec.
 ``scenario_segments`` is the oracle's former population split, which
-``scenario.live_segments`` clipped to the horizon must equal.
+the ``scenario.Timeline`` stretches of ``[0, total_frames)`` must equal,
+and ``live_segments`` the former builder of a timeline's ``segments``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from coexlab.errors import InvalidScenarioError
 from coexlab.mac import (
@@ -289,4 +290,23 @@ def scenario_segments(spec: ScenarioSpec) -> List[Tuple[int, int, Tuple[int, ...
             (cfg.leave_frame is None or start < cfg.leave_frame)
         )
         segments.append((start, end, live))
+    return segments
+
+
+def live_segments(lifetimes: Sequence[Tuple[int, Optional[int]]]) \
+        -> List[Tuple[int, Tuple[int, ...]]]:
+    """``(start, live member ids)`` for each stretch with one live set,
+    given each member's ``(join, leave)``, leave exclusive or None; cut
+    only at join and leave points, the last open-ended."""
+    cuts = {0}
+    for join, leave in lifetimes:
+        cuts.add(join)
+        if leave is not None:
+            cuts.add(leave)
+    segments: List[Tuple[int, Tuple[int, ...]]] = []
+    for start in sorted(cuts):
+        live = tuple(i for i, (join, leave) in enumerate(lifetimes)
+                     if join <= start and (leave is None or start < leave))
+        if not segments or segments[-1][1] != live:
+            segments.append((start, live))
     return segments

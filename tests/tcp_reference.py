@@ -190,15 +190,16 @@ def records_from_log(env) -> List[TcpRoundRecord]:
     pipe = spec.link_capacity_pps * spec.base_rtt_s
     records = []
     for r in range(log.n_rounds):
-        live = log.live_at(r)
-        cwnds = {fid: log.cwnd[fid][r - log.join_rounds[fid]] for fid in live}
+        live = log.timeline.live_at(r)
+        joins = {fid: log.timeline.lifetimes[fid][0] for fid in live}
+        cwnds = {fid: log.cwnd[fid][r - joins[fid]] for fid in live}
         offered = sum(cwnds[fid] for fid in live)
         backlog = max(0.0, offered - pipe)
         queue = min(backlog, spec.buffer_pkts)
         overflow = max(0.0, backlog - spec.buffer_pkts)
         record = TcpRoundRecord(round_index=r, live_ids=live, queue=queue)
         for fid in live:
-            k = r - log.join_rounds[fid]
+            k = r - joins[fid]
             record.per_flow[fid] = FlowRoundRecord(
                 cwnd=cwnds[fid], acks=log.acks[fid][k], rtt=log.rtt[r],
                 loss=bool(log.loss[fid][k]),

@@ -17,7 +17,8 @@ import metrics_reference
 from coexlab import runner
 from coexlab.mac import TrajectoryLog
 from coexlab.metrics import windowed_throughput
-from coexlab.tcp import TcpFlowConfig, TcpRoundLog
+from coexlab.scenario import Timeline
+from coexlab.tcp import TcpRoundLog
 
 # two horizons: a writer that holds one block peaks the same at both
 ROUNDS = (100_000, 200_000)
@@ -47,15 +48,14 @@ def synthetic_tcp_log(n_rounds: int) -> TcpRoundLog:
     """A log of two flows, the second joining half way, with uniform
     random cells, so that hardly any cell repeats within a block."""
     rng = np.random.default_rng(7)
-    log = TcpRoundLog([TcpFlowConfig("reno"),
-                       TcpFlowConfig("vegas", join_round=n_rounds // 2)])
+    log = TcpRoundLog(Timeline([(0, None), (n_rounds // 2, None)]))
 
     def column(low, high, n):
         return array("d", rng.uniform(low, high, n).tolist())
 
     log.n_rounds = n_rounds
     log.rtt = column(0.1, 0.3, n_rounds)
-    for fid, join in enumerate(log.join_rounds):
+    for fid, (join, _) in enumerate(log.timeline.lifetimes):
         log.cwnd[fid] = column(10, 80, n_rounds - join)
         log.acks[fid] = column(10, 80, n_rounds - join)
     return log
@@ -79,7 +79,7 @@ def test_tcp_trajectory_write_peaks_at_one_block(tmp_path):
 def test_frame_successes_allocates_no_slot_by_node_int64():
     frame_len, n_nodes = 10, 4
     rng = np.random.default_rng(3)
-    log = TrajectoryLog(frame_len, n_nodes)
+    log = TrajectoryLog(frame_len, Timeline([(0, None)] * n_nodes))
     # a partial last frame, padded with no successes
     n = SLOTS + frame_len // 2
     log.append_slots(rng.integers(0, 3, n).astype(np.int8),
@@ -113,7 +113,7 @@ def growth_peak(log, columns, grow):
 def test_slot_column_growth_holds_old_and_new_columns_only():
     frame_len, n_nodes = 4, 3
     n = 2**22
-    log = TrajectoryLog(frame_len, n_nodes)
+    log = TrajectoryLog(frame_len, Timeline([(0, None)] * n_nodes))
     # no transmissions, so no successes: only the columns' sizes matter
     log.append_slots(np.ones(n, dtype=np.int8),
                      np.zeros((n, n_nodes), dtype=bool))
@@ -132,7 +132,8 @@ def test_slot_column_growth_holds_old_and_new_columns_only():
 
 def test_vector_row_growth_holds_old_and_new_rows_only():
     frame_len, rows = 64, 2**12
-    log = TrajectoryLog(frame_len, 2, controlled=(0, 1))
+    log = TrajectoryLog(frame_len, Timeline([(0, None)] * 2),
+                        controlled=(0, 1))
     vector = np.linspace(0.0, 1.0, frame_len)
     for _ in range(rows):
         log.append_vectors({0: vector, 1: vector})
@@ -151,8 +152,7 @@ def test_vector_row_growth_holds_old_and_new_rows_only():
 def test_windowed_throughput_holds_one_node_column_beside_its_result():
     frame_len, n_nodes, frames, window = 10, 3, 100_000, 20
     rng = np.random.default_rng(5)
-    log = TrajectoryLog(frame_len, n_nodes)
-    log.segments.append((0, tuple(range(n_nodes))))
+    log = TrajectoryLog(frame_len, Timeline([(0, None)] * n_nodes))
     n = frames * frame_len
     log.append_slots(rng.integers(0, 3, n).astype(np.int8),
                      rng.random((n, n_nodes)) < 0.3)

@@ -704,7 +704,7 @@ class TestRunCommand:
         assert err["message"].startswith(f"{field}: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("which", ["scenario", "strategy"])
+    @pytest.mark.parametrize("which", ["scenario", "strategy", "agent-json"])
     def test_deeply_nested_file_exits_2(self, tmp_path, which, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
@@ -713,11 +713,29 @@ class TestRunCommand:
             args += ["--scenario", str(deep)]
         else:
             args += ["--scenario", str(ROOT / "scenarios/mac_1t1h.json"),
-                     "--strategy", str(deep)]
+                     f"--{which}", str(deep)]
         assert run_cli(*args) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidScenarioError"
         assert "nested too deeply" in err["message"]
+        assert str(deep) in err["message"]
+
+    @pytest.mark.parametrize("strategies", [5, {"x": 1}, []],
+                             ids=["number", "object", "empty"])
+    def test_snapshot_without_a_strategy_list_exits_2(self, tmp_path,
+                                                      strategies, capsys):
+        snapshot = tmp_path / "snapshot.json"
+        snapshot.write_text(json.dumps({"version": "strategies-v1",
+                                        "strategies": strategies}),
+                            encoding="utf-8")
+        code = run_cli("run",
+                       "--scenario", str(ROOT / "scenarios/mac_1t1h.json"),
+                       "--out", str(tmp_path / "o"), "--backend", "none",
+                       "--strategy", str(snapshot))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidScenarioError"
+        assert str(snapshot) in err["message"]
 
     def test_offline_memories_frozen_for_online_stage(self, tmp_path,
                                                       tdma_scenario):
@@ -963,6 +981,22 @@ class TestEvalCommand:
         capsys.readouterr()
         assert run_cli("eval", "--run", str(out)) == 2
         assert json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("name", [ARTIFACT_CONFIG, ARTIFACT_METRICS])
+    def test_deeply_nested_json_artifact_exits_2(self, tmp_path, name,
+                                                 capsys):
+        scenario = write_tcp_scenario(tmp_path / "rv.json", [
+            {"controller": "reno"}, {"controller": "vegas"}], rounds=300)
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
+        (out / name).write_text("[" * 100_000 + "]" * 100_000,
+                                encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidScenarioError"
+        assert "nested too deeply" in err["message"]
+        assert str(out / name) in err["message"]
 
 
 class TestTraceCommand:

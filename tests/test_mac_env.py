@@ -118,7 +118,7 @@ class TestBackoffMachines:
         for t in range(400):
             if m.decide(False):
                 tx_slots.append(t)
-                m.on_outcome(True, SlotOutcome.SUCCESS)
+                m.on_outcome(SlotOutcome.SUCCESS)
         gaps = {b - a for a, b in zip(tx_slots, tx_slots[1:])}
         assert gaps and gaps <= {1, 2, 3, 4}
 
@@ -131,10 +131,10 @@ class TestBackoffMachines:
         m.stage = 2
         assert m.current_window() == 8
         # stage may never exceed max_stage
-        m.on_outcome(True, SlotOutcome.COLLIDED)
+        m.on_outcome(SlotOutcome.COLLIDED)
         assert m.stage == 2
         assert m.current_window() == 8
-        m.on_outcome(True, SlotOutcome.SUCCESS)
+        m.on_outcome(SlotOutcome.SUCCESS)
         assert m.stage == 0
         assert m.current_window() == 2
 
@@ -169,7 +169,7 @@ class TestPopulationDynamics:
         after = [r for r in log.records if r.frame_index >= 5]
         assert after[0].live_ids == (0, 2)
         assert all(len(r.reward_vector) == 2 for r in after)
-        assert log.segments == [(0, (0, 1, 2)), (5, (0, 2))]
+        assert log.timeline.segments == [(0, (0, 1, 2)), (5, (0, 2))]
 
     def test_join_event_extends_live_set(self):
         spec = make_spec([aloha(), tdma(join_frame=3)], total_frames=6)

@@ -95,7 +95,7 @@ def simulate(spec, initial, calls, run):
 
 def columns(log):
     n = log.n_slots
-    return (n, log.segments, log._outcome[:n].tolist(),
+    return (n, log.timeline.segments, log._outcome[:n].tolist(),
             log._tx[:n].tolist(), mac_reference.slot_probs(log).tolist())
 
 

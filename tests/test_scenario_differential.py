@@ -10,7 +10,9 @@ error text, and every accepted spec the same serialized document. Specs
 built in code must give the same validation error, except that the
 tables refuse every non-finite number, which the reference lets through
 in some fields. The oracle's population segments must equal the
-reference split.
+reference split. A ``Timeline`` must answer who is live as the per-tick
+test of each member's lifetime does, build the reference's segments, and
+give the online engine the team the former lifetime test gave.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +35,10 @@ from coexlab.mac import (
     NodeConfig,
     ScenarioSpec,
 )
+from coexlab.agent.online import PeriodEngine
 from coexlab.oracle import aware_trajectory
-from coexlab.scenario import parse_scenario, scenario_doc, validate_scenario
+from coexlab.scenario import (Timeline, parse_scenario, scenario_doc,
+                              validate_scenario)
 from coexlab.tcp import (
     CONTROLLERS,
     TCP_FORMAT,
@@ -292,3 +297,60 @@ def test_oracle_segments_match_reference(members, total_frames):
     _, segments = aware_trajectory(spec)
     assert [(seg.start_frame, seg.end_frame, seg.live_ids)
             for seg in segments] == ref.scenario_segments(spec)
+
+
+@st.composite
+def lifetimes(draw):
+    """A horizon and member lifetimes whose joins and leaves fall at 0,
+    inside the horizon, at it or past it."""
+    horizon = draw(st.integers(1, 12))
+
+    def tick(low):
+        return draw(st.sampled_from([low, max(low, horizon),
+                                     max(low, horizon + 1)])
+                    | st.integers(low, max(low, horizon + 3)))
+
+    members = []
+    for _ in range(draw(st.integers(0, 5))):
+        join = tick(0)
+        members.append((join, None if draw(st.booleans())
+                        else tick(join + 1)))
+    return horizon, members
+
+
+def live_by_tick(members, t):
+    return tuple(i for i, (join, leave) in enumerate(members)
+                 if join <= t and (leave is None or t < leave))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(drawn=lifetimes(), data=st.data())
+def test_timeline_equals_per_tick_liveness(drawn, data):
+    horizon, members = drawn
+    timeline = Timeline(members)
+    assert timeline.segments == ref.live_segments(members)
+    for t in range(horizon + 6):
+        assert timeline.live_at(t) == live_by_tick(members, t)
+
+    t0 = data.draw(st.integers(0, horizon + 4), label="t0")
+    t1 = data.draw(st.just(t0) | st.integers(0, horizon + 4), label="t1")
+    stretches = timeline.stretches(t0, t1)
+    # the stretches tile [t0, t1), one live set each, no two alike in a row
+    assert [t for first, end, _ in stretches for t in range(first, end)] \
+        == list(range(t0, t1))
+    for first, end, ids in stretches:
+        assert first < end
+        assert all(live_by_tick(members, t) == ids
+                   for t in range(first, end))
+    assert all(a[2] != b[2] for a, b in zip(stretches, stretches[1:]))
+
+    # the engine's team of a period [t0, t1), t1 > t0
+    team = tuple(data.draw(st.sets(st.integers(0, len(members) - 1)),
+                           label="team") if members else ())
+    team = tuple(sorted(team))
+    t1 = t0 + data.draw(st.integers(1, horizon + 4), label="length")
+    engine = SimpleNamespace(team=team, env=SimpleNamespace(
+        log=SimpleNamespace(timeline=timeline)))
+    assert PeriodEngine._live_team(engine, t0, t1) == [
+        mid for mid in team if members[mid][0] < t1
+        and (members[mid][1] is None or members[mid][1] > t0)]

@@ -206,9 +206,9 @@ class TestDynamicsAndJson:
         )
         env = TcpEnvironment(spec)
         run_rounds(env)
-        assert env.log.live_at(5) == (0,)
-        assert env.log.live_at(15) == (0, 1)
-        assert env.log.live_at(25) == (0,)
+        assert env.log.timeline.live_at(5) == (0,)
+        assert env.log.timeline.live_at(15) == (0, 1)
+        assert env.log.timeline.live_at(25) == (0,)
 
     def test_round_trip(self):
         spec = spec_for(["reno", "agent"], rounds=500, seed=9)

@@ -27,7 +27,7 @@ from coexlab.agent.online import tcp_window_objective
 from coexlab.errors import CoexlabError
 from coexlab import runner
 from coexlab.runner import tcp_metrics_report
-from coexlab.scenario import live_segments
+from coexlab.scenario import Timeline
 from coexlab.tcp import (
     CONTROLLERS,
     TCP_FORMAT,
@@ -131,12 +131,12 @@ def check_columns(env, records):
         for rec in records]
     for fid in range(len(spec.flows)):
         rows = flow_rows(records, fid)
-        first = log.join_rounds[fid]
+        first = log.timeline.lifetimes[fid][0]
         assert [r for r, _ in rows] == list(range(first, first + len(rows)))
         assert log.cwnd[fid].tolist() == [fr.cwnd for _, fr in rows]
         assert log.acks[fid].tolist() == [fr.acks for _, fr in rows]
         assert log.loss[fid].tolist() == [int(fr.loss) for _, fr in rows]
-    assert [log.live_at(r) for r in range(log.n_rounds)] == \
+    assert [log.timeline.live_at(r) for r in range(log.n_rounds)] == \
         [rec.live_ids for rec in records]
     assert ref.records_from_log(env) == records
 
@@ -198,13 +198,13 @@ def test_live_set_changes_only_at_join_and_leave_rounds():
              TcpFlowConfig("vegas", join_round=10, leave_round=20),
              TcpFlowConfig("agent", join_round=10),
              TcpFlowConfig("reno", join_round=30, leave_round=40)]
-    assert live_segments(TCP_FORMAT.lifetimes(flows)) == [
+    assert Timeline(TCP_FORMAT.lifetimes(flows)).segments == [
         (0, (0,)), (10, (0, 1, 2)), (20, (0, 2)), (30, (0, 2, 3)),
         (40, (0, 2))]
     env = TcpEnvironment(TcpScenarioSpec(flows=flows, total_rounds=50,
                                          seed=1))
     run_rounds(env)
-    assert env.log.segments_between(15, 35) == [
+    assert env.log.timeline.stretches(15, 35) == [
         (15, 20, (0, 1, 2)), (20, 30, (0, 2)), (30, 35, (0, 2, 3))]
     assert env.log.flow_rounds(3, 0, 50) == (30, 40)
     assert len(env.log.cwnd[1]) == 10 and len(env.log.cwnd[0]) == 50

@@ -105,7 +105,7 @@ def ref_window_objective(log, window_frames, alpha=1.0):
 
 
 def ref_windowed_throughput(log, window_frames):
-    node_ids = sorted({nid for _, ids in log.segments for nid in ids})
+    node_ids = sorted({nid for rec in log.records for nid in rec.live_ids})
     total_frames = log.records[-1].frame_index + 1
     per_frame = {nid: [0] * total_frames for nid in node_ids}
     for rec in log.records:
@@ -242,6 +242,9 @@ def simulate(spec, vectors, tail_slots):
 
     env.log.append_slots = recording_append
     run_frames(env, policy, spec.total_frames)
+    # the tail frame's live set, as the reference loop enters it at every
+    # frame start
+    env._enter(env.log.timeline.live_at(env.frame_index))
     for _ in range(tail_slots):
         mac_reference.step_slot(env, policy)
     return env.log, rebuilt
