@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..backends import Backend, extract_json_text, user_request
 from ..errors import MalformedResponseError, MemoryFrozenError
@@ -19,7 +19,6 @@ from ..strategy import (
     Strategy,
     serialize_strategy,
     strategy_doc,
-    strategy_from_doc,
 )
 from ..templates import TEMPLATE_PSA_CONFLICT, render_template
 
@@ -119,18 +118,6 @@ class StrategySet:
             "history": [entry.to_doc() for entry in self.history],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def replay_history(entries: Iterable[HistoryEntry]) -> StrategySet:
-    """Rebuild the live set by replaying add/remove events."""
-    out = StrategySet()
-    for entry in entries:
-        if entry.event == EVENT_ADDED:
-            assert entry.doc is not None, "added entry lacks a body"
-            out._by_id[entry.strategy_id] = strategy_from_doc(dict(entry.doc))
-        elif entry.event == EVENT_REMOVED:
-            out._by_id.pop(entry.strategy_id, None)
-    return out
 
 
 def psa_update(strategies: StrategySet, new: Strategy,

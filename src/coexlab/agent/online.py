@@ -206,6 +206,11 @@ class PeriodEngine:
         self.strategy = strategy if explore is None \
             else replace(strategy, explore=explore)
         self._calm = replace(self.strategy, explore=ExploreSpec(0.0, 0.0))
+        # the calm strategy never draws, so every proposal shares one rng
+        self._calm_rng = np.random.default_rng(0)
+        # the strategy as the decision prompt lists it
+        self._items = (fenced_json({**strategy_doc(self.strategy),
+                                    "id": self.strategy.id}),)
         self.team = team
         self._noise_rngs = {
             mid: purpose_rng(spec.seed, PERTURBATION_STREAM, mid)
@@ -224,8 +229,7 @@ class PeriodEngine:
 
     def _query_backend(self, payload: Dict[str, object], report_text: str,
                        tag: str) -> Tuple[str, str]:
-        items = (fenced_json({**strategy_doc(self.strategy),
-                              "id": self.strategy.id}),)
+        items = self._items
         ranker = self.config.ranker_online
         subs = {
             "REPORT": report_text,
@@ -328,7 +332,7 @@ class PeriodEngine:
             held = decision is not None and \
                 decision == self._prev_decision.get(mid)
             proposal = interpret_action(self._calm, self._context(
-                report, np.random.default_rng(0), decision, False)).action
+                report, self._calm_rng, decision, False)).action
             actuated = interpret_action(self.strategy, self._context(
                 report, self._noise_rngs[mid], decision, escaped)).action
             self._actuate(mid, actuated)
@@ -395,10 +399,6 @@ class MacPeriodEngine(PeriodEngine):
         self.period = config.query_period_slots // spec.frame_len
         self.policy = BernoulliSlotPolicy(spec.seed, {})
         self._prev_overused: Optional[List[int]] = None
-
-    @property
-    def period_frames(self) -> int:
-        return self.period
 
     def _clock(self) -> int:
         return self.env.frame_index

@@ -201,18 +201,6 @@ class DecisionTrace:
         self._flush()
         self.sink.close(self.root)
 
-    def find(self, predicate: Callable[[TraceNode], bool]) -> List[TraceNode]:
-        found: List[TraceNode] = []
-
-        def walk(node: TraceNode) -> None:
-            if predicate(node):
-                found.append(node)
-            for c in node.children:
-                walk(c)
-
-        walk(self.root)
-        return found
-
     def _write(self, sink: TraceSink) -> None:
         sink.open(self.root)
         for c in self.root.children:

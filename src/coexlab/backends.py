@@ -103,9 +103,6 @@ class TranscriptRecorder:
         else:
             self.fh.write(_jsonl_line(entry))
 
-    def to_jsonl(self) -> str:
-        return "".join(map(_jsonl_line, self.entries))
-
 
 class RecordingBackend:
     """Wraps a backend so every round-trip lands in the transcript."""

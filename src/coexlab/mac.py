@@ -202,13 +202,6 @@ class TrajectoryLog:
         return slice(min(f0 * self.frame_len, self.n_slots),
                      min(f1 * self.frame_len, self.n_slots))
 
-    def frame_successes(self, f0: int, f1: int) -> np.ndarray:
-        """Successes per frame and node id, shape (f1 - f0, n_nodes)."""
-        won = np.zeros((f1 - f0, self.n_nodes), dtype=np.int64)
-        logged = self._won[f0:min(f1, self.n_frames)]
-        won[:len(logged)] = logged
-        return won
-
     def node_frame_successes(self, nid: int) -> np.ndarray:
         """Node ``nid``'s successes in each logged frame, as a read-only
         view of the per-frame counts."""

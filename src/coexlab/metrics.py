@@ -11,7 +11,7 @@ import bisect
 import math
 from collections import abc
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -51,11 +51,14 @@ class StepSeries(abc.Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            frames = np.arange(*index.indices(self.length))
-            steps = np.searchsorted(self.starts, frames, side="right") - 1
-            return np.asarray(self.values, dtype=np.float64)[steps].tolist()
+            return self.take(np.arange(*index.indices(self.length))).tolist()
         frame = range(self.length)[index]
         return self.values[bisect.bisect_right(self.starts, frame) - 1]
+
+    def take(self, frames: np.ndarray) -> np.ndarray:
+        """The values at an array of frame indices, as float64."""
+        steps = np.searchsorted(self.starts, frames, side="right") - 1
+        return np.asarray(self.values, dtype=np.float64)[steps]
 
     def __array__(self, dtype=None, copy=None):
         bounds = np.asarray([*self.starts, self.length], dtype=np.int64)
@@ -100,28 +103,6 @@ def node_mean_throughputs(log: TrajectoryLog) -> Dict[int, float]:
     return log.success_rates(0, log.n_frames)
 
 
-def alpha_fair_value(throughputs: Sequence[float], alpha: float = 1.0) -> float:
-    """Sum of the alpha-fair utility of 100x each throughput.
-
-    alpha=1 uses the log form and requires strictly positive inputs;
-    callers are expected to clamp to a small floor first.
-    """
-    total = 0.0
-    for i, x in enumerate(throughputs):
-        scaled = THROUGHPUT_SCALE * x
-        if alpha == 1.0:
-            if scaled <= 0.0:
-                raise MetricDomainError(
-                    f"throughputs[{i}] = {x} not positive; log utility undefined"
-                )
-            total += math.log(scaled)
-        else:
-            if scaled < 0.0:
-                raise MetricDomainError(f"throughputs[{i}] = {x} negative")
-            total += scaled ** (1.0 - alpha) / (1.0 - alpha)
-    return total
-
-
 def jain_index(throughputs: Sequence[float]) -> float:
     """(sum x)^2 / (N * sum x^2); 1 means perfectly even allocation."""
     xs = list(throughputs)
@@ -136,6 +117,16 @@ def jain_index(throughputs: Sequence[float]) -> float:
     return (total * total) / (len(xs) * square_sum)
 
 
+def _frame_lookup(values: Sequence[float]) -> Callable[[np.ndarray],
+                                                       np.ndarray]:
+    """A reader of ``values`` at an array of frame indices: a
+    ``StepSeries`` looks up its steps, anything else is read as one
+    float64 array."""
+    if isinstance(values, StepSeries):
+        return values.take
+    return np.asarray(values, dtype=np.float64).__getitem__
+
+
 def rmse_vs_reference(series: ThroughputSeries,
                       reference: Mapping[int, Sequence[float]],
                       warmup_frames: int = DEFAULT_WARMUP_FRAMES) -> float:
@@ -145,41 +136,47 @@ def rmse_vs_reference(series: ThroughputSeries,
 
     ``reference`` maps node id to one value per frame (index = frame): a
     list, or a ``StepSeries`` as the oracle gives.
-    Nodes present on only one side count as zero on the other.
+    Nodes present on only one side count as zero on the other. The
+    series is read ``_RMSE_BLOCK`` frames at a time.
     """
     node_ids = sorted(set(series.values) | set(reference))
-    frames = np.asarray(series.frames, dtype=np.int64)
-    kept = np.flatnonzero(frames > warmup_frames)
-    index = frames[kept] - 1
-    # (position, node) of each node's first frame past its reference; the
-    # least is the first such pair in summing order
-    short = []
-    for nid in node_ids:
-        past = index >= len(reference[nid]) if nid in reference else None
-        if past is not None and past.any():
-            short.append((int(np.argmax(past)), nid))
-    if short:
-        position, nid = min(short)
-        raise MetricDomainError(
-            f"reference for node {nid} shorter than series "
-            f"(frame {index[position] + 1})")
-    # m - r per node: numpy subtracts float64 as Python subtracts floats,
-    # and the squares below stay Python's ``** 2``, so the sum is the same
-    diffs = []
-    for nid in node_ids:
-        m = np.asarray(series.values[nid], dtype=np.float64)[kept] \
-            if nid in series.values else np.zeros(len(kept))
-        r = np.asarray(reference[nid], dtype=np.float64)[index] \
-            if nid in reference else 0.0
-        diffs.append(m - r)
-    count = len(kept) * len(node_ids)
-    if count == 0:
-        raise MetricDomainError("no frames after warmup to compare")
+    lookups = {nid: _frame_lookup(values)
+               for nid, values in reference.items()}
     acc = 0.0
-    for k0 in range(0, len(kept), _RMSE_BLOCK):
-        for row in zip(*(d[k0:k0 + _RMSE_BLOCK].tolist() for d in diffs)):
+    count = 0
+    for k0 in range(0, len(series.frames), _RMSE_BLOCK):
+        k1 = k0 + _RMSE_BLOCK
+        frames = np.asarray(series.frames[k0:k1], dtype=np.int64)
+        kept = np.flatnonzero(frames > warmup_frames)
+        index = frames[kept] - 1
+        # (position, node) of each node's first frame past its reference;
+        # the least is the first such pair in summing order
+        short = []
+        for nid in node_ids:
+            past = index >= len(reference[nid]) if nid in reference else None
+            if past is not None and past.any():
+                short.append((int(np.argmax(past)), nid))
+        if short:
+            position, nid = min(short)
+            raise MetricDomainError(
+                f"reference for node {nid} shorter than series "
+                f"(frame {index[position] + 1})")
+        # m - r per node: numpy subtracts float64 as Python subtracts
+        # floats, and the squares below stay Python's ``** 2``, so the sum
+        # is the same
+        diffs = []
+        for nid in node_ids:
+            m = np.asarray(series.values[nid][k0:k1],
+                           dtype=np.float64)[kept] \
+                if nid in series.values else np.zeros(len(kept))
+            r = lookups[nid](index) if nid in reference else 0.0
+            diffs.append((m - r).tolist())
+        for row in zip(*diffs):
             for d in row:
                 acc += d ** 2
+        count += len(kept) * len(node_ids)
+    if count == 0:
+        raise MetricDomainError("no frames after warmup to compare")
     return math.sqrt(acc / count)
 
 

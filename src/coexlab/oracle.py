@@ -165,7 +165,7 @@ def fair_objective(values: Iterable[float], alpha: float = 1.0) -> float:
 
     The solver and the agent-side reward both score throughput vectors
     that may legitimately contain zeros (a silent node), so this floors
-    at a tiny positive rate instead of raising like the strict metric.
+    them at a tiny positive rate.
     """
     return sum(_utility(x, alpha) for x in values)
 

@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, TextIO, Tuple, Union)
 
@@ -266,7 +267,9 @@ def _write_csv(fh: TextIO, header: Sequence[str], n_rows: int,
     fh.write(",".join(header) + "\r\n")
     for r0 in range(0, n_rows, CSV_BLOCK_ROWS):
         rows = zip(*block(r0, min(r0 + CSV_BLOCK_ROWS, n_rows)))
-        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+        # an empty last line gives the block its final line break without
+        # copying the block's text
+        fh.write("\r\n".join(chain(map(",".join, rows), ("",))))
 
 
 def _write_node_csv(fh: TextIO, frames: Sequence[int],

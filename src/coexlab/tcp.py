@@ -22,7 +22,9 @@ Each flow's minimum RTT is a running minimum updated as rounds are
 played; it is the BaseRTT Vegas reads, and an observer reads it without
 rescanning the history.
 
-Readers slice the columns for the rounds they need. Their sums run over
+Readers slice the columns for the rounds they need; the end-of-run
+readers take at most ``READ_BLOCK_ROUNDS`` rounds at a time, so they hold
+no per-round object of the whole log. Their sums run over
 rounds in order and over flows in ascending id, with Python ``sum`` or
 explicit loops and never numpy's pairwise summation, so every
 floating-point result, and each artifact written from one, is the same
@@ -200,12 +202,12 @@ class TcpRoundLog:
         return max(r0, join), end
 
     def flow_values(self, column: List[array], fid: int, r0: int,
-                    r1: int) -> list:
+                    r1: int) -> array:
         """Flow ``fid``'s entries of ``column`` (``cwnd``, ``acks`` or
         ``loss``) for rounds ``[r0, r1)``, all of them live rounds of the
-        flow."""
+        flow, as a copied slice of the column."""
         join = self.timeline.lifetimes[fid][0]
-        return column[fid][r0 - join:r1 - join].tolist()
+        return column[fid][r0 - join:r1 - join]
 
 
 class TcpEnvironment:
@@ -317,22 +319,38 @@ def _play_stretch(env: TcpEnvironment, overrides: Dict[int, int],
     log.n_rounds = end
 
 
+# rounds the end-of-run readers take from the log's columns at a time
+READ_BLOCK_ROUNDS = 4096
+
+
+def _blocks(r0: int, r1: int):
+    """``[r0, r1)`` cut into ``(b0, b1)`` of at most ``READ_BLOCK_ROUNDS``."""
+    for b0 in range(r0, r1, READ_BLOCK_ROUNDS):
+        yield b0, min(b0 + READ_BLOCK_ROUNDS, r1)
+
+
+def _round_rewards(log: TcpRoundLog, stretches):
+    """Each round's average per-flow reward over the live flows of
+    ``stretches``, summed in live order, one block of rounds at a time."""
+    for r0, r1, live in stretches:
+        for b0, b1 in _blocks(r0, r1):
+            rtts = log.rtt[b0:b1]
+            rewards = [map(tcp_reward,
+                           log.flow_values(log.acks, fid, b0, b1), rtts)
+                       for fid in live]
+            yield from (total / len(live)
+                        for total in map(sum, zip(*rewards)))
+
+
 def mean_social_reward(log: TcpRoundLog, first_round: int = 0) -> float:
     """Mean over rounds from ``first_round`` on of the average per-flow
     reward among live flows; rounds with no live flow are skipped."""
-    values: List[float] = []
-    for r0, r1, live in log.timeline.stretches(max(0, first_round),
-                                               log.n_rounds):
-        if not live:
-            continue
-        rtts = log.rtt[r0:r1].tolist()
-        rewards = [[tcp_reward(acks, rtt) for acks, rtt
-                    in zip(log.flow_values(log.acks, fid, r0, r1), rtts)]
-                   for fid in live]
-        values += [total / len(live) for total in map(sum, zip(*rewards))]
-    if not values:
+    stretches = [stretch for stretch in log.timeline.stretches(
+        max(0, first_round), log.n_rounds) if stretch[2]]
+    n_rounds = sum(r1 - r0 for r0, r1, _ in stretches)
+    if not n_rounds:
         raise MetricDomainError("no rounds to score")
-    return sum(values) / len(values)
+    return sum(_round_rewards(log, stretches)) / n_rounds
 
 
 def mean_flow_throughputs(log: TcpRoundLog,
@@ -346,8 +364,9 @@ def mean_flow_throughputs(log: TcpRoundLog,
     for r0, r1, fid in sorted((r for r in ranges if r[0] < r[1]),
                               key=lambda r: (r[0], r[2])):
         total = 0.0
-        for acks, rtt in zip(log.flow_values(log.acks, fid, r0, r1),
-                             log.rtt[r0:r1].tolist()):
-            total += acks / rtt
+        for b0, b1 in _blocks(r0, r1):
+            for acks, rtt in zip(log.flow_values(log.acks, fid, b0, b1),
+                                 log.rtt[b0:b1]):
+                total += acks / rtt
         means[fid] = total / (r1 - r0)
     return means

@@ -6,7 +6,9 @@ policy stream, then the live nodes are evaluated in id order with CSMA
 nodes last, so that carrier sensing sees every commitment already made
 for the slot. ``run_frames`` enters the timeline's live set at every
 frame boundary and steps each slot in turn. ``slot_probs`` rebuilds the
-per-slot probability column the log once stored from its policy rows.
+per-slot probability column the log once stored from its policy rows,
+and ``frame_successes`` the per-frame success counts of every node as
+one array, zero past the logged frames.
 """
 
 from __future__ import annotations
@@ -94,3 +96,12 @@ def slot_probs(log) -> np.ndarray:
     rows = np.searchsorted(log._row_start[:log.n_rows], slots,
                            side="right") - 1
     return log._rows[rows, :, slots % log.frame_len]
+
+
+def frame_successes(log, f0: int, f1: int) -> np.ndarray:
+    """Successes per frame and node id, shape (f1 - f0, n_nodes), frames
+    past the logged ones counting none."""
+    won = np.zeros((f1 - f0, log.n_nodes), dtype=np.int64)
+    logged = log._won[f0:min(f1, log.n_frames)]
+    won[:len(logged)] = logged
+    return won

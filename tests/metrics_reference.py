@@ -5,6 +5,8 @@ reference the array-based ones must equal float for float.
 ``windowed_throughput`` builds one Python list per node and the frame
 labels as a list; ``rmse_vs_reference`` and ``mac_j_estimate`` index
 those lists frame by frame, nodes in ascending id order.
+``alpha_fair_value`` is the strict alpha-fair utility, which rejects a
+zero rate where ``coexlab.oracle.fair_objective`` floors it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from mac_reference import frame_successes
 from coexlab.errors import MetricDomainError
-from coexlab.metrics import ThroughputSeries
+from coexlab.metrics import THROUGHPUT_SCALE, ThroughputSeries
 from coexlab.oracle import fair_objective
 
 
@@ -28,7 +31,7 @@ def windowed_throughput(log, window_frames: int) -> ThroughputSeries:
         0, log.n_frames) for nid in ids})
     total_frames = log.n_frames
     cumulative = np.zeros((total_frames + 1, log.n_nodes), dtype=np.int64)
-    np.cumsum(log.frame_successes(0, total_frames), axis=0,
+    np.cumsum(frame_successes(log, 0, total_frames), axis=0,
               out=cumulative[1:])
     window_sums = cumulative[window_frames:] \
         - cumulative[:max(0, total_frames + 1 - window_frames)]
@@ -82,3 +85,25 @@ def mac_j_estimate(log, config) -> float:
         snapshot = [series.values[nid][idx] for nid in sorted(series.values)]
         values.append(fair_objective(snapshot, config.alpha))
     return sum(values) / len(values)
+
+
+def alpha_fair_value(throughputs: Sequence[float], alpha: float = 1.0) -> float:
+    """Sum of the alpha-fair utility of 100x each throughput.
+
+    alpha=1 uses the log form and requires strictly positive inputs;
+    callers are expected to clamp to a small floor first.
+    """
+    total = 0.0
+    for i, x in enumerate(throughputs):
+        scaled = THROUGHPUT_SCALE * x
+        if alpha == 1.0:
+            if scaled <= 0.0:
+                raise MetricDomainError(
+                    f"throughputs[{i}] = {x} not positive; log utility undefined"
+                )
+            total += math.log(scaled)
+        else:
+            if scaled < 0.0:
+                raise MetricDomainError(f"throughputs[{i}] = {x} negative")
+            total += scaled ** (1.0 - alpha) / (1.0 - alpha)
+    return total

@@ -18,7 +18,6 @@ from coexlab.agent.memory import (
     EVENT_SKIPPED,
     StrategySet,
     psa_update,
-    replay_history,
 )
 from coexlab.agent.offline import (
     asi_materialize,
@@ -45,7 +44,6 @@ from coexlab.mac import (
     run_frames,
 )
 from coexlab.metrics import (
-    alpha_fair_value,
     jain_index,
     node_mean_throughputs,
     rmse_vs_reference,
@@ -71,7 +69,9 @@ from coexlab.tcp import (
     run_rounds,
 )
 from coexlab.templates import TEMPLATE_STRATEGY_GEN, render_template
+from metrics_reference import alpha_fair_value
 from period_records import run_collect
+from records_reference import find, replay_history
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -189,7 +189,7 @@ def test_criterion_05_dynamic_scripted_pipeline():
     rmse = rmse_vs_reference(series, reference,
                              warmup_frames=config.warmup_frames)
 
-    period = engine.period_frames
+    period = engine.period
     lags = {}
     for event in (2500, 5000, 7500):
         hits = [p.start for p in periods
@@ -383,9 +383,8 @@ def test_criterion_10_explainability_artifact(tmp_path):
                       agent=agent))
     doc = json.loads((tmp_path / "run" / "trace.json").read_text())
     trace = trace_from_doc(doc)
-    observers = trace.find(
-        lambda n: n.actor == "observer"
-        and n.label == "slots 3,5 utilization 1.0")
+    observers = find(trace, lambda n: n.actor == "observer"
+                     and n.label == "slots 3,5 utilization 1.0")
     shaped = False
     for obs in observers:
         for child in obs.children:

@@ -19,7 +19,6 @@ from coexlab.agent.memory import (
     EpisodicMemory,
     StrategySet,
     psa_update,
-    replay_history,
 )
 from coexlab.backends import (
     CompletionRequest,
@@ -37,6 +36,7 @@ from coexlab.strategy import (
     validate_strategy,
 )
 from coexlab.templates import TEMPLATE_STRATEGY_GEN, render_template
+from records_reference import replay_history
 
 FAST = AgentConfig(demo_frames=40, demo_rounds=60)
 

@@ -7,6 +7,7 @@ import pytest
 
 import tcp_reference
 from period_records import run_collect
+from records_reference import find
 
 from coexlab.agent.trace import (
     ACTOR_NODE,
@@ -260,7 +261,7 @@ class TestDecisionTrace:
 
     def test_find_locates_actors(self):
         trace = sample_trace()
-        found = trace.find(lambda n: n.actor == ACTOR_OBSERVER)
+        found = find(trace, lambda n: n.actor == ACTOR_OBSERVER)
         assert len(found) == 1
         assert found[0].children[0].label == "avoid_slots 3,5"
 
@@ -425,9 +426,8 @@ class TestMacPeriodEngine:
         eng = MacPeriodEngine(spec, mac_strategy_json(base=0.5),
                               backend=ScriptedBackend(), trace=trace)
         eng.run(1500)
-        overuse = trace.find(
-            lambda n: n.actor == ACTOR_OBSERVER
-            and n.label == "slots 3,5 utilization 1.0")
+        overuse = find(trace, lambda n: n.actor == ACTOR_OBSERVER
+                       and n.label == "slots 3,5 utilization 1.0")
         assert overuse
         child_labels = {c.label for node in overuse for c in node.children}
         assert any("avoid_slots 3,5" in lbl for lbl in child_labels)
@@ -553,7 +553,7 @@ class TestTcpPeriodEngine:
         eng = TcpPeriodEngine(spec, tcp_strategy_json(base=8, rules=[]))
         log = eng.run(300)
         # flow 1 joins mid-period; its window is held from round 150 on
-        assert log.flow_values(log.cwnd, 1, 150, 154) == [8.0] * 4
+        assert log.flow_values(log.cwnd, 1, 150, 154).tolist() == [8.0] * 4
 
     def test_partial_final_period(self):
         spec = TcpScenarioSpec(flows=self.flows(CONTROLLER_AGENT),
@@ -626,3 +626,30 @@ class TestNonFiniteDecisions:
         assert periods[3].decisions[0] \
             == periods[2].decisions[0] \
             == periods[1].decisions[0]
+
+
+@pytest.mark.parametrize("domain", ["mac", "tcp"])
+def test_calm_proposals_draw_nothing_from_their_shared_rng(domain):
+    # exploration is on, so every actuated action draws; the proposals,
+    # interpreted with exploration off, share one generator that must
+    # still be in its seeded state after the run
+    import numpy as np
+    explore = ExploreSpec(epsilon=0.3, sigma=0.5)
+    if domain == "mac":
+        engine = MacPeriodEngine(static_mac_spec(frames=400),
+                                 mac_strategy_json(), explore=explore,
+                                 backend=ScriptedBackend())
+    else:
+        spec = TcpScenarioSpec(flows=[TcpFlowConfig(CONTROLLER_AGENT),
+                                      TcpFlowConfig(CONTROLLER_RENO)],
+                               total_rounds=400, seed=1)
+        engine = TcpPeriodEngine(spec, tcp_strategy_json(), explore=explore,
+                                 backend=ScriptedBackend())
+    noise = {mid: rng.bit_generator.state["state"]
+             for mid, rng in engine._noise_rngs.items()}
+    periods = run_collect(engine, engine.period * 3)
+    assert [sorted(p.actuated) for p in periods] == [[0]] * 3
+    assert engine._calm_rng.bit_generator.state == \
+        np.random.default_rng(0).bit_generator.state
+    assert all(rng.bit_generator.state["state"] != noise[mid]
+               for mid, rng in engine._noise_rngs.items())

@@ -1,22 +1,28 @@
 """Bounded memory at long horizons: writing a TCP trajectory holds one
-block of rows, never the whole text; counting per-frame successes
-allocates no (slots x nodes) int64 array; growing a slot log's columns
-holds only the old columns and the new ones; and the windowed throughput
-holds one node's counts beside its result. Peaks are measured with
-``tracemalloc``, which NumPy reports its array buffers to."""
+block of rows, never the whole text; the TCP metric report and the rmse
+against a stepwise reference read one block of rounds or frames at a
+time; counting per-frame successes allocates no (slots x nodes) int64
+array; growing a slot log's columns holds only the old columns and the
+new ones; and the windowed throughput holds one node's counts beside its
+result. Peaks are measured with ``tracemalloc``, which NumPy reports its
+array buffers to."""
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 from array import array
 
 import numpy as np
 
+import mac_reference
 import metrics_reference
 
 from coexlab import runner
+from coexlab.agent.config import AgentConfig
 from coexlab.mac import TrajectoryLog
-from coexlab.metrics import windowed_throughput
+from coexlab.metrics import (StepSeries, ThroughputSeries,
+                             rmse_vs_reference, windowed_throughput)
 from coexlab.scenario import Timeline
 from coexlab.tcp import TcpRoundLog
 
@@ -26,6 +32,13 @@ SLOTS = 1_000_000
 # peak of one TCP trajectory write; the whole text alone is more than twice
 # as large (checked below), so a writer that builds it cannot stay under
 WRITE_PEAK_BOUND = 4 * 2**20
+# peaks of the TCP metric report and of one node's rmse, each holding one
+# block of rounds or frames; what they replaced held per-round or
+# per-frame values of the whole horizon, more than these at the smaller
+# one (checked below)
+READ_PEAK_BOUND = 2 * 2**20
+RMSE_PEAK_BOUND = 2**20
+FRAMES = (40_000, 80_000)
 # what the two horizons' peaks may differ by: the writer's own state is
 # independent of the horizon, so only allocator noise is left; also what
 # a bound given by array sizes allows for small temporaries
@@ -76,6 +89,44 @@ def test_tcp_trajectory_write_peaks_at_one_block(tmp_path):
     assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
 
 
+def test_tcp_metrics_report_peaks_at_one_block():
+    peaks = []
+    for n_rounds in ROUNDS:
+        log = synthetic_tcp_log(n_rounds)
+        report, peak = traced_peak(runner.tcp_metrics_report, log,
+                                   AgentConfig())
+        assert report["params"]["first_round"] == n_rounds // 2
+        assert list(report["mean_throughputs"]) == ["0", "1"]
+        peaks.append(peak)
+    # one float per round for the rtt and for each of the two flows over
+    # the reported half of the smaller horizon
+    assert 3 * (ROUNDS[0] // 2) * sys.getsizeof(0.0) > READ_PEAK_BOUND
+    assert max(peaks) < READ_PEAK_BOUND
+    assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
+
+
+def test_rmse_against_a_step_reference_peaks_at_one_block():
+    window, warmup = 100, 500
+    peaks = []
+    for frames in FRAMES:
+        values = np.random.default_rng(9).random(frames + 1 - window)
+        series = ThroughputSeries(range(window, frames + 1), {0: values},
+                                  window)
+        reference = {0: StepSeries([0, frames // 3, 2 * frames // 3],
+                                   [0.1, 0.4, 0.3], frames)}
+        rmse, peak = traced_peak(rmse_vs_reference, series, reference,
+                                 warmup)
+        assert rmse == metrics_reference.rmse_vs_reference(
+            ThroughputSeries(series.frames, {0: values.tolist()}, window),
+            {0: reference[0][:]}, warmup)
+        peaks.append(peak)
+    # the frame labels, the positions and indices of those past the
+    # warmup and the reference expanded to every frame, eight bytes each
+    assert 4 * len(range(window, FRAMES[0] + 1)) * 8 > RMSE_PEAK_BOUND
+    assert max(peaks) < RMSE_PEAK_BOUND
+    assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
+
+
 def test_frame_successes_allocates_no_slot_by_node_int64():
     frame_len, n_nodes = 10, 4
     rng = np.random.default_rng(3)
@@ -84,17 +135,23 @@ def test_frame_successes_allocates_no_slot_by_node_int64():
     n = SLOTS + frame_len // 2
     log.append_slots(rng.integers(0, 3, n).astype(np.int8),
                      rng.random((n, n_nodes)) < 0.3)
-    won, peak = traced_peak(log.frame_successes, 0, log.n_frames)
-    assert peak < n * n_nodes * np.dtype(np.int64).itemsize // 2
+    columns, peak = traced_peak(lambda: [
+        log.node_frame_successes(nid) for nid in range(n_nodes)])
+    # each node's counts are a view of the log's per-frame counts
+    assert peak < PEAK_SLACK < n * n_nodes * np.dtype(np.int64).itemsize // 2
+    won = mac_reference.frame_successes(log, 0, log.n_frames)
     assert won.dtype == np.int64
-    # the per-slot sum it replaces, over a prefix and past the logged slots
+    np.testing.assert_array_equal(np.stack(columns, axis=1), won)
+    # the per-slot sum they replace, over a prefix and past the logged slots
     f1 = log.n_frames + 2
     success = log._tx[:n] & (log._outcome[:n] == 0)[:, None]
     padded = np.zeros((f1 * frame_len, n_nodes), dtype=np.int64)
     padded[:n] = success
     expected = padded.reshape(f1, frame_len, n_nodes).sum(axis=1)
-    np.testing.assert_array_equal(log.frame_successes(0, f1), expected)
-    np.testing.assert_array_equal(log.frame_successes(5, 9), expected[5:9])
+    np.testing.assert_array_equal(
+        mac_reference.frame_successes(log, 0, f1), expected)
+    np.testing.assert_array_equal(
+        mac_reference.frame_successes(log, 5, 9), expected[5:9])
 
 
 def growth_peak(log, columns, grow):

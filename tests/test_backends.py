@@ -25,6 +25,7 @@ from coexlab.errors import (
     UnrecognizedTemplateError,
 )
 from coexlab.scripted import ScriptedBackend
+from records_reference import transcript_jsonl
 
 
 def ok_body(content):
@@ -91,7 +92,7 @@ class TestTranscript:
         wrapped = RecordingBackend(backend, rec)
         wrapped.complete(user_request("one", tag="t1"))
         wrapped.complete(user_request("two", tag="t2"))
-        lines = rec.to_jsonl().strip().split("\n")
+        lines = transcript_jsonl(rec).strip().split("\n")
         entries = [json.loads(line) for line in lines]
         assert [e["seq"] for e in entries] == [0, 1]
         assert entries[0]["response"] == "a"

@@ -22,6 +22,7 @@ import pytest
 
 import tcp_reference
 from period_records import run_collect
+from records_reference import transcript_jsonl
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
 from coexlab.agent.trace import DecisionTrace
@@ -197,7 +198,7 @@ def case_digests(name: str) -> dict:
     return {
         "periods": _sha(repr(periods)),
         "trace": _sha(trace.to_json()),
-        "transcript": _sha(recorder.to_jsonl()),
+        "transcript": _sha(transcript_jsonl(recorder)),
         "trajectory": _sha(repr(list(trajectory))),
     }
 

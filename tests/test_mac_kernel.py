@@ -158,7 +158,7 @@ def test_frame_counts_and_policy_rows_equal_per_slot_values(run, chunk, tail):
     for i in range(log.n_slots):
         if log._outcome[i] == success:
             recount[i // frame_len] += log._tx[i]
-    assert log.frame_successes(0, log.n_frames).tolist() == recount.tolist()
+    assert mac_reference.frame_successes(log, 0, log.n_frames).tolist() == recount.tolist()
 
     controlled = {nid for nid, cfg in enumerate(spec.nodes)
                   if cfg.kind in CONTROLLED_KINDS}

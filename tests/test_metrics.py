@@ -16,9 +16,9 @@ from coexlab.mac import (
     ScenarioSpec,
     run_frames,
 )
+from metrics_reference import alpha_fair_value
 from coexlab.metrics import (
     ThroughputSeries,
-    alpha_fair_value,
     jain_index,
     rmse_vs_reference,
     slot_utilization,

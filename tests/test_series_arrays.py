@@ -7,12 +7,15 @@ lists or per step."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metrics_reference as ref
 from coexlab.agent.config import AgentConfig
+from coexlab import metrics
 from coexlab.agent.offline import mac_j_estimate
 from coexlab.mac import (
     BernoulliSlotPolicy,
@@ -83,13 +86,16 @@ def test_array_series_and_readers_equal_list_reference(log, window, warmup,
         st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5]),
         min_size=log.n_frames - 1, max_size=log.n_frames + 1))
         for nid in sorted(ids)}
-    assert outcome(rmse_vs_reference, series, reference, warmup) \
-        == outcome(ref.rmse_vs_reference, expected, reference, warmup)
-    # the same reference held per step, as the oracle gives it
+    # read in blocks of any size
+    block = data.draw(st.integers(1, log.n_frames + 1), label="rmse_block")
     steps = {nid: step_series(values) for nid, values in reference.items()}
-    assert [steps[nid][:] for nid in steps] == list(reference.values())
-    assert outcome(rmse_vs_reference, series, steps, warmup) \
-        == outcome(ref.rmse_vs_reference, expected, reference, warmup)
+    with mock.patch.object(metrics, "_RMSE_BLOCK", block):
+        assert outcome(rmse_vs_reference, series, reference, warmup) \
+            == outcome(ref.rmse_vs_reference, expected, reference, warmup)
+        # the same reference held per step, as the oracle gives it
+        assert [steps[nid][:] for nid in steps] == list(reference.values())
+        assert outcome(rmse_vs_reference, series, steps, warmup) \
+            == outcome(ref.rmse_vs_reference, expected, reference, warmup)
 
     for alpha in (1.0, 2.0):
         config = AgentConfig(window_frames=window, alpha=alpha)

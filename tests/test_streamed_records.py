@@ -1,9 +1,9 @@
 """The transcript and the decision trace written while a run goes.
 
 A period engine given a ``TranscriptRecorder`` over an open file and a
-``DecisionTrace`` with a ``TraceSink`` must write the bytes that
-``to_jsonl``, ``to_json`` and ``to_dot`` give for the same run built in
-memory, while holding no transcript entry and one period of the trace.
+``DecisionTrace`` with a ``TraceSink`` must write the bytes that the
+recorder's kept entries as JSONL, ``to_json`` and ``to_dot`` give for the
+same run built in memory, while holding no transcript entry and one period of the trace.
 ``cmd_run`` streams both into the run directory, and a run that fails
 leaves complete transcript lines and no partial trace. Nor does the
 engine keep its period records: what it holds does not grow with the
@@ -40,6 +40,7 @@ from coexlab.runner import (
 from coexlab.scripted import ScriptedBackend
 from coexlab.tcp import CONTROLLER_AGENT, CONTROLLER_RENO
 from period_records import run_collect
+from records_reference import transcript_jsonl
 from test_engine_digests import mac_spec, mac_strategy, tcp_spec, tcp_strategy
 
 
@@ -83,7 +84,7 @@ def test_streamed_records_equal_records_built_in_memory(name):
     transcript, json_fh, dot_fh = io.StringIO(), io.StringIO(), io.StringIO()
     _, periods, recorder, trace = run_engine(CASES[name], transcript,
                                              TraceSink(json_fh, dot_fh))
-    assert transcript.getvalue() == memory_recorder.to_jsonl()
+    assert transcript.getvalue() == transcript_jsonl(memory_recorder)
     assert json_fh.getvalue() == memory_trace.to_json()
     assert dot_fh.getvalue() == memory_trace.to_dot()
     assert recorder.entries == [] and trace.root.children == []

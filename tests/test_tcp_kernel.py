@@ -5,7 +5,9 @@ leaves, random link parameters, and random ``run_rounds`` splits with
 overrides that change between calls. Between calls the windows of some
 live flows may be set to any positive float, which the controllers never
 produce, so that the order in which the offered load is summed shows in
-the last bits."""
+the last bits. The end-of-run readers are checked in blocks of any size,
+also from a round strictly inside a stretch of the live set before some
+flow leaves."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tcp_reference as ref
@@ -25,7 +27,7 @@ from coexlab.agent.observer import tcp_observer_analyze, tcp_window_signals
 from coexlab.agent.offline import tcp_j_estimate
 from coexlab.agent.online import tcp_window_objective
 from coexlab.errors import CoexlabError
-from coexlab import runner
+from coexlab import runner, tcp
 from coexlab.runner import tcp_metrics_report
 from coexlab.scenario import Timeline
 from coexlab.tcp import (
@@ -141,20 +143,42 @@ def check_columns(env, records):
     assert ref.records_from_log(env) == records
 
 
+def inside_rounds(timeline, n_rounds):
+    """The rounds of ``[0, n_rounds)`` strictly inside a stretch of the
+    live set and before a round of that range at which some flow leaves."""
+    last_leave = max((leave for _, leave in timeline.lifetimes
+                      if leave is not None and leave < n_rounds), default=0)
+    return [r for r0, r1, _ in timeline.stretches(0, last_leave)
+            for r in range(r0 + 1, r1)]
+
+
 def check_readers(env, records, data):
     log = env.log
     n = log.n_rounds
     fids = range(-1, len(env.spec.flows) + 1)
-    first = data.draw(st.integers(0, n + 2), label="first_round")
+    firsts = [data.draw(st.integers(0, n + 2), label="first_round")]
+    inside = inside_rounds(log.timeline, n)
+    if inside:
+        firsts.append(data.draw(st.sampled_from(inside),
+                                label="first_round inside a stretch"))
     window = data.draw(st.integers(0, n + 2), label="window")
-    assert outcome(mean_social_reward, log, first) == \
-        outcome(ref.mean_social_reward, records, first)
-    fast = mean_flow_throughputs(log, first)
-    assert list(fast.items()) == \
-        list(ref.mean_flow_throughputs(records, first).items())
-    assert outcome(tcp_window_objective, log, window) == \
-        outcome(ref.tcp_window_objective, records, window)
-    assert outcome(tcp_j_estimate, log) == outcome(ref.tcp_j_estimate, records)
+    read_rows = data.draw(st.integers(1, n + 2), label="read_block_rounds")
+    with mock.patch.object(tcp, "READ_BLOCK_ROUNDS", read_rows):
+        for first in firsts:
+            assert outcome(mean_social_reward, log, first) == \
+                outcome(ref.mean_social_reward, records, first)
+            fast = mean_flow_throughputs(log, first)
+            assert list(fast.items()) == \
+                list(ref.mean_flow_throughputs(records, first).items())
+        assert outcome(tcp_window_objective, log, window) == \
+            outcome(ref.tcp_window_objective, records, window)
+        assert outcome(tcp_j_estimate, log) == \
+            outcome(ref.tcp_j_estimate, records)
+        config = AgentConfig(
+            alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+        assert outcome(tcp_metrics_report, log, config) == \
+            outcome(ref.tcp_metrics_report, records, config)
+    first = firsts[0]
     for fid in fids:
         expected = outcome(ref.tcp_window_signals, records, window, fid)
         assert outcome(tcp_window_signals, log, window, fid) == expected
@@ -169,15 +193,11 @@ def check_readers(env, records, data):
         runner._write_tcp_trajectory(buf, log, len(env.spec.flows))
     assert buf.getvalue() == \
         ref.tcp_trajectory_csv(records, len(env.spec.flows))
-    config = AgentConfig(alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
-    assert outcome(tcp_metrics_report, log, config) == \
-        outcome(ref.tcp_metrics_report, records, config)
 
 
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_columnar_log_and_readers_equal_reference(data):
-    spec = data.draw(scenarios(), label="spec")
+def run_and_check(spec, data):
+    """Run ``spec`` in random ``run_rounds`` splits beside the reference
+    and compare state, columns and readers."""
     env = TcpEnvironment(spec)
     calls = record_updates(env)
     ref_env = ref.ReferenceTcpEnvironment(spec)
@@ -191,6 +211,29 @@ def test_columnar_log_and_readers_equal_reference(data):
         assert calls == ref_env.update_calls
     check_columns(env, ref_env.records)
     check_readers(env, ref_env.records, data)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_columnar_log_and_readers_equal_reference(data):
+    run_and_check(data.draw(scenarios(), label="spec"), data)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_readers_from_inside_a_stretch_before_a_flow_leaves(data):
+    # one more flow, live from round 0, leaves before the horizon; the
+    # readers then also start strictly inside a stretch before that leave,
+    # read in blocks of any size
+    spec = data.draw(scenarios(), label="spec")
+    assume(spec.total_rounds >= 3)
+    spec.flows.append(TcpFlowConfig(
+        controller=data.draw(st.sampled_from(CONTROLLERS)),
+        leave_round=data.draw(st.integers(2, spec.total_rounds - 1),
+                              label="leave_round")))
+    assume(inside_rounds(Timeline(TCP_FORMAT.lifetimes(spec.flows)),
+                         spec.total_rounds))
+    run_and_check(spec, data)
 
 
 def test_live_set_changes_only_at_join_and_leave_rounds():
