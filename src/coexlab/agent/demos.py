@@ -201,7 +201,8 @@ def _tcp_summary(log: TcpRoundLog, flow_id: int,
         if not live:
             continue
         per_flow = [log.flow_values(log.acks, fid, r0, r1) for fid in live]
-        for rtt, *round_acks in zip(log.rtt[r0:r1].tolist(), *per_flow):
+        for rtt, *round_acks in zip(log.rtt_values(r0, r1).tolist(),
+                                    *per_flow):
             total_acks = sum(round_acks)
             acks.append(total_acks)
             rtts.append(rtt)

@@ -173,7 +173,7 @@ def tcp_window_signals(log: TcpRoundLog,
     if r0 >= r1:
         raise WindowTooShortError(f"flow {flow_id} absent from the window")
 
-    rtts = log.rtt[r0:r1].tolist()
+    rtts = log.rtt_values(r0, r1).tolist()
     loss = log.flow_values(log.loss, flow_id, r0, r1)
     # rounds before ``split`` form the window's first half
     split = min(max(r0, start + window_rounds // 2), r1) - r0

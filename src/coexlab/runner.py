@@ -15,9 +15,10 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, TextIO, Tuple, Union)
+from functools import partial
+from itertools import chain, islice, repeat
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, TextIO, Tuple, Union)
 
 import numpy as np
 
@@ -71,9 +72,11 @@ from .strategy import (
 from .tcp import (
     CONTROLLER_AGENT,
     TCP_FORMAT,
+    RewardTotal,
     TcpEnvironment,
     TcpRoundLog,
     TcpScenarioSpec,
+    ThroughputTotals,
     mean_flow_throughputs,
     mean_social_reward,
     run_rounds,
@@ -234,8 +237,9 @@ def _write_json(path: str, doc: Dict[str, object]) -> None:
     _write_text(path, indented_json(doc) + "\n")
 
 
-# rows the CSV writers format and write at a time
+# rows the CSV writers format at a time, and rows joined into one write
 CSV_BLOCK_ROWS = 4096
+_CHUNK_ROWS = 256
 
 
 def _cell(value: object) -> object:
@@ -259,17 +263,39 @@ def _float_cells(values) -> List[str]:
     return texts[index].tolist()
 
 
+Block = Callable[[int, int], Sequence[Iterable[str]]]
+
+
 def _write_csv(fh: TextIO, header: Sequence[str], n_rows: int,
-               block: Callable[[int, int], List[List[str]]]) -> None:
-    """Write the bytes ``csv.writer`` would, ``CSV_BLOCK_ROWS`` rows at a
-    time; ``block(r0, r1)`` gives the cell texts of rows ``[r0, r1)``, one
-    list per column. Cells are numbers or empty, so none needs quoting."""
+               block: Block) -> None:
+    """Write the bytes ``csv.writer`` would: the header, then rows
+    ``[0, n_rows)`` through ``_write_rows``."""
     fh.write(",".join(header) + "\r\n")
-    for r0 in range(0, n_rows, CSV_BLOCK_ROWS):
-        rows = zip(*block(r0, min(r0 + CSV_BLOCK_ROWS, n_rows)))
-        # an empty last line gives the block its final line break without
-        # copying the block's text
-        fh.write("\r\n".join(chain(map(",".join, rows), ("",))))
+    _write_rows(fh, 0, n_rows, block)
+
+
+def _write_rows(fh: TextIO, r0: int, r1: int, block: Block) -> None:
+    """Write rows ``[r0, r1)``, ``CSV_BLOCK_ROWS`` at a time, as their
+    lines are joined; ``block(b0, b1)`` gives the cell texts of rows ``[b0,
+    b1)``, one iterable per column. Cells are numbers or empty, so none
+    needs quoting."""
+    for b0 in range(r0, r1, CSV_BLOCK_ROWS):
+        # one expression, so that no name holds a block's cells while the
+        # next block's are made
+        fh.writelines(_line_chunks(map(",".join, zip(
+            *block(b0, min(b0 + CSV_BLOCK_ROWS, r1))))))
+
+
+def _line_chunks(lines: Iterator[str]) -> Iterator[str]:
+    """``lines``, none of them empty, each ended by a line break and
+    joined ``_CHUNK_ROWS`` at a time: one string per chunk, not per line,
+    and never the block's whole text."""
+    while True:
+        # an empty last line gives the chunk its final line break
+        text = "\r\n".join(chain(islice(lines, _CHUNK_ROWS), ("",)))
+        if not text:
+            return
+        yield text
 
 
 def _write_node_csv(fh: TextIO, frames: Sequence[int],
@@ -291,29 +317,40 @@ def _write_reference(fh: TextIO,
     _write_node_csv(fh, range(1, total + 1), reference)
 
 
-def _write_tcp_trajectory(fh: TextIO, log: TcpRoundLog, n_flows: int) -> None:
-    """One row per round; a flow's cells are empty in rounds it is not
-    live."""
+def _tcp_trajectory_header(n_flows: int) -> List[str]:
     header = ["round"]
     for fid in range(n_flows):
         header += [f"flow_{fid}_cwnd", f"flow_{fid}_acks", f"flow_{fid}_rtt"]
+    return header
 
-    def block(r0: int, r1: int) -> List[List[str]]:
-        columns = [list(map(str, range(r0, r1)))]
-        rtt = _float_cells(log.rtt[r0:r1])
-        for fid in range(n_flows):
-            f0, f1 = log.flow_rounds(fid, r0, r1)
-            if f0 >= f1:  # not live in any round of the block
-                columns += [[""] * (r1 - r0)] * 3
-                continue
-            head, tail = [""] * (f0 - r0), [""] * (r1 - f1)
-            for column in (log.cwnd, log.acks):
-                columns.append(head + _float_cells(
-                    log.flow_values(column, fid, f0, f1)) + tail)
-            columns.append(head + rtt[f0 - r0:f1 - r0] + tail)
-        return columns
 
-    _write_csv(fh, header, log.n_rounds, block)
+def _tcp_trajectory_block(log: TcpRoundLog, n_flows: int, r0: int,
+                          r1: int) -> List[Iterable[str]]:
+    """The cells of rounds ``[r0, r1)``; a flow's cells are empty in rounds
+    it is not live."""
+    columns: List[Iterable[str]] = [map(str, range(r0, r1))]
+    # zip stops at the round column, so padding may run on without end
+    empty = repeat("")
+    rtt = _float_cells(log.rtt_values(r0, r1))
+    for fid in range(n_flows):
+        f0, f1 = log.flow_rounds(fid, r0, r1)
+        if f0 >= f1:  # not live in any round of the block
+            columns += [empty] * 3
+            continue
+        cells = [_float_cells(log.flow_values(log.cwnd, fid, f0, f1)),
+                 _float_cells(log.flow_values(log.acks, fid, f0, f1)),
+                 islice(rtt, f0 - r0, f1 - r0)]
+        if (f0, f1) != (r0, r1):  # joins or leaves inside the block
+            cells = [chain(repeat("", f0 - r0), column, empty)
+                     for column in cells]
+        columns += cells
+    return columns
+
+
+def _write_tcp_trajectory(fh: TextIO, log: TcpRoundLog, n_flows: int) -> None:
+    """One row per round of a log that has dropped none."""
+    _write_csv(fh, _tcp_trajectory_header(n_flows), log.n_rounds,
+               partial(_tcp_trajectory_block, log, n_flows))
 
 
 def _write_throughput(fh: TextIO, metrics: Dict[str, object],
@@ -370,11 +407,47 @@ def _tcp_report(means: Dict[int, float], params: Dict[str, object],
 
 def tcp_metrics_report(log: TcpRoundLog,
                        config: AgentConfig) -> Dict[str, object]:
+    """The metric report of a whole TCP run, from a log that has dropped
+    none of it."""
     first = log.n_rounds // 2
     return _tcp_report(
         mean_flow_throughputs(log, first_round=first),
         {"alpha": config.alpha, "first_round": first},
         _cell(mean_social_reward(log, first_round=first)), config.alpha)
+
+
+class TcpRunReaders:
+    """The end-of-run readers of a TCP run, fed its round log in blocks of
+    rounds, in order, while the run goes (the consumer of
+    ``TcpRoundLog.stream``): each block's rows go to ``trajectory.csv``
+    through ``fh``, and its rounds from half the horizon on into the
+    running totals of the metric report. ``finish`` feeds the rounds left
+    at the end and returns the report, so the trajectory and the report
+    equal ``_write_tcp_trajectory`` and ``tcp_metrics_report`` of the
+    whole log."""
+
+    def __init__(self, fh: TextIO, spec: TcpScenarioSpec):
+        self.fh = fh
+        self.n_flows = len(spec.flows)
+        self.first_round = spec.total_rounds // 2
+        self.rewards = RewardTotal(self.first_round)
+        self.throughputs = ThroughputTotals(self.first_round)
+        self.fed = 0
+        fh.write(",".join(_tcp_trajectory_header(self.n_flows)) + "\r\n")
+
+    def __call__(self, log: TcpRoundLog, r0: int, r1: int) -> None:
+        _write_rows(self.fh, r0, r1,
+                    partial(_tcp_trajectory_block, log, self.n_flows))
+        self.rewards.add(log, r0, r1)
+        self.throughputs.add(log, r0, r1)
+        self.fed = r1
+
+    def finish(self, log: TcpRoundLog, alpha: float) -> Dict[str, object]:
+        self(log, self.fed, log.n_rounds)
+        return _tcp_report(
+            self.throughputs.means(),
+            {"alpha": alpha, "first_round": self.first_round},
+            _cell(self.rewards.mean()), alpha)
 
 
 def _config_snapshot(config: RunConfig, spec: AnyScenario,
@@ -493,6 +566,23 @@ def _transcript(out: str, backend: Optional[Backend]):
 
 
 @contextlib.contextmanager
+def _streamed_files(out: str, *names: str):
+    """The files ``names`` in ``out``, open for text with no newline
+    translation; all of them are removed if the block fails."""
+    paths = [os.path.join(out, name) for name in names]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(path, "w", encoding="utf-8",
+                                            newline=""))
+                   for path in paths]
+    except BaseException:
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+
+
+@contextlib.contextmanager
 def _streamed_trace(config: RunConfig):
     """A decision trace written to ``trace.json`` and ``trace.dot`` as the
     run goes, or None when tracing is off. Both files are removed if the
@@ -500,21 +590,13 @@ def _streamed_trace(config: RunConfig):
     if not config.trace:
         yield None
         return
-    paths = [os.path.join(config.out_dir, name)
-             for name in (ARTIFACT_TRACE, ARTIFACT_DOT)]
-    try:
-        with open(paths[0], "w", encoding="utf-8", newline="") as json_fh, \
-                open(paths[1], "w", encoding="utf-8", newline="") as dot_fh:
-            trace = DecisionTrace(
-                f"run {os.path.basename(config.scenario_path)}",
-                sink=TraceSink(json_fh, dot_fh))
-            yield trace
-            trace.close()
-    except BaseException:
-        for path in paths:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-        raise
+    with _streamed_files(config.out_dir, ARTIFACT_TRACE,
+                         ARTIFACT_DOT) as (json_fh, dot_fh):
+        trace = DecisionTrace(
+            f"run {os.path.basename(config.scenario_path)}",
+            sink=TraceSink(json_fh, dot_fh))
+        yield trace
+        trace.close()
 
 
 def clear_artifacts(config: RunConfig) -> None:
@@ -533,8 +615,8 @@ def clear_artifacts(config: RunConfig) -> None:
 def cmd_run(config: RunConfig) -> RunResult:
     """Offline stage (unless a cached strategy is supplied), online stage,
     then the full artifact set, in an output directory cleared of older
-    artifacts. The transcript and the decision trace are written while the
-    run goes."""
+    artifacts. The transcript, the decision trace and a TCP run's
+    trajectory are written while the run goes."""
     spec, family, demo_seed = _prepare(config)
     clear_artifacts(config)
     with _transcript(config.out_dir, make_backend(config)) as wrapped:
@@ -576,14 +658,17 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
                         _write_reference, reference)
     else:
         has_agent = any(f.controller == CONTROLLER_AGENT for f in spec.flows)
-        if has_agent:
-            tcp_log, offline_result, demos = _run_agents(
-                config, wrapped, spec, family, demo_seed)
-        else:
-            tcp_log = run_rounds(TcpEnvironment(spec), None, spec.total_rounds)
-        metrics = tcp_metrics_report(tcp_log, agent_cfg)
-        _write_file(os.path.join(out, ARTIFACT_TRAJECTORY),
-                    _write_tcp_trajectory, tcp_log, len(spec.flows))
+        with _streamed_files(out, ARTIFACT_TRAJECTORY) as (fh,):
+            readers = TcpRunReaders(fh, spec)
+            if has_agent:
+                tcp_log, offline_result, demos = _run_agents(
+                    config, wrapped, spec, family, demo_seed, readers)
+            else:
+                env = TcpEnvironment(spec)
+                env.log.stream(readers,
+                               agent_cfg.tcp_observer_window_rounds)
+                tcp_log = run_rounds(env, None, spec.total_rounds)
+            metrics = readers.finish(tcp_log, agent_cfg.alpha)
 
     _write_file(os.path.join(out, ARTIFACT_THROUGHPUT), _write_throughput,
                 metrics, "node" if family == "mac" else "flow")
@@ -598,10 +683,12 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
 
 
 def _run_agents(config: RunConfig, backend: Optional[Backend],
-                spec: AnyScenario, family: str, demo_seed: int):
+                spec: AnyScenario, family: str, demo_seed: int,
+                readers: Optional[TcpRunReaders] = None):
     """The strategy (offline stage or cached), then the period engine run
-    with its decision trace streamed; returns the trajectory log, the
-    offline result and the demos."""
+    with its decision trace streamed, and a TCP round log streamed to
+    ``readers``; returns the trajectory log, the offline result and the
+    demos."""
     strategy, offline_result, demos = _obtain_strategy(
         config, backend, spec, family, demo_seed)
     engine_cls, horizon = (MacPeriodEngine, spec.total_frames) \
@@ -609,6 +696,10 @@ def _run_agents(config: RunConfig, backend: Optional[Backend],
     with _streamed_trace(config) as trace:
         engine = engine_cls(spec, strategy, config.agent, backend=backend,
                             trace=trace)
+        if readers is not None:
+            # the observer and the window objective read only this window
+            engine.env.log.stream(readers,
+                                  config.agent.tcp_observer_window_rounds)
         return engine.run(horizon), offline_result, demos
 
 

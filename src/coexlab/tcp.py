@@ -25,10 +25,21 @@ rescanning the history.
 Readers slice the columns for the rounds they need; the end-of-run
 readers take at most ``READ_BLOCK_ROUNDS`` rounds at a time, so they hold
 no per-round object of the whole log. Their sums run over
-rounds in order and over flows in ascending id, with Python ``sum`` or
-explicit loops and never numpy's pairwise summation, so every
-floating-point result, and each artifact written from one, is the same
-as when the log held one record object per round.
+rounds in order and over flows in ascending id, with Python ``sum`` over
+a round's flows and running totals over rounds (``sum`` compensates on
+Python >= 3.12, and a total carried from block to block cannot), never
+numpy's pairwise summation, so every floating-point result, and each
+artifact written from one, is the same as when the log held one record
+object per round.
+
+A log may be given a consumer (``TcpRoundLog.stream``): ``run_rounds``
+then hands it each block of ``READ_BLOCK_ROUNDS`` rounds once the log
+holds a given number of rounds after it, and the log drops the block.
+The log then holds rounds from ``first_kept`` on, at most one block plus
+those kept rounds, and a read of an earlier round raises ``IndexError``.
+The running totals the end-of-run readers keep (``RewardTotal`` and
+``ThroughputTotals``) take blocks in round order, so a consumer computes
+the same floats from the blocks as the readers do from a whole log.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import MetricDomainError
 from .scenario import (Field, ScenarioFormat, Timeline, nullable,
@@ -173,21 +184,70 @@ def tcp_reward(acks: float, rtt: float) -> float:
     return math.log(acks) - DEFAULT_REWARD_BETA * rtt
 
 
+# rounds the end-of-run readers take from the log's columns at a time, and
+# the rounds a streamed log hands its consumer at a time
+READ_BLOCK_ROUNDS = 4096
+
+
 class TcpRoundLog:
-    """Columnar record of every round played so far (see the module
-    docstring). Flow ``fid``'s columns ``cwnd[fid]``, ``acks[fid]`` and
-    ``loss[fid]`` hold its live rounds from its join round in ``timeline``
-    on; ``rtt`` holds every round; ``min_rtt[fid]`` is the smallest RTT the
-    flow has seen, ``math.inf`` before it first plays."""
+    """Columnar record of the rounds played so far from round
+    ``first_kept`` on (see the module docstring). Flow ``fid``'s columns
+    ``cwnd[fid]``, ``acks[fid]`` and ``loss[fid]`` hold its live rounds
+    from its join round in ``timeline``, or from ``first_kept`` if later,
+    on; ``rtt`` holds every round from ``first_kept`` on; ``min_rtt[fid]``
+    is the smallest RTT the flow has seen, ``math.inf`` before it first
+    plays."""
 
     def __init__(self, timeline: Timeline):
         self.n_rounds = 0
+        self.first_kept = 0
         self.timeline = timeline
         self.rtt = array("d")
         self.cwnd = [array("d") for _ in timeline.lifetimes]
         self.acks = [array("d") for _ in timeline.lifetimes]
         self.loss = [array("b") for _ in timeline.lifetimes]
         self.min_rtt = [math.inf] * len(timeline.lifetimes)
+        self._consumer: Optional[Callable[[TcpRoundLog, int, int], None]] \
+            = None
+        self._keep = 0
+
+    def stream(self, consumer: Callable[[TcpRoundLog, int, int], None],
+               keep_rounds: int) -> None:
+        """From now on, hand each block ``[b0, b1)`` of
+        ``READ_BLOCK_ROUNDS`` rounds, in order, to ``consumer(self, b0,
+        b1)`` once ``keep_rounds`` later rounds are logged, then drop it."""
+        self._consumer = consumer
+        self._keep = max(0, keep_rounds)
+
+    def next_retire(self) -> int:
+        """The first round count above ``n_rounds`` at which a block may be
+        retired: ``keep_rounds`` past a block end."""
+        blocks = (self.n_rounds - self._keep) // READ_BLOCK_ROUNDS + 1
+        return self._keep + READ_BLOCK_ROUNDS * max(1, blocks)
+
+    def retire(self) -> None:
+        """Hand the consumer every block that lies wholly before the last
+        ``keep_rounds`` rounds, and drop it; without a consumer, nothing."""
+        if self._consumer is None:
+            return
+        while self.first_kept + READ_BLOCK_ROUNDS \
+                <= self.n_rounds - self._keep:
+            b0 = self.first_kept
+            b1 = b0 + READ_BLOCK_ROUNDS
+            self._consumer(self, b0, b1)
+            del self.rtt[:b1 - b0]
+            for fid, (join, _) in enumerate(self.timeline.lifetimes):
+                # a flow that left before b1 has no rounds from b1 on
+                dropped = min(max(join, b1) - max(join, b0),
+                              len(self.cwnd[fid]))
+                for column in (self.cwnd, self.acks, self.loss):
+                    del column[fid][:dropped]
+            self.first_kept = b1
+
+    def _check_kept(self, r0: int) -> None:
+        if r0 < self.first_kept:
+            raise IndexError(f"round {r0} was dropped; the log holds "
+                             f"rounds from {self.first_kept} on")
 
     def flow_rounds(self, fid: int, r0: int, r1: int) -> Tuple[int, int]:
         """The logged rounds of ``[r0, r1)`` in which flow ``fid`` was live,
@@ -206,8 +266,14 @@ class TcpRoundLog:
         """Flow ``fid``'s entries of ``column`` (``cwnd``, ``acks`` or
         ``loss``) for rounds ``[r0, r1)``, all of them live rounds of the
         flow, as a copied slice of the column."""
-        join = self.timeline.lifetimes[fid][0]
-        return column[fid][r0 - join:r1 - join]
+        self._check_kept(r0)
+        first = max(self.timeline.lifetimes[fid][0], self.first_kept)
+        return column[fid][r0 - first:r1 - first]
+
+    def rtt_values(self, r0: int, r1: int) -> array:
+        """The RTTs of rounds ``[r0, r1)``, as a copied slice of ``rtt``."""
+        self._check_kept(r0)
+        return self.rtt[r0 - self.first_kept:r1 - self.first_kept]
 
 
 class TcpEnvironment:
@@ -250,13 +316,18 @@ def run_rounds(env: TcpEnvironment,
 
     ``overrides`` maps agent flow ids to the window each holds for every
     round of this call; a flow not live in a round is skipped, so a flow
-    joining mid-call plays its held window from its first round.
+    joining mid-call plays its held window from its first round. Play
+    stops at every round count where the log may retire a block, and the
+    log retires what it may.
     """
     target = env.spec.total_rounds if n_rounds is None else n_rounds
-    for _, end, live in env.log.timeline.stretches(env.round_index, target):
+    log = env.log
+    for _, end, live in log.timeline.stretches(env.round_index, target):
         env._enter(live)
-        _play_stretch(env, overrides or {}, end)
-    return env.log
+        while log.n_rounds < end:
+            _play_stretch(env, overrides or {}, min(end, log.next_retire()))
+            log.retire()
+    return log
 
 
 def _play_stretch(env: TcpEnvironment, overrides: Dict[int, int],
@@ -319,38 +390,83 @@ def _play_stretch(env: TcpEnvironment, overrides: Dict[int, int],
     log.n_rounds = end
 
 
-# rounds the end-of-run readers take from the log's columns at a time
-READ_BLOCK_ROUNDS = 4096
-
-
 def _blocks(r0: int, r1: int):
     """``[r0, r1)`` cut into ``(b0, b1)`` of at most ``READ_BLOCK_ROUNDS``."""
     for b0 in range(r0, r1, READ_BLOCK_ROUNDS):
         yield b0, min(b0 + READ_BLOCK_ROUNDS, r1)
 
 
-def _round_rewards(log: TcpRoundLog, stretches):
-    """Each round's average per-flow reward over the live flows of
-    ``stretches``, summed in live order, one block of rounds at a time."""
-    for r0, r1, live in stretches:
-        for b0, b1 in _blocks(r0, r1):
-            rtts = log.rtt[b0:b1]
-            rewards = [map(tcp_reward,
-                           log.flow_values(log.acks, fid, b0, b1), rtts)
-                       for fid in live]
-            yield from (total / len(live)
-                        for total in map(sum, zip(*rewards)))
+class RewardTotal:
+    """The running sum of each round's average per-flow reward among the
+    live flows (summed in live order), over rounds from ``first_round`` on
+    in the order they are added; rounds with no live flow are skipped."""
+
+    def __init__(self, first_round: int):
+        self.first_round = first_round
+        self.total = 0
+        self.rounds = 0
+
+    def add(self, log: TcpRoundLog, r0: int, r1: int) -> None:
+        """Add rounds ``[r0, r1)``, those from ``first_round`` on."""
+        total = self.total
+        for s0, s1, live in log.timeline.stretches(
+                max(r0, self.first_round), r1):
+            if not live:
+                continue
+            self.rounds += s1 - s0
+            for b0, b1 in _blocks(s0, s1):
+                rtts = log.rtt_values(b0, b1)
+                rewards = [map(tcp_reward,
+                               log.flow_values(log.acks, fid, b0, b1), rtts)
+                           for fid in live]
+                for reward in map(sum, zip(*rewards)):
+                    total += reward / len(live)
+        self.total = total
+
+    def mean(self) -> float:
+        if not self.rounds:
+            raise MetricDomainError("no rounds to score")
+        return self.total / self.rounds
+
+
+class ThroughputTotals:
+    """Per flow, the running sum of ``acks / rtt`` over its live rounds
+    from ``first_round`` on, in the order they are added."""
+
+    def __init__(self, first_round: int):
+        self.first_round = first_round
+        # flow id -> [first round added, rounds added, running total]
+        self.flows: Dict[int, list] = {}
+
+    def add(self, log: TcpRoundLog, r0: int, r1: int) -> None:
+        """Add rounds ``[r0, r1)``, those from ``first_round`` on."""
+        for fid in range(len(log.timeline.lifetimes)):
+            f0, f1 = log.flow_rounds(fid, max(r0, self.first_round), r1)
+            if f0 >= f1:
+                continue
+            entry = self.flows.setdefault(fid, [f0, 0, 0.0])
+            total = entry[2]
+            for b0, b1 in _blocks(f0, f1):
+                for acks, rtt in zip(log.flow_values(log.acks, fid, b0, b1),
+                                     log.rtt_values(b0, b1)):
+                    total += acks / rtt
+            entry[1] += f1 - f0
+            entry[2] = total
+
+    def means(self) -> Dict[int, float]:
+        """Each flow's mean, keyed in the order the flows first played in
+        the rounds added."""
+        order = sorted(self.flows, key=lambda fid: (self.flows[fid][0], fid))
+        return {fid: self.flows[fid][2] / self.flows[fid][1]
+                for fid in order}
 
 
 def mean_social_reward(log: TcpRoundLog, first_round: int = 0) -> float:
     """Mean over rounds from ``first_round`` on of the average per-flow
     reward among live flows; rounds with no live flow are skipped."""
-    stretches = [stretch for stretch in log.timeline.stretches(
-        max(0, first_round), log.n_rounds) if stretch[2]]
-    n_rounds = sum(r1 - r0 for r0, r1, _ in stretches)
-    if not n_rounds:
-        raise MetricDomainError("no rounds to score")
-    return sum(_round_rewards(log, stretches)) / n_rounds
+    total = RewardTotal(max(0, first_round))
+    total.add(log, total.first_round, log.n_rounds)
+    return total.mean()
 
 
 def mean_flow_throughputs(log: TcpRoundLog,
@@ -358,15 +474,6 @@ def mean_flow_throughputs(log: TcpRoundLog,
     """Average delivery rate (packets per second) per flow over the tail
     of the log starting at ``first_round``, keyed in the order the flows
     first play in that tail."""
-    ranges = [(*log.flow_rounds(fid, first_round, log.n_rounds), fid)
-              for fid in range(len(log.timeline.lifetimes))]
-    means: Dict[int, float] = {}
-    for r0, r1, fid in sorted((r for r in ranges if r[0] < r[1]),
-                              key=lambda r: (r[0], r[2])):
-        total = 0.0
-        for b0, b1 in _blocks(r0, r1):
-            for acks, rtt in zip(log.flow_values(log.acks, fid, b0, b1),
-                                 log.rtt[b0:b1]):
-                total += acks / rtt
-        means[fid] = total / (r1 - r0)
-    return means
+    totals = ThroughputTotals(first_round)
+    totals.add(log, first_round, log.n_rounds)
+    return totals.means()

@@ -221,7 +221,12 @@ def mean_social_reward(records, first_round: int = 0) -> float:
         values.append(sum(per_flow) / len(per_flow))
     if not values:
         raise MetricDomainError("no rounds to score")
-    return sum(values) / len(values)
+    # a running total over rounds, not sum(), which compensates on
+    # Python >= 3.12 and so could not be carried from block to block
+    total = 0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def mean_flow_throughputs(records, first_round: int = 0) -> Dict[int, float]:

@@ -1,4 +1,6 @@
-"""Bounded memory at long horizons: writing a TCP trajectory holds one
+"""Bounded memory at long horizons: a TCP run hands its round log to the
+end-of-run readers block by block while it goes, so its peak does not
+grow with the horizon; writing a TCP trajectory holds one
 block of rows, never the whole text; the TCP metric report and the rmse
 against a stepwise reference read one block of rounds or frames at a
 time; counting per-frame successes allocates no (slots x nodes) int64
@@ -9,16 +11,18 @@ array buffers to."""
 
 from __future__ import annotations
 
+import json
 import sys
 import tracemalloc
 from array import array
+from unittest import mock
 
 import numpy as np
 
 import mac_reference
 import metrics_reference
 
-from coexlab import runner
+from coexlab import runner, tcp
 from coexlab.agent.config import AgentConfig
 from coexlab.mac import TrajectoryLog
 from coexlab.metrics import (StepSeries, ThroughputSeries,
@@ -86,6 +90,37 @@ def test_tcp_trajectory_write_peaks_at_one_block(tmp_path):
         peaks.append(peak)
     assert len(text) > 2 * WRITE_PEAK_BOUND
     assert max(peaks) < WRITE_PEAK_BOUND
+    assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
+
+
+def test_tcp_run_peak_does_not_grow_with_the_horizon(tmp_path):
+    # small blocks keep the horizons, and the run under tracemalloc, short;
+    # the log then drops all but one block and the observer window
+    block, rounds = 256, (2_000, 6_000)
+    agent = AgentConfig(demo_k=3, demo_rounds=60, eval_rounds=200, n_max=2)
+    peaks = []
+    with mock.patch.object(tcp, "READ_BLOCK_ROUNDS", block):
+        for n_rounds in rounds:
+            scenario = tmp_path / f"s_{n_rounds}.json"
+            scenario.write_text(json.dumps({
+                "version": "tcp-v1", "total_rounds": n_rounds, "seed": 3,
+                "flows": [{"controller": "agent"}, {"controller": "reno"},
+                          {"controller": "vegas",
+                           "join_round": n_rounds // 2}]}), encoding="utf-8")
+            config = runner.RunConfig(scenario_path=str(scenario),
+                                      out_dir=str(tmp_path / "run"),
+                                      agent=agent)
+            if not peaks:
+                # first-call allocations (caches, lazy imports) stay out
+                runner.cmd_run(config)
+            result, peak = traced_peak(runner.cmd_run, config)
+            assert result.metrics["params"]["first_round"] == n_rounds // 2
+            peaks.append(peak)
+    trajectory = (tmp_path / "run" / runner.ARTIFACT_TRAJECTORY).read_text()
+    assert trajectory.count("\n") == rounds[1] + 1
+    # the rtt and the first two flows' cwnd and acks of the longer run's
+    # extra rounds, which a log kept whole would hold at its end
+    assert 5 * (rounds[1] - rounds[0]) * 8 > PEAK_SLACK
     assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
 
 

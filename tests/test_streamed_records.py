@@ -5,7 +5,8 @@ A period engine given a ``TranscriptRecorder`` over an open file and a
 recorder's kept entries as JSONL, ``to_json`` and ``to_dot`` give for the
 same run built in memory, while holding no transcript entry and one period of the trace.
 ``cmd_run`` streams both into the run directory, and a run that fails
-leaves complete transcript lines and no partial trace. Nor does the
+leaves complete transcript lines and no partial trace, nor the partial
+``trajectory.csv`` a TCP run writes while it goes. Nor does the
 engine keep its period records: what it holds does not grow with the
 periods it has run.
 """
@@ -24,15 +25,20 @@ import pytest
 
 import coexlab.agent.trace
 import coexlab.backends
+import coexlab.runner
 import coexlab.scripted
+from coexlab import tcp
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
 from coexlab.agent.trace import DecisionTrace, TraceSink
 from coexlab.backends import RecordingBackend, TranscriptRecorder
+from coexlab.cli import main
+from coexlab.errors import BackendUnavailableError
 from coexlab.mac import KIND_AGENT, KIND_TDMA, NodeConfig, ScenarioSpec
 from coexlab.runner import (
     ARTIFACT_DOT,
     ARTIFACT_TRACE,
+    ARTIFACT_TRAJECTORY,
     ARTIFACT_TRANSCRIPT,
     RunConfig,
     cmd_run,
@@ -225,6 +231,56 @@ def test_failed_run_keeps_transcript_lines_and_no_partial_trace(
     assert [e["seq"] for e in entries] == list(range(len(entries)))
     # the online stage got as far as period 19 before the failure
     assert any(e["tag"].endswith("/p19") for e in entries)
+
+
+class JoinerOutage:
+    """The scripted backend, down for every decision of flow 2: a flow
+    with no earlier decision to fall back on, so its first period ends the
+    run. Before failing, it notes the rows of the trajectory on disk."""
+
+    def __init__(self, trajectory):
+        self.inner = ScriptedBackend()
+        self.trajectory = trajectory
+        self.rows_on_disk = None
+
+    def complete(self, req):
+        if req.request_tag.startswith("flow/2/"):
+            self.rows_on_disk = self.trajectory.read_text().count("\n")
+            raise BackendUnavailableError("simulated outage")
+        return self.inner.complete(req)
+
+
+def test_failed_tcp_run_removes_its_partial_trajectory(tmp_path,
+                                                       monkeypatch, capsys):
+    # small blocks, so that rows reach the file long before the failure
+    monkeypatch.setattr(tcp, "READ_BLOCK_ROUNDS", 64)
+    out = tmp_path / "run"
+    backend = JoinerOutage(out / ARTIFACT_TRAJECTORY)
+    monkeypatch.setattr(coexlab.runner, "make_backend",
+                        lambda config: backend)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({
+        "version": "tcp-v1", "total_rounds": 1200, "seed": 3, "flows": [
+            {"controller": "agent"}, {"controller": "reno"},
+            {"controller": "agent", "join_round": 800}]}), encoding="utf-8")
+    fast = tmp_path / "agent.json"
+    fast.write_text(json.dumps({"demo_k": 3, "demo_rounds": 60,
+                                "eval_rounds": 200, "n_max": 2}),
+                    encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario), "--out", str(out),
+                 "--agent-json", str(fast)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] \
+        == "BackendUnavailableError"
+    # by round 800 the log has handed over rounds [0, 640), all but those
+    # still in the file's write buffer
+    assert backend.rows_on_disk > 500
+    assert not (out / ARTIFACT_TRAJECTORY).exists()
+    assert not (out / ARTIFACT_TRACE).exists()
+    lines = (out / ARTIFACT_TRANSCRIPT).read_text().splitlines()
+    entries = [json.loads(line) for line in lines]
+    assert [e["seq"] for e in entries] == list(range(len(entries)))
+    # the online stage got as far as period 7 before the failure
+    assert any(e["tag"] == "flow/0/p7" for e in entries)
 
 
 def test_trace_files_are_written_while_the_run_goes(tmp_path, monkeypatch):

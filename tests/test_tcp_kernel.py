@@ -267,3 +267,84 @@ def test_min_rtt_is_carried_across_a_membership_change():
     assert signals.min_rtt == pytest.approx(0.1)
     assert window_min > 0.11
     assert env.log.min_rtt[1] == min(env.log.rtt[100:].tolist())
+
+
+def run_streamed_and_check(spec, data):
+    """Run ``spec`` in random ``run_rounds`` splits with the log streamed to
+    ``runner.TcpRunReaders`` in small blocks, beside the reference, and
+    compare the observer signals and the window objective after every
+    split, then the trajectory bytes and the metric report."""
+    block = data.draw(st.integers(1, 40), label="read_block_rounds")
+    window = data.draw(st.integers(1, 30), label="window")
+    config = AgentConfig(alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+    buf = io.StringIO()
+    env = TcpEnvironment(spec)
+    ref_env = ref.ReferenceTcpEnvironment(spec)
+    fids = range(-1, len(spec.flows) + 1)
+    with mock.patch.object(tcp, "READ_BLOCK_ROUNDS", block):
+        readers = runner.TcpRunReaders(buf, spec)
+        env.log.stream(readers, window)
+        for end, overrides, windows in data.draw(schedules(spec),
+                                                 label="schedule"):
+            set_windows(env, ref_env, windows)
+            run_rounds(env, overrides, n_rounds=end)
+            ref.run_rounds(ref_env, overrides, n_rounds=end)
+            check_state(env, ref_env)
+            log, records = env.log, ref_env.records
+            # every full block before the window is gone, and no more
+            assert log.first_kept % block == 0
+            assert log.n_rounds - window - block < log.first_kept \
+                <= max(0, log.n_rounds - window)
+            assert readers.fed == log.first_kept
+            for fid in fids:
+                assert outcome(tcp_window_signals, log, window, fid) == \
+                    outcome(ref.tcp_window_signals, records, window, fid)
+            assert outcome(tcp_window_objective, log, window) == \
+                outcome(ref.tcp_window_objective, records, window)
+        report = outcome(readers.finish, env.log, config.alpha)
+    records = ref_env.records
+    assert report == outcome(ref.tcp_metrics_report, records, config)
+    assert buf.getvalue() == \
+        ref.tcp_trajectory_csv(records, len(spec.flows))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_streamed_log_and_readers_equal_reference(data):
+    # one more flow, live from round 0, leaves before the horizon, so that
+    # a block the log retires may end after the flow has left
+    spec = data.draw(scenarios(), label="spec")
+    assume(spec.total_rounds >= 2)
+    spec.flows.append(TcpFlowConfig(
+        controller=data.draw(st.sampled_from(CONTROLLERS)),
+        leave_round=data.draw(st.integers(1, spec.total_rounds - 1),
+                              label="leave_round")))
+    run_streamed_and_check(spec, data)
+
+
+def test_a_read_of_a_dropped_round_raises():
+    flows = [TcpFlowConfig("reno"), TcpFlowConfig("vegas", join_round=20),
+             TcpFlowConfig("reno", leave_round=30)]
+    spec = TcpScenarioSpec(flows=flows, total_rounds=100, seed=1)
+    whole, streamed = TcpEnvironment(spec), TcpEnvironment(spec)
+    blocks = []
+    with mock.patch.object(tcp, "READ_BLOCK_ROUNDS", 16):
+        streamed.log.stream(lambda log, b0, b1: blocks.append((b0, b1)), 10)
+        run_rounds(whole)
+        run_rounds(streamed)
+    log = streamed.log
+    assert blocks == [(b0, b0 + 16) for b0 in range(0, 80, 16)]
+    assert log.first_kept == 80 and len(log.rtt) == 20
+    assert log.rtt_values(80, 100) == whole.log.rtt[80:]
+    assert log.flow_values(log.acks, 1, 85, 90) == \
+        whole.log.flow_values(whole.log.acks, 1, 85, 90)
+    assert len(log.cwnd[2]) == 0
+    assert tcp_window_signals(log, 20, 0) == \
+        tcp_window_signals(whole.log, 20, 0)
+    for read in (lambda: log.rtt_values(79, 90),
+                 lambda: log.flow_values(log.cwnd, 0, 0, 100),
+                 lambda: log.flow_values(log.loss, 2, 20, 30),
+                 lambda: tcp_window_signals(log, 21, 0),
+                 lambda: mean_social_reward(log, 0)):
+        with pytest.raises(IndexError, match="was dropped"):
+            read()
