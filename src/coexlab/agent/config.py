@@ -8,11 +8,20 @@ from ..oracle import check_alpha
 from ..strategy import finite_number
 
 
+# count setting -> the least value it may take
+_COUNT_FLOORS = dict.fromkeys((
+    "query_period_slots", "tcp_query_period_rounds", "observer_window_frames",
+    "window_frames", "tcp_observer_window_rounds", "demo_frames",
+    "demo_rounds", "eval_frames", "eval_rounds", "asi_retries", "demo_k"), 1)
+_COUNT_FLOORS.update(convergence_periods=0, n_max=0, warmup_frames=0)
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     """Every tunable of the learning pipeline.
 
-    The query period must be a whole number of frames; the online loop
+    Count settings and ``alpha`` are range-checked on construction. The
+    query period must also cover whole frames (``validate``); the online loop
     re-decides actions only at period boundaries.
     """
 
@@ -53,11 +62,16 @@ class AgentConfig:
     tcp_query_period_rounds: int = 100
     tcp_observer_window_rounds: int = 100
 
+    def __post_init__(self) -> None:
+        for name, least in _COUNT_FLOORS.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"agent setting {name} must be >= {least}, "
+                                 f"got {getattr(self, name)!r}")
+        check_alpha(self.alpha)
+
     def validate(self, frame_len: int = 10) -> None:
         if self.query_period_slots % frame_len:
             raise ValueError("query period must cover whole frames")
-        if self.n_max < 0 or self.asi_retries < 1 or self.demo_k < 1:
-            raise ValueError("loop bounds out of range")
 
 
 # annotated field type -> (what a value must be, the test it must pass)
@@ -72,7 +86,7 @@ _SETTING_TYPES = {
 def checked_agent_settings(doc: object) -> dict:
     """``doc`` if it is a JSON object of known ``AgentConfig`` names whose
     values have the field's type (ints are not bools, floats are finite
-    numbers, bools are bools) and whose ``alpha`` passes ``check_alpha``."""
+    numbers, bools are bools); ``AgentConfig`` checks their ranges."""
     if not isinstance(doc, dict):
         raise ValueError("agent settings must be a JSON object")
     types = {f.name: f.type for f in fields(AgentConfig)}
@@ -84,6 +98,4 @@ def checked_agent_settings(doc: object) -> dict:
         if not test(value):
             raise ValueError(
                 f"agent setting {name} must be {what}, got {value!r}")
-    if "alpha" in doc:
-        check_alpha(doc["alpha"])
     return doc

@@ -43,7 +43,8 @@ from ..strategy import (
     Strategy,
     strategy_doc,
 )
-from ..tcp import TcpRoundLog, TcpScenarioSpec, mean_social_reward
+from ..tcp import (DEFAULT_CWND_MAX, TcpRoundLog, TcpScenarioSpec,
+                   mean_social_reward)
 from ..templates import (
     TEMPLATE_REFLECTION,
     TEMPLATE_STRATEGY_GEN,
@@ -148,7 +149,7 @@ def _query_strategy(backend: Backend, template: str,
 def generate_initial_strategy(backend: Backend, demos: DemoBundle,
                               config: AgentConfig = AgentConfig(), *,
                               frame_len: int = DEFAULT_FRAME_LEN,
-                              cwnd_max: int = 64,
+                              cwnd_max: int = DEFAULT_CWND_MAX,
                               estimate_j: Optional[Callable[[Strategy],
                                                             float]] = None,
                               use_ranker: Optional[bool] = None) \
@@ -276,7 +277,7 @@ def reflect_and_refine(backend: Backend, strategy: Strategy,
                        config: AgentConfig = AgentConfig(), *,
                        j: float, j_target: float,
                        frame_len: int = DEFAULT_FRAME_LEN,
-                       cwnd_max: int = 64,
+                       cwnd_max: int = DEFAULT_CWND_MAX,
                        estimate_j: Optional[Callable[[Strategy],
                                                      float]] = None,
                        request_tag: str = "reflection") -> GenerationResult:
@@ -325,7 +326,7 @@ def run_offline(backend: Backend, spec, demos: DemoBundle,
     """
     is_mac = isinstance(spec, ScenarioSpec)
     frame_len = spec.frame_len if is_mac else DEFAULT_FRAME_LEN
-    cwnd_max = 64 if is_mac else spec.cwnd_max
+    cwnd_max = DEFAULT_CWND_MAX if is_mac else spec.cwnd_max
 
     if is_mac:
         evaluate = lambda s: evaluate_mac_strategy(spec, s, config)

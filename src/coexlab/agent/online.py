@@ -216,8 +216,6 @@ class PeriodEngine:
             mid: purpose_rng(spec.seed, PERTURBATION_STREAM, mid)
             for mid in self.team
         }
-        if config.convergence_periods < 0:
-            raise ValueError("convergence_periods must be >= 0")
         self.n_periods = 0
         # the convergence check reads the last convergence_periods + 1
         self.proposal_history: Deque[Tuple[float, ...]] = deque(

@@ -78,7 +78,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         backend=args.backend,
         seed=args.seed,
         agent=_agent_config(args),
-        trace=not args.no_trace,
+        trace=not getattr(args, "no_trace", False),
         strategy_path=getattr(args, "strategy", None),
         demo_seed=args.demo_seed,
         endpoint=args.endpoint,
@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     offline.add_argument("--scenario", required=True)
     offline.add_argument("--out", required=True)
     offline.add_argument("--seed", type=int, default=None)
-    offline.add_argument("--no-trace", action="store_true")
     offline.add_argument("--demo-seed", dest="demo_seed", type=int,
                          default=None)
     _add_backend_flags(offline)

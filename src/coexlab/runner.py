@@ -77,8 +77,6 @@ from .tcp import (
     TcpRoundLog,
     TcpScenarioSpec,
     ThroughputTotals,
-    mean_flow_throughputs,
-    mean_social_reward,
     run_rounds,
 )
 from .agent.config import AgentConfig, checked_agent_settings
@@ -317,13 +315,6 @@ def _write_reference(fh: TextIO,
     _write_node_csv(fh, range(1, total + 1), reference)
 
 
-def _tcp_trajectory_header(n_flows: int) -> List[str]:
-    header = ["round"]
-    for fid in range(n_flows):
-        header += [f"flow_{fid}_cwnd", f"flow_{fid}_acks", f"flow_{fid}_rtt"]
-    return header
-
-
 def _tcp_trajectory_block(log: TcpRoundLog, n_flows: int, r0: int,
                           r1: int) -> List[Iterable[str]]:
     """The cells of rounds ``[r0, r1)``; a flow's cells are empty in rounds
@@ -347,12 +338,6 @@ def _tcp_trajectory_block(log: TcpRoundLog, n_flows: int, r0: int,
     return columns
 
 
-def _write_tcp_trajectory(fh: TextIO, log: TcpRoundLog, n_flows: int) -> None:
-    """One row per round of a log that has dropped none."""
-    _write_csv(fh, _tcp_trajectory_header(n_flows), log.n_rounds,
-               partial(_tcp_trajectory_block, log, n_flows))
-
-
 def _write_throughput(fh: TextIO, metrics: Dict[str, object],
                       id_label: str) -> None:
     """The report's mean throughputs, one row per node or flow."""
@@ -365,55 +350,36 @@ def _write_throughput(fh: TextIO, metrics: Dict[str, object],
 # -- metric reports ---------------------------------------------------------
 
 
+def metrics_report(family: str, params: Dict[str, object],
+                   means: Mapping[int, float], alpha: float,
+                   **extra: object) -> Dict[str, object]:
+    """The metric report of a run of ``family``, with the keys of ``extra``."""
+    return {
+        "artifact": "metrics-v1",
+        "family": family,
+        "params": params,
+        "mean_throughputs": {str(i): _cell(v) for i, v in sorted(means.items())},
+        "jain": _cell(jain_index(list(means.values()))),
+        "alpha_fair": _cell(fair_objective(means.values(), alpha)),
+        "rmse": None,
+        **extra,
+    }
+
+
 def mac_metrics_report(series: ThroughputSeries, means: Dict[int, float],
                        reference: Optional[Mapping[int, Sequence[float]]],
                        config: AgentConfig) -> Dict[str, object]:
-    report: Dict[str, object] = {
-        "artifact": "metrics-v1",
-        "family": "mac",
-        "params": {
-            "alpha": config.alpha,
-            "window_frames": series.window_frames,
-            "warmup_frames": config.warmup_frames,
-        },
-        "mean_throughputs": {str(n): _cell(v) for n, v in sorted(means.items())},
-        "jain": _cell(jain_index(list(means.values()))),
-        "alpha_fair": _cell(fair_objective(means.values(), config.alpha)),
-        "rmse": None,
-    }
+    """The MAC report, with the rmse against ``reference`` if it has one."""
+    report = metrics_report("mac", {
+        "alpha": config.alpha,
+        "window_frames": series.window_frames,
+        "warmup_frames": config.warmup_frames,
+    }, means, config.alpha)
     if reference is not None:
-        try:
+        with contextlib.suppress(MetricDomainError):
             report["rmse"] = _cell(rmse_vs_reference(
                 series, reference, warmup_frames=config.warmup_frames))
-        except MetricDomainError:
-            pass
     return report
-
-
-def _tcp_report(means: Dict[int, float], params: Dict[str, object],
-                social_reward: Optional[float],
-                alpha: float) -> Dict[str, object]:
-    return {
-        "artifact": "metrics-v1",
-        "family": "tcp",
-        "params": params,
-        "mean_throughputs": {str(f): _cell(v) for f, v in sorted(means.items())},
-        "jain": _cell(jain_index(list(means.values()))),
-        "alpha_fair": _cell(fair_objective(means.values(), alpha)),
-        "social_reward": social_reward,
-        "rmse": None,
-    }
-
-
-def tcp_metrics_report(log: TcpRoundLog,
-                       config: AgentConfig) -> Dict[str, object]:
-    """The metric report of a whole TCP run, from a log that has dropped
-    none of it."""
-    first = log.n_rounds // 2
-    return _tcp_report(
-        mean_flow_throughputs(log, first_round=first),
-        {"alpha": config.alpha, "first_round": first},
-        _cell(mean_social_reward(log, first_round=first)), config.alpha)
 
 
 class TcpRunReaders:
@@ -422,9 +388,8 @@ class TcpRunReaders:
     ``TcpRoundLog.stream``): each block's rows go to ``trajectory.csv``
     through ``fh``, and its rounds from half the horizon on into the
     running totals of the metric report. ``finish`` feeds the rounds left
-    at the end and returns the report, so the trajectory and the report
-    equal ``_write_tcp_trajectory`` and ``tcp_metrics_report`` of the
-    whole log."""
+    at the end, all of them on a log with no consumer, and returns the
+    report."""
 
     def __init__(self, fh: TextIO, spec: TcpScenarioSpec):
         self.fh = fh
@@ -433,7 +398,9 @@ class TcpRunReaders:
         self.rewards = RewardTotal(self.first_round)
         self.throughputs = ThroughputTotals(self.first_round)
         self.fed = 0
-        fh.write(",".join(_tcp_trajectory_header(self.n_flows)) + "\r\n")
+        fh.write(",".join(["round"] + [
+            f"flow_{fid}_{column}" for fid in range(self.n_flows)
+            for column in ("cwnd", "acks", "rtt")]) + "\r\n")
 
     def __call__(self, log: TcpRoundLog, r0: int, r1: int) -> None:
         _write_rows(self.fh, r0, r1,
@@ -444,22 +411,21 @@ class TcpRunReaders:
 
     def finish(self, log: TcpRoundLog, alpha: float) -> Dict[str, object]:
         self(log, self.fed, log.n_rounds)
-        return _tcp_report(
-            self.throughputs.means(),
-            {"alpha": alpha, "first_round": self.first_round},
-            _cell(self.rewards.mean()), alpha)
+        return metrics_report(
+            "tcp", {"alpha": alpha, "first_round": self.first_round},
+            self.throughputs.means(), alpha,
+            social_reward=_cell(self.rewards.mean()))
 
 
-def _config_snapshot(config: RunConfig, spec: AnyScenario,
-                     family: str) -> Dict[str, object]:
+def _config_snapshot(config: RunConfig, spec: AnyScenario, family: str,
+                     demo_seed: int) -> Dict[str, object]:
     return {
         "artifact": "run-config-v1",
         "package_version": __version__,
         "family": family,
         "backend": config.backend,
         "seed": spec.seed,
-        "demo_seed": config.demo_seed if config.demo_seed is not None
-        else spec.seed,
+        "demo_seed": demo_seed,
         "trace": config.trace,
         "cached_strategy": config.strategy_path is not None,
         "agent": asdict(config.agent),
@@ -673,7 +639,7 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
     _write_file(os.path.join(out, ARTIFACT_THROUGHPUT), _write_throughput,
                 metrics, "node" if family == "mac" else "flow")
     _write_json(os.path.join(out, ARTIFACT_CONFIG),
-                _config_snapshot(config, spec, family))
+                _config_snapshot(config, spec, family, demo_seed))
     _write_json(os.path.join(out, ARTIFACT_METRICS), metrics)
     if offline_result is not None and demos is not None:
         _offline_artifacts(out, family, agent_cfg.demo_k, demo_seed,
@@ -736,7 +702,7 @@ def cmd_offline(config: RunConfig) -> OfflineResult:
         result = run_offline(wrapped, spec, demos, config.agent)
 
     _write_json(os.path.join(out, ARTIFACT_CONFIG),
-                _config_snapshot(config, spec, family))
+                _config_snapshot(config, spec, family, demo_seed))
     _offline_artifacts(out, family, config.agent.demo_k, demo_seed,
                        demos, result)
     return result
@@ -856,7 +822,7 @@ def cmd_eval(run_dir: str,
         raise InvalidScenarioError(
             ARTIFACT_CONFIG, "must be an object whose family is mac or tcp")
     agent_cfg = AgentConfig(**checked_agent_settings(cfg_doc.get("agent")))
-    trajectory = _read_artifact(run_dir, ARTIFACT_TRAJECTORY)
+    _artifact(run_dir, ARTIFACT_TRAJECTORY)
     _, *rows = _csv_rows(_read_artifact(run_dir, ARTIFACT_THROUGHPUT),
                          ARTIFACT_THROUGHPUT, 2)
     means = dict(zip(_column_ids([row[0] for row in rows],
@@ -865,8 +831,8 @@ def cmd_eval(run_dir: str,
     _check_finite(means.values(), ARTIFACT_THROUGHPUT)
 
     if family == "mac":
-        frames, values = _read_wide_csv(trajectory, ARTIFACT_TRAJECTORY,
-                                        "frame", "node_")
+        frames, values = _read_wide_csv(_read_artifact(
+            run_dir, ARTIFACT_TRAJECTORY), ARTIFACT_TRAJECTORY, "frame", "node_")
         series = ThroughputSeries(frames=frames, values=values,
                                   window_frames=agent_cfg.window_frames)
         reference = None
@@ -888,9 +854,9 @@ def cmd_eval(run_dir: str,
         if not isinstance(metrics_doc, dict) or "params" not in metrics_doc:
             raise InvalidScenarioError(ARTIFACT_METRICS,
                                        "must be an object holding params")
-        summary = _tcp_report(means, metrics_doc["params"],
-                              metrics_doc.get("social_reward"),
-                              agent_cfg.alpha)
+        summary = metrics_report(
+            "tcp", metrics_doc["params"], means, agent_cfg.alpha,
+            social_reward=metrics_doc.get("social_reward"))
     summary["artifact"] = "eval-v1"
     _write_json(os.path.join(run_dir, ARTIFACT_EVAL), summary)
     return summary

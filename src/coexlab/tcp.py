@@ -22,9 +22,7 @@ Each flow's minimum RTT is a running minimum updated as rounds are
 played; it is the BaseRTT Vegas reads, and an observer reads it without
 rescanning the history.
 
-Readers slice the columns for the rounds they need; the end-of-run
-readers take at most ``READ_BLOCK_ROUNDS`` rounds at a time, so they hold
-no per-round object of the whole log. Their sums run over
+Readers slice the columns for the rounds they need. Their sums run over
 rounds in order and over flows in ascending id, with Python ``sum`` over
 a round's flows and running totals over rounds (``sum`` compensates on
 Python >= 3.12, and a total carried from block to block cannot), never
@@ -37,9 +35,9 @@ then hands it each block of ``READ_BLOCK_ROUNDS`` rounds once the log
 holds a given number of rounds after it, and the log drops the block.
 The log then holds rounds from ``first_kept`` on, at most one block plus
 those kept rounds, and a read of an earlier round raises ``IndexError``.
-The running totals the end-of-run readers keep (``RewardTotal`` and
-``ThroughputTotals``) take blocks in round order, so a consumer computes
-the same floats from the blocks as the readers do from a whole log.
+The end-of-run readers are such a consumer: their running totals
+(``RewardTotal``, ``ThroughputTotals``) take the blocks in round order
+and give the same floats as they would from a whole log.
 """
 
 from __future__ import annotations
@@ -184,7 +182,6 @@ def tcp_reward(acks: float, rtt: float) -> float:
     return math.log(acks) - DEFAULT_REWARD_BETA * rtt
 
 
-# rounds the end-of-run readers take from the log's columns at a time, and
 # the rounds a streamed log hands its consumer at a time
 READ_BLOCK_ROUNDS = 4096
 
@@ -390,12 +387,6 @@ def _play_stretch(env: TcpEnvironment, overrides: Dict[int, int],
     log.n_rounds = end
 
 
-def _blocks(r0: int, r1: int):
-    """``[r0, r1)`` cut into ``(b0, b1)`` of at most ``READ_BLOCK_ROUNDS``."""
-    for b0 in range(r0, r1, READ_BLOCK_ROUNDS):
-        yield b0, min(b0 + READ_BLOCK_ROUNDS, r1)
-
-
 class RewardTotal:
     """The running sum of each round's average per-flow reward among the
     live flows (summed in live order), over rounds from ``first_round`` on
@@ -414,13 +405,12 @@ class RewardTotal:
             if not live:
                 continue
             self.rounds += s1 - s0
-            for b0, b1 in _blocks(s0, s1):
-                rtts = log.rtt_values(b0, b1)
-                rewards = [map(tcp_reward,
-                               log.flow_values(log.acks, fid, b0, b1), rtts)
-                           for fid in live]
-                for reward in map(sum, zip(*rewards)):
-                    total += reward / len(live)
+            rtts = log.rtt_values(s0, s1)
+            rewards = [map(tcp_reward,
+                           log.flow_values(log.acks, fid, s0, s1), rtts)
+                       for fid in live]
+            for reward in map(sum, zip(*rewards)):
+                total += reward / len(live)
         self.total = total
 
     def mean(self) -> float:
@@ -446,10 +436,9 @@ class ThroughputTotals:
                 continue
             entry = self.flows.setdefault(fid, [f0, 0, 0.0])
             total = entry[2]
-            for b0, b1 in _blocks(f0, f1):
-                for acks, rtt in zip(log.flow_values(log.acks, fid, b0, b1),
-                                     log.rtt_values(b0, b1)):
-                    total += acks / rtt
+            for acks, rtt in zip(log.flow_values(log.acks, fid, f0, f1),
+                                 log.rtt_values(f0, f1)):
+                total += acks / rtt
             entry[1] += f1 - f0
             entry[2] = total
 

@@ -1,12 +1,12 @@
 """Bounded memory at long horizons: a TCP run hands its round log to the
 end-of-run readers block by block while it goes, so its peak does not
-grow with the horizon; writing a TCP trajectory holds one
-block of rows, never the whole text; the TCP metric report and the rmse
-against a stepwise reference read one block of rounds or frames at a
-time; counting per-frame successes allocates no (slots x nodes) int64
-array; growing a slot log's columns holds only the old columns and the
-new ones; and the windowed throughput holds one node's counts beside its
-result. Peaks are measured with ``tracemalloc``, which NumPy reports its
+grow with the horizon; fed one block, the readers hold one block of rows
+of the trajectory, never the whole text, and one block of rounds for the
+metric report; the rmse against a stepwise reference reads one block of
+frames at a time; counting per-frame successes allocates no (slots x
+nodes) int64 array; growing a slot log's columns holds only the old
+columns and the new ones; and the windowed throughput holds one node's
+counts beside its result. Peaks are measured with ``tracemalloc``, which NumPy reports its
 array buffers to."""
 
 from __future__ import annotations
@@ -28,18 +28,17 @@ from coexlab.mac import TrajectoryLog
 from coexlab.metrics import (StepSeries, ThroughputSeries,
                              rmse_vs_reference, windowed_throughput)
 from coexlab.scenario import Timeline
-from coexlab.tcp import TcpRoundLog
+from coexlab.tcp import TcpFlowConfig, TcpRoundLog, TcpScenarioSpec
 
-# two horizons: a writer that holds one block peaks the same at both
+# two horizons: readers that hold one block peak the same at both
 ROUNDS = (100_000, 200_000)
 SLOTS = 1_000_000
-# peak of one TCP trajectory write; the whole text alone is more than twice
+# peak of the TCP trajectory write; the whole text alone is more than twice
 # as large (checked below), so a writer that builds it cannot stay under
 WRITE_PEAK_BOUND = 4 * 2**20
-# peaks of the TCP metric report and of one node's rmse, each holding one
-# block of rounds or frames; what they replaced held per-round or
-# per-frame values of the whole horizon, more than these at the smaller
-# one (checked below)
+# peaks of the TCP end-of-run readers and of one node's rmse, each holding
+# one block of rounds or frames; per-round or per-frame values of the
+# whole horizon are more than these at the smaller one (checked below)
 READ_PEAK_BOUND = 2 * 2**20
 RMSE_PEAK_BOUND = 2**20
 FRAMES = (40_000, 80_000)
@@ -78,18 +77,39 @@ def synthetic_tcp_log(n_rounds: int) -> TcpRoundLog:
     return log
 
 
-def test_tcp_trajectory_write_peaks_at_one_block(tmp_path):
+def feed_readers(path: str, log: TcpRoundLog) -> dict:
+    """The report of ``TcpRunReaders`` fed ``log`` one block at a time, as
+    ``TcpRoundLog.retire`` feeds it, with the trajectory written to
+    ``path``."""
+    n_rounds, block = log.n_rounds, tcp.READ_BLOCK_ROUNDS
+    spec = TcpScenarioSpec(
+        flows=[TcpFlowConfig("reno"),
+               TcpFlowConfig("reno", join_round=n_rounds // 2)],
+        total_rounds=n_rounds, seed=0)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        readers = runner.TcpRunReaders(fh, spec)
+        for b0 in range(0, n_rounds - block + 1, block):
+            readers(log, b0, b0 + block)
+        return readers.finish(log, AgentConfig().alpha)
+
+
+def test_tcp_run_readers_peak_at_one_block(tmp_path):
     peaks = []
     for n_rounds in ROUNDS:
         log = synthetic_tcp_log(n_rounds)
         path = tmp_path / f"trajectory_{n_rounds}.csv"
-        _, peak = traced_peak(runner._write_file, str(path),
-                              runner._write_tcp_trajectory, log, 2)
+        report, peak = traced_peak(feed_readers, str(path), log)
         text = path.read_text(encoding="utf-8")
         assert text.count("\n") == n_rounds + 1
+        assert report["params"]["first_round"] == n_rounds // 2
+        assert list(report["mean_throughputs"]) == ["0", "1"]
         peaks.append(peak)
     assert len(text) > 2 * WRITE_PEAK_BOUND
+    # one float per round for the rtt and for each of the two flows over
+    # the reported half of the smaller horizon
+    assert 3 * (ROUNDS[0] // 2) * sys.getsizeof(0.0) > READ_PEAK_BOUND
     assert max(peaks) < WRITE_PEAK_BOUND
+    assert max(peaks) < READ_PEAK_BOUND
     assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
 
 
@@ -121,22 +141,6 @@ def test_tcp_run_peak_does_not_grow_with_the_horizon(tmp_path):
     # the rtt and the first two flows' cwnd and acks of the longer run's
     # extra rounds, which a log kept whole would hold at its end
     assert 5 * (rounds[1] - rounds[0]) * 8 > PEAK_SLACK
-    assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
-
-
-def test_tcp_metrics_report_peaks_at_one_block():
-    peaks = []
-    for n_rounds in ROUNDS:
-        log = synthetic_tcp_log(n_rounds)
-        report, peak = traced_peak(runner.tcp_metrics_report, log,
-                                   AgentConfig())
-        assert report["params"]["first_round"] == n_rounds // 2
-        assert list(report["mean_throughputs"]) == ["0", "1"]
-        peaks.append(peak)
-    # one float per round for the rtt and for each of the two flows over
-    # the reported half of the smaller horizon
-    assert 3 * (ROUNDS[0] // 2) * sys.getsizeof(0.0) > READ_PEAK_BOUND
-    assert max(peaks) < READ_PEAK_BOUND
     assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
 
 

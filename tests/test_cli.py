@@ -520,6 +520,49 @@ class TestRunCommand:
         assert name in json.loads(capsys.readouterr().err)["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,value", [
+        ("query_period_slots", 0), ("tcp_query_period_rounds", 0),
+        ("observer_window_frames", 0), ("window_frames", 0),
+        ("tcp_observer_window_rounds", 0), ("demo_frames", 0),
+        ("demo_rounds", 0), ("eval_frames", 0), ("eval_rounds", 0),
+        ("asi_retries", 0), ("demo_k", 0), ("convergence_periods", -1),
+        ("n_max", -1), ("warmup_frames", -1),
+    ])
+    def test_count_setting_out_of_range_exits_2(self, tmp_path,
+                                                tdma_scenario, name, value,
+                                                capsys):
+        # a TCP setting is tried on a TCP agent scenario, whose run reads it
+        if name.startswith("tcp_") or name.endswith("_rounds"):
+            scenario = write_tcp_scenario(tmp_path / "ar.json", [
+                {"controller": "agent"}, {"controller": "reno"}])
+        else:
+            scenario = tdma_scenario
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**FAST_AGENT, name: value}),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        code = run_cli("run", "--scenario", scenario, "--out", str(out),
+                       "--agent-json", str(bad))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"agent setting {name} must be >= {value + 1}" \
+            in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--query-period=0", "query_period_slots"), ("--n-max=-1", "n_max"),
+        ("--demo-k=0", "demo_k"), ("--window=0", "window_frames"),
+        ("--warmup=-1", "warmup_frames"),
+    ])
+    def test_count_flag_out_of_range_exits_2(self, tmp_path, tdma_scenario,
+                                             flag, name, capsys):
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", tdma_scenario, "--out", str(out),
+                       flag) == 2
+        assert name in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
     def test_non_finite_flag_exits_2(self, tmp_path, tdma_scenario):
         out = tmp_path / "o"
         assert run_cli("run", "--scenario", tdma_scenario, "--out", str(out),
@@ -880,6 +923,36 @@ class TestEvalCommand:
             json.loads(capsys.readouterr().err)["message"]
 
 
+    def test_count_setting_out_of_range_in_run_config_exits_2(
+            self, tmp_path, tdma_scenario, agent_json, capsys):
+        out = tmp_path / "run"
+        run_cli("run", "--scenario", tdma_scenario, "--out", str(out),
+                "--agent-json", agent_json)
+        config = json.loads((out / ARTIFACT_CONFIG).read_text())
+        config["agent"]["window_frames"] = 0
+        (out / ARTIFACT_CONFIG).write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        assert "window_frames" in \
+            json.loads(capsys.readouterr().err)["message"]
+
+    def test_tcp_eval_reads_no_trajectory_but_needs_one(self, tmp_path,
+                                                        capsys):
+        scenario = write_tcp_scenario(tmp_path / "rv.json", [
+            {"controller": "reno"}, {"controller": "vegas"}], rounds=300)
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
+        assert run_cli("eval", "--run", str(out)) == 0
+        summary = read_bytes(out, "eval_summary.json")
+        (out / ARTIFACT_TRAJECTORY).write_bytes(b"round\xff\xfe\r\n")
+        assert run_cli("eval", "--run", str(out)) == 0
+        assert read_bytes(out, "eval_summary.json") == summary
+        (out / ARTIFACT_TRAJECTORY).unlink()
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(out)) == 2
+        assert "missing artifact" in \
+            json.loads(capsys.readouterr().err)["message"]
+
     @pytest.fixture(scope="class")
     def mac_run(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("mac_run")
@@ -1086,6 +1159,13 @@ class TestDemosCommand:
 
 
 class TestOfflineCommand:
+    def test_offline_takes_no_no_trace_flag(self, tmp_path, tdma_scenario):
+        # the offline stage writes no decision trace to switch off
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("offline", "--scenario", tdma_scenario,
+                    "--out", str(tmp_path / "o"), "--no-trace")
+        assert exit_info.value.code == 2
+
     def test_writes_reports(self, tmp_path, agent_json, capsys):
         scenario = write_tcp_scenario(tmp_path / "ar.json", [
             {"controller": "agent"}, {"controller": "reno"}], rounds=400)

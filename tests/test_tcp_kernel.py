@@ -5,9 +5,9 @@ leaves, random link parameters, and random ``run_rounds`` splits with
 overrides that change between calls. Between calls the windows of some
 live flows may be set to any positive float, which the controllers never
 produce, so that the order in which the offered load is summed shows in
-the last bits. The end-of-run readers are checked in blocks of any size,
-also from a round strictly inside a stretch of the live set before some
-flow leaves."""
+the last bits. The readers are checked also from a round strictly inside
+a stretch of the live set before some flow leaves, and the end-of-run
+readers also on a log streamed to them in blocks of any size."""
 
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from coexlab.agent.offline import tcp_j_estimate
 from coexlab.agent.online import tcp_window_objective
 from coexlab.errors import CoexlabError
 from coexlab import runner, tcp
-from coexlab.runner import tcp_metrics_report
 from coexlab.scenario import Timeline
 from coexlab.tcp import (
     CONTROLLERS,
@@ -162,22 +161,16 @@ def check_readers(env, records, data):
         firsts.append(data.draw(st.sampled_from(inside),
                                 label="first_round inside a stretch"))
     window = data.draw(st.integers(0, n + 2), label="window")
-    read_rows = data.draw(st.integers(1, n + 2), label="read_block_rounds")
-    with mock.patch.object(tcp, "READ_BLOCK_ROUNDS", read_rows):
-        for first in firsts:
-            assert outcome(mean_social_reward, log, first) == \
-                outcome(ref.mean_social_reward, records, first)
-            fast = mean_flow_throughputs(log, first)
-            assert list(fast.items()) == \
-                list(ref.mean_flow_throughputs(records, first).items())
-        assert outcome(tcp_window_objective, log, window) == \
-            outcome(ref.tcp_window_objective, records, window)
-        assert outcome(tcp_j_estimate, log) == \
-            outcome(ref.tcp_j_estimate, records)
-        config = AgentConfig(
-            alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
-        assert outcome(tcp_metrics_report, log, config) == \
-            outcome(ref.tcp_metrics_report, records, config)
+    for first in firsts:
+        assert outcome(mean_social_reward, log, first) == \
+            outcome(ref.mean_social_reward, records, first)
+        fast = mean_flow_throughputs(log, first)
+        assert list(fast.items()) == \
+            list(ref.mean_flow_throughputs(records, first).items())
+    assert outcome(tcp_window_objective, log, window) == \
+        outcome(ref.tcp_window_objective, records, window)
+    assert outcome(tcp_j_estimate, log) == \
+        outcome(ref.tcp_j_estimate, records)
     first = firsts[0]
     for fid in fids:
         expected = outcome(ref.tcp_window_signals, records, window, fid)
@@ -187,10 +180,14 @@ def check_readers(env, records, data):
         assert getattr(report, "signals", report) == expected
         assert outcome(_tcp_summary, log, fid, first_round=first) == \
             outcome(ref.tcp_summary, records[first:], fid)
+    # the end-of-run readers of a log with no consumer read it whole
+    config = AgentConfig(alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
     block_rows = data.draw(st.integers(1, n + 2), label="block_rows")
     buf = io.StringIO()
     with mock.patch.object(runner, "CSV_BLOCK_ROWS", block_rows):
-        runner._write_tcp_trajectory(buf, log, len(env.spec.flows))
+        report = outcome(runner.TcpRunReaders(buf, env.spec).finish, log,
+                         config.alpha)
+    assert report == outcome(ref.tcp_metrics_report, records, config)
     assert buf.getvalue() == \
         ref.tcp_trajectory_csv(records, len(env.spec.flows))
 
@@ -223,8 +220,7 @@ def test_columnar_log_and_readers_equal_reference(data):
 @settings(max_examples=60, deadline=None)
 def test_readers_from_inside_a_stretch_before_a_flow_leaves(data):
     # one more flow, live from round 0, leaves before the horizon; the
-    # readers then also start strictly inside a stretch before that leave,
-    # read in blocks of any size
+    # readers then also start strictly inside a stretch before that leave
     spec = data.draw(scenarios(), label="spec")
     assume(spec.total_rounds >= 3)
     spec.flows.append(TcpFlowConfig(
