@@ -12,6 +12,7 @@ array buffers to."""
 from __future__ import annotations
 
 import json
+import os
 import sys
 import tracemalloc
 from array import array
@@ -93,22 +94,31 @@ def feed_readers(path: str, log: TcpRoundLog) -> dict:
         return readers.finish(log, AgentConfig().alpha)
 
 
-def test_tcp_run_readers_peak_at_one_block(tmp_path):
+def test_tcp_trajectory_write_peaks_at_one_block(tmp_path):
     peaks = []
     for n_rounds in ROUNDS:
         log = synthetic_tcp_log(n_rounds)
         path = tmp_path / f"trajectory_{n_rounds}.csv"
-        report, peak = traced_peak(feed_readers, str(path), log)
+        _, peak = traced_peak(feed_readers, str(path), log)
         text = path.read_text(encoding="utf-8")
         assert text.count("\n") == n_rounds + 1
+        peaks.append(peak)
+    assert len(text) > 2 * WRITE_PEAK_BOUND
+    assert max(peaks) < WRITE_PEAK_BOUND
+    assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
+
+
+def test_tcp_metrics_report_peaks_at_one_block():
+    peaks = []
+    for n_rounds in ROUNDS:
+        log = synthetic_tcp_log(n_rounds)
+        report, peak = traced_peak(feed_readers, os.devnull, log)
         assert report["params"]["first_round"] == n_rounds // 2
         assert list(report["mean_throughputs"]) == ["0", "1"]
         peaks.append(peak)
-    assert len(text) > 2 * WRITE_PEAK_BOUND
     # one float per round for the rtt and for each of the two flows over
     # the reported half of the smaller horizon
     assert 3 * (ROUNDS[0] // 2) * sys.getsizeof(0.0) > READ_PEAK_BOUND
-    assert max(peaks) < WRITE_PEAK_BOUND
     assert max(peaks) < READ_PEAK_BOUND
     assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
 
