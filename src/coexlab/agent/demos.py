@@ -10,7 +10,6 @@ by hand, and the whole set is a pure function of the seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -260,16 +259,15 @@ def generate_demos(family: str, k: int, seed: int,
     raise ValueError(f"unknown demo family {family!r}")
 
 
-def demos_to_json(family: str, k: int, seed: int,
-                  sets: List[DemoSet]) -> str:
-    doc = {
+def demos_doc(family: str, k: int, seed: int,
+              sets: List[DemoSet]) -> Dict[str, object]:
+    return {
         "version": "demos-v1",
         "family": family,
         "K": k,
         "seed": seed,
         "sets": [ds.doc() for ds in sets],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass

@@ -108,8 +108,8 @@ class StrategySet:
         return [(sid, serialize_strategy(s))
                 for sid, s in self._by_id.items()]
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> Dict[str, object]:
+        return {
             "version": "strategies-v1",
             "strategies": [
                 {"id": sid, **strategy_doc(s)}
@@ -117,7 +117,6 @@ class StrategySet:
             ],
             "history": [entry.to_doc() for entry in self.history],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def psa_update(strategies: StrategySet, new: Strategy,
@@ -204,9 +203,8 @@ class EpisodicMemory:
             raise MemoryFrozenError("episodic memory is frozen")
         self.records.append(record)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> Dict[str, object]:
+        return {
             "version": "episodes-v1",
             "episodes": [rec.to_doc() for rec in self.records],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -135,7 +135,6 @@ class PeriodRecord:
     converged: bool
     env_changed: bool
     escaped: bool
-    window_objective: Optional[float]
     decisions: Dict[int, object] = field(default_factory=dict)
     proposals: Dict[int, object] = field(default_factory=dict)
     actuated: Dict[int, object] = field(default_factory=dict)
@@ -266,13 +265,12 @@ class PeriodEngine:
                 for mid in ids}
         return [mid for mid in self.team if mid in live]
 
-    def _check_escape(self, had_report: bool, converged: bool) \
-            -> Tuple[bool, Optional[float]]:
+    def _check_escape(self, had_report: bool, converged: bool) -> bool:
         """Exploration is re-enabled when the team has converged onto an
         action whose windowed objective has fallen well below the best
         window seen so far. Only meaningful with a backend in the loop."""
         if not had_report:
-            return False, None
+            return False
         objective = self._window_objective()
         best = self._best_objective
         ratio = self.config.escape_ratio
@@ -284,7 +282,7 @@ class PeriodEngine:
                                     else best / ratio))
         if best is None or objective > best:
             self._best_objective = objective
-        return escaped, objective
+        return escaped
 
     def run_period(self, length: Optional[int] = None) -> PeriodRecord:
         """Run one query period of ``length`` ticks (default: a full
@@ -301,7 +299,7 @@ class PeriodEngine:
         first = found[0] if found else None
         converged = any(r.converged for r in found)
         env_changed = any(r.env_changed for r in found)
-        escaped, objective = self._check_escape(first is not None, converged)
+        escaped = self._check_escape(first is not None, converged)
 
         obs_node = None
         if self.trace is not None:
@@ -316,7 +314,6 @@ class PeriodEngine:
             index=index, start=t0, length=length,
             had_report=first is not None, converged=converged,
             env_changed=env_changed, escaped=escaped,
-            window_objective=objective,
         )
 
         fallbacks: List[int] = []

@@ -40,6 +40,7 @@ from .runner import (
     cmd_trace,
     load_scenario,
     _read_json,
+    _write_json,
 )
 
 EXIT_OK = 0
@@ -141,10 +142,8 @@ def _run_replicas(config: RunConfig, replicas: int) -> None:
             as pool:
         rows = list(pool.map(_run_replica, configs))
     os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, ARTIFACT_REPLICAS), "w",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(_replicas_doc(rows), indent=2, sort_keys=True)
-                 + "\n")
+    _write_json(os.path.join(config.out_dir, ARTIFACT_REPLICAS),
+                _replicas_doc(rows))
     _emit({"replicas": rows})
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 from collections import abc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,7 +112,6 @@ class SlotRecord:
     transmitters: Tuple[int, ...]
     live_ids: Tuple[int, ...]
     reward_vector: Tuple[int, ...]
-    agent_probs: Dict[int, float] = field(default_factory=dict)
 
 
 _OUTCOMES = tuple(SlotOutcome)      # outcome code -> outcome
@@ -139,14 +138,11 @@ class TrajectoryLog:
     """Slot history of a run, stored as columns: per slot an outcome code
     and a transmit flag per node, in numpy arrays that grow by doubling,
     and per frame each node's successes. Liveness is the ``timeline`` of
-    frames, one entry per node. The controlled nodes' policy vectors are
-    kept once per kernel stretch, as a row that takes effect at that
-    stretch's first slot. The counting methods cover the logged slots of
-    frames ``[f0, f1)``, 0 <= f0 <= f1; ``records`` rebuilds
+    frames, one entry per node. The counting methods cover the logged
+    slots of frames ``[f0, f1)``, 0 <= f0 <= f1; ``records`` rebuilds
     ``SlotRecord``s on demand."""
 
-    def __init__(self, frame_len: int, timeline: Timeline,
-                 controlled: Sequence[int] = ()):
+    def __init__(self, frame_len: int, timeline: Timeline):
         self.frame_len = frame_len
         self.timeline = timeline
         self.n_nodes = n_nodes = len(timeline.lifetimes)
@@ -156,26 +152,11 @@ class TrajectoryLog:
         # a node succeeds at most once per slot, so frame_len bounds a count
         self._won = np.zeros((1024, n_nodes),
                              dtype=np.min_scalar_type(frame_len))
-        self._vector_col = {nid: col for col, nid in enumerate(controlled)}
-        self.n_rows = 0
-        self._row_start = np.zeros(16, dtype=np.int64)
-        self._rows = np.zeros((16, len(self._vector_col), frame_len))
         self.records = SlotRecordView(self)
 
     @property
     def n_frames(self) -> int:
         return -(-self.n_slots // self.frame_len)
-
-    def append_vectors(self, vectors: Dict[int, np.ndarray]) -> None:
-        """Record the policy vectors of the live controlled nodes, in
-        force from the next appended slot on."""
-        if self.n_rows == len(self._row_start):
-            self._row_start = _doubled(self._row_start)
-            self._rows = _doubled(self._rows)
-        self._row_start[self.n_rows] = self.n_slots
-        for nid, vector in vectors.items():
-            self._rows[self.n_rows, self._vector_col[nid]] = vector
-        self.n_rows += 1
 
     def append_slots(self, outcome: np.ndarray, tx: np.ndarray) -> None:
         """Append n slots: outcome codes (indexes into ``SlotOutcome``)
@@ -252,9 +233,6 @@ class SlotRecordView(abc.Sequence):
         log = self._log
         frame, position = divmod(i, log.frame_len)
         live = log.timeline.live_at(frame)
-        # the last policy row that took effect at or before slot i
-        row = int(np.searchsorted(log._row_start[:log.n_rows], i,
-                                  side="right")) - 1
         outcome = _OUTCOMES[log._outcome[i]]
         transmitters = tuple(np.flatnonzero(log._tx[i]).tolist())
         won = outcome is SlotOutcome.SUCCESS
@@ -263,9 +241,6 @@ class SlotRecordView(abc.Sequence):
             outcome=outcome, transmitters=transmitters, live_ids=live,
             reward_vector=tuple(int(won and nid in transmitters)
                                 for nid in live),
-            agent_probs={nid: float(log._rows[row, log._vector_col[nid],
-                                              position])
-                         for nid in live if nid in log._vector_col},
         )
 
 
@@ -440,9 +415,7 @@ class MacEnvironment:
         self.machines: Dict[int, _BackoffMachine] = {}
         self.live: List[int] = []
         self.log = TrajectoryLog(
-            spec.frame_len, Timeline(MAC_FORMAT.lifetimes(spec.nodes)),
-            [nid for nid, cfg in enumerate(spec.nodes)
-             if cfg.kind in CONTROLLED_KINDS])
+            spec.frame_len, Timeline(MAC_FORMAT.lifetimes(spec.nodes)))
         self._rngs = {
             nid: node_rng(spec.seed, nid) for nid in range(len(spec.nodes))
         }
@@ -503,7 +476,6 @@ class MacEnvironment:
         walkers = [(nid, self.machines[nid]) for _, nid in sorted(
             (nodes[nid].kind == KIND_CSMA, nid)
             for nid in self.live if nid in self.machines)]
-        self.log.append_vectors(vectors)
         for start in range(0, n_slots, KERNEL_CHUNK_SLOTS):
             n = min(KERNEL_CHUNK_SLOTS, n_slots - start)
             positions = np.arange(self.slot_index,

@@ -80,7 +80,7 @@ from .tcp import (
     run_rounds,
 )
 from .agent.config import AgentConfig, checked_agent_settings
-from .agent.demos import demo_bundle, demos_to_json
+from .agent.demos import demo_bundle, demos_doc
 from .agent.offline import OfflineResult, run_offline
 from .agent.online import MacPeriodEngine, TcpPeriodEngine
 from .agent.trace import (
@@ -473,12 +473,12 @@ class RunResult:
 
 def _offline_artifacts(out: str, family: str, demo_k: int, demo_seed: int,
                        demos, result: OfflineResult) -> None:
-    _write_text(os.path.join(out, ARTIFACT_DEMOS),
-                demos_to_json(family, demo_k, demo_seed, demos.sets))
-    _write_text(os.path.join(out, ARTIFACT_STRATEGIES),
-                result.strategies.to_json())
-    _write_text(os.path.join(out, ARTIFACT_EPISODES),
-                result.episodes.to_json())
+    _write_json(os.path.join(out, ARTIFACT_DEMOS),
+                demos_doc(family, demo_k, demo_seed, demos.sets))
+    _write_json(os.path.join(out, ARTIFACT_STRATEGIES),
+                result.strategies.to_doc())
+    _write_json(os.path.join(out, ARTIFACT_EPISODES),
+                result.episodes.to_doc())
     _write_json(os.path.join(out, ARTIFACT_STRATEGY),
                 {"id": result.strategy.id, **strategy_doc(result.strategy)})
     _write_json(os.path.join(out, ARTIFACT_OFFLINE), {
@@ -701,8 +701,10 @@ def cmd_offline(config: RunConfig) -> OfflineResult:
     with _transcript(out, backend) as wrapped:
         result = run_offline(wrapped, spec, demos, config.agent)
 
+    # the offline stage writes no decision trace
     _write_json(os.path.join(out, ARTIFACT_CONFIG),
-                _config_snapshot(config, spec, family, demo_seed))
+                _config_snapshot(replace(config, trace=False), spec, family,
+                                 demo_seed))
     _offline_artifacts(out, family, config.agent.demo_k, demo_seed,
                        demos, result)
     return result
@@ -751,7 +753,7 @@ def cmd_demos(family: str, k: int, seed: int, out_dir: str) -> str:
     bundle = demo_bundle(family, k, seed)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, ARTIFACT_DEMOS)
-    _write_text(path, demos_to_json(family, k, seed, bundle.sets))
+    _write_json(path, demos_doc(family, k, seed, bundle.sets))
     return path
 
 

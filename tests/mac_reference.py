@@ -5,10 +5,9 @@
 policy stream, then the live nodes are evaluated in id order with CSMA
 nodes last, so that carrier sensing sees every commitment already made
 for the slot. ``run_frames`` enters the timeline's live set at every
-frame boundary and steps each slot in turn. ``slot_probs`` rebuilds the
-per-slot probability column the log once stored from its policy rows,
-and ``frame_successes`` the per-frame success counts of every node as
-one array, zero past the logged frames.
+frame boundary and steps each slot in turn. ``frame_successes``
+rebuilds the per-frame success counts of every node as one array, zero
+past the logged frames.
 """
 
 from __future__ import annotations
@@ -74,9 +73,6 @@ def step_slot(env, policy) -> None:
 
     tx = np.zeros((1, len(nodes)), dtype=bool)
     tx[0, transmitters] = True
-    # one policy row per slot
-    env.log.append_vectors({nid: np.asarray(policy.vectors[nid], dtype=float)
-                            for nid in controlled})
     env.log.append_slots(np.array([OUTCOME_CODES[outcome]]), tx)
 
 
@@ -86,16 +82,6 @@ def run_frames(env, policy, n_frames: int):
         for _ in range(env.frame_len):
             step_slot(env, policy)
     return env.log
-
-
-def slot_probs(log) -> np.ndarray:
-    """Each logged slot's transmit probability per controlled node, in the
-    log's controlled order, 0.0 where the node is not live: the policy
-    row in force at the slot, read at its frame position."""
-    slots = np.arange(log.n_slots)
-    rows = np.searchsorted(log._row_start[:log.n_rows], slots,
-                           side="right") - 1
-    return log._rows[rows, :, slots % log.frame_len]
 
 
 def frame_successes(log, f0: int, f1: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from coexlab.agent.memory import (
     StrategySet,
     psa_update,
 )
+from coexlab.agent.trace import indented_json
 from coexlab.backends import (
     CompletionRequest,
     Message,
@@ -271,7 +272,7 @@ class TestEpisodicMemory:
     def test_json_shape(self):
         mem = EpisodicMemory()
         mem.add(EpisodeRecord("abc", 1.5, {"rounds": 100}, "note"))
-        doc = json.loads(mem.to_json())
+        doc = json.loads(indented_json(mem.to_doc()))
         assert doc["version"] == "episodes-v1"
         assert doc["episodes"][0]["reflection_text"] == "note"
 

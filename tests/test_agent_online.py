@@ -373,15 +373,22 @@ class TestMacPeriodEngine:
         eng = MacPeriodEngine(static_mac_spec(frames=300),
                               mac_strategy_json(sigma=0.05),
                               backend=ScriptedBackend())
-        log = eng.run(300)
-        per_period_probs = {}
-        for rec in log.records:
-            if 0 not in rec.agent_probs:
-                continue
-            key = (rec.frame_index // 10, rec.frame_position)
-            per_period_probs.setdefault(key, set()).add(
-                rec.agent_probs[0])
-        assert all(len(v) == 1 for v in per_period_probs.values())
+        calls = []      # (slot, node id, vector) per set_vector call
+        set_vector = eng.policy.set_vector
+
+        def spy(nid, vector):
+            calls.append((eng.env.slot_index, nid, list(vector)))
+            set_vector(nid, vector)
+
+        eng.policy.set_vector = spy
+        periods = run_collect(eng, 300)
+        # one vector per period, set at its first slot and held to the next
+        frame_len = eng.env.frame_len
+        assert [(slot, nid) for slot, nid, _ in calls] == [
+            (p.start * frame_len, 0) for p in periods]
+        assert [v for _, _, v in calls] == [
+            list(p.actuated[0]) for p in periods]
+        assert len({tuple(v) for _, _, v in calls}) > 1
 
     def test_bit_deterministic_across_runs(self):
         runs = []

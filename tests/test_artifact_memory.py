@@ -5,9 +5,10 @@ of the trajectory, never the whole text, and one block of rounds for the
 metric report; the rmse against a stepwise reference reads one block of
 frames at a time; counting per-frame successes allocates no (slots x
 nodes) int64 array; growing a slot log's columns holds only the old
-columns and the new ones; and the windowed throughput holds one node's
-counts beside its result. Peaks are measured with ``tracemalloc``, which NumPy reports its
-array buffers to."""
+columns and the new ones, and kernel stretches add no state of their
+own to the log; and the windowed throughput holds one node's counts
+beside its result. Peaks are measured with ``tracemalloc``, which NumPy
+reports its array buffers to."""
 
 from __future__ import annotations
 
@@ -25,7 +26,9 @@ import metrics_reference
 
 from coexlab import runner, tcp
 from coexlab.agent.config import AgentConfig
-from coexlab.mac import TrajectoryLog
+from coexlab.mac import (KIND_AGENT, KIND_ALOHA, BernoulliSlotPolicy,
+                         MacEnvironment, NodeConfig, ScenarioSpec,
+                         TrajectoryLog, run_frames)
 from coexlab.metrics import (StepSeries, ThroughputSeries,
                              rmse_vs_reference, windowed_throughput)
 from coexlab.scenario import Timeline
@@ -236,23 +239,31 @@ def test_slot_column_growth_holds_old_and_new_columns_only():
     assert not log._tx.any() and (log._outcome[:n + 1] == 1).all()
 
 
+def log_bytes(log):
+    """Bytes of each of the log's own attributes, arrays by their
+    buffers."""
+    return {name: value.nbytes if isinstance(value, np.ndarray)
+            else sys.getsizeof(value) for name, value in vars(log).items()}
+
+
 def test_vector_row_growth_holds_old_and_new_rows_only():
-    frame_len, rows = 64, 2**12
-    log = TrajectoryLog(frame_len, Timeline([(0, None)] * 2),
-                        controlled=(0, 1))
-    vector = np.linspace(0.0, 1.0, frame_len)
-    for _ in range(rows):
-        log.append_vectors({0: vector, 1: vector})
-    columns = ("_row_start", "_rows")
-    assert len(log._row_start) == rows
-    old = sum(getattr(log, name).nbytes for name in columns)
-    peak, new = growth_peak(log, columns,
-                            lambda log: log.append_vectors({0: vector}))
-    assert new == 2 * old
-    assert peak <= new + PEAK_SLACK
-    assert log.n_rows == rows + 1
-    np.testing.assert_array_equal(log._rows[rows - 1, 1], vector)
-    assert not log._rows[rows, 1].any()
+    # every run_frames call is a kernel stretch with the agent live; all
+    # of them fit in the slot columns' first allocation, so the log must
+    # end the size it had after the first
+    frame_len, stretches = 2, 2**8
+    spec = ScenarioSpec(nodes=[NodeConfig(KIND_AGENT),
+                               NodeConfig(KIND_ALOHA, q=0.5)],
+                        total_frames=stretches + 1, seed=1,
+                        frame_len=frame_len)
+    env = MacEnvironment(spec)
+    policy = BernoulliSlotPolicy(spec.seed, {0: [0.25, 0.75]})
+    run_frames(env, policy, 1)
+    before = log_bytes(env.log)
+    for _ in range(stretches):
+        run_frames(env, policy, 1)
+    assert env.log.n_slots == (stretches + 1) * frame_len
+    assert len(env.log._outcome) > env.log.n_slots
+    assert log_bytes(env.log) == before
 
 
 def test_windowed_throughput_holds_one_node_column_beside_its_result():

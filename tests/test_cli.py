@@ -1166,6 +1166,16 @@ class TestOfflineCommand:
                     "--out", str(tmp_path / "o"), "--no-trace")
         assert exit_info.value.code == 2
 
+    def test_config_says_no_trace_was_written(self, tmp_path, agent_json,
+                                              capsys):
+        out = str(tmp_path / "off")
+        assert run_cli("offline", "--scenario",
+                       str(ROOT / "scenarios" / "tcp_agent_reno.json"),
+                       "--out", out, "--agent-json", agent_json) == 0
+        assert read_json(out, ARTIFACT_CONFIG)["trace"] is False
+        assert not os.path.exists(os.path.join(out, ARTIFACT_TRACE))
+        capsys.readouterr()
+
     def test_writes_reports(self, tmp_path, agent_json, capsys):
         scenario = write_tcp_scenario(tmp_path / "ar.json", [
             {"controller": "agent"}, {"controller": "reno"}], rounds=400)

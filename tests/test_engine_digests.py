@@ -10,7 +10,8 @@ engine output on purpose, regenerate them with
 
     PYTHONPATH=src python tests/test_engine_digests.py --write
 
-and explain the drift in CHANGES.md.
+which prints each ``case/key`` whose digest changed, and explain that
+drift in CHANGES.md.
 """
 
 import hashlib
@@ -224,7 +225,11 @@ def test_every_case_has_digests():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_engine_digests.py --write")
-    DIGESTS.write_text(json.dumps({name: case_digests(name)
-                                   for name in sorted(CASES)},
-                                  indent=2, sort_keys=True) + "\n",
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    new = {name: case_digests(name) for name in sorted(CASES)}
+    for name, digests in new.items():
+        for key, digest in digests.items():
+            if old.get(name, {}).get(key) != digest:
+                print(f"{name}/{key}")
+    DIGESTS.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")

@@ -178,7 +178,7 @@ def engine_bytes(periods, keep_records):
             else engine.run(spec.total_frames)
     # counted once the file is closed, which drops its pending writes
     log = engine.env.log
-    columns = (log._outcome, log._tx, log._won, log._row_start, log._rows)
+    columns = (log._outcome, log._tx, log._won)
     return reachable_bytes((engine, records), columns), engine
 
 

@@ -234,9 +234,6 @@ def simulate(spec, vectors, tail_slots):
                     int(result is SlotOutcome.SUCCESS
                         and nid in transmitters)
                     for nid in live),
-                agent_probs={nid: float(policy.vectors[nid][
-                    i % spec.frame_len]) for nid in live
-                    if spec.nodes[nid].kind in CONTROLLED_KINDS},
             ))
         append(outcome, tx)
 
