@@ -13,7 +13,9 @@ _COUNT_FLOORS = dict.fromkeys((
     "query_period_slots", "tcp_query_period_rounds", "observer_window_frames",
     "window_frames", "tcp_observer_window_rounds", "demo_frames",
     "demo_rounds", "eval_frames", "eval_rounds", "asi_retries", "demo_k"), 1)
-_COUNT_FLOORS.update(convergence_periods=0, n_max=0, warmup_frames=0)
+# a DYNAMIC demo switches its population half way through the window
+_COUNT_FLOORS.update(convergence_periods=0, n_max=0, warmup_frames=0,
+                     demo_frames=2, demo_rounds=2)
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,8 @@ def generate_demos(family: str, k: int, seed: int,
     """Build every labeled demonstration set for one family."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     config = config or AgentConfig()
     if family == FAMILY_MAC:
         return [_mac_demo_set(label, i, k, seed, config)

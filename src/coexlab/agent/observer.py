@@ -1,5 +1,6 @@
-"""Window analysis of recent trajectory: convergence, change detection
-and notable slot usage.
+"""Window analysis of recent trajectory: change detection and notable
+slot usage, plus the convergence test the period engine applies to its
+own proposal history.
 
 The analysis feeds the per-period decision prompt. Slot utilization is
 computed over transmissions from nodes *outside* the controlled team, so
@@ -55,7 +56,6 @@ class TcpWindowSignals:
 
 @dataclass(frozen=True)
 class ObserverReport:
-    converged: bool
     env_changed: bool
     notable: Tuple[NotableSlot, ...]
     window: Tuple[int, int]
@@ -89,12 +89,9 @@ def actions_converged(actions: Sequence[object], epsilon: float,
                for prev, cur in zip(recent, recent[1:]))
 
 
-def _report(signals, notable: Sequence[NotableSlot], rate_shift_delta: float,
-            actions: Sequence[object], convergence_epsilon: float,
-            convergence_periods: int) -> ObserverReport:
+def _report(signals, notable: Sequence[NotableSlot],
+            rate_shift_delta: float) -> ObserverReport:
     return ObserverReport(
-        converged=actions_converged(actions, convergence_epsilon,
-                                    convergence_periods),
         env_changed=signals.membership_changed
         or signals.rate_shift > rate_shift_delta,
         notable=tuple(notable), window=signals.window, signals=signals)
@@ -135,10 +132,7 @@ def mac_window_signals(log: TrajectoryLog, window_frames: int,
 def observer_analyze(log: TrajectoryLog, *, window_frames: int,
                      exclude_ids: Iterable[int] = (),
                      overuse_threshold: float = 0.9,
-                     rate_shift_delta: float = 0.1,
-                     actions: Sequence[object] = (),
-                     convergence_epsilon: float = 0.02,
-                     convergence_periods: int = 3) -> ObserverReport:
+                     rate_shift_delta: float = 0.1) -> ObserverReport:
     """Summarize the last ``window_frames`` frames of a trajectory."""
     signals = mac_window_signals(log, window_frames, exclude_ids)
     notable: List[NotableSlot] = []
@@ -147,8 +141,7 @@ def observer_analyze(log: TrajectoryLog, *, window_frames: int,
             notable.append(NotableSlot(slot, NOTABLE_OVERUSED, round(util, 6)))
         elif util == 0.0:
             notable.append(NotableSlot(slot, NOTABLE_UNUSED, 0.0))
-    return _report(signals, notable, rate_shift_delta, actions,
-                   convergence_epsilon, convergence_periods)
+    return _report(signals, notable, rate_shift_delta)
 
 
 def tcp_window_signals(log: TcpRoundLog,
@@ -207,10 +200,6 @@ def tcp_window_signals(log: TcpRoundLog,
 
 def tcp_observer_analyze(log: TcpRoundLog, *,
                          window_rounds: int, flow_id: int,
-                         rate_shift_delta: float = 0.1,
-                         actions: Sequence[object] = (),
-                         convergence_epsilon: float = 0.02,
-                         convergence_periods: int = 3) -> ObserverReport:
+                         rate_shift_delta: float = 0.1) -> ObserverReport:
     signals = tcp_window_signals(log, window_rounds, flow_id)
-    return _report(signals, (), rate_shift_delta, actions,
-                   convergence_epsilon, convergence_periods)
+    return _report(signals, (), rate_shift_delta)

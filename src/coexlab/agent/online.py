@@ -8,9 +8,9 @@ and the chosen actions run unchanged until the next boundary. One
 skeleton, ``PeriodEngine.run_period``, serves both domains; the mac and
 tcp engines supply only what differs between them.
 
-Two interpretations of each decision are kept apart: the *proposal* is
-the rule-adjusted action with exploration forced off, and feeds the
-convergence detector; the *actuated* action additionally carries the
+One interpretation of each decision yields two actions: the *proposal*
+is the rule-adjusted action before any exploration, and feeds the
+convergence check; the *actuated* action additionally carries the
 strategy's exploration noise from a dedicated perturbation stream, so
 toggling exploration never shifts any other random draw.
 """
@@ -78,6 +78,7 @@ from .config import AgentConfig
 from .observer import (
     NOTABLE_OVERUSED,
     ObserverReport,
+    actions_converged,
     observer_analyze,
     tcp_observer_analyze,
 )
@@ -112,16 +113,26 @@ def _observer_label(report: Optional[ObserverReport]) -> str:
         else f"window {report.window[0]}-{report.window[1]}"
 
 
-def _report_text(report: Optional[ObserverReport]) -> str:
+def _report_text(report: Optional[ObserverReport], converged: bool) -> str:
     if report is None:
         return _NO_REPORT_TEXT
     overused = [e for e in report.notable if e.kind == NOTABLE_OVERUSED]
     return _strip_header(render_template(TEMPLATE_OBSERVER_SUMMARY, {
         "WINDOW": f"{report.window[0]}-{report.window[1]}",
-        "CONVERGED": report.converged,
+        "CONVERGED": converged,
         "ENV_CHANGED": report.env_changed,
         "NOTABLE": overuse_label(overused) if overused else "none",
     })).strip()
+
+
+def _action_json(action, exact: bool = False):
+    """An action as the payload and the trace show it: a mac vector as a
+    list rounded to 6 places unless ``exact``, a tcp window as an int."""
+    if action is None:
+        return None
+    if isinstance(action, (list, tuple)):
+        return list(action) if exact else [round(float(p), 6) for p in action]
+    return int(action)
 
 
 @dataclass
@@ -171,14 +182,14 @@ def tcp_window_objective(log: TcpRoundLog, window_rounds: int) -> float:
 class PeriodEngine:
     """The observe -> decide -> actuate loop shared by both domains.
 
-    Each period observes the trailing window, checks for escape, then
-    decides, interprets and actuates every live team member, returns a
-    ``PeriodRecord`` and advances the environment. The engine keeps no
-    period list: only a period count and the last proposals that the
-    convergence check reads. A domain engine
-    supplies the environment and its clock, the observation, the decision
-    payload and action context, action parsing, the trace wording and the
-    actuation of a held action.
+    Each period observes the trailing window, checks convergence and
+    escape once, then decides, interprets and actuates every live team
+    member, returns a ``PeriodRecord`` and advances the environment. The
+    engine keeps no period list: only a period count and the last
+    proposals that the convergence check reads. A domain engine supplies
+    the environment and its clock, the observation, the decision payload
+    and the signals the strategy's rules read, action parsing, the trace
+    wording and the actuation of a held action.
     """
 
     domain = ""
@@ -204,9 +215,6 @@ class PeriodEngine:
         self.trace = trace
         self.strategy = strategy if explore is None \
             else replace(strategy, explore=explore)
-        self._calm = replace(self.strategy, explore=ExploreSpec(0.0, 0.0))
-        # the calm strategy never draws, so every proposal shares one rng
-        self._calm_rng = np.random.default_rng(0)
         # the strategy as the decision prompt lists it
         self._items = (fenced_json({**strategy_doc(self.strategy),
                                     "id": self.strategy.id}),)
@@ -268,16 +276,15 @@ class PeriodEngine:
     def _check_escape(self, had_report: bool, converged: bool) -> bool:
         """Exploration is re-enabled when the team has converged onto an
         action whose windowed objective has fallen well below the best
-        window seen so far. Only meaningful with a backend in the loop."""
-        if not had_report:
+        window seen so far; never without a backend in the loop."""
+        if self.backend is None or not had_report:
             return False
         objective = self._window_objective()
         best = self._best_objective
         ratio = self.config.escape_ratio
         # objectives may be negative (log utilities), so the allowed slack
         # is applied on the side that always lowers the threshold
-        escaped = (self.backend is not None and converged
-                   and best is not None
+        escaped = (converged and best is not None
                    and objective < (best * ratio if best >= 0
                                     else best / ratio))
         if best is None or objective > best:
@@ -297,7 +304,9 @@ class PeriodEngine:
         shared, reports = self._observe(t0, team)
         found = [r for r in shared if r is not None]
         first = found[0] if found else None
-        converged = any(r.converged for r in found)
+        converged = first is not None and actions_converged(
+            self.proposal_history, self.config.convergence_epsilon,
+            self.config.convergence_periods)
         env_changed = any(r.env_changed for r in found)
         escaped = self._check_escape(first is not None, converged)
 
@@ -308,7 +317,8 @@ class PeriodEngine:
                 f"period {index} {self.unit}s {t0}-{t0 + length - 1}")
             obs_node = period_node.child(
                 ACTOR_OBSERVER, _observer_label(first),
-                outputs=_report_text(first) if self.shared_report else None,
+                outputs=_report_text(first, converged)
+                if self.shared_report else None,
                 converged=converged, env_changed=env_changed, escape=escaped)
         record = PeriodRecord(
             index=index, start=t0, length=length,
@@ -322,14 +332,15 @@ class PeriodEngine:
             report = reports[mid]
             payload = self._payload(mid, report)
             decision, fell_back, note = self._decide(
-                mid, payload, _report_text(report),
+                mid, payload, _report_text(report, converged),
                 tag=f"{self.member}/{mid}/p{index}")
             held = decision is not None and \
                 decision == self._prev_decision.get(mid)
-            proposal = interpret_action(self._calm, self._context(
-                report, self._calm_rng, decision, False)).action
-            actuated = interpret_action(self.strategy, self._context(
-                report, self._noise_rngs[mid], decision, escaped)).action
+            interpreted = interpret_action(self.strategy, ActionContext(
+                rng=self._noise_rngs[mid], base_override=decision,
+                escape_sigma=self.config.escape_sigma if escaped else None,
+                **self._signals(report)))
+            proposal, actuated = interpreted.proposal, interpreted.action
             self._actuate(mid, actuated)
             if decision is not None:
                 self._prev_decision[mid] = decision
@@ -343,12 +354,12 @@ class PeriodEngine:
             if obs_node is not None:
                 what = "fallback" if fell_back \
                     else self._action_label(proposal, report, held, decision)
-                shown, out = self._trace_actions(proposal, actuated)
-                data = {"action": shown}
+                data = {"action": _action_json(proposal)}
                 if note:
                     data["ranker"] = note
                 obs_node.child(ACTOR_NODE, f"{self.member} {mid} {what}",
-                               inputs=payload, outputs={"action": out},
+                               inputs=payload, outputs={
+                                   "action": _action_json(actuated, True)},
                                **data)
 
         record.fallbacks = tuple(fallbacks)
@@ -407,9 +418,6 @@ class MacPeriodEngine(PeriodEngine):
                 exclude_ids=self.team,
                 overuse_threshold=cfg.overuse_threshold,
                 rate_shift_delta=cfg.rate_shift_delta,
-                actions=self.proposal_history,
-                convergence_epsilon=cfg.convergence_epsilon,
-                convergence_periods=cfg.convergence_periods,
             )
         return [report], dict.fromkeys(team, report)
 
@@ -429,14 +437,12 @@ class MacPeriodEngine(PeriodEngine):
 
     def _payload(self, nid: int, report: Optional[ObserverReport]) \
             -> Dict[str, object]:
-        prev = self._prev_decision.get(nid)
         payload: Dict[str, object] = {
             "domain": DOMAIN_MAC,
             "node": nid,
             "frame_len": self.frame_len,
-            "base": [round(float(p), 6) for p in self.strategy.base_action],
-            "prev_action": None if prev is None
-            else [round(float(p), 6) for p in prev],
+            "base": _action_json(self.strategy.base_action),
+            "prev_action": _action_json(self._prev_decision.get(nid)),
             "have_report": report is not None,
         }
         if report is not None:
@@ -452,18 +458,12 @@ class MacPeriodEngine(PeriodEngine):
             })
         return payload
 
-    def _context(self, report: Optional[ObserverReport], rng,
-                 base_override, escaped: bool) -> ActionContext:
-        return ActionContext(
-            rng=rng,
-            slot_utilization=None if report is None
-            else report.signals.slot_utilization,
-            env_changed=False if report is None else report.env_changed,
-            collision_rate=0.0 if report is None
-            else report.signals.collision_rate,
-            base_override=base_override,
-            escape_sigma=self.config.escape_sigma if escaped else None,
-        )
+    def _signals(self, report: Optional[ObserverReport]) -> Dict[str, object]:
+        if report is None:
+            return {}
+        return {"slot_utilization": report.signals.slot_utilization,
+                "env_changed": report.env_changed,
+                "collision_rate": report.signals.collision_rate}
 
     def _action_label(self, proposal, report: Optional[ObserverReport],
                       held: bool, decision) -> str:
@@ -473,9 +473,6 @@ class MacPeriodEngine(PeriodEngine):
         if held:
             return "hold action"
         return "strategy action" if decision is None else "base action"
-
-    def _trace_actions(self, proposal, actuated):
-        return [round(float(p), 6) for p in proposal], list(actuated)
 
     def _actuate(self, nid: int, action) -> None:
         self.policy.set_vector(nid, action)
@@ -521,9 +518,6 @@ class TcpPeriodEngine(PeriodEngine):
                 window_rounds=cfg.tcp_observer_window_rounds,
                 flow_id=fid,
                 rate_shift_delta=cfg.rate_shift_delta,
-                actions=self.proposal_history,
-                convergence_epsilon=cfg.convergence_epsilon,
-                convergence_periods=cfg.convergence_periods,
             )
         return list(reports.values()), reports
 
@@ -544,8 +538,8 @@ class TcpPeriodEngine(PeriodEngine):
             "domain": DOMAIN_TCP,
             "flow": fid,
             "cwnd_max": self.spec.cwnd_max,
-            "base": int(self.strategy.base_action),
-            "prev_action": self._prev_decision.get(fid),
+            "base": _action_json(self.strategy.base_action),
+            "prev_action": _action_json(self._prev_decision.get(fid)),
             "have_report": report is not None,
         }
         if report is not None:
@@ -560,18 +554,13 @@ class TcpPeriodEngine(PeriodEngine):
             })
         return payload
 
-    def _context(self, report: Optional[ObserverReport], rng,
-                 base_override, escaped: bool) -> ActionContext:
-        signals = None if report is None else report.signals
-        return ActionContext(
-            rng=rng,
-            env_changed=False if report is None else report.env_changed,
-            collision_rate=0.0 if signals is None else signals.loss_rate,
-            rtt_inflation=0.0 if signals is None else signals.rtt_inflation,
-            cwnd_max=self.spec.cwnd_max,
-            base_override=base_override,
-            escape_sigma=self.config.escape_sigma if escaped else None,
-        )
+    def _signals(self, report: Optional[ObserverReport]) -> Dict[str, object]:
+        if report is None:
+            return {"cwnd_max": self.spec.cwnd_max}
+        return {"cwnd_max": self.spec.cwnd_max,
+                "env_changed": report.env_changed,
+                "collision_rate": report.signals.loss_rate,
+                "rtt_inflation": report.signals.rtt_inflation}
 
     def _action_label(self, proposal, report: Optional[ObserverReport],
                       held: bool, decision) -> str:
@@ -579,9 +568,6 @@ class TcpPeriodEngine(PeriodEngine):
             return f"hold cwnd {proposal}"
         return f"strategy cwnd {proposal}" if decision is None \
             else f"cwnd {proposal}"
-
-    def _trace_actions(self, proposal, actuated):
-        return int(proposal), int(actuated)
 
     def _actuate(self, fid: int, action) -> None:
         self._held[fid] = int(action)

@@ -297,7 +297,8 @@ MAC_FORMAT = ScenarioFormat(
               DEFAULT_SLOT_MS),
     ),
     ranges=(("frame_len", lambda v: v < 1, "must be >= 1"),
-            ("total_frames", lambda v: v < 1, "must be >= 1")),
+            ("total_frames", lambda v: v < 1, "must be >= 1"),
+            ("seed", lambda v: v < 0, "must be >= 0")),
     lifetime=("join_frame", "leave_frame"),
     check_member=_check_node,
 )

@@ -154,6 +154,10 @@ class RunConfig:
         if self.backend == BACKEND_HTTP and not (self.endpoint and self.model):
             raise InvalidScenarioError(
                 "backend", "http backend needs --endpoint and --model")
+        # the scenario format checks a seed read from the file
+        for name in ("seed", "demo_seed"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
+                raise InvalidScenarioError(name, "must be >= 0")
 
 
 def _read_json(path: str, error_path: str):

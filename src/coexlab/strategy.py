@@ -9,8 +9,8 @@ validates and interprets this restricted language.
 Interpretation order is fixed: base action, then rules in order (later
 rules overwrite earlier ones slot-wise), then the optional epsilon
 uniform resample, then Gaussian perturbation, then clipping to the valid
-range. Canonical serialization is byte-stable and is what the strategy
-id hashes.
+range; the rule-adjusted action, clipped alike, is the proposal.
+Canonical serialization is byte-stable and is what the strategy id hashes.
 """
 
 from __future__ import annotations
@@ -431,6 +431,8 @@ class ActionContext:
 @dataclass(frozen=True)
 class InterpretedAction:
     action: BaseAction
+    # the rule-adjusted action, clipped, before any exploration
+    proposal: BaseAction
     fired_rules: Tuple[int, ...] = ()
     epsilon_resampled: bool = False
     sigma_used: float = 0.0
@@ -454,6 +456,13 @@ def _trigger_fires(trig: Trigger, ctx: ActionContext) -> bool:
     if trig.signal == SIGNAL_UTILIZATION_GE:
         return any(v >= trig.theta for v in values)
     return any(v == 0.0 for v in values)
+
+
+def _clip(value, cwnd_max: int) -> BaseAction:
+    if isinstance(value, list):
+        return tuple(min(1.0, max(0.0, p)) for p in value)
+    # clipping before rounding keeps an overflowed window finite
+    return int(round(min(cwnd_max, max(1, value))))
 
 
 def interpret_action(s: Strategy, ctx: ActionContext) -> InterpretedAction:
@@ -495,6 +504,8 @@ def interpret_action(s: Strategy, ctx: ActionContext) -> InterpretedAction:
             elif eff.kind == EFFECT_SCALE_ALL:
                 cwnd *= eff.factor
 
+    proposal = _clip(vec if s.domain == DOMAIN_MAC else cwnd, ctx.cwnd_max)
+
     epsilon = s.explore.epsilon
     sigma = s.explore.sigma
     if ctx.escape_sigma is not None:
@@ -512,17 +523,17 @@ def interpret_action(s: Strategy, ctx: ActionContext) -> InterpretedAction:
         if sigma > 0.0:
             noise = ctx.rng.normal(0.0, sigma, size=len(vec))
             vec = [p + float(n) for p, n in zip(vec, noise)]
-        action = tuple(min(1.0, max(0.0, p)) for p in vec)
+        action = _clip(vec, ctx.cwnd_max)
     else:
         if epsilon > 0.0 and float(ctx.rng.random()) < epsilon:
             cwnd = float(ctx.rng.integers(1, ctx.cwnd_max + 1))
             epsilon_resampled = True
         if sigma > 0.0:
             cwnd += float(ctx.rng.normal(0.0, sigma))
-        # clipping before rounding keeps an overflowed window finite
-        action = int(round(min(ctx.cwnd_max, max(1, cwnd))))
+        action = _clip(cwnd, ctx.cwnd_max)
     return InterpretedAction(
         action=action,
+        proposal=proposal,
         fired_rules=tuple(fired),
         epsilon_resampled=epsilon_resampled,
         sigma_used=sigma,

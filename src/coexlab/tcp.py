@@ -111,7 +111,8 @@ TCP_FORMAT = ScenarioFormat(
             ("link_capacity_pps", lambda v: v <= 0, "must be positive"),
             ("base_rtt_s", lambda v: v <= 0, "must be positive"),
             ("buffer_pkts", lambda v: v < 0, "must be >= 0"),
-            ("cwnd_max", lambda v: v < 1, "must be >= 1")),
+            ("cwnd_max", lambda v: v < 1, "must be >= 1"),
+            ("seed", lambda v: v < 0, "must be >= 0")),
     lifetime=("join_round", "leave_round"),
 )
 

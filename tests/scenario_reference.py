@@ -88,6 +88,8 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         raise InvalidScenarioError("frame_len", "must be >= 1")
     if spec.total_frames < 1:
         raise InvalidScenarioError("total_frames", "must be >= 1")
+    if spec.seed < 0:
+        raise InvalidScenarioError("seed", "must be >= 0")
     if not spec.nodes:
         raise InvalidScenarioError("nodes", "at least one node required")
     for i, cfg in enumerate(spec.nodes):
@@ -191,6 +193,8 @@ def validate_tcp_scenario(spec: TcpScenarioSpec) -> None:
         raise InvalidScenarioError("buffer_pkts", "must be >= 0")
     if spec.cwnd_max < 1:
         raise InvalidScenarioError("cwnd_max", "must be >= 1")
+    if spec.seed < 0:
+        raise InvalidScenarioError("seed", "must be >= 0")
     if not spec.flows:
         raise InvalidScenarioError("flows", "at least one flow required")
     for i, flow in enumerate(spec.flows):

@@ -552,6 +552,31 @@ class TestEvaluation:
         assert out.episode["live_n"] == 2
         assert out.episode["j"] == round(out.j, 6)
 
+    @pytest.mark.parametrize("domain", ["mac", "tcp"])
+    def test_headless_evaluation_computes_no_window_objective(
+            self, domain, monkeypatch):
+        # with no backend in the loop escape never fires, so the engine
+        # has no use for the window objective
+        from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
+
+        def refuse(engine):
+            raise AssertionError("window objective computed headless")
+
+        for cls in (MacPeriodEngine, TcpPeriodEngine):
+            monkeypatch.setattr(cls, "_window_objective", refuse)
+        if domain == "mac":
+            out = evaluate_mac_strategy(agent_vs_tdma(frames=800),
+                                        plain_mac_strategy(0.4),
+                                        AgentConfig(eval_frames=800))
+        else:
+            spec = TcpScenarioSpec(
+                total_rounds=400, seed=13,
+                flows=(TcpFlowConfig(controller=CONTROLLER_AGENT),
+                       TcpFlowConfig(controller=CONTROLLER_RENO)))
+            out = evaluate_tcp_strategy(spec, tcp_strategy(9),
+                                        AgentConfig(eval_rounds=400))
+        assert out.episode["j"] == round(out.j, 6)
+
     def test_tcp_episode_carries_summary_stats(self):
         spec = TcpScenarioSpec(
             total_rounds=400, seed=13,

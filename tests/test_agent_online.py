@@ -636,11 +636,30 @@ class TestNonFiniteDecisions:
 
 
 @pytest.mark.parametrize("domain", ["mac", "tcp"])
-def test_calm_proposals_draw_nothing_from_their_shared_rng(domain):
-    # exploration is on, so every actuated action draws; the proposals,
-    # interpreted with exploration off, share one generator that must
-    # still be in its seeded state after the run
+def test_calm_proposals_draw_nothing_from_their_shared_rng(domain,
+                                                           monkeypatch):
+    # exploration is on, so every actuated action draws. Each decision is
+    # interpreted once; its proposal must equal the calm interpretation
+    # (exploration and escape off) of the same decision, which draws
+    # nothing, and the member's generator must advance by the actuated
+    # draws alone
+    from dataclasses import replace
+
     import numpy as np
+
+    import coexlab.agent.online as online
+    from coexlab.strategy import interpret_action
+
+    calls = []
+
+    def recording(strategy, ctx):
+        before = ctx.rng.bit_generator.state
+        out = interpret_action(strategy, ctx)
+        calls.append((strategy, ctx, before, ctx.rng.bit_generator.state,
+                      out))
+        return out
+
+    monkeypatch.setattr(online, "interpret_action", recording)
     explore = ExploreSpec(epsilon=0.3, sigma=0.5)
     if domain == "mac":
         engine = MacPeriodEngine(static_mac_spec(frames=400),
@@ -652,11 +671,47 @@ def test_calm_proposals_draw_nothing_from_their_shared_rng(domain):
                                total_rounds=400, seed=1)
         engine = TcpPeriodEngine(spec, tcp_strategy_json(), explore=explore,
                                  backend=ScriptedBackend())
-    noise = {mid: rng.bit_generator.state["state"]
-             for mid, rng in engine._noise_rngs.items()}
     periods = run_collect(engine, engine.period * 3)
     assert [sorted(p.actuated) for p in periods] == [[0]] * 3
-    assert engine._calm_rng.bit_generator.state == \
-        np.random.default_rng(0).bit_generator.state
-    assert all(rng.bit_generator.state["state"] != noise[mid]
-               for mid, rng in engine._noise_rngs.items())
+    assert len(calls) == 3
+    for period, (strategy, ctx, before, after, out) in zip(periods, calls):
+        assert ctx.rng is engine._noise_rngs[0]
+        assert period.proposals[0] == out.proposal
+        assert period.actuated[0] == out.action
+        fresh = np.random.default_rng(0)
+        calm = interpret_action(replace(strategy, explore=ExploreSpec()),
+                                replace(ctx, escape_sigma=None, rng=fresh))
+        assert calm.action == out.proposal
+        assert fresh.bit_generator.state == \
+            np.random.default_rng(0).bit_generator.state
+        replay = np.random.default_rng()
+        replay.bit_generator.state = before
+        assert interpret_action(strategy, replace(ctx, rng=replay)).action \
+            == out.action
+        assert replay.bit_generator.state == after != before
+
+
+def test_two_flow_engine_checks_convergence_once_per_period(monkeypatch):
+    import coexlab.agent.observer as observer
+    import coexlab.agent.online as online
+
+    calls = []
+
+    def counted(actions, epsilon, periods):
+        calls.append(len(actions))
+        return actions_converged(actions, epsilon, periods)
+
+    monkeypatch.setattr(observer, "actions_converged", counted)
+    monkeypatch.setattr(online, "actions_converged", counted, raising=False)
+    spec = TcpScenarioSpec(flows=[TcpFlowConfig(CONTROLLER_AGENT),
+                                  TcpFlowConfig(CONTROLLER_AGENT),
+                                  TcpFlowConfig(CONTROLLER_RENO)],
+                           total_rounds=600, seed=1)
+    engine = TcpPeriodEngine(spec, tcp_strategy_json(),
+                             backend=ScriptedBackend())
+    periods = run_collect(engine, 600)
+    assert [sorted(p.actuated) for p in periods] == [[0, 1]] * 6
+    # the first period has no observer report and so no convergence check
+    assert [p.had_report for p in periods] == [False] + [True] * 5
+    assert calls == [1, 2, 3, 4, 4]
+    assert [p.converged for p in periods] == [False] * 4 + [True] * 2

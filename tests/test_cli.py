@@ -41,6 +41,10 @@ from coexlab.scripted import ScriptedBackend
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the count settings whose floor is not 1: a DYNAMIC demo needs two
+# frames or rounds to switch its population in
+DEMO_WINDOW_FLOORS = {"demo_frames": 2, "demo_rounds": 2}
+
 FAST_AGENT = {
     "demo_k": 3, "demo_frames": 40, "demo_rounds": 60,
     "eval_frames": 400, "eval_rounds": 200, "n_max": 2,
@@ -546,8 +550,64 @@ class TestRunCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert f"agent setting {name} must be >= {value + 1}" \
-            in err["message"]
+        least = DEMO_WINDOW_FLOORS.get(name, value + 1)
+        assert f"agent setting {name} must be >= {least}" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario,name", [
+        ("tcp_agent_reno.json", "demo_rounds"),
+        ("mac_2a1h.json", "demo_frames"),
+    ])
+    def test_demo_window_of_one_exits_2_and_two_runs(self, tmp_path,
+                                                     scenario, name, capsys):
+        # a DYNAMIC demo switches its population half way through its
+        # window, which a window of one frame or round cannot hold
+        path = str(ROOT / "scenarios" / scenario)
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({name: 1}), encoding="utf-8")
+        out = tmp_path / "o1"
+        assert run_cli("run", "--scenario", path, "--out", str(out),
+                       "--agent-json", str(one)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert f"agent setting {name} must be >= 2" in err["message"]
+        assert not out.exists()
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps({name: 2}), encoding="utf-8")
+        assert run_cli("run", "--scenario", path, "--out",
+                       str(tmp_path / "o2"), "--agent-json", str(two)) == 0
+
+    @pytest.mark.parametrize("scenario,flags,name", [
+        ("mac_1a1h.json", ("--seed", "-1"), "seed"),
+        ("tcp_reno2.json", ("--seed", "-1"), "seed"),
+        ("mac_1a1h.json", ("--seed", "-1", "--replicas", "2"), "seed"),
+        ("mac_1a1h.json", ("--demo-seed", "-4"), "demo_seed"),
+        ("tcp_agent_reno.json", ("--demo-seed", "-4"), "demo_seed"),
+    ], ids=["mac", "tcp-no-agent", "replicas", "demo-mac", "demo-tcp"])
+    def test_negative_seed_flag_exits_2_and_names_it(self, tmp_path,
+                                                     scenario, flags, name,
+                                                     capsys):
+        out = tmp_path / "o"
+        code = run_cli("run", "--scenario", str(ROOT / "scenarios" / scenario),
+                       "--out", str(out), *flags)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InvalidScenarioError",
+                       "message": f"{name}: must be >= 0"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "offline"])
+    def test_negative_scenario_seed_exits_2_before_any_artifact(
+            self, tmp_path, command, capsys):
+        doc = json.loads((ROOT / "scenarios/mac_1a1h.json").read_text())
+        scenario = tmp_path / "negative.json"
+        scenario.write_text(json.dumps({**doc, "seed": -2}),
+                            encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli(command, "--scenario", str(scenario),
+                       "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InvalidScenarioError",
+                       "message": "seed: must be >= 0"}
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,name", [
@@ -1156,6 +1216,15 @@ class TestDemosCommand:
         doc = read_json(out, ARTIFACT_DEMOS)
         assert doc["version"] == "demos-v1"
         assert doc["family"] == "tcp" and doc["K"] == 2
+
+    def test_negative_seed_exits_2_and_names_it(self, tmp_path, capsys):
+        out = tmp_path / "demos"
+        assert run_cli("demos", "--family", "tcp", "--k", "1",
+                       "--seed", "-5", "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "seed must be >= 0, got -5"}
+        assert not out.exists()
 
 
 class TestOfflineCommand:

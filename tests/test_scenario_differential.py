@@ -78,7 +78,8 @@ MAC_MEMBER = {
 MAC_LIFETIME = {"join_frame": mostly(st.integers(0, 20), st.just(-1)),
                 "leave_frame": mostly(st.integers(21, 40) | st.none(),
                                       st.integers(0, 20))}
-MAC_TOP = {"total_frames": st.integers(1, 40), "seed": st.integers(0, 9)}
+MAC_TOP = {"total_frames": st.integers(1, 40),
+           "seed": mostly(st.integers(0, 9), st.just(-1))}
 MAC_TOP_OPTIONAL = {"frame_len": st.integers(10, 12),
                     "slot_duration_ms": st.floats(0.1, 2.0) | st.just(1)}
 TCP_MEMBER = {
@@ -86,7 +87,8 @@ TCP_MEMBER = {
 TCP_LIFETIME = {"join_round": mostly(st.integers(0, 20), st.just(-1)),
                 "leave_round": mostly(st.integers(21, 40) | st.none(),
                                       st.integers(0, 20))}
-TCP_TOP = {"total_rounds": st.integers(1, 40), "seed": st.integers(0, 9)}
+TCP_TOP = {"total_rounds": st.integers(1, 40),
+           "seed": mostly(st.integers(0, 9), st.just(-1))}
 TCP_TOP_OPTIONAL = {
     "cwnd_max": st.integers(1, 80),
     "link_capacity_pps": mostly(st.floats(1.0, 300.0) | st.just(125),

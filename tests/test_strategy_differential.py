@@ -5,13 +5,17 @@
 Parsing must give the same strategy id or the same diagnostics (path and
 message, in order); validation of hand-built strategies, with any mix of
 set parameters including NaN and out-of-range values, must give the same
-diagnostics.
+diagnostics. The proposal ``interpret_action`` returns beside the actuated
+action must equal the action of a calm interpretation (exploration and
+escape off), which draws nothing from its generator.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +23,7 @@ import strategy_reference as ref
 from coexlab.errors import StrategyParseError
 from coexlab.strategy import (
     PROVENANCES,
+    ActionContext,
     Effect,
     ExploreSpec,
     Rule,
@@ -26,6 +31,7 @@ from coexlab.strategy import (
     Trigger,
     _EFFECTS,
     _SIGNALS,
+    interpret_action,
     parse_strategy,
     strategy_id,
     validate_strategy,
@@ -140,3 +146,45 @@ def test_validate_matches_reference(s, frame_len, cwnd_max, domain):
     kwargs = dict(frame_len=frame_len, cwnd_max=cwnd_max, domain=domain)
     assert validate_strategy(s, **kwargs) == \
         ref.validate_strategy(s, **kwargs)
+
+
+@st.composite
+def interpretations(draw):
+    """A strategy that parses, with exploration in range and rules that
+    may reset it, and a context of its domain with no generator yet."""
+    domain = draw(st.sampled_from(["mac", "tcp"]))
+    action = st.lists(st.floats(-0.5, 1.5), min_size=FRAME_LEN,
+                      max_size=FRAME_LEN) if domain == "mac" \
+        else st.integers(-5, 80)
+    strategy = parse_strategy(json.dumps({
+        "version": "strategy-v1", "domain": domain,
+        "base_action": draw(action),
+        "rules": draw(st.lists(sound_rule_docs, max_size=4)),
+        "explore": {"epsilon": draw(st.just(0.0) | st.floats(0.0, 1.0)),
+                    "sigma": draw(st.just(0.0) | st.floats(0.0, 2.0))}}))
+    context = ActionContext(
+        rng=None,
+        slot_utilization=draw(st.none() | st.lists(
+            st.floats(0.0, 1.0), min_size=FRAME_LEN,
+            max_size=FRAME_LEN).map(tuple)),
+        env_changed=draw(st.booleans()),
+        collision_rate=draw(st.floats(0.0, 1.0)),
+        rtt_inflation=draw(st.floats(0.0, 3.0)),
+        cwnd_max=draw(st.integers(1, 70)),
+        base_override=draw(st.none() | action),
+        escape_sigma=draw(st.none() | st.floats(0.0, 2.0)))
+    return strategy, context
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=interpretations(), seed=st.integers(0, 2 ** 32 - 1))
+def test_proposal_matches_calm_interpretation(case, seed):
+    strategy, context = case
+    fresh = np.random.default_rng(seed)
+    calm = interpret_action(replace(strategy, explore=ExploreSpec()),
+                            replace(context, escape_sigma=None, rng=fresh))
+    out = interpret_action(strategy, replace(
+        context, rng=np.random.default_rng(seed)))
+    assert out.proposal == calm.action
+    assert fresh.bit_generator.state == \
+        np.random.default_rng(seed).bit_generator.state
