@@ -49,6 +49,7 @@ from ..mac import (
     purpose_rng,
     run_frames,
 )
+from ..metrics import SuccessTotals
 from ..oracle import fair_objective
 from ..strategy import (
     ActionContext,
@@ -168,8 +169,9 @@ def mac_window_objective(log: TrajectoryLog, window_frames: int,
     """Social objective over the trailing window: alpha-fair value of the
     per-node success rates among nodes live inside the window."""
     end = log.n_frames
-    rates = log.success_rates(max(0, end - window_frames), end)
-    return fair_objective(rates.values(), alpha)
+    totals = SuccessTotals(log.n_nodes)
+    totals.add(log, max(0, end - window_frames), end)
+    return fair_objective(totals.rates().values(), alpha)
 
 
 def tcp_window_objective(log: TcpRoundLog, window_rounds: int) -> float:

@@ -36,6 +36,15 @@ the per-slot transmitter counts. The result is bit-identical to deciding
 one slot at a time: ``Generator.random(n)`` yields the same doubles as n
 scalar ``random()`` calls, every stream is private to one node, and each
 stateful machine sees the same slots, and draws in the same ones.
+
+A log may be given a consumer (``TrajectoryLog.stream``, the protocol of
+``scenario.BlockStreamedLog``): ``run_frames`` then also stops at every
+frame count where a block of ``READ_BLOCK_FRAMES`` frames may be handed
+over, which changes no draw for the reasons above, and the log drops
+the block. The log then holds frames from ``first_kept`` on, at most one
+block plus the kept frames, so its columns stop growing with the
+horizon, and a read of an earlier frame or slot raises ``IndexError``.
+The end-of-run readers are such a consumer.
 """
 
 from __future__ import annotations
@@ -48,8 +57,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidScenarioError, MissingDecisionError
-from .scenario import (Field, ScenarioFormat, Timeline, nullable,
-                       validate_scenario)
+from .scenario import (BlockStreamedLog, Field, ScenarioFormat, Timeline,
+                       nullable, validate_scenario)
 from .strategy import finite_integer, finite_number
 
 DEFAULT_FRAME_LEN = 10
@@ -124,6 +133,8 @@ _SUCCESS = _OUTCOMES.index(SlotOutcome.SUCCESS)
 # Slots one kernel pass resolves at most; bounds its temporary arrays
 # whatever the horizon.
 KERNEL_CHUNK_SLOTS = 1 << 16
+# the frames a streamed log hands its consumer at a time
+READ_BLOCK_FRAMES = 512
 
 
 def _doubled(col: np.ndarray) -> np.ndarray:
@@ -134,15 +145,24 @@ def _doubled(col: np.ndarray) -> np.ndarray:
     return grown
 
 
-class TrajectoryLog:
+class TrajectoryLog(BlockStreamedLog):
     """Slot history of a run, stored as columns: per slot an outcome code
     and a transmit flag per node, in numpy arrays that grow by doubling,
     and per frame each node's successes. Liveness is the ``timeline`` of
     frames, one entry per node. The counting methods cover the logged
-    slots of frames ``[f0, f1)``, 0 <= f0 <= f1; ``records`` rebuilds
-    ``SlotRecord``s on demand."""
+    slots of frames ``[f0, f1)``, first_kept <= f0 <= f1; ``records``
+    rebuilds ``SlotRecord``s on demand.
+
+    A streamed log (``stream``) hands its consumer blocks of
+    ``READ_BLOCK_FRAMES`` frames and holds the frames from ``first_kept``
+    on: row 0 of the slot columns is the first slot of that frame, and
+    row 0 of the per-frame counts is that frame. ``n_slots`` and
+    ``n_frames`` count every slot and frame logged."""
+
+    unit = "frame"
 
     def __init__(self, frame_len: int, timeline: Timeline):
+        super().__init__()
         self.frame_len = frame_len
         self.timeline = timeline
         self.n_nodes = n_nodes = len(timeline.lifetimes)
@@ -152,17 +172,45 @@ class TrajectoryLog:
         # a node succeeds at most once per slot, so frame_len bounds a count
         self._won = np.zeros((1024, n_nodes),
                              dtype=np.min_scalar_type(frame_len))
-        self.records = SlotRecordView(self)
+
+    @property
+    def records(self) -> SlotRecordView:
+        # built per use: a view kept on the log would form a reference
+        # cycle, which holds a finished log until the collector runs
+        return SlotRecordView(self)
 
     @property
     def n_frames(self) -> int:
         return -(-self.n_slots // self.frame_len)
 
+    @property
+    def n_ticks(self) -> int:
+        return self.n_frames
+
+    def _block_ticks(self) -> int:
+        return READ_BLOCK_FRAMES
+
+    def _drop(self, b0: int, b1: int) -> None:
+        """Move the rows from frame ``b1`` on to the front of each column;
+        the per-frame counts they leave behind are zeroed for reuse."""
+        cut, held = (b1 - b0) * self.frame_len, self.n_slots - self._base()
+        self._outcome[:held - cut] = self._outcome[cut:held]
+        self._tx[:held - cut] = self._tx[cut:held]
+        cut, held = b1 - b0, self.n_frames - b0
+        self._won[:held - cut] = self._won[cut:held]
+        self._won[held - cut:held] = 0
+
+    def _base(self) -> int:
+        """The slot of row 0 of the slot columns."""
+        return self.first_kept * self.frame_len
+
     def append_slots(self, outcome: np.ndarray, tx: np.ndarray) -> None:
         """Append n slots: outcome codes (indexes into ``SlotOutcome``)
         and an (n, n_nodes) transmit mask. The first and last frame they
         touch may be partial; their successes add to the frames' counts."""
-        i, j = self.n_slots, self.n_slots + len(outcome)
+        # rows, from row 0 at the first slot of frame first_kept
+        i = self.n_slots - self._base()
+        j = i + len(outcome)
         while j > len(self._outcome):
             self._outcome = _doubled(self._outcome)
             self._tx = _doubled(self._tx)
@@ -177,29 +225,39 @@ class TrajectoryLog:
         self._won[f0:f1] += np.bincount(
             cells, minlength=(f1 - f0) * self.n_nodes).reshape(
                 f1 - f0, self.n_nodes).astype(self._won.dtype)
-        self.n_slots = j
+        self.n_slots += len(outcome)
 
     def _slots(self, f0: int, f1: int) -> slice:
-        return slice(min(f0 * self.frame_len, self.n_slots),
-                     min(f1 * self.frame_len, self.n_slots))
+        """The rows of the logged slots of frames ``[f0, f1)``."""
+        self._check_kept(f0)
+        base = self._base()
+        return slice(min(f0 * self.frame_len, self.n_slots) - base,
+                     min(f1 * self.frame_len, self.n_slots) - base)
 
-    def node_frame_successes(self, nid: int) -> np.ndarray:
-        """Node ``nid``'s successes in each logged frame, as a read-only
+    def node_frame_successes(self, nid: int, f0: int = 0,
+                             f1: Optional[int] = None) -> np.ndarray:
+        """Node ``nid``'s successes in each logged frame of ``[f0, f1)``
+        (up to the last logged frame when ``f1`` is None), as a read-only
         view of the per-frame counts."""
-        column = self._won[:self.n_frames, nid]
+        self._check_kept(f0)
+        end = self.n_frames if f1 is None else min(f1, self.n_frames)
+        column = self._won[f0 - self.first_kept:end - self.first_kept, nid]
         column.flags.writeable = False
         return column
 
-    def success_rates(self, f0: int, f1: int) -> Dict[int, float]:
-        """Successes over live slots, per node id live in the range."""
-        won = self._won[f0:min(f1, self.n_frames)].sum(
-            axis=0, dtype=np.int64).tolist()
+    def success_counts(self, f0: int, f1: int) -> Tuple[List[int],
+                                                        List[int]]:
+        """Per node id, its successes and its live slots among the logged
+        slots of frames ``[f0, f1)``."""
+        self._check_kept(f0)
+        won = self._won[f0 - self.first_kept:
+                        min(f1, self.n_frames) - self.first_kept]
         live = [0] * self.n_nodes
         for first, end, ids in self.timeline.stretches(f0, f1):
             span = self._slots(first, end)
             for nid in ids:
                 live[nid] += span.stop - span.start
-        return {nid: won[nid] / n for nid, n in enumerate(live) if n}
+        return won.sum(axis=0, dtype=np.int64).tolist(), live
 
     def outcome_counts(self, f0: int, f1: int) -> Dict[SlotOutcome, int]:
         counts = np.bincount(self._outcome[self._slots(f0, f1)],
@@ -213,12 +271,15 @@ class TrajectoryLog:
         span = self._slots(f0, f1)
         keep = sorted(set(range(self.n_nodes)) - set(exclude_ids))
         hit = self._tx[span, keep].any(axis=1)
+        # row 0 is the first slot of a frame
         positions = np.arange(span.start, span.stop) % self.frame_len
         return np.bincount(positions[hit], minlength=self.frame_len).tolist()
 
 
 class SlotRecordView(abc.Sequence):
-    """Read-only ``Sequence[SlotRecord]`` over a log, built on demand."""
+    """Read-only ``Sequence[SlotRecord]`` over a log, built on demand; its
+    length counts every slot logged, and reading a slot of a dropped
+    frame raises ``IndexError``."""
 
     def __init__(self, log: TrajectoryLog):
         self._log = log
@@ -232,9 +293,11 @@ class SlotRecordView(abc.Sequence):
             return [self[k] for k in i]
         log = self._log
         frame, position = divmod(i, log.frame_len)
+        log._check_kept(frame)
         live = log.timeline.live_at(frame)
-        outcome = _OUTCOMES[log._outcome[i]]
-        transmitters = tuple(np.flatnonzero(log._tx[i]).tolist())
+        row = i - log._base()
+        outcome = _OUTCOMES[log._outcome[row]]
+        transmitters = tuple(np.flatnonzero(log._tx[row]).tolist())
         won = outcome is SlotOutcome.SUCCESS
         return SlotRecord(
             slot_index=i, frame_index=frame, frame_position=position,
@@ -521,9 +584,15 @@ def run_frames(env: MacEnvironment, policy: Optional[BernoulliSlotPolicy],
                n_frames: int) -> TrajectoryLog:
     """Run ``n_frames`` full frames, one live-set stretch of the log's
     timeline at a time; ``policy`` must hold a ``frame_len``-entry vector
-    for every live controlled node (it may be None when there are none)."""
+    for every live controlled node (it may be None when there are none).
+    Play stops at every frame count where the log may retire a block, and
+    the log retires what it may."""
+    log = env.log
     start = env.frame_index
-    for f0, f1, live in env.log.timeline.stretches(start, start + n_frames):
+    for _, end, live in log.timeline.stretches(start, start + n_frames):
         env._enter(live)
-        env._run_segment(policy, (f1 - f0) * env.frame_len)
-    return env.log
+        while env.frame_index < end:
+            stop = min(end, log.next_retire())
+            env._run_segment(policy, (stop - env.frame_index) * env.frame_len)
+            log.retire()
+    return log

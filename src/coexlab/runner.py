@@ -47,11 +47,13 @@ from .mac import (
     run_frames,
 )
 from .metrics import (
+    SquaredErrors,
+    SuccessTotals,
     ThroughputSeries,
+    ThroughputWindows,
     jain_index,
-    node_mean_throughputs,
     rmse_vs_reference,
-    windowed_throughput,
+    series_node_ids,
 )
 from .oracle import (
     ReferenceSegment,
@@ -59,7 +61,7 @@ from .oracle import (
     check_alpha,
     fair_objective,
 )
-from .scenario import parse_scenario, scenario_doc
+from .scenario import Timeline, parse_scenario, scenario_doc
 from .scripted import ScriptedBackend
 from .strategy import (
     DOMAIN_MAC,
@@ -71,6 +73,7 @@ from .strategy import (
 )
 from .tcp import (
     CONTROLLER_AGENT,
+    READ_BLOCK_ROUNDS,
     TCP_FORMAT,
     RewardTotal,
     TcpEnvironment,
@@ -239,8 +242,13 @@ def _write_json(path: str, doc: Dict[str, object]) -> None:
     _write_text(path, indented_json(doc) + "\n")
 
 
-# rows the CSV writers format at a time, and rows joined into one write
-CSV_BLOCK_ROWS = 4096
+# rows the CSV writers format at a time, and rows joined into one write;
+# a block's cells are the largest transient of a MAC run's end
+CSV_BLOCK_ROWS = 512
+# a TCP trajectory's cells repeat across many rounds, so its rows are
+# formatted a round-log block at a time: 512-row blocks made tcp_long
+# about a tenth slower
+TCP_BLOCK_ROWS = READ_BLOCK_ROUNDS
 _CHUNK_ROWS = 256
 
 
@@ -276,16 +284,18 @@ def _write_csv(fh: TextIO, header: Sequence[str], n_rows: int,
     _write_rows(fh, 0, n_rows, block)
 
 
-def _write_rows(fh: TextIO, r0: int, r1: int, block: Block) -> None:
-    """Write rows ``[r0, r1)``, ``CSV_BLOCK_ROWS`` at a time, as their
-    lines are joined; ``block(b0, b1)`` gives the cell texts of rows ``[b0,
-    b1)``, one iterable per column. Cells are numbers or empty, so none
-    needs quoting."""
-    for b0 in range(r0, r1, CSV_BLOCK_ROWS):
+def _write_rows(fh: TextIO, r0: int, r1: int, block: Block,
+                rows: Optional[int] = None) -> None:
+    """Write rows ``[r0, r1)``, ``rows`` (by default ``CSV_BLOCK_ROWS``)
+    at a time, as their lines are joined; ``block(b0, b1)`` gives the cell
+    texts of rows ``[b0, b1)``, one iterable per column. Cells are numbers
+    or empty, so none needs quoting."""
+    rows = rows or CSV_BLOCK_ROWS
+    for b0 in range(r0, r1, rows):
         # one expression, so that no name holds a block's cells while the
         # next block's are made
         fh.writelines(_line_chunks(map(",".join, zip(
-            *block(b0, min(b0 + CSV_BLOCK_ROWS, r1))))))
+            *block(b0, min(b0 + rows, r1))))))
 
 
 def _line_chunks(lines: Iterator[str]) -> Iterator[str]:
@@ -300,17 +310,28 @@ def _line_chunks(lines: Iterator[str]) -> Iterator[str]:
         yield text
 
 
-def _write_node_csv(fh: TextIO, frames: Sequence[int],
-                    values: Mapping[int, Sequence[float]]) -> None:
-    """A ``frame`` column, then one column per node id, ascending."""
+def _node_header(node_ids: Sequence[int]) -> List[str]:
+    return ["frame"] + [f"node_{nid}" for nid in node_ids]
+
+
+def _node_rows(frames: Sequence[int],
+               values: Mapping[int, Sequence[float]]) -> Block:
+    """The cells of a ``frame`` column, then of one column per node id,
+    ascending."""
     node_ids = sorted(values)
 
     def block(r0: int, r1: int) -> List[List[str]]:
         return [list(map(str, frames[r0:r1]))] + [
             _float_cells(values[nid][r0:r1]) for nid in node_ids]
 
-    _write_csv(fh, ["frame"] + [f"node_{nid}" for nid in node_ids],
-               len(frames), block)
+    return block
+
+
+def _write_node_csv(fh: TextIO, frames: Sequence[int],
+                    values: Mapping[int, Sequence[float]]) -> None:
+    """A ``frame`` column, then one column per node id, ascending."""
+    _write_csv(fh, _node_header(sorted(values)), len(frames),
+               _node_rows(frames, values))
 
 
 def _write_reference(fh: TextIO,
@@ -357,33 +378,85 @@ def _write_throughput(fh: TextIO, metrics: Dict[str, object],
 def metrics_report(family: str, params: Dict[str, object],
                    means: Mapping[int, float], alpha: float,
                    **extra: object) -> Dict[str, object]:
-    """The metric report of a run of ``family``, with the keys of ``extra``."""
+    """The metric report of a run of ``family``, with the keys of ``extra``.
+    The fairness figures are those of the reported means, rounded as
+    ``throughput.csv`` holds them, so that ``eval`` finds the same."""
+    reported = {i: _cell(v) for i, v in sorted(means.items())}
     return {
         "artifact": "metrics-v1",
         "family": family,
         "params": params,
-        "mean_throughputs": {str(i): _cell(v) for i, v in sorted(means.items())},
-        "jain": _cell(jain_index(list(means.values()))),
-        "alpha_fair": _cell(fair_objective(means.values(), alpha)),
+        "mean_throughputs": {str(i): v for i, v in reported.items()},
+        "jain": _cell(jain_index(list(reported.values()))),
+        "alpha_fair": _cell(fair_objective(reported.values(), alpha)),
         "rmse": None,
         **extra,
     }
 
 
-def mac_metrics_report(series: ThroughputSeries, means: Dict[int, float],
-                       reference: Optional[Mapping[int, Sequence[float]]],
+def mac_metrics_report(means: Mapping[int, float], rmse: Optional[float],
                        config: AgentConfig) -> Dict[str, object]:
-    """The MAC report, with the rmse against ``reference`` if it has one."""
+    """The MAC report, with ``rmse`` if the run has one."""
     report = metrics_report("mac", {
         "alpha": config.alpha,
-        "window_frames": series.window_frames,
+        "window_frames": config.window_frames,
         "warmup_frames": config.warmup_frames,
     }, means, config.alpha)
-    if reference is not None:
-        with contextlib.suppress(MetricDomainError):
-            report["rmse"] = _cell(rmse_vs_reference(
-                series, reference, warmup_frames=config.warmup_frames))
+    if rmse is not None:
+        report["rmse"] = _cell(rmse)
     return report
+
+
+def _rmse(rmse: Callable[[], float]) -> Optional[float]:
+    """``rmse()``, or None where it is undefined."""
+    try:
+        return rmse()
+    except MetricDomainError:
+        return None
+
+
+class MacRunReaders:
+    """The end-of-run readers of a MAC run, fed its slot log in blocks of
+    frames, in order, while the run goes (the consumer of
+    ``TrajectoryLog.stream``): each block's windowed throughputs go to
+    ``trajectory.csv`` through ``fh`` and, against ``reference`` if the
+    run has one, into the running squared error; its successes go into
+    the running node means. ``finish`` feeds the frames left at the end,
+    all of them on a log with no consumer, and returns the report."""
+
+    def __init__(self, fh: TextIO, spec: ScenarioSpec,
+                 reference: Optional[Mapping[int, Sequence[float]]],
+                 config: AgentConfig):
+        self.fh = fh
+        self.config = config
+        node_ids = series_node_ids(Timeline(MAC_FORMAT.lifetimes(spec.nodes)),
+                                   spec.total_frames)
+        self.windows = ThroughputWindows(node_ids, config.window_frames,
+                                         spec.frame_len)
+        self.successes = SuccessTotals(len(spec.nodes))
+        self.errors = None if reference is None \
+            else SquaredErrors(reference, config.warmup_frames)
+        self.fed = 0
+        fh.write(",".join(_node_header(node_ids)) + "\r\n")
+
+    def __call__(self, log: TrajectoryLog, f0: int, f1: int) -> None:
+        block = self.windows.add(log, f0, f1)
+        _write_rows(self.fh, 0, len(block.frames),
+                    _node_rows(block.frames, block.values))
+        self.successes.add(log, f0, f1)
+        if self.errors is not None:
+            try:
+                self.errors.add(block.frames, block.values)
+            except MetricDomainError:   # a reference shorter than the run
+                self.errors = None
+        self.fed = f1
+
+    def finish(self, log: TrajectoryLog) -> Dict[str, object]:
+        self(log, self.fed, log.n_frames)
+        return mac_metrics_report(
+            self.successes.rates(),
+            None if self.errors is None else _rmse(self.errors.rmse),
+            self.config)
 
 
 class TcpRunReaders:
@@ -408,7 +481,8 @@ class TcpRunReaders:
 
     def __call__(self, log: TcpRoundLog, r0: int, r1: int) -> None:
         _write_rows(self.fh, r0, r1,
-                    partial(_tcp_trajectory_block, log, self.n_flows))
+                    partial(_tcp_trajectory_block, log, self.n_flows),
+                    TCP_BLOCK_ROWS)
         self.rewards.add(log, r0, r1)
         self.throughputs.add(log, r0, r1)
         self.fed = r1
@@ -447,15 +521,16 @@ def _segment_policies(spec: ScenarioSpec, seg: ReferenceSegment):
     return zip(controlled, seg.solution.policies)
 
 
-def run_aware_reference(spec: ScenarioSpec,
+def run_aware_reference(env: MacEnvironment,
                         segments: List[ReferenceSegment]) -> TrajectoryLog:
-    """Drive every controlled node with the analytic optimum of each of
-    ``segments``, the segments of ``aware_trajectory(spec)``.
+    """Drive every controlled node of ``env`` with the analytic optimum of
+    each of ``segments``, the segments of ``aware_trajectory`` of its
+    scenario.
 
     This is the reference actuation path: no agent loop, no backend, the
     policy vector switches exactly at population events.
     """
-    env = MacEnvironment(spec)
+    spec = env.spec
     policy = BernoulliSlotPolicy(spec.seed, {})
     for seg in segments:
         for nid, vec in _segment_policies(spec, seg):
@@ -585,8 +660,8 @@ def clear_artifacts(config: RunConfig) -> None:
 def cmd_run(config: RunConfig) -> RunResult:
     """Offline stage (unless a cached strategy is supplied), online stage,
     then the full artifact set, in an output directory cleared of older
-    artifacts. The transcript, the decision trace and a TCP run's
-    trajectory are written while the run goes."""
+    artifacts. The transcript, the decision trace and the trajectory are
+    written while the run goes."""
     spec, family, demo_seed = _prepare(config)
     clear_artifacts(config)
     with _transcript(config.out_dir, make_backend(config)) as wrapped:
@@ -600,6 +675,7 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
 
     offline_result: Optional[OfflineResult] = None
     demos = None
+    keep = _observer_window(agent_cfg, family)
     if family == "mac":
         has_aware = any(n.kind == KIND_AWARE for n in spec.nodes)
         has_agent = any(n.kind == KIND_AGENT for n in spec.nodes)
@@ -611,18 +687,17 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
             if has_aware:
                 raise
             reference = None
-        if has_aware:
-            log = run_aware_reference(spec, segments)
-        elif not has_agent:
-            log = run_frames(MacEnvironment(spec), None, spec.total_frames)
-        else:
-            log, offline_result, demos = _run_agents(
-                config, wrapped, spec, family, demo_seed)
-        series = windowed_throughput(log, agent_cfg.window_frames)
-        metrics = mac_metrics_report(series, node_mean_throughputs(log),
-                                     reference, agent_cfg)
-        _write_file(os.path.join(out, ARTIFACT_TRAJECTORY),
-                    _write_node_csv, series.frames, series.values)
+        with _streamed_files(out, ARTIFACT_TRAJECTORY) as (fh,):
+            readers = MacRunReaders(fh, spec, reference, agent_cfg)
+            if has_aware or not has_agent:
+                env = MacEnvironment(spec)
+                env.log.stream(readers, keep)
+                log = run_aware_reference(env, segments) if has_aware \
+                    else run_frames(env, None, spec.total_frames)
+            else:
+                log, offline_result, demos = _run_agents(
+                    config, wrapped, spec, family, demo_seed, readers)
+            metrics = readers.finish(log)
         if reference is not None:
             _write_file(os.path.join(out, ARTIFACT_REFERENCE),
                         _write_reference, reference)
@@ -635,8 +710,7 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
                     config, wrapped, spec, family, demo_seed, readers)
             else:
                 env = TcpEnvironment(spec)
-                env.log.stream(readers,
-                               agent_cfg.tcp_observer_window_rounds)
+                env.log.stream(readers, keep)
                 tcp_log = run_rounds(env, None, spec.total_rounds)
             metrics = readers.finish(tcp_log, agent_cfg.alpha)
 
@@ -652,13 +726,19 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
                      offline=offline_result)
 
 
+def _observer_window(agent: AgentConfig, family: str) -> int:
+    """The trailing frames or rounds the observer and the window objective
+    read, which a streamed log keeps."""
+    return agent.observer_window_frames if family == "mac" \
+        else agent.tcp_observer_window_rounds
+
+
 def _run_agents(config: RunConfig, backend: Optional[Backend],
                 spec: AnyScenario, family: str, demo_seed: int,
-                readers: Optional[TcpRunReaders] = None):
+                readers: Union[MacRunReaders, TcpRunReaders]):
     """The strategy (offline stage or cached), then the period engine run
-    with its decision trace streamed, and a TCP round log streamed to
-    ``readers``; returns the trajectory log, the offline result and the
-    demos."""
+    with its decision trace streamed, and its log streamed to ``readers``;
+    returns the trajectory log, the offline result and the demos."""
     strategy, offline_result, demos = _obtain_strategy(
         config, backend, spec, family, demo_seed)
     engine_cls, horizon = (MacPeriodEngine, spec.total_frames) \
@@ -666,10 +746,8 @@ def _run_agents(config: RunConfig, backend: Optional[Backend],
     with _streamed_trace(config) as trace:
         engine = engine_cls(spec, strategy, config.agent, backend=backend,
                             trace=trace)
-        if readers is not None:
-            # the observer and the window objective read only this window
-            engine.env.log.stream(readers,
-                                  config.agent.tcp_observer_window_rounds)
+        engine.env.log.stream(readers,
+                              _observer_window(config.agent, family))
         return engine.run(horizon), offline_result, demos
 
 
@@ -853,7 +931,9 @@ def cmd_eval(run_dir: str,
                 raise InvalidScenarioError(
                     ref_file, f"has no column for node_{missing[0]}, "
                               f"which {ARTIFACT_TRAJECTORY} holds")
-        summary = mac_metrics_report(series, means, reference, agent_cfg)
+        rmse = None if reference is None else _rmse(partial(
+            rmse_vs_reference, series, reference, agent_cfg.warmup_frames))
+        summary = mac_metrics_report(means, rmse, agent_cfg)
     else:
         metrics_doc = _read_json(_artifact(run_dir, ARTIFACT_METRICS),
                                  ARTIFACT_METRICS)
@@ -868,10 +948,24 @@ def cmd_eval(run_dir: str,
     return summary
 
 
+def _traced_run(run_dir: str) -> bool:
+    """Whether the run's ``config.json`` shows that tracing was on."""
+    try:
+        doc = _read_json(os.path.join(run_dir, ARTIFACT_CONFIG),
+                         ARTIFACT_CONFIG)
+    except (OSError, ValueError, InvalidScenarioError):
+        return False
+    return isinstance(doc, dict) and doc.get("trace") is True
+
+
 def cmd_trace(run_dir: str) -> Dict[str, str]:
     """Render the decision tree of a traced run as text and DOT files."""
     path = os.path.join(run_dir, ARTIFACT_TRACE)
     if not os.path.isfile(path):
+        if _traced_run(run_dir):
+            raise TracingDisabledError(
+                f"{run_dir} holds no decision trace: the run drives no "
+                f"agent, so it writes none")
         raise TracingDisabledError(
             f"{run_dir} holds no decision trace; rerun with tracing enabled")
     trace = trace_from_doc(_read_json(path, ARTIFACT_TRACE))

@@ -1,6 +1,8 @@
 """Scenario formats: one table per family (``mac.MAC_FORMAT``,
 ``tcp.TCP_FORMAT``) drives parsing, validation and serialization.
 Fields are checked in table order, so an error names the first bad one.
+Both families' logs share the ``Timeline`` of who is live and the
+``BlockStreamedLog`` protocol that hands their history on in blocks.
 """
 
 from __future__ import annotations
@@ -182,3 +184,57 @@ class Timeline:
         bounds = [t0, *self.starts[lo:hi], t1]
         return [(first, end, ids) for first, end, (_, ids) in zip(
             bounds, bounds[1:], self.segments[lo - 1:hi])]
+
+
+class BlockStreamedLog:
+    """The block-streaming protocol of a log of ticks, shared by the MAC
+    slot log (whose blocks are counted in frames) and the TCP round log.
+
+    A log given a consumer (``stream``) hands it each block of
+    ``_block_ticks()`` ticks, in order, once ``keep`` later ticks are
+    logged, and drops the block's rows (``_drop``). The log then holds
+    the ticks from ``first_kept`` on, at most one block plus the kept
+    ticks, and a read of an earlier tick raises ``IndexError``
+    (``_check_kept``). The log's kernel stops at every ``next_retire``
+    tick count and calls ``retire``. A subclass gives the ``unit`` of a
+    tick, ``n_ticks`` (the ticks logged), ``_block_ticks()`` (the ticks
+    per block, read at each use) and ``_drop(b0, b1)``, which drops the
+    rows of ticks ``[b0, b1)``, ``b0`` being ``first_kept``."""
+
+    unit = "tick"
+
+    def __init__(self):
+        self.first_kept = 0
+        self._consumer: Optional[Callable[..., None]] = None
+        self._keep = 0
+
+    def stream(self, consumer: Callable[..., None], keep: int) -> None:
+        """From now on, hand each block ``[b0, b1)`` of ticks, in order, to
+        ``consumer(self, b0, b1)`` once ``keep`` later ticks are logged,
+        then drop it."""
+        self._consumer = consumer
+        self._keep = max(0, keep)
+
+    def next_retire(self) -> int:
+        """The first tick count above ``n_ticks`` at which a block may be
+        retired: ``keep`` ticks past a block end."""
+        block = self._block_ticks()
+        blocks = (self.n_ticks - self._keep) // block + 1
+        return self._keep + block * max(1, blocks)
+
+    def retire(self) -> None:
+        """Hand the consumer every block that lies wholly before the last
+        ``keep`` ticks, and drop it; without a consumer, nothing."""
+        if self._consumer is None:
+            return
+        block = self._block_ticks()
+        while self.first_kept + block <= self.n_ticks - self._keep:
+            b0 = self.first_kept
+            self._consumer(self, b0, b0 + block)
+            self._drop(b0, b0 + block)
+            self.first_kept = b0 + block
+
+    def _check_kept(self, t0: int) -> None:
+        if t0 < self.first_kept:
+            raise IndexError(f"{self.unit} {t0} was dropped; the log holds "
+                             f"{self.unit}s from {self.first_kept} on")

@@ -30,11 +30,12 @@ numpy's pairwise summation, so every floating-point result, and each
 artifact written from one, is the same as when the log held one record
 object per round.
 
-A log may be given a consumer (``TcpRoundLog.stream``): ``run_rounds``
-then hands it each block of ``READ_BLOCK_ROUNDS`` rounds once the log
-holds a given number of rounds after it, and the log drops the block.
-The log then holds rounds from ``first_kept`` on, at most one block plus
-those kept rounds, and a read of an earlier round raises ``IndexError``.
+A log may be given a consumer (``TcpRoundLog.stream``, the protocol of
+``scenario.BlockStreamedLog``): ``run_rounds`` then hands it each block
+of ``READ_BLOCK_ROUNDS`` rounds once the log holds a given number of
+rounds after it, and the log drops the block. The log then holds rounds
+from ``first_kept`` on, at most one block plus those kept rounds, and a
+read of an earlier round raises ``IndexError``.
 The end-of-run readers are such a consumer: their running totals
 (``RewardTotal``, ``ThroughputTotals``) take the blocks in round order
 and give the same floats as they would from a whole log.
@@ -45,11 +46,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import MetricDomainError
-from .scenario import (Field, ScenarioFormat, Timeline, nullable,
-                       validate_scenario)
+from .scenario import (BlockStreamedLog, Field, ScenarioFormat, Timeline,
+                       nullable, validate_scenario)
 from .strategy import finite_integer, finite_number
 
 DEFAULT_CAPACITY_PPS = 125.0      # 1 Mbps / (1000 bytes * 8 bits)
@@ -187,65 +188,42 @@ def tcp_reward(acks: float, rtt: float) -> float:
 READ_BLOCK_ROUNDS = 4096
 
 
-class TcpRoundLog:
+class TcpRoundLog(BlockStreamedLog):
     """Columnar record of the rounds played so far from round
     ``first_kept`` on (see the module docstring). Flow ``fid``'s columns
     ``cwnd[fid]``, ``acks[fid]`` and ``loss[fid]`` hold its live rounds
     from its join round in ``timeline``, or from ``first_kept`` if later,
     on; ``rtt`` holds every round from ``first_kept`` on; ``min_rtt[fid]``
     is the smallest RTT the flow has seen, ``math.inf`` before it first
-    plays."""
+    plays. Streamed blocks are ``READ_BLOCK_ROUNDS`` rounds."""
+
+    unit = "round"
 
     def __init__(self, timeline: Timeline):
+        super().__init__()
         self.n_rounds = 0
-        self.first_kept = 0
         self.timeline = timeline
         self.rtt = array("d")
         self.cwnd = [array("d") for _ in timeline.lifetimes]
         self.acks = [array("d") for _ in timeline.lifetimes]
         self.loss = [array("b") for _ in timeline.lifetimes]
         self.min_rtt = [math.inf] * len(timeline.lifetimes)
-        self._consumer: Optional[Callable[[TcpRoundLog, int, int], None]] \
-            = None
-        self._keep = 0
 
-    def stream(self, consumer: Callable[[TcpRoundLog, int, int], None],
-               keep_rounds: int) -> None:
-        """From now on, hand each block ``[b0, b1)`` of
-        ``READ_BLOCK_ROUNDS`` rounds, in order, to ``consumer(self, b0,
-        b1)`` once ``keep_rounds`` later rounds are logged, then drop it."""
-        self._consumer = consumer
-        self._keep = max(0, keep_rounds)
+    @property
+    def n_ticks(self) -> int:
+        return self.n_rounds
 
-    def next_retire(self) -> int:
-        """The first round count above ``n_rounds`` at which a block may be
-        retired: ``keep_rounds`` past a block end."""
-        blocks = (self.n_rounds - self._keep) // READ_BLOCK_ROUNDS + 1
-        return self._keep + READ_BLOCK_ROUNDS * max(1, blocks)
+    def _block_ticks(self) -> int:
+        return READ_BLOCK_ROUNDS
 
-    def retire(self) -> None:
-        """Hand the consumer every block that lies wholly before the last
-        ``keep_rounds`` rounds, and drop it; without a consumer, nothing."""
-        if self._consumer is None:
-            return
-        while self.first_kept + READ_BLOCK_ROUNDS \
-                <= self.n_rounds - self._keep:
-            b0 = self.first_kept
-            b1 = b0 + READ_BLOCK_ROUNDS
-            self._consumer(self, b0, b1)
-            del self.rtt[:b1 - b0]
-            for fid, (join, _) in enumerate(self.timeline.lifetimes):
-                # a flow that left before b1 has no rounds from b1 on
-                dropped = min(max(join, b1) - max(join, b0),
-                              len(self.cwnd[fid]))
-                for column in (self.cwnd, self.acks, self.loss):
-                    del column[fid][:dropped]
-            self.first_kept = b1
-
-    def _check_kept(self, r0: int) -> None:
-        if r0 < self.first_kept:
-            raise IndexError(f"round {r0} was dropped; the log holds "
-                             f"rounds from {self.first_kept} on")
+    def _drop(self, b0: int, b1: int) -> None:
+        del self.rtt[:b1 - b0]
+        for fid, (join, _) in enumerate(self.timeline.lifetimes):
+            # a flow that left before b1 has no rounds from b1 on
+            dropped = min(max(join, b1) - max(join, b0),
+                          len(self.cwnd[fid]))
+            for column in (self.cwnd, self.acks, self.loss):
+                del column[fid][:dropped]
 
     def flow_rounds(self, fid: int, r0: int, r1: int) -> Tuple[int, int]:
         """The logged rounds of ``[r0, r1)`` in which flow ``fid`` was live,

@@ -1,6 +1,6 @@
 """Artifact parity between two source trees.
 
-    python tests/artifact_parity.py OLD_SRC NEW_SRC
+    python tests/artifact_parity.py OLD_SRC NEW_SRC [--horizon-scale K]
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Under
 each tree in turn, every ``scenarios/*.json`` beside this file runs at
@@ -11,11 +11,18 @@ code, stdout and stderr are kept beside the files it wrote. The two
 output trees are then compared file by file; every file that differs or
 exists under one tree only is printed, and the exit status is 1 when
 there is any.
+
+With ``--horizon-scale K`` (default 1) every scenario is first copied
+into the temporary directory with its ``total_frames`` or
+``total_rounds`` and each ``join_*`` and ``leave_*`` of its members
+multiplied by K, and the copies run in place of the shipped files.
 """
 
 from __future__ import annotations
 
+import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -38,12 +45,32 @@ def _coexlab(src: Path, cwd: Path, log: str, *argv: str) -> None:
         encoding="utf-8")
 
 
-def produce(src: Path, work: Path) -> None:
+def scaled_scenarios(scenarios: Path, out: Path, k: int) -> Path:
+    """Copies of the scenarios in ``scenarios`` under ``out``, their
+    horizons and every member's join and leave ``k`` times as late."""
+    out.mkdir(parents=True)
+    for path in sorted(scenarios.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for key in ("total_frames", "total_rounds"):
+            if key in doc:
+                doc[key] *= k
+        for member in doc.get("nodes", []) + doc.get("flows", []):
+            for key in list(member):
+                if key.startswith(("join_", "leave_")) \
+                        and member[key] is not None:
+                    member[key] *= k
+        (out / path.name).write_text(json.dumps(doc, indent=2),
+                                     encoding="utf-8")
+    return out
+
+
+def produce(src: Path, work: Path, scenarios: Path = SCENARIOS) -> None:
     """Every artifact the comparison reads, written under ``work`` by the
-    package in ``src``; paths on the command lines are relative, so the
+    package in ``src`` from the scenarios in ``scenarios``; paths on the
+    command lines are relative, or the same for both trees, so the
     printed summaries of both trees can be equal."""
     work.mkdir(parents=True)
-    for scenario in sorted(SCENARIOS.glob("*.json")):
+    for scenario in sorted(scenarios.glob("*.json")):
         run = f"runs/{scenario.stem}"
         _coexlab(src, work, f"{scenario.stem}.run.txt", "run", "--backend",
                  "scripted", "--scenario", str(scenario), "--out", run)
@@ -51,7 +78,7 @@ def produce(src: Path, work: Path) -> None:
         _coexlab(src, work, f"{scenario.stem}.trace.txt", "trace",
                  "--run", run)
     _coexlab(src, work, "oracle.txt", "oracle", "--scenario",
-             str(SCENARIOS / ORACLE_SCENARIO), "--out", "oracle")
+             str(scenarios / ORACLE_SCENARIO), "--out", "oracle")
 
 
 def _files(root: Path) -> List[str]:
@@ -70,14 +97,23 @@ def differing_files(old: Path, new: Path) -> List[str]:
 
 
 def main(argv: List[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    old_src, new_src = (Path(arg).resolve() for arg in argv)
+    parser = argparse.ArgumentParser(
+        description=__doc__.strip().splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--horizon-scale", type=int, default=1, metavar="K",
+                        help="run every scenario at K times its horizon")
+    args = parser.parse_args(argv)
+    if args.horizon_scale < 1:
+        parser.error("--horizon-scale must be >= 1")
+    old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
     with tempfile.TemporaryDirectory(prefix="artifact_parity_") as tmp:
+        scenarios = SCENARIOS if args.horizon_scale == 1 else \
+            scaled_scenarios(SCENARIOS, Path(tmp, "scenarios"),
+                             args.horizon_scale)
         old, new = Path(tmp, "old"), Path(tmp, "new")
-        produce(old_src, old)
-        produce(new_src, new)
+        produce(old_src, old, scenarios)
+        produce(new_src, new, scenarios)
         compared = len(_files(old))
         differing = differing_files(old, new)
     for name in differing:

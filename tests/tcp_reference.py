@@ -371,13 +371,15 @@ def tcp_metrics_report(records, config) -> Dict[str, object]:
     total = records[-1].round_index + 1 if records else 0
     first = total // 2
     means = mean_flow_throughputs(list(records), first_round=first)
+    # the fairness figures are those of the means as reported
+    reported = [_cell(v) for _, v in sorted(means.items())]
     return {
         "artifact": "metrics-v1",
         "family": "tcp",
         "params": {"alpha": config.alpha, "first_round": first},
         "mean_throughputs": {str(f): _cell(v) for f, v in sorted(means.items())},
-        "jain": _cell(jain_index(list(means.values()))),
-        "alpha_fair": _cell(fair_objective(means.values(), config.alpha)),
+        "jain": _cell(jain_index(reported)),
+        "alpha_fair": _cell(fair_objective(reported, config.alpha)),
         "social_reward": _cell(mean_social_reward(list(records),
                                                   first_round=first)),
         "rmse": None,

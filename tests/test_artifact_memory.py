@@ -1,6 +1,7 @@
-"""Bounded memory at long horizons: a TCP run hands its round log to the
-end-of-run readers block by block while it goes, so its peak does not
-grow with the horizon; fed one block, the readers hold one block of rows
+"""Bounded memory at long horizons: a TCP run hands its round log, and a
+MAC run its slot log, to the end-of-run readers block by block while it
+goes, so neither run's peak grows with the horizon; fed one block, the
+TCP readers hold one block of rows
 of the trajectory, never the whole text, and one block of rounds for the
 metric report; the rmse against a stepwise reference reads one block of
 frames at a time; counting per-frame successes allocates no (slots x
@@ -12,6 +13,7 @@ reports its array buffers to."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -24,7 +26,7 @@ import numpy as np
 import mac_reference
 import metrics_reference
 
-from coexlab import runner, tcp
+from coexlab import mac, runner, tcp
 from coexlab.agent.config import AgentConfig
 from coexlab.mac import (KIND_AGENT, KIND_ALOHA, BernoulliSlotPolicy,
                          MacEnvironment, NodeConfig, ScenarioSpec,
@@ -154,6 +156,45 @@ def test_tcp_run_peak_does_not_grow_with_the_horizon(tmp_path):
     # the rtt and the first two flows' cwnd and acks of the longer run's
     # extra rounds, which a log kept whole would hold at its end
     assert 5 * (rounds[1] - rounds[0]) * 8 > PEAK_SLACK
+    assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
+
+
+def test_mac_run_peak_does_not_grow_with_the_horizon(tmp_path):
+    # small blocks keep the horizons, and the run under tracemalloc, short;
+    # the log then drops all but one block and the observer window, and
+    # reference.csv is written in blocks shorter than either horizon
+    block, frame_counts = 64, (1_500, 4_500)
+    agent = AgentConfig(demo_k=3, demo_frames=40, eval_frames=400, n_max=2)
+    peaks = []
+    with mock.patch.object(mac, "READ_BLOCK_FRAMES", block), \
+            mock.patch.object(runner, "CSV_BLOCK_ROWS", block):
+        for n_frames in frame_counts:
+            scenario = tmp_path / f"s_{n_frames}.json"
+            scenario.write_text(json.dumps({
+                "version": "mac-v1", "total_frames": n_frames, "seed": 3,
+                "nodes": [{"kind": "agent"}, {"kind": "aloha", "q": 0.2},
+                          {"kind": "aloha", "q": 0.2,
+                           "join_frame": n_frames // 2}]}),
+                encoding="utf-8")
+            config = runner.RunConfig(scenario_path=str(scenario),
+                                      out_dir=str(tmp_path / "run"),
+                                      agent=agent)
+            if not peaks:
+                # first-call allocations (caches, lazy imports) stay out
+                runner.cmd_run(config)
+            # nor do earlier tests' objects that only the collector frees
+            gc.collect()
+            result, peak = traced_peak(runner.cmd_run, config)
+            assert result.metrics["rmse"] is not None
+            peaks.append(peak)
+    trajectory = (tmp_path / "run" / runner.ARTIFACT_TRAJECTORY).read_text()
+    window = agent.window_frames
+    assert trajectory.count("\n") == frame_counts[1] + 2 - window
+    # the slot columns (an outcome code and three transmit flags per
+    # slot) and the three nodes' windowed throughputs of the longer run's
+    # extra frames, which a run that kept its log whole would hold
+    extra = frame_counts[1] - frame_counts[0]
+    assert extra * (10 * 4 + 3 * 8) > PEAK_SLACK
     assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
 
 

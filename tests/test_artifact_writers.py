@@ -4,8 +4,8 @@ row-wise ``_cell`` + ``csv.writer`` writers kept below, for any floats and
 any row count.
 
 The block size is patched small so that row counts cross several blocks;
-the shipped runs at the digest tests' 1,000-frame horizon never fill one
-block of ``CSV_BLOCK_ROWS`` rows.
+the shipped runs at the digest tests' 1,000-frame horizon fill at most two
+blocks of ``CSV_BLOCK_ROWS`` rows.
 """
 
 from __future__ import annotations

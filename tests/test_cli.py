@@ -962,6 +962,27 @@ class TestEvalCommand:
         assert summary["jain"] == metrics["jain"]
         assert summary["params"] == metrics["params"]
 
+    def test_fairness_figures_match_the_run(self, tmp_path, capsys):
+        # the run's unrounded means give a jain of 0.987865 and an
+        # alpha_fair of 6.677398; the six-place means that throughput.csv
+        # holds, and eval reads, give 0.987866 and 6.677399
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "version": "mac-v1", "frame_len": 10, "seed": 1,
+            "total_frames": 700, "nodes": [
+                {"kind": "agent", "leave_frame": 200},
+                {"kind": "aloha", "q": 0.3}]}), encoding="utf-8")
+        out = str(tmp_path / "run")
+        assert run_cli("run", "--scenario", str(scenario), "--out", out,
+                       "--backend", "scripted") == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--run", out) == 0
+        summary = json.loads(capsys.readouterr().out)
+        metrics = read_json(out, ARTIFACT_METRICS)
+        assert (summary["jain"], summary["alpha_fair"]) \
+            == (metrics["jain"], metrics["alpha_fair"]) \
+            == (0.987866, 6.677399)
+
     def test_missing_artifacts_exit_2(self, tmp_path, capsys):
         code = run_cli("eval", "--run", str(tmp_path / "empty"))
         assert code == 2
@@ -1156,8 +1177,23 @@ class TestTraceCommand:
         capsys.readouterr()
         code = run_cli("trace", "--run", out)
         assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] \
-            == "TracingDisabledError"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TracingDisabledError"
+        assert err["message"].endswith("rerun with tracing enabled")
+
+    def test_traced_run_without_agent_says_it_drives_none(self, tmp_path,
+                                                          capsys):
+        out = str(tmp_path / "run")
+        assert run_cli("run", "--scenario",
+                       str(ROOT / "scenarios" / "tcp_reno2.json"),
+                       "--out", out) == 0
+        assert read_json(out, ARTIFACT_CONFIG)["trace"] is True
+        capsys.readouterr()
+        assert run_cli("trace", "--run", out) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TracingDisabledError"
+        assert err["message"] == f"{out} holds no decision trace: the run " \
+            "drives no agent, so it writes none"
 
     @pytest.mark.parametrize("replicas", ["1", "2"])
     def test_reused_out_dir_keeps_no_older_run_artifacts(self, tmp_path,

@@ -6,7 +6,7 @@ recorder's kept entries as JSONL, ``to_json`` and ``to_dot`` give for the
 same run built in memory, while holding no transcript entry and one period of the trace.
 ``cmd_run`` streams both into the run directory, and a run that fails
 leaves complete transcript lines and no partial trace, nor the partial
-``trajectory.csv`` a TCP run writes while it goes. Nor does the
+``trajectory.csv`` a MAC or TCP run writes while it goes. Nor does the
 engine keep its period records: what it holds does not grow with the
 periods it has run.
 """
@@ -27,7 +27,7 @@ import coexlab.agent.trace
 import coexlab.backends
 import coexlab.runner
 import coexlab.scripted
-from coexlab import tcp
+from coexlab import mac, tcp
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
 from coexlab.agent.trace import DecisionTrace, TraceSink
@@ -234,17 +234,19 @@ def test_failed_run_keeps_transcript_lines_and_no_partial_trace(
 
 
 class JoinerOutage:
-    """The scripted backend, down for every decision of flow 2: a flow
-    with no earlier decision to fall back on, so its first period ends the
-    run. Before failing, it notes the rows of the trajectory on disk."""
+    """The scripted backend, down for every decision of the member whose
+    request tags start with ``tag``, by default flow 2: a member with no
+    earlier decision to fall back on, so its first period ends the run.
+    Before failing, it notes the rows of the trajectory on disk."""
 
-    def __init__(self, trajectory):
+    def __init__(self, trajectory, tag="flow/2/"):
         self.inner = ScriptedBackend()
         self.trajectory = trajectory
+        self.tag = tag
         self.rows_on_disk = None
 
     def complete(self, req):
-        if req.request_tag.startswith("flow/2/"):
+        if req.request_tag.startswith(self.tag):
             self.rows_on_disk = self.trajectory.read_text().count("\n")
             raise BackendUnavailableError("simulated outage")
         return self.inner.complete(req)
@@ -281,6 +283,40 @@ def test_failed_tcp_run_removes_its_partial_trajectory(tmp_path,
     assert [e["seq"] for e in entries] == list(range(len(entries)))
     # the online stage got as far as period 7 before the failure
     assert any(e["tag"] == "flow/0/p7" for e in entries)
+
+
+def test_failed_mac_run_removes_its_partial_trajectory(tmp_path,
+                                                       monkeypatch, capsys):
+    # small blocks, so that rows reach the file long before the failure
+    monkeypatch.setattr(mac, "READ_BLOCK_FRAMES", 32)
+    out = tmp_path / "run"
+    backend = JoinerOutage(out / ARTIFACT_TRAJECTORY, tag="node/2/")
+    monkeypatch.setattr(coexlab.runner, "make_backend",
+                        lambda config: backend)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({
+        "version": "mac-v1", "total_frames": 1200, "seed": 3, "nodes": [
+            {"kind": "agent"}, {"kind": "aloha", "q": 0.2},
+            {"kind": "agent", "join_frame": 1000}]}), encoding="utf-8")
+    fast = tmp_path / "agent.json"
+    fast.write_text(json.dumps({"demo_k": 3, "demo_frames": 40,
+                                "eval_frames": 400, "n_max": 2}),
+                    encoding="utf-8")
+    assert main(["run", "--scenario", str(scenario), "--out", str(out),
+                 "--agent-json", str(fast)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] \
+        == "BackendUnavailableError"
+    # by frame 1000 the log has handed over frames [0, 896): the windows
+    # ending at frames 100 to 896, all but those still in the file's write
+    # buffer
+    assert backend.rows_on_disk > 400
+    assert not (out / ARTIFACT_TRAJECTORY).exists()
+    assert not (out / ARTIFACT_TRACE).exists()
+    lines = (out / ARTIFACT_TRANSCRIPT).read_text().splitlines()
+    entries = [json.loads(line) for line in lines]
+    assert [e["seq"] for e in entries] == list(range(len(entries)))
+    # the online stage got as far as period 99 before the failure
+    assert any(e["tag"] == "node/0/p99" for e in entries)
 
 
 def test_trace_files_are_written_while_the_run_goes(tmp_path, monkeypatch):

@@ -184,7 +184,7 @@ def check_readers(env, records, data):
     config = AgentConfig(alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
     block_rows = data.draw(st.integers(1, n + 2), label="block_rows")
     buf = io.StringIO()
-    with mock.patch.object(runner, "CSV_BLOCK_ROWS", block_rows):
+    with mock.patch.object(runner, "TCP_BLOCK_ROWS", block_rows):
         report = outcome(runner.TcpRunReaders(buf, env.spec).finish, log,
                          config.alpha)
     assert report == outcome(ref.tcp_metrics_report, records, config)
