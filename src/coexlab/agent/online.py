@@ -311,6 +311,9 @@ class PeriodEngine:
             self.config.convergence_periods)
         env_changed = any(r.env_changed for r in found)
         escaped = self._check_escape(first is not None, converged)
+        # a shared report is every member's, so it is rendered once
+        shared_text = _report_text(first, converged) \
+            if self.shared_report else None
 
         obs_node = None
         if self.trace is not None:
@@ -318,9 +321,7 @@ class PeriodEngine:
                 self.trace.root.actor,
                 f"period {index} {self.unit}s {t0}-{t0 + length - 1}")
             obs_node = period_node.child(
-                ACTOR_OBSERVER, _observer_label(first),
-                outputs=_report_text(first, converged)
-                if self.shared_report else None,
+                ACTOR_OBSERVER, _observer_label(first), outputs=shared_text,
                 converged=converged, env_changed=env_changed, escape=escaped)
         record = PeriodRecord(
             index=index, start=t0, length=length,
@@ -334,7 +335,8 @@ class PeriodEngine:
             report = reports[mid]
             payload = self._payload(mid, report)
             decision, fell_back, note = self._decide(
-                mid, payload, _report_text(report, converged),
+                mid, payload, shared_text if self.shared_report
+                else _report_text(report, converged),
                 tag=f"{self.member}/{mid}/p{index}")
             held = decision is not None and \
                 decision == self._prev_decision.get(mid)

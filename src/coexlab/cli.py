@@ -5,6 +5,10 @@ JSON on stdout; failures print a machine-readable error on stderr and map
 to exit codes 2 (configuration), 3 (backend) and 4 (unsupported
 population). The API credential is the one setting read from the
 environment (COEXLAB_API_KEY); everything else is a flag.
+
+``run`` and ``offline`` come from ``coexlab.runner``. The handlers of
+oracle, demos, eval and trace import ``coexlab.commands`` when called,
+so a run never compiles those commands.
 """
 
 from __future__ import annotations
@@ -32,12 +36,8 @@ from .runner import (
     BACKENDS,
     RunConfig,
     clear_artifacts,
-    cmd_demos,
-    cmd_eval,
     cmd_offline,
-    cmd_oracle,
     cmd_run,
-    cmd_trace,
     load_scenario,
     _read_json,
     _write_json,
@@ -169,23 +169,27 @@ def _handle_offline(args: argparse.Namespace) -> None:
 
 
 def _handle_oracle(args: argparse.Namespace) -> None:
+    from .commands import cmd_oracle
     report = cmd_oracle(args.scenario, args.out, alpha=args.alpha)
     _emit({"out_dir": args.out, "segments": len(report["segments"]),
            "objectives": [s["objective"] for s in report["segments"]]})
 
 
 def _handle_demos(args: argparse.Namespace) -> None:
+    from .commands import cmd_demos
     path = cmd_demos(args.family, args.k, args.seed, args.out)
     _emit({"path": path, "family": args.family, "k": args.k,
            "seed": args.seed})
 
 
 def _handle_eval(args: argparse.Namespace) -> None:
+    from .commands import cmd_eval
     summary = cmd_eval(args.run, reference_path=args.reference)
     _emit(summary)
 
 
 def _handle_trace(args: argparse.Namespace) -> None:
+    from .commands import cmd_trace
     paths = cmd_trace(args.run)
     _emit(paths)
 

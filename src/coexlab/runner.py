@@ -1,5 +1,10 @@
 """Experiment runner: one command, one self-describing run directory.
 
+This module holds ``cmd_run`` and ``cmd_offline``, the artifact writers
+and the end-of-run readers; the commands a run never calls (oracle,
+demos, eval and trace) live in ``coexlab.commands`` and reuse the
+writers from here.
+
 Every command writes deterministic artifacts: JSON reports carry sorted
 keys and no timestamps, CSV files follow RFC 4180, and transcripts are
 sequence-numbered. Re-running a command with the same configuration and
@@ -9,10 +14,7 @@ the scripted backend reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import contextlib
-import csv
-import io
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -32,7 +34,6 @@ from .backends import (
 from .errors import (
     InvalidScenarioError,
     MetricDomainError,
-    TracingDisabledError,
     UnsupportedPopulationError,
 )
 from .mac import (
@@ -49,16 +50,13 @@ from .mac import (
 from .metrics import (
     SquaredErrors,
     SuccessTotals,
-    ThroughputSeries,
     ThroughputWindows,
     jain_index,
-    rmse_vs_reference,
     series_node_ids,
 )
 from .oracle import (
     ReferenceSegment,
     aware_trajectory,
-    check_alpha,
     fair_objective,
 )
 from .scenario import Timeline, parse_scenario, scenario_doc
@@ -82,7 +80,7 @@ from .tcp import (
     ThroughputTotals,
     run_rounds,
 )
-from .agent.config import AgentConfig, checked_agent_settings
+from .agent.config import AgentConfig
 from .agent.demos import demo_bundle, demos_doc
 from .agent.offline import OfflineResult, run_offline
 from .agent.online import MacPeriodEngine, TcpPeriodEngine
@@ -90,7 +88,6 @@ from .agent.trace import (
     DecisionTrace,
     TraceSink,
     indented_json,
-    trace_from_doc,
 )
 
 BACKEND_SCRIPTED = "scripted"
@@ -598,6 +595,16 @@ def _prepare(config: RunConfig) -> Tuple[AnyScenario, str, int]:
     return spec, family, demo_seed
 
 
+def _drives_agents(spec: AnyScenario) -> bool:
+    """Whether the period engine runs ``spec``: it has an agent flow, or
+    an agent node and no aware one (an aware run actuates the reference
+    for every controlled node)."""
+    if isinstance(spec, ScenarioSpec):
+        kinds = {node.kind for node in spec.nodes}
+        return KIND_AGENT in kinds and KIND_AWARE not in kinds
+    return any(f.controller == CONTROLLER_AGENT for f in spec.flows)
+
+
 @contextlib.contextmanager
 def _transcript(out: str, backend: Optional[Backend]):
     """``backend`` recording into ``transcript.jsonl`` line by line, or
@@ -661,10 +668,12 @@ def cmd_run(config: RunConfig) -> RunResult:
     """Offline stage (unless a cached strategy is supplied), online stage,
     then the full artifact set, in an output directory cleared of older
     artifacts. The transcript, the decision trace and the trajectory are
-    written while the run goes."""
+    written while the run goes; a run that drives no agent queries no
+    backend, so it writes no transcript."""
     spec, family, demo_seed = _prepare(config)
     clear_artifacts(config)
-    with _transcript(config.out_dir, make_backend(config)) as wrapped:
+    backend = make_backend(config) if _drives_agents(spec) else None
+    with _transcript(config.out_dir, backend) as wrapped:
         return _run_stages(config, spec, family, demo_seed, wrapped)
 
 
@@ -676,9 +685,9 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
     offline_result: Optional[OfflineResult] = None
     demos = None
     keep = _observer_window(agent_cfg, family)
+    agents = _drives_agents(spec)
     if family == "mac":
         has_aware = any(n.kind == KIND_AWARE for n in spec.nodes)
-        has_agent = any(n.kind == KIND_AGENT for n in spec.nodes)
         # the aware path actuates the reference, so it needs one
         try:
             reference, segments = aware_trajectory(spec,
@@ -689,7 +698,7 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
             reference = None
         with _streamed_files(out, ARTIFACT_TRAJECTORY) as (fh,):
             readers = MacRunReaders(fh, spec, reference, agent_cfg)
-            if has_aware or not has_agent:
+            if not agents:
                 env = MacEnvironment(spec)
                 env.log.stream(readers, keep)
                 log = run_aware_reference(env, segments) if has_aware \
@@ -702,10 +711,9 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
             _write_file(os.path.join(out, ARTIFACT_REFERENCE),
                         _write_reference, reference)
     else:
-        has_agent = any(f.controller == CONTROLLER_AGENT for f in spec.flows)
         with _streamed_files(out, ARTIFACT_TRAJECTORY) as (fh,):
             readers = TcpRunReaders(fh, spec)
-            if has_agent:
+            if agents:
                 tcp_log, offline_result, demos = _run_agents(
                     config, wrapped, spec, family, demo_seed, readers)
             else:
@@ -790,187 +798,3 @@ def cmd_offline(config: RunConfig) -> OfflineResult:
     _offline_artifacts(out, family, config.agent.demo_k, demo_seed,
                        demos, result)
     return result
-
-
-def cmd_oracle(scenario_path: str, out_dir: str,
-               alpha: float = 1.0) -> Dict[str, object]:
-    """Analytic reference for a slot scenario: per-segment policies and
-    the per-frame reference trajectory."""
-    check_alpha(alpha)
-    if not os.path.isfile(scenario_path):
-        raise InvalidScenarioError("scenario",
-                                   f"no such file: {scenario_path}")
-    spec = load_scenario(scenario_path)
-    if not isinstance(spec, ScenarioSpec):
-        raise UnsupportedPopulationError(
-            "flow scenarios have no slot-level analytic reference")
-    reference, segments = aware_trajectory(spec, alpha=alpha)
-    report: Dict[str, object] = {
-        "artifact": "oracle-v1",
-        "alpha": alpha,
-        "frame_len": spec.frame_len,
-        "total_frames": spec.total_frames,
-        "segments": [],
-    }
-    for seg in segments:
-        report["segments"].append({
-            "start_frame": seg.start_frame,
-            "end_frame": seg.end_frame,
-            "live_ids": list(seg.live_ids),
-            "objective": _cell(seg.solution.objective),
-            "caveat": seg.solution.caveat,
-            "policies": {str(nid): [_cell(p) for p in vec]
-                         for nid, vec in _segment_policies(spec, seg)},
-            "throughputs": {str(nid): _cell(val)
-                            for nid, val in sorted(seg.node_values.items())},
-        })
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, ARTIFACT_ORACLE), report)
-    _write_file(os.path.join(out_dir, ARTIFACT_REFERENCE),
-                _write_reference, reference)
-    return report
-
-
-def cmd_demos(family: str, k: int, seed: int, out_dir: str) -> str:
-    bundle = demo_bundle(family, k, seed)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, ARTIFACT_DEMOS)
-    _write_json(path, demos_doc(family, k, seed, bundle.sets))
-    return path
-
-
-def _artifact(run_dir: str, name: str) -> str:
-    path = os.path.join(run_dir, name)
-    if not os.path.isfile(path):
-        raise InvalidScenarioError("run_dir",
-                                   f"missing artifact: {path}")
-    return path
-
-
-def _read_artifact(run_dir: str, name: str) -> str:
-    with open(_artifact(run_dir, name), "r", encoding="utf-8",
-              newline="") as fh:
-        return fh.read()
-
-
-def _csv_rows(text: str, name: str, columns: int) -> List[List[str]]:
-    """A CSV file's rows, header first, each as wide as its header."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or len(rows[0]) < columns or \
-            any(len(row) != len(rows[0]) for row in rows):
-        raise InvalidScenarioError(name, f"needs a header of {columns}+ "
-                                         "cells and rows as wide as it")
-    return rows
-
-
-def _read_wide_csv(text: str, name: str, index_col: str,
-                   prefix: str) -> Tuple[List[int], Dict[int, List[float]]]:
-    header, *rows = _csv_rows(text, name, 1)
-    if header[0] != index_col:
-        raise InvalidScenarioError(name, f"first column must be {index_col}")
-    ids = _column_ids(header[1:], name, prefix)
-    index: List[int] = []
-    values: Dict[int, List[float]] = {i: [] for i in ids}
-    for row in rows:
-        index.append(int(row[0]))
-        for i, cell in zip(ids, row[1:]):
-            values[i].append(float(cell))
-    for column in values.values():
-        _check_finite(column, name)
-    return index, values
-
-
-def _column_ids(cells: Sequence[str], name: str, prefix: str) -> List[int]:
-    """The distinct ids of cells that each read ``prefix`` and an int."""
-    tails = [cell[len(prefix):] for cell in cells]
-    if not all(cell.startswith(prefix) and tail.isascii() and tail.isdigit()
-               for cell, tail in zip(cells, tails)):
-        raise InvalidScenarioError(name, f"ids must read {prefix}<int>")
-    ids = [int(tail) for tail in tails]
-    if len(set(ids)) != len(ids):
-        raise InvalidScenarioError(name, "repeats an id")
-    return ids
-
-
-def _check_finite(values: Iterable[float], name: str) -> None:
-    if not all(map(math.isfinite, values)):
-        raise InvalidScenarioError(name, "holds a non-finite number")
-
-
-def cmd_eval(run_dir: str,
-             reference_path: Optional[str] = None) -> Dict[str, object]:
-    """Recompute the metrics summary from a run directory's artifacts."""
-    cfg_doc = _read_json(_artifact(run_dir, ARTIFACT_CONFIG), ARTIFACT_CONFIG)
-    family = cfg_doc.get("family") if isinstance(cfg_doc, dict) else None
-    if family not in ("mac", "tcp"):
-        raise InvalidScenarioError(
-            ARTIFACT_CONFIG, "must be an object whose family is mac or tcp")
-    agent_cfg = AgentConfig(**checked_agent_settings(cfg_doc.get("agent")))
-    _artifact(run_dir, ARTIFACT_TRAJECTORY)
-    _, *rows = _csv_rows(_read_artifact(run_dir, ARTIFACT_THROUGHPUT),
-                         ARTIFACT_THROUGHPUT, 2)
-    means = dict(zip(_column_ids([row[0] for row in rows],
-                                 ARTIFACT_THROUGHPUT, ""),
-                     (float(row[1]) for row in rows)))
-    _check_finite(means.values(), ARTIFACT_THROUGHPUT)
-
-    if family == "mac":
-        frames, values = _read_wide_csv(_read_artifact(
-            run_dir, ARTIFACT_TRAJECTORY), ARTIFACT_TRAJECTORY, "frame", "node_")
-        series = ThroughputSeries(frames=frames, values=values,
-                                  window_frames=agent_cfg.window_frames)
-        reference = None
-        ref_file = reference_path or os.path.join(run_dir, ARTIFACT_REFERENCE)
-        if os.path.isfile(ref_file):
-            with open(ref_file, "r", encoding="utf-8", newline="") as fh:
-                _, reference = _read_wide_csv(fh.read(), ref_file,
-                                              "frame", "node_")
-            # a node may join at the horizon: in the reference, in no window
-            missing = sorted(set(values) - set(reference))
-            if missing:
-                raise InvalidScenarioError(
-                    ref_file, f"has no column for node_{missing[0]}, "
-                              f"which {ARTIFACT_TRAJECTORY} holds")
-        rmse = None if reference is None else _rmse(partial(
-            rmse_vs_reference, series, reference, agent_cfg.warmup_frames))
-        summary = mac_metrics_report(means, rmse, agent_cfg)
-    else:
-        metrics_doc = _read_json(_artifact(run_dir, ARTIFACT_METRICS),
-                                 ARTIFACT_METRICS)
-        if not isinstance(metrics_doc, dict) or "params" not in metrics_doc:
-            raise InvalidScenarioError(ARTIFACT_METRICS,
-                                       "must be an object holding params")
-        summary = metrics_report(
-            "tcp", metrics_doc["params"], means, agent_cfg.alpha,
-            social_reward=metrics_doc.get("social_reward"))
-    summary["artifact"] = "eval-v1"
-    _write_json(os.path.join(run_dir, ARTIFACT_EVAL), summary)
-    return summary
-
-
-def _traced_run(run_dir: str) -> bool:
-    """Whether the run's ``config.json`` shows that tracing was on."""
-    try:
-        doc = _read_json(os.path.join(run_dir, ARTIFACT_CONFIG),
-                         ARTIFACT_CONFIG)
-    except (OSError, ValueError, InvalidScenarioError):
-        return False
-    return isinstance(doc, dict) and doc.get("trace") is True
-
-
-def cmd_trace(run_dir: str) -> Dict[str, str]:
-    """Render the decision tree of a traced run as text and DOT files."""
-    path = os.path.join(run_dir, ARTIFACT_TRACE)
-    if not os.path.isfile(path):
-        if _traced_run(run_dir):
-            raise TracingDisabledError(
-                f"{run_dir} holds no decision trace: the run drives no "
-                f"agent, so it writes none")
-        raise TracingDisabledError(
-            f"{run_dir} holds no decision trace; rerun with tracing enabled")
-    trace = trace_from_doc(_read_json(path, ARTIFACT_TRACE))
-    tree_path = os.path.join(run_dir, ARTIFACT_TREE)
-    dot_path = os.path.join(run_dir, ARTIFACT_DOT)
-    _write_text(tree_path, trace.render())
-    _write_text(dot_path, trace.to_dot())
-    return {"tree": tree_path, "dot": dot_path}

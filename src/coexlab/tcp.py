@@ -15,9 +15,11 @@ once and leaves at most once, so the rounds it is live form one
 contiguous range starting at its ``join_round``; its ``cwnd``, ``acks``
 and ``loss`` columns cover exactly that range. All live flows queue at
 the same bottleneck and see the same RTT, so ``rtt`` is one column
-indexed by round. The live set follows from the flows' join and leave
-rounds alone and is the log's ``timeline`` of rounds, and ``run_rounds``
-plays each of its stretches in one loop over plain floats.
+indexed by round, and so is ``reward``, each round's social reward: the
+mean ``tcp_reward`` of its live flows, scored once as the round is
+played. The live set follows from the flows' join and leave rounds alone
+and is the log's ``timeline`` of rounds, and ``run_rounds`` plays each of
+its stretches in one loop over plain floats.
 Each flow's minimum RTT is a running minimum updated as rounds are
 played; it is the BaseRTT Vegas reads, and an observer reads it without
 rescanning the history.
@@ -193,9 +195,11 @@ class TcpRoundLog(BlockStreamedLog):
     ``first_kept`` on (see the module docstring). Flow ``fid``'s columns
     ``cwnd[fid]``, ``acks[fid]`` and ``loss[fid]`` hold its live rounds
     from its join round in ``timeline``, or from ``first_kept`` if later,
-    on; ``rtt`` holds every round from ``first_kept`` on; ``min_rtt[fid]``
-    is the smallest RTT the flow has seen, ``math.inf`` before it first
-    plays. Streamed blocks are ``READ_BLOCK_ROUNDS`` rounds."""
+    on; ``rtt`` and ``reward`` hold every round from ``first_kept`` on (a
+    round with no live flow has reward 0.0, which no reader reads);
+    ``min_rtt[fid]`` is the smallest RTT the flow has seen, ``math.inf``
+    before it first plays. Streamed blocks are ``READ_BLOCK_ROUNDS``
+    rounds."""
 
     unit = "round"
 
@@ -204,6 +208,7 @@ class TcpRoundLog(BlockStreamedLog):
         self.n_rounds = 0
         self.timeline = timeline
         self.rtt = array("d")
+        self.reward = array("d")
         self.cwnd = [array("d") for _ in timeline.lifetimes]
         self.acks = [array("d") for _ in timeline.lifetimes]
         self.loss = [array("b") for _ in timeline.lifetimes]
@@ -218,6 +223,7 @@ class TcpRoundLog(BlockStreamedLog):
 
     def _drop(self, b0: int, b1: int) -> None:
         del self.rtt[:b1 - b0]
+        del self.reward[:b1 - b0]
         for fid, (join, _) in enumerate(self.timeline.lifetimes):
             # a flow that left before b1 has no rounds from b1 on
             dropped = min(max(join, b1) - max(join, b0),
@@ -250,6 +256,12 @@ class TcpRoundLog(BlockStreamedLog):
         """The RTTs of rounds ``[r0, r1)``, as a copied slice of ``rtt``."""
         self._check_kept(r0)
         return self.rtt[r0 - self.first_kept:r1 - self.first_kept]
+
+    def reward_values(self, r0: int, r1: int) -> array:
+        """The social rewards of rounds ``[r0, r1)``, as a copied slice of
+        ``reward``."""
+        self._check_kept(r0)
+        return self.reward[r0 - self.first_kept:r1 - self.first_kept]
 
 
 class TcpEnvironment:
@@ -314,6 +326,8 @@ def _play_stretch(env: TcpEnvironment, overrides: Dict[int, int],
     written back to ``env.states`` and ``log.min_rtt`` at its end. Every
     round, each held window is put in place before the link is played
     out; the offered load is summed over the live flows in ascending id.
+    Each round's social reward is its flows' ``tcp_reward`` summed in
+    live order, as ``sum`` adds from int 0, over the live count.
     """
     spec, log, live = env.spec, env.log, env.live
     states = [env.states[fid] for fid in live]
@@ -326,7 +340,10 @@ def _play_stretch(env: TcpEnvironment, overrides: Dict[int, int],
     flows = [(k, env._updates[fid], log.cwnd[fid].append,
               log.acks[fid].append, log.loss[fid].append)
              for k, fid in enumerate(live)]
-    rtt_append = log.rtt.append
+    rtt_append, reward_append = log.rtt.append, log.reward.append
+    rewards = [0.0] * len(live)
+    # a round with no live flow scores sum([]) / 1 == 0.0
+    n_live = len(live) or 1
     capacity, base_rtt = spec.link_capacity_pps, spec.base_rtt_s
     buffer, cwnd_max = spec.buffer_pkts, float(spec.cwnd_max)
     pipe = capacity * base_rtt
@@ -350,13 +367,16 @@ def _play_stretch(env: TcpEnvironment, overrides: Dict[int, int],
             cwnd = cwnds[k]
             drops = overflow * cwnd / offered if offered > 0 else 0.0
             loss = drops > 0.0
+            acks = cwnd - drops
             cwnd_append(cwnd)
-            acks_append(cwnd - drops)
+            acks_append(acks)
             loss_append(loss)
+            rewards[k] = tcp_reward(acks, rtt)
             if update is not None:
                 cwnds[k], ssthreshs[k], slow[k] = update(
                     cwnd, ssthreshs[k], slow[k], loss, rtt, min_rtts[k],
                     cwnd_max)
+        reward_append(sum(rewards) / n_live)
 
     for k, fid in enumerate(live):
         env.states[fid] = FlowState(
@@ -367,9 +387,9 @@ def _play_stretch(env: TcpEnvironment, overrides: Dict[int, int],
 
 
 class RewardTotal:
-    """The running sum of each round's average per-flow reward among the
-    live flows (summed in live order), over rounds from ``first_round`` on
-    in the order they are added; rounds with no live flow are skipped."""
+    """The running sum of each round's social reward (the log's ``reward``
+    column), over rounds from ``first_round`` on in the order they are
+    added; rounds with no live flow are skipped."""
 
     def __init__(self, first_round: int):
         self.first_round = first_round
@@ -384,12 +404,8 @@ class RewardTotal:
             if not live:
                 continue
             self.rounds += s1 - s0
-            rtts = log.rtt_values(s0, s1)
-            rewards = [map(tcp_reward,
-                           log.flow_values(log.acks, fid, s0, s1), rtts)
-                       for fid in live]
-            for reward in map(sum, zip(*rewards)):
-                total += reward / len(live)
+            for reward in log.reward_values(s0, s1):
+                total += reward
         self.total = total
 
     def mean(self) -> float:

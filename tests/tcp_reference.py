@@ -229,6 +229,17 @@ def mean_social_reward(records, first_round: int = 0) -> float:
     return total / len(values)
 
 
+def round_rewards(records) -> List[float]:
+    """Each round's social reward: its live flows' rewards summed in live
+    order over the live count, and 0.0 for a round with no live flow."""
+    rewards = []
+    for rec in records:
+        per_flow = [tcp_reward(fr.acks, fr.rtt)
+                    for fr in rec.per_flow.values()]
+        rewards.append(sum(per_flow) / len(per_flow) if per_flow else 0.0)
+    return rewards
+
+
 def mean_flow_throughputs(records, first_round: int = 0) -> Dict[int, float]:
     sums: Dict[int, float] = {}
     counts: Dict[int, int] = {}

@@ -77,9 +77,16 @@ def synthetic_tcp_log(n_rounds: int) -> TcpRoundLog:
 
     log.n_rounds = n_rounds
     log.rtt = column(0.1, 0.3, n_rounds)
-    for fid, (join, _) in enumerate(log.timeline.lifetimes):
+    lifetimes = log.timeline.lifetimes
+    for fid, (join, _) in enumerate(lifetimes):
         log.cwnd[fid] = column(10, 80, n_rounds - join)
         log.acks[fid] = column(10, 80, n_rounds - join)
+    # each round's social reward, as the round kernel scores it
+    log.reward = array("d", (
+        sum(tcp.tcp_reward(log.acks[fid][r - join], log.rtt[r])
+            for fid, (join, _) in enumerate(lifetimes) if join <= r)
+        / sum(join <= r for join, _ in lifetimes)
+        for r in range(n_rounds)))
     return log
 
 

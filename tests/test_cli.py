@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -889,6 +890,24 @@ class TestRunCommand:
         assert summary["rmse"] < 0.1
         assert not os.path.exists(os.path.join(out, ARTIFACT_DEMOS))
 
+    @pytest.mark.parametrize("scenario", ["tcp_reno2", "mac_aware_2a1h"])
+    def test_run_driving_no_agent_leaves_no_transcript(self, tmp_path,
+                                                       scenario):
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario",
+                       str(ROOT / "scenarios" / f"{scenario}.json"),
+                       "--out", str(out)) == 0
+        assert (out / ARTIFACT_METRICS).is_file()
+        assert not (out / ARTIFACT_TRANSCRIPT).exists()
+
+    def test_agent_run_still_writes_its_transcript(self, tmp_path,
+                                                   tdma_scenario, agent_json):
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario", tdma_scenario, "--out", str(out),
+                       "--agent-json", agent_json) == 0
+        lines = (out / ARTIFACT_TRANSCRIPT).read_text().splitlines()
+        assert lines and all(json.loads(line) for line in lines)
+
     def test_aware_scenario_without_closed_form_exits_4(self, tmp_path,
                                                         capsys):
         # the csma node joins only after the aware node has left, but the
@@ -1313,3 +1332,40 @@ class TestOfflineCommand:
         capsys.readouterr()
         # no trajectory is left for eval to report the Reno run's metrics
         assert run_cli("eval", "--run", out) != 0
+
+
+def modules_after(code):
+    """The names in ``sys.modules`` once a fresh interpreter, with this
+    checkout's package on its path, has run ``code``."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True, text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+class TestLazyCommands:
+    """A run never loads the commands it does not call (oracle, demos,
+    eval and trace live in ``coexlab.commands``), nor ``csv``, which only
+    ``eval`` reads with."""
+
+    def test_import_loads_neither(self):
+        modules = modules_after("import coexlab.cli")
+        assert "coexlab.runner" in modules
+        assert not {"coexlab.commands", "csv"} & modules
+
+    def test_run_loads_neither_and_eval_loads_both(self, tmp_path,
+                                                   tdma_scenario, agent_json):
+        out = str(tmp_path / "run")
+        run = f"from coexlab.cli import main\n" \
+              f"assert main(['run', '--scenario', {tdma_scenario!r}, " \
+              f"'--out', {out!r}, '--agent-json', {agent_json!r}]) == 0"
+        modules = modules_after(run)
+        assert {"coexlab.agent.online", "coexlab.tcp"} <= modules
+        assert not {"coexlab.commands", "csv"} & modules
+        assert os.path.isfile(os.path.join(out, ARTIFACT_TRACE))
+        evaluate = f"from coexlab.cli import main\n" \
+                   f"assert main(['eval', '--run', {out!r}]) == 0"
+        assert {"coexlab.commands", "csv"} <= modules_after(evaluate)

@@ -26,7 +26,7 @@ from coexlab.agent.demos import _tcp_summary
 from coexlab.agent.observer import tcp_observer_analyze, tcp_window_signals
 from coexlab.agent.offline import tcp_j_estimate
 from coexlab.agent.online import tcp_window_objective
-from coexlab.errors import CoexlabError
+from coexlab.errors import CoexlabError, MetricDomainError
 from coexlab import runner, tcp
 from coexlab.scenario import Timeline
 from coexlab.tcp import (
@@ -137,6 +137,7 @@ def check_columns(env, records):
         assert log.cwnd[fid].tolist() == [fr.cwnd for _, fr in rows]
         assert log.acks[fid].tolist() == [fr.acks for _, fr in rows]
         assert log.loss[fid].tolist() == [int(fr.loss) for _, fr in rows]
+    assert log.reward.tolist() == ref.round_rewards(records)
     assert [log.timeline.live_at(r) for r in range(log.n_rounds)] == \
         [rec.live_ids for rec in records]
     assert ref.records_from_log(env) == records
@@ -292,6 +293,8 @@ def run_streamed_and_check(spec, data):
             assert log.n_rounds - window - block < log.first_kept \
                 <= max(0, log.n_rounds - window)
             assert readers.fed == log.first_kept
+            assert log.reward_values(log.first_kept, log.n_rounds).tolist() \
+                == ref.round_rewards(records)[log.first_kept:]
             for fid in fids:
                 assert outcome(tcp_window_signals, log, window, fid) == \
                     outcome(ref.tcp_window_signals, records, window, fid)
@@ -316,6 +319,40 @@ def test_streamed_log_and_readers_equal_reference(data):
         leave_round=data.draw(st.integers(1, spec.total_rounds - 1),
                               label="leave_round")))
     run_streamed_and_check(spec, data)
+
+
+def test_each_round_is_scored_once_as_it_is_played():
+    # a flow leaves, no flow is live for ten rounds, then two flows join,
+    # one of them inside a block; the log streams to the end-of-run
+    # readers, and the window objective reads the kept rounds every period
+    flows = [TcpFlowConfig("reno", leave_round=20),
+             TcpFlowConfig("vegas", join_round=30, leave_round=60),
+             TcpFlowConfig("agent", join_round=35)]
+    spec = TcpScenarioSpec(flows=flows, total_rounds=100, seed=1)
+    ref_env = ref.ReferenceTcpEnvironment(spec)
+    ref.run_rounds(ref_env, {2: 7})
+    expected = ref.round_rewards(ref_env.records)
+    assert expected[20:30] == [0.0] * 10 and len(set(expected)) > 3
+    env = TcpEnvironment(spec)
+    readers = runner.TcpRunReaders(io.StringIO(), spec)
+    objectives = []
+    with mock.patch.object(tcp, "READ_BLOCK_ROUNDS", 16), \
+            mock.patch.object(tcp, "tcp_reward",
+                              wraps=tcp.tcp_reward) as scored:
+        env.log.stream(readers, 10)
+        for end in range(10, 101, 10):
+            log = run_rounds(env, {2: 7}, n_rounds=end)
+            assert log.reward_values(log.first_kept, end).tolist() == \
+                expected[log.first_kept:end]
+            objectives.append(outcome(tcp_window_objective, log, 10))
+        report = readers.finish(env.log, 1.0)
+    assert scored.call_count == sum(len(rec.per_flow)
+                                    for rec in ref_env.records) == 115
+    assert objectives == [
+        outcome(ref.tcp_window_objective, ref_env.records[:end], 10)
+        for end in range(10, 101, 10)]
+    assert objectives[2] is MetricDomainError
+    assert report == ref.tcp_metrics_report(ref_env.records, AgentConfig())
 
 
 def test_a_read_of_a_dropped_round_raises():
