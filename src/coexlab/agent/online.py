@@ -189,9 +189,10 @@ class PeriodEngine:
     member, returns a ``PeriodRecord`` and advances the environment. The
     engine keeps no period list: only a period count and the last
     proposals that the convergence check reads. A domain engine supplies
-    the environment and its clock, the observation, the decision payload
-    and the signals the strategy's rules read, action parsing, the trace
-    wording and the actuation of a held action.
+    the environment, whose log's ``n_ticks`` is the clock, the
+    observation, the decision payload and the signals the strategy's
+    rules read, action parsing, the trace wording and the actuation of a
+    held action.
     """
 
     domain = ""
@@ -299,7 +300,7 @@ class PeriodEngine:
         length = self.period if length is None else length
         if length < 1:
             raise ValueError(f"a period needs at least one {self.unit}")
-        t0 = self._clock()
+        t0 = self.env.log.n_ticks
         index = self.n_periods
         team = self._live_team(t0, t0 + length)
         # the reports that set the period's flags, and each member's own
@@ -410,9 +411,6 @@ class MacPeriodEngine(PeriodEngine):
         self.policy = BernoulliSlotPolicy(spec.seed, {})
         self._prev_overused: Optional[List[int]] = None
 
-    def _clock(self) -> int:
-        return self.env.frame_index
-
     def _observe(self, f0: int, team: List[int]):
         cfg = self.config
         report = None if f0 < cfg.observer_window_frames else \
@@ -504,9 +502,6 @@ class TcpPeriodEngine(PeriodEngine):
         self.env = TcpEnvironment(spec)
         self.period = config.tcp_query_period_rounds
         self._held: Dict[int, int] = {}
-
-    def _clock(self) -> int:
-        return self.env.round_index
 
     def _observe(self, r0: int, team: List[int]):
         cfg = self.config

@@ -3,7 +3,10 @@
 This module holds ``cmd_run`` and ``cmd_offline``, the artifact writers
 and the end-of-run readers; the commands a run never calls (oracle,
 demos, eval and trace) live in ``coexlab.commands`` and reuse the
-writers from here.
+writers from here. ``cmd_run`` plays every scenario, MAC or TCP, agent
+or not, through one sequence (``_run_stages``), and both families'
+readers share one protocol: fed ranges of the log in order, each range
+written as one CSV block, then ``finish(log)``.
 
 Every command writes deterministic artifacts: JSON reports carry sorted
 keys and no timestamps, CSV files follow RFC 4180, and transcripts are
@@ -19,8 +22,8 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import chain, islice, repeat
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, TextIO, Tuple, Union)
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, TextIO, Tuple, Union)
 
 import numpy as np
 
@@ -71,7 +74,6 @@ from .strategy import (
 )
 from .tcp import (
     CONTROLLER_AGENT,
-    READ_BLOCK_ROUNDS,
     TCP_FORMAT,
     RewardTotal,
     TcpEnvironment,
@@ -239,13 +241,10 @@ def _write_json(path: str, doc: Dict[str, object]) -> None:
     _write_text(path, indented_json(doc) + "\n")
 
 
-# rows the CSV writers format at a time, and rows joined into one write;
-# a block's cells are the largest transient of a MAC run's end
+# rows ``_write_csv`` formats at a time, and rows joined into one write;
+# the readers of a run write each range of the log they are fed as one
+# block instead
 CSV_BLOCK_ROWS = 512
-# a TCP trajectory's cells repeat across many rounds, so its rows are
-# formatted a round-log block at a time: 512-row blocks made tcp_long
-# about a tenth slower
-TCP_BLOCK_ROWS = READ_BLOCK_ROUNDS
 _CHUNK_ROWS = 256
 
 
@@ -276,59 +275,47 @@ Block = Callable[[int, int], Sequence[Iterable[str]]]
 def _write_csv(fh: TextIO, header: Sequence[str], n_rows: int,
                block: Block) -> None:
     """Write the bytes ``csv.writer`` would: the header, then rows
-    ``[0, n_rows)`` through ``_write_rows``."""
+    ``[0, n_rows)``, ``CSV_BLOCK_ROWS`` at a time; ``block(r0, r1)`` gives
+    the cell texts of rows ``[r0, r1)``."""
     fh.write(",".join(header) + "\r\n")
-    _write_rows(fh, 0, n_rows, block)
-
-
-def _write_rows(fh: TextIO, r0: int, r1: int, block: Block,
-                rows: Optional[int] = None) -> None:
-    """Write rows ``[r0, r1)``, ``rows`` (by default ``CSV_BLOCK_ROWS``)
-    at a time, as their lines are joined; ``block(b0, b1)`` gives the cell
-    texts of rows ``[b0, b1)``, one iterable per column. Cells are numbers
-    or empty, so none needs quoting."""
-    rows = rows or CSV_BLOCK_ROWS
-    for b0 in range(r0, r1, rows):
+    for r0 in range(0, n_rows, CSV_BLOCK_ROWS):
         # one expression, so that no name holds a block's cells while the
         # next block's are made
-        fh.writelines(_line_chunks(map(",".join, zip(
-            *block(b0, min(b0 + rows, r1))))))
+        _write_block(fh, block(r0, min(r0 + CSV_BLOCK_ROWS, n_rows)))
 
 
-def _line_chunks(lines: Iterator[str]) -> Iterator[str]:
-    """``lines``, none of them empty, each ended by a line break and
-    joined ``_CHUNK_ROWS`` at a time: one string per chunk, not per line,
-    and never the block's whole text."""
+def _write_block(fh: TextIO, columns: Sequence[Iterable[str]]) -> None:
+    """Write one block of rows, given the cell texts of each column; the
+    rows end with the shortest column. Lines are joined ``_CHUNK_ROWS`` at
+    a time: one string per chunk, not per line, and never the block's
+    whole text. Cells are numbers or empty, so none needs quoting."""
+    lines = map(",".join, zip(*columns))
     while True:
-        # an empty last line gives the chunk its final line break
+        # an empty last line gives the chunk its final line break; a row
+        # is never empty, so only the end of the block gives no text
         text = "\r\n".join(chain(islice(lines, _CHUNK_ROWS), ("",)))
         if not text:
             return
-        yield text
+        fh.write(text)
 
 
 def _node_header(node_ids: Sequence[int]) -> List[str]:
     return ["frame"] + [f"node_{nid}" for nid in node_ids]
 
 
-def _node_rows(frames: Sequence[int],
-               values: Mapping[int, Sequence[float]]) -> Block:
-    """The cells of a ``frame`` column, then of one column per node id,
-    ascending."""
-    node_ids = sorted(values)
-
-    def block(r0: int, r1: int) -> List[List[str]]:
-        return [list(map(str, frames[r0:r1]))] + [
-            _float_cells(values[nid][r0:r1]) for nid in node_ids]
-
-    return block
+def _node_cells(frames: Sequence[int], values: Mapping[int, Sequence[float]],
+                r0: int = 0, r1: Optional[int] = None) -> List[List[str]]:
+    """The cells of rows ``[r0, r1)`` of a ``frame`` column, then of one
+    column per node id, ascending."""
+    return [list(map(str, frames[r0:r1]))] + [
+        _float_cells(values[nid][r0:r1]) for nid in sorted(values)]
 
 
 def _write_node_csv(fh: TextIO, frames: Sequence[int],
                     values: Mapping[int, Sequence[float]]) -> None:
     """A ``frame`` column, then one column per node id, ascending."""
     _write_csv(fh, _node_header(sorted(values)), len(frames),
-               _node_rows(frames, values))
+               partial(_node_cells, frames, values))
 
 
 def _write_reference(fh: TextIO,
@@ -394,14 +381,11 @@ def metrics_report(family: str, params: Dict[str, object],
 def mac_metrics_report(means: Mapping[int, float], rmse: Optional[float],
                        config: AgentConfig) -> Dict[str, object]:
     """The MAC report, with ``rmse`` if the run has one."""
-    report = metrics_report("mac", {
+    return metrics_report("mac", {
         "alpha": config.alpha,
         "window_frames": config.window_frames,
         "warmup_frames": config.warmup_frames,
-    }, means, config.alpha)
-    if rmse is not None:
-        report["rmse"] = _cell(rmse)
-    return report
+    }, means, config.alpha, rmse=None if rmse is None else _cell(rmse))
 
 
 def _rmse(rmse: Callable[[], float]) -> Optional[float]:
@@ -413,13 +397,14 @@ def _rmse(rmse: Callable[[], float]) -> Optional[float]:
 
 
 class MacRunReaders:
-    """The end-of-run readers of a MAC run, fed its slot log in blocks of
+    """The end-of-run readers of a MAC run, fed its slot log in ranges of
     frames, in order, while the run goes (the consumer of
-    ``TrajectoryLog.stream``): each block's windowed throughputs go to
-    ``trajectory.csv`` through ``fh`` and, against ``reference`` if the
-    run has one, into the running squared error; its successes go into
-    the running node means. ``finish`` feeds the frames left at the end,
-    all of them on a log with no consumer, and returns the report."""
+    ``TrajectoryLog.stream``): each range's windowed throughputs go to
+    ``trajectory.csv`` through ``fh`` as one CSV block and, against
+    ``reference`` if the run has one, into the running squared error; its
+    successes go into the running node means. ``finish(log)`` feeds the
+    frames left at the end, all of them on a log with no consumer, and
+    returns the report."""
 
     def __init__(self, fh: TextIO, spec: ScenarioSpec,
                  reference: Optional[Mapping[int, Sequence[float]]],
@@ -438,8 +423,7 @@ class MacRunReaders:
 
     def __call__(self, log: TrajectoryLog, f0: int, f1: int) -> None:
         block = self.windows.add(log, f0, f1)
-        _write_rows(self.fh, 0, len(block.frames),
-                    _node_rows(block.frames, block.values))
+        _write_block(self.fh, _node_cells(block.frames, block.values))
         self.successes.add(log, f0, f1)
         if self.errors is not None:
             try:
@@ -457,16 +441,15 @@ class MacRunReaders:
 
 
 class TcpRunReaders:
-    """The end-of-run readers of a TCP run, fed its round log in blocks of
-    rounds, in order, while the run goes (the consumer of
-    ``TcpRoundLog.stream``): each block's rows go to ``trajectory.csv``
-    through ``fh``, and its rounds from half the horizon on into the
-    running totals of the metric report. ``finish`` feeds the rounds left
-    at the end, all of them on a log with no consumer, and returns the
-    report."""
+    """The end-of-run readers of a TCP run, the counterpart of
+    ``MacRunReaders``: each range of rounds it is fed goes to
+    ``trajectory.csv`` as one CSV block, and its rounds from half the
+    horizon on into the running totals of the metric report at
+    ``alpha``."""
 
-    def __init__(self, fh: TextIO, spec: TcpScenarioSpec):
+    def __init__(self, fh: TextIO, spec: TcpScenarioSpec, alpha: float):
         self.fh = fh
+        self.alpha = alpha
         self.n_flows = len(spec.flows)
         self.first_round = spec.total_rounds // 2
         self.rewards = RewardTotal(self.first_round)
@@ -477,18 +460,16 @@ class TcpRunReaders:
             for column in ("cwnd", "acks", "rtt")]) + "\r\n")
 
     def __call__(self, log: TcpRoundLog, r0: int, r1: int) -> None:
-        _write_rows(self.fh, r0, r1,
-                    partial(_tcp_trajectory_block, log, self.n_flows),
-                    TCP_BLOCK_ROWS)
+        _write_block(self.fh, _tcp_trajectory_block(log, self.n_flows, r0, r1))
         self.rewards.add(log, r0, r1)
         self.throughputs.add(log, r0, r1)
         self.fed = r1
 
-    def finish(self, log: TcpRoundLog, alpha: float) -> Dict[str, object]:
+    def finish(self, log: TcpRoundLog) -> Dict[str, object]:
         self(log, self.fed, log.n_rounds)
         return metrics_report(
-            "tcp", {"alpha": alpha, "first_round": self.first_round},
-            self.throughputs.means(), alpha,
+            "tcp", {"alpha": self.alpha, "first_round": self.first_round},
+            self.throughputs.means(), self.alpha,
             social_reward=_cell(self.rewards.mean()))
 
 
@@ -679,84 +660,62 @@ def cmd_run(config: RunConfig) -> RunResult:
 
 def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
                 demo_seed: int, wrapped: Optional[Backend]) -> RunResult:
-    out = config.out_dir
-    agent_cfg = config.agent
+    """One sequence for every scenario: solve the MAC reference, open the
+    trajectory and the family's readers, play the scenario with its log
+    streamed to them, then write the rest of the artifact set."""
+    out, agent_cfg = config.out_dir, config.agent
+    mac = family == "mac"
+    aware = mac and any(n.kind == KIND_AWARE for n in spec.nodes)
+    # the aware path actuates the reference, so it needs one
+    try:
+        reference, segments = aware_trajectory(spec, alpha=agent_cfg.alpha) \
+            if mac else (None, None)
+    except UnsupportedPopulationError:
+        if aware:
+            raise
+        reference = segments = None
+    horizon = spec.total_frames if mac else spec.total_rounds
+    # the trailing frames or rounds the observer and the window objective
+    # read, which the streamed log keeps
+    keep = agent_cfg.observer_window_frames if mac \
+        else agent_cfg.tcp_observer_window_rounds
+    offline_result = demos = None
+    with _streamed_files(out, ARTIFACT_TRAJECTORY) as (fh,):
+        readers = MacRunReaders(fh, spec, reference, agent_cfg) if mac \
+            else TcpRunReaders(fh, spec, agent_cfg.alpha)
+        if _drives_agents(spec):
+            strategy, offline_result, demos = _obtain_strategy(
+                config, wrapped, spec, family, demo_seed)
+            with _streamed_trace(config) as trace:
+                engine = (MacPeriodEngine if mac else TcpPeriodEngine)(
+                    spec, strategy, agent_cfg, backend=wrapped, trace=trace)
+                engine.env.log.stream(readers, keep)
+                log = engine.run(horizon)
+            # the readers need only the log; an engine held through the
+            # end-of-run writes raised perfbench mac_churn's peak RSS by
+            # 0.2 MB (2-core host), though it holds about 10 kB itself
+            del engine
+        else:
+            env = (MacEnvironment if mac else TcpEnvironment)(spec)
+            env.log.stream(readers, keep)
+            log = run_aware_reference(env, segments) if aware \
+                else run_frames(env, None, horizon) if mac \
+                else run_rounds(env, None, horizon)
+        metrics = readers.finish(log)
 
-    offline_result: Optional[OfflineResult] = None
-    demos = None
-    keep = _observer_window(agent_cfg, family)
-    agents = _drives_agents(spec)
-    if family == "mac":
-        has_aware = any(n.kind == KIND_AWARE for n in spec.nodes)
-        # the aware path actuates the reference, so it needs one
-        try:
-            reference, segments = aware_trajectory(spec,
-                                                   alpha=agent_cfg.alpha)
-        except UnsupportedPopulationError:
-            if has_aware:
-                raise
-            reference = None
-        with _streamed_files(out, ARTIFACT_TRAJECTORY) as (fh,):
-            readers = MacRunReaders(fh, spec, reference, agent_cfg)
-            if not agents:
-                env = MacEnvironment(spec)
-                env.log.stream(readers, keep)
-                log = run_aware_reference(env, segments) if has_aware \
-                    else run_frames(env, None, spec.total_frames)
-            else:
-                log, offline_result, demos = _run_agents(
-                    config, wrapped, spec, family, demo_seed, readers)
-            metrics = readers.finish(log)
-        if reference is not None:
-            _write_file(os.path.join(out, ARTIFACT_REFERENCE),
-                        _write_reference, reference)
-    else:
-        with _streamed_files(out, ARTIFACT_TRAJECTORY) as (fh,):
-            readers = TcpRunReaders(fh, spec)
-            if agents:
-                tcp_log, offline_result, demos = _run_agents(
-                    config, wrapped, spec, family, demo_seed, readers)
-            else:
-                env = TcpEnvironment(spec)
-                env.log.stream(readers, keep)
-                tcp_log = run_rounds(env, None, spec.total_rounds)
-            metrics = readers.finish(tcp_log, agent_cfg.alpha)
-
+    if reference is not None:
+        _write_file(os.path.join(out, ARTIFACT_REFERENCE),
+                    _write_reference, reference)
     _write_file(os.path.join(out, ARTIFACT_THROUGHPUT), _write_throughput,
-                metrics, "node" if family == "mac" else "flow")
+                metrics, "node" if mac else "flow")
     _write_json(os.path.join(out, ARTIFACT_CONFIG),
                 _config_snapshot(config, spec, family, demo_seed))
     _write_json(os.path.join(out, ARTIFACT_METRICS), metrics)
-    if offline_result is not None and demos is not None:
+    if offline_result is not None:
         _offline_artifacts(out, family, agent_cfg.demo_k, demo_seed,
                            demos, offline_result)
     return RunResult(out_dir=out, family=family, metrics=metrics,
                      offline=offline_result)
-
-
-def _observer_window(agent: AgentConfig, family: str) -> int:
-    """The trailing frames or rounds the observer and the window objective
-    read, which a streamed log keeps."""
-    return agent.observer_window_frames if family == "mac" \
-        else agent.tcp_observer_window_rounds
-
-
-def _run_agents(config: RunConfig, backend: Optional[Backend],
-                spec: AnyScenario, family: str, demo_seed: int,
-                readers: Union[MacRunReaders, TcpRunReaders]):
-    """The strategy (offline stage or cached), then the period engine run
-    with its decision trace streamed, and its log streamed to ``readers``;
-    returns the trajectory log, the offline result and the demos."""
-    strategy, offline_result, demos = _obtain_strategy(
-        config, backend, spec, family, demo_seed)
-    engine_cls, horizon = (MacPeriodEngine, spec.total_frames) \
-        if family == "mac" else (TcpPeriodEngine, spec.total_rounds)
-    with _streamed_trace(config) as trace:
-        engine = engine_cls(spec, strategy, config.agent, backend=backend,
-                            trace=trace)
-        engine.env.log.stream(readers,
-                              _observer_window(config.agent, family))
-        return engine.run(horizon), offline_result, demos
 
 
 def _obtain_strategy(config: RunConfig, backend: Optional[Backend],
@@ -780,6 +739,11 @@ def cmd_offline(config: RunConfig) -> OfflineResult:
     in an output directory cleared of older artifacts."""
     spec, family, demo_seed = _prepare(config)
     out = config.out_dir
+    if not _drives_agents(spec):
+        raise InvalidScenarioError(
+            "nodes" if family == "mac" else "flows",
+            "offline learning needs a member the online engine drives: "
+            "an agent flow, or agent nodes and no aware node")
 
     backend = make_backend(config)
     if backend is None:

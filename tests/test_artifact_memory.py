@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import sys
 import tracemalloc
 from array import array
 from unittest import mock
 
 import numpy as np
+import pytest
 
 import mac_reference
 import metrics_reference
@@ -100,18 +100,29 @@ def feed_readers(path: str, log: TcpRoundLog) -> dict:
                TcpFlowConfig("reno", join_round=n_rounds // 2)],
         total_rounds=n_rounds, seed=0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        readers = runner.TcpRunReaders(fh, spec)
+        readers = runner.TcpRunReaders(fh, spec, AgentConfig().alpha)
         for b0 in range(0, n_rounds - block + 1, block):
             readers(log, b0, b0 + block)
-        return readers.finish(log, AgentConfig().alpha)
+        return readers.finish(log)
 
 
-def test_tcp_trajectory_write_peaks_at_one_block(tmp_path):
-    peaks = []
+@pytest.fixture(scope="module")
+def fed_readers(tmp_path_factory):
+    """``(report, peak bytes, trajectory path)`` of one traced
+    ``feed_readers`` call at each of ``ROUNDS``, shared by the two tests
+    below: the write's peak and the report's are the same call's."""
+    runs = []
     for n_rounds in ROUNDS:
-        log = synthetic_tcp_log(n_rounds)
-        path = tmp_path / f"trajectory_{n_rounds}.csv"
-        _, peak = traced_peak(feed_readers, str(path), log)
+        path = tmp_path_factory.mktemp("readers") / "trajectory.csv"
+        report, peak = traced_peak(feed_readers, str(path),
+                                   synthetic_tcp_log(n_rounds))
+        runs.append((report, peak, path))
+    return runs
+
+
+def test_tcp_trajectory_write_peaks_at_one_block(fed_readers):
+    peaks = []
+    for n_rounds, (_, peak, path) in zip(ROUNDS, fed_readers):
         text = path.read_text(encoding="utf-8")
         assert text.count("\n") == n_rounds + 1
         peaks.append(peak)
@@ -120,11 +131,9 @@ def test_tcp_trajectory_write_peaks_at_one_block(tmp_path):
     assert abs(peaks[1] - peaks[0]) < PEAK_SLACK
 
 
-def test_tcp_metrics_report_peaks_at_one_block():
+def test_tcp_metrics_report_peaks_at_one_block(fed_readers):
     peaks = []
-    for n_rounds in ROUNDS:
-        log = synthetic_tcp_log(n_rounds)
-        report, peak = traced_peak(feed_readers, os.devnull, log)
+    for n_rounds, (report, peak, _) in zip(ROUNDS, fed_readers):
         assert report["params"]["first_round"] == n_rounds // 2
         assert list(report["mean_throughputs"]) == ["0", "1"]
         peaks.append(peak)

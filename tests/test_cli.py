@@ -908,6 +908,45 @@ class TestRunCommand:
         lines = (out / ARTIFACT_TRANSCRIPT).read_text().splitlines()
         assert lines and all(json.loads(line) for line in lines)
 
+    @pytest.mark.parametrize("nodes, closed_form", [
+        ([{"kind": "aloha", "q": 0.3}, {"kind": "tdma", "slots": [3, 5]}],
+         True),
+        ([{"kind": "csma", "window": 2, "max_stage": 4},
+          {"kind": "aloha", "q": 0.2}], False)])
+    def test_protocol_only_mac_run(self, tmp_path, nodes, closed_form,
+                                   capsys):
+        # no agent and no aware node: the fixed nodes play the whole
+        # horizon, against the reference where the population has one
+        frames, window = 600, AgentConfig().window_frames
+        scenario = write_mac_scenario(tmp_path / "p.json", nodes,
+                                      frames=frames)
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
+        summary = json.loads(capsys.readouterr().out)
+        metrics = read_json(out, ARTIFACT_METRICS)
+        assert summary["rmse"] == metrics["rmse"]
+        if closed_form:
+            assert isinstance(metrics["rmse"], float)
+        else:
+            assert metrics["rmse"] is None
+        assert (out / ARTIFACT_REFERENCE).is_file() == closed_form
+        lines = (out / ARTIFACT_TRAJECTORY).read_text().splitlines()
+        assert len(lines) == frames + 2 - window
+        assert lines[0] == "frame,node_0,node_1"
+        assert [lines[1].split(",")[0], lines[-1].split(",")[0]] == \
+            [str(window), str(frames)]
+        assert (out / ARTIFACT_THROUGHPUT).read_text().splitlines() == \
+            ["node,mean_throughput"] + [
+                f"{nid},{value}"
+                for nid, value in metrics["mean_throughputs"].items()]
+        assert list(metrics["mean_throughputs"]) == ["0", "1"]
+        assert not (out / ARTIFACT_TRANSCRIPT).exists()
+        assert not (out / ARTIFACT_TRACE).exists()
+        assert run_cli("eval", "--run", str(out)) == 0
+        evaluated = json.loads(capsys.readouterr().out)
+        assert (evaluated["jain"], evaluated["rmse"]) == \
+            (metrics["jain"], metrics["rmse"])
+
     def test_aware_scenario_without_closed_form_exits_4(self, tmp_path,
                                                         capsys):
         # the csma node joins only after the aware node has left, but the
@@ -1311,6 +1350,24 @@ class TestOfflineCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["strategy_id"] == report["strategy_id"]
         assert os.path.isfile(os.path.join(out, ARTIFACT_TRANSCRIPT))
+
+    @pytest.mark.parametrize("scenario", ["tcp_reno2", "mac_aware_2a1h"])
+    def test_scenario_driving_no_agent_exits_2_before_clearing(
+            self, tmp_path, scenario, capsys):
+        # the online engine drives no flow of tcp_reno2 and no node of
+        # mac_aware_2a1h, so there is no strategy to design
+        path = str(ROOT / "scenarios" / f"{scenario}.json")
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario", path, "--out", str(out)) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert ARTIFACT_METRICS in earlier
+        capsys.readouterr()
+        assert run_cli("offline", "--scenario", path, "--out", str(out)) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+        assert not (out / ARTIFACT_TRANSCRIPT).exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidScenarioError"
+        assert "online engine drives" in err["message"]
 
     def test_reused_out_dir_keeps_no_older_run_artifacts(self, tmp_path,
                                                          agent_json, capsys):

@@ -183,11 +183,9 @@ def check_readers(env, records, data):
             outcome(ref.tcp_summary, records[first:], fid)
     # the end-of-run readers of a log with no consumer read it whole
     config = AgentConfig(alpha=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
-    block_rows = data.draw(st.integers(1, n + 2), label="block_rows")
     buf = io.StringIO()
-    with mock.patch.object(runner, "TCP_BLOCK_ROWS", block_rows):
-        report = outcome(runner.TcpRunReaders(buf, env.spec).finish, log,
-                         config.alpha)
+    report = outcome(runner.TcpRunReaders(buf, env.spec, config.alpha).finish,
+                     log)
     assert report == outcome(ref.tcp_metrics_report, records, config)
     assert buf.getvalue() == \
         ref.tcp_trajectory_csv(records, len(env.spec.flows))
@@ -279,7 +277,7 @@ def run_streamed_and_check(spec, data):
     ref_env = ref.ReferenceTcpEnvironment(spec)
     fids = range(-1, len(spec.flows) + 1)
     with mock.patch.object(tcp, "READ_BLOCK_ROUNDS", block):
-        readers = runner.TcpRunReaders(buf, spec)
+        readers = runner.TcpRunReaders(buf, spec, config.alpha)
         env.log.stream(readers, window)
         for end, overrides, windows in data.draw(schedules(spec),
                                                  label="schedule"):
@@ -300,7 +298,7 @@ def run_streamed_and_check(spec, data):
                     outcome(ref.tcp_window_signals, records, window, fid)
             assert outcome(tcp_window_objective, log, window) == \
                 outcome(ref.tcp_window_objective, records, window)
-        report = outcome(readers.finish, env.log, config.alpha)
+        report = outcome(readers.finish, env.log)
     records = ref_env.records
     assert report == outcome(ref.tcp_metrics_report, records, config)
     assert buf.getvalue() == \
@@ -334,7 +332,7 @@ def test_each_round_is_scored_once_as_it_is_played():
     expected = ref.round_rewards(ref_env.records)
     assert expected[20:30] == [0.0] * 10 and len(set(expected)) > 3
     env = TcpEnvironment(spec)
-    readers = runner.TcpRunReaders(io.StringIO(), spec)
+    readers = runner.TcpRunReaders(io.StringIO(), spec, 1.0)
     objectives = []
     with mock.patch.object(tcp, "READ_BLOCK_ROUNDS", 16), \
             mock.patch.object(tcp, "tcp_reward",
@@ -345,7 +343,7 @@ def test_each_round_is_scored_once_as_it_is_played():
             assert log.reward_values(log.first_kept, end).tolist() == \
                 expected[log.first_kept:end]
             objectives.append(outcome(tcp_window_objective, log, 10))
-        report = readers.finish(env.log, 1.0)
+        report = readers.finish(env.log)
     assert scored.call_count == sum(len(rec.per_flow)
                                     for rec in ref_env.records) == 115
     assert objectives == [
