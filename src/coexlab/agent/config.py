@@ -73,7 +73,8 @@ class AgentConfig:
 
     def validate(self, frame_len: int = 10) -> None:
         if self.query_period_slots % frame_len:
-            raise ValueError("query period must cover whole frames")
+            raise ValueError(f"query_period_slots {self.query_period_slots} "
+                             f"must cover whole {frame_len}-slot frames")
 
 
 # annotated field type -> (what a value must be, the test it must pass)

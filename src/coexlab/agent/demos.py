@@ -6,12 +6,14 @@ passive supplies the starting state; each sampled action then plays out
 in a fresh copy of the scenario, giving the realized reward and the
 end-state summary. Every tuple is produced by simulation, never written
 by hand, and the whole set is a pure function of the seed.
+``generate_demos`` runs one loop for both families, each of which states
+only what differs in its row of ``_FAMILIES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -137,13 +139,6 @@ def _tcp_demo_spec(label: str, seed: int, rounds: int) -> TcpScenarioSpec:
                            seed=seed)
 
 
-def _run_mac_demo(spec: ScenarioSpec, action: List[float]) -> TrajectoryLog:
-    env = MacEnvironment(spec)
-    policy = BernoulliSlotPolicy(spec.seed, {DEMO_AGENT_ID: action})
-    run_frames(env, policy, spec.total_frames)
-    return env.log
-
-
 def _mac_summary(log: TrajectoryLog) -> Dict[str, object]:
     frames = log.n_frames
     util = slot_utilization(log, last_frames=frames)
@@ -158,35 +153,15 @@ def _mac_summary(log: TrajectoryLog) -> Dict[str, object]:
     }
 
 
-def _mac_reward(log: TrajectoryLog, alpha: float) -> float:
-    values = list(node_mean_throughputs(log).values())
-    return round(fair_objective(values, alpha), 6)
-
-
-def _mac_demo_set(label: str, label_idx: int, k: int, seed: int,
-                  config: AgentConfig) -> DemoSet:
-    frames = config.demo_frames
-    action_rng = purpose_rng(seed, _DEMO_ACTION_STREAM, label_idx)
-    probe_spec = _mac_demo_spec(label, _derive_seed(seed, label_idx, 0),
-                                frames)
-    probe_log = _run_mac_demo(probe_spec, [0.0] * DEFAULT_FRAME_LEN)
-    state = _mac_summary(probe_log)
-    tuples = []
-    for i in range(k):
-        action = [round(float(x), 6)
-                  for x in action_rng.random(DEFAULT_FRAME_LEN)]
-        spec = _mac_demo_spec(label, _derive_seed(seed, label_idx, i + 1),
-                              frames)
-        log = _run_mac_demo(spec, action)
-        tuples.append(DemoTuple(
-            s=state, a=action, r=_mac_reward(log, config.alpha),
-            sn=_mac_summary(log),
-        ))
-    return DemoSet(label=label, k=k, tuples=tuples)
-
-
-def _run_tcp_demo(spec: TcpScenarioSpec, cwnd: int) -> TcpRoundLog:
-    return run_rounds(TcpEnvironment(spec), {DEMO_AGENT_ID: cwnd})
+def _mac_demo(label: str, seed: int, action: List[float],
+              config: AgentConfig) -> Tuple[float, Dict[str, object]]:
+    """The alpha-fair value of the node mean throughputs and the end-state
+    summary of one demo run holding ``action`` on the agent node."""
+    env = MacEnvironment(_mac_demo_spec(label, seed, config.demo_frames))
+    run_frames(env, BernoulliSlotPolicy(seed, {DEMO_AGENT_ID: action}),
+               config.demo_frames)
+    values = list(node_mean_throughputs(env.log).values())
+    return fair_objective(values, config.alpha), _mac_summary(env.log)
 
 
 def _tcp_summary(log: TcpRoundLog, flow_id: int,
@@ -221,27 +196,27 @@ def _tcp_summary(log: TcpRoundLog, flow_id: int,
     }
 
 
-def _tcp_demo_set(label: str, label_idx: int, k: int, seed: int,
-                  config: AgentConfig) -> DemoSet:
+def _tcp_demo(label: str, seed: int, cwnd: int,
+              config: AgentConfig) -> Tuple[float, Dict[str, object]]:
+    """The mean social reward over the second half and the end-state
+    summary of one demo run holding ``cwnd`` on the agent flow."""
     rounds = config.demo_rounds
-    action_rng = purpose_rng(seed, _DEMO_ACTION_STREAM,
-                             len(MAC_LABELS) + label_idx)
-    probe_spec = _tcp_demo_spec(label, _derive_seed(seed, label_idx, 0),
-                                rounds)
-    probe = _run_tcp_demo(probe_spec, 1)
-    state = _tcp_summary(probe, DEMO_AGENT_ID)
-    tuples = []
-    for i in range(k):
-        action = int(action_rng.integers(1, DEFAULT_CWND_MAX + 1))
-        spec = _tcp_demo_spec(label, _derive_seed(seed, label_idx, i + 1),
-                              rounds)
-        log = _run_tcp_demo(spec, action)
-        reward = mean_social_reward(log, first_round=rounds // 2)
-        tuples.append(DemoTuple(
-            s=state, a=action, r=round(reward, 6),
-            sn=_tcp_summary(log, DEMO_AGENT_ID),
-        ))
-    return DemoSet(label=label, k=k, tuples=tuples)
+    log = run_rounds(TcpEnvironment(_tcp_demo_spec(label, seed, rounds)),
+                     {DEMO_AGENT_ID: cwnd})
+    return (mean_social_reward(log, first_round=rounds // 2),
+            _tcp_summary(log, DEMO_AGENT_ID))
+
+
+# family -> (labels, play, probe action, action draw, first action stream);
+# the tcp action streams follow the mac ones
+_FAMILIES = {
+    FAMILY_MAC: (MAC_LABELS, _mac_demo, [0.0] * DEFAULT_FRAME_LEN,
+                 lambda rng: [round(float(x), 6)
+                              for x in rng.random(DEFAULT_FRAME_LEN)], 0),
+    FAMILY_TCP: (TCP_LABELS, _tcp_demo, 1,
+                 lambda rng: int(rng.integers(1, DEFAULT_CWND_MAX + 1)),
+                 len(MAC_LABELS)),
+}
 
 
 def generate_demos(family: str, k: int, seed: int,
@@ -252,13 +227,23 @@ def generate_demos(family: str, k: int, seed: int,
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     config = config or AgentConfig()
-    if family == FAMILY_MAC:
-        return [_mac_demo_set(label, i, k, seed, config)
-                for i, label in enumerate(MAC_LABELS)]
-    if family == FAMILY_TCP:
-        return [_tcp_demo_set(label, i, k, seed, config)
-                for i, label in enumerate(TCP_LABELS)]
-    raise ValueError(f"unknown demo family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown demo family {family!r}")
+    labels, play, passive, draw, first_stream = _FAMILIES[family]
+    sets = []
+    for idx, label in enumerate(labels):
+        action_rng = purpose_rng(seed, _DEMO_ACTION_STREAM, first_stream + idx)
+        # the probe's reward is not part of the set
+        _, state = play(label, _derive_seed(seed, idx, 0), passive, config)
+        tuples = []
+        for i in range(k):
+            action = draw(action_rng)
+            reward, summary = play(label, _derive_seed(seed, idx, i + 1),
+                                   action, config)
+            tuples.append(DemoTuple(s=state, a=action, r=round(reward, 6),
+                                    sn=summary))
+        sets.append(DemoSet(label=label, k=k, tuples=tuples))
+    return sets
 
 
 def demos_doc(family: str, k: int, seed: int,

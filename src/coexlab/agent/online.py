@@ -5,8 +5,9 @@ through an environment. Time is chopped into query periods; at each
 period start the observer summarizes the recent window, every live team
 member is asked (through the completion backend) which action to hold,
 and the chosen actions run unchanged until the next boundary. One
-skeleton, ``PeriodEngine.run_period``, serves both domains; the mac and
-tcp engines supply only what differs between them.
+skeleton, ``PeriodEngine.run_period``, serves both domains and builds
+the decision payload's shared keys; the mac and tcp engines supply only
+what differs between them.
 
 One interpretation of each decision yields two actions: the *proposal*
 is the rule-adjusted action before any exploration, and feeds the
@@ -189,10 +190,11 @@ class PeriodEngine:
     member, returns a ``PeriodRecord`` and advances the environment. The
     engine keeps no period list: only a period count and the last
     proposals that the convergence check reads. A domain engine supplies
-    the environment, whose log's ``n_ticks`` is the clock, the
-    observation, the decision payload and the signals the strategy's
-    rules read, action parsing, the trace wording and the actuation of a
-    held action.
+    the environment, whose log's ``n_ticks`` is the clock, the payload's
+    ``limit``, ``_observe``, ``_report_payload`` (its own report fields),
+    ``_signals`` (what its rules read), ``_parse_action``,
+    ``_window_objective``, ``_action_label`` (the trace wording) and
+    ``_advance``, which applies the period's actuated actions and plays it.
     """
 
     domain = ""
@@ -202,6 +204,7 @@ class PeriodEngine:
     shared_report = False
     frame_len = DEFAULT_FRAME_LEN    # FRAME_LEN of the decision prompt
     period = 0               # ticks per query period
+    limit: Dict[str, int] = {}   # the payload's frame_len or cwnd_max
 
     def __init__(self, spec, strategy: Strategy, config: AgentConfig,
                  team: Tuple[int, ...], *,
@@ -268,6 +271,22 @@ class PeriodEngine:
             if self._prev_decision.get(mid) is None:
                 raise
             return self._prev_decision[mid], True, ""
+
+    def _payload(self, mid: int, report: Optional[ObserverReport]) \
+            -> Dict[str, object]:
+        payload: Dict[str, object] = {
+            "domain": self.domain,
+            self.member: mid,
+            **self.limit,
+            "base": _action_json(self.strategy.base_action),
+            "prev_action": _action_json(self._prev_decision.get(mid)),
+            "have_report": report is not None,
+        }
+        if report is not None:
+            payload.update({"live_n": report.signals.live_n,
+                            "env_changed": report.env_changed,
+                            **self._report_payload(report)})
+        return payload
 
     # -- period pipeline ---------------------------------------------------
 
@@ -346,7 +365,6 @@ class PeriodEngine:
                 escape_sigma=self.config.escape_sigma if escaped else None,
                 **self._signals(report)))
             proposal, actuated = interpreted.proposal, interpreted.action
-            self._actuate(mid, actuated)
             if decision is not None:
                 self._prev_decision[mid] = decision
             if fell_back:
@@ -369,7 +387,7 @@ class PeriodEngine:
 
         record.fallbacks = tuple(fallbacks)
         self.proposal_history.append(tuple(flat_proposal))
-        self._advance(t0, length, first)
+        self._advance(t0, length, first, record.actuated)
         self.n_periods += 1
         return record
 
@@ -407,6 +425,7 @@ class MacPeriodEngine(PeriodEngine):
                          "are not driven by the online engine")
         self.env = MacEnvironment(spec)
         self.frame_len = spec.frame_len
+        self.limit = {"frame_len": spec.frame_len}
         self.period = config.query_period_slots // spec.frame_len
         self.policy = BernoulliSlotPolicy(spec.seed, {})
         self._prev_overused: Optional[List[int]] = None
@@ -437,28 +456,14 @@ class MacPeriodEngine(PeriodEngine):
                 f"finite numbers")
         return [float(v) for v in action]
 
-    def _payload(self, nid: int, report: Optional[ObserverReport]) \
-            -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "domain": DOMAIN_MAC,
-            "node": nid,
-            "frame_len": self.frame_len,
-            "base": _action_json(self.strategy.base_action),
-            "prev_action": _action_json(self._prev_decision.get(nid)),
-            "have_report": report is not None,
+    def _report_payload(self, report: ObserverReport) -> Dict[str, object]:
+        return {
+            "overused": _overused_slots(report),
+            "unused": sorted(e.slot for e in report.notable
+                             if e.kind != NOTABLE_OVERUSED),
+            "prev_overused": self._prev_overused,
+            "collision_rate": round(report.signals.collision_rate, 6),
         }
-        if report is not None:
-            overused = _overused_slots(report)
-            payload.update({
-                "live_n": report.signals.live_n,
-                "env_changed": report.env_changed,
-                "overused": overused,
-                "unused": sorted(e.slot for e in report.notable
-                                 if e.kind != NOTABLE_OVERUSED),
-                "prev_overused": self._prev_overused,
-                "collision_rate": round(report.signals.collision_rate, 6),
-            })
-        return payload
 
     def _signals(self, report: Optional[ObserverReport]) -> Dict[str, object]:
         if report is None:
@@ -476,11 +481,11 @@ class MacPeriodEngine(PeriodEngine):
             return "hold action"
         return "strategy action" if decision is None else "base action"
 
-    def _actuate(self, nid: int, action) -> None:
-        self.policy.set_vector(nid, action)
-
     def _advance(self, f0: int, frames: int,
-                 report: Optional[ObserverReport]) -> None:
+                 report: Optional[ObserverReport],
+                 actuated: Dict[int, object]) -> None:
+        for nid, action in actuated.items():
+            self.policy.set_vector(nid, action)
         if report is not None:
             self._prev_overused = _overused_slots(report)
         run_frames(self.env, self.policy, frames)
@@ -500,6 +505,7 @@ class TcpPeriodEngine(PeriodEngine):
             fid for fid, cfg in enumerate(spec.flows)
             if cfg.controller == CONTROLLER_AGENT), **options)
         self.env = TcpEnvironment(spec)
+        self.limit = {"cwnd_max": spec.cwnd_max}
         self.period = config.tcp_query_period_rounds
         self._held: Dict[int, int] = {}
 
@@ -531,27 +537,12 @@ class TcpPeriodEngine(PeriodEngine):
                 "tcp action must be a finite congestion window")
         return int(action)
 
-    def _payload(self, fid: int, report: Optional[ObserverReport]) \
-            -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "domain": DOMAIN_TCP,
-            "flow": fid,
-            "cwnd_max": self.spec.cwnd_max,
-            "base": _action_json(self.strategy.base_action),
-            "prev_action": _action_json(self._prev_decision.get(fid)),
-            "have_report": report is not None,
-        }
-        if report is not None:
-            s = report.signals
-            payload.update({
-                "live_n": s.live_n,
-                "env_changed": report.env_changed,
-                "loss_rate": round(s.loss_rate, 6),
+    def _report_payload(self, report: ObserverReport) -> Dict[str, object]:
+        s = report.signals
+        return {"loss_rate": round(s.loss_rate, 6),
                 "min_rtt": round(s.min_rtt, 6),
                 "mean_rtt": round(s.mean_rtt, 6),
-                "rtt_inflation": round(s.rtt_inflation, 6),
-            })
-        return payload
+                "rtt_inflation": round(s.rtt_inflation, 6)}
 
     def _signals(self, report: Optional[ObserverReport]) -> Dict[str, object]:
         if report is None:
@@ -568,9 +559,8 @@ class TcpPeriodEngine(PeriodEngine):
         return f"strategy cwnd {proposal}" if decision is None \
             else f"cwnd {proposal}"
 
-    def _actuate(self, fid: int, action) -> None:
-        self._held[fid] = int(action)
-
     def _advance(self, r0: int, rounds: int,
-                 report: Optional[ObserverReport]) -> None:
+                 report: Optional[ObserverReport],
+                 actuated: Dict[int, object]) -> None:
+        self._held.update(actuated)
         run_rounds(self.env, self._held, n_rounds=r0 + rounds)

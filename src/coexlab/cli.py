@@ -38,7 +38,7 @@ from .runner import (
     clear_artifacts,
     cmd_offline,
     cmd_run,
-    load_scenario,
+    _prepare,
     _read_json,
     _write_json,
 )
@@ -126,11 +126,10 @@ def _run_replicas(config: RunConfig, replicas: int) -> None:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    config.validate()
-    spec = load_scenario(config.scenario_path)
+    # refuse a bad setting before the earlier replicas are cleared
+    spec = _prepare(config)[0]
     clear_artifacts(config)
-    base_seed = config.seed if config.seed is not None else spec.seed
-    configs = [replace(config, seed=base_seed + i,
+    configs = [replace(config, seed=spec.seed + i,
                        out_dir=f"{config.out_dir}/replica_{i}")
                for i in range(replicas)]
     workers = min(replicas, os.cpu_count() or 1)
@@ -141,7 +140,6 @@ def _run_replicas(config: RunConfig, replicas: int) -> None:
                              mp_context=multiprocessing.get_context("fork")) \
             as pool:
         rows = list(pool.map(_run_replica, configs))
-    os.makedirs(config.out_dir, exist_ok=True)
     _write_json(os.path.join(config.out_dir, ARTIFACT_REPLICAS),
                 _replicas_doc(rows))
     _emit({"replicas": rows})

@@ -549,33 +549,6 @@ def _offline_artifacts(out: str, family: str, demo_k: int, demo_seed: int,
     })
 
 
-def _check_mac_horizon(spec: AnyScenario, agent: AgentConfig) -> None:
-    """A mac run and its offline evaluation episode each need at least one
-    full throughput window."""
-    if not isinstance(spec, ScenarioSpec):
-        return
-    for path, frames in (("total_frames", spec.total_frames),
-                         ("agent.eval_frames", agent.eval_frames)):
-        if frames < agent.window_frames:
-            raise InvalidScenarioError(
-                path, f"{frames} frames is shorter than the "
-                      f"{agent.window_frames}-frame throughput window")
-
-
-def _prepare(config: RunConfig) -> Tuple[AnyScenario, str, int]:
-    """Validate ``config``, load its seeded scenario and create the output
-    directory; returns the scenario, its family and the demo seed."""
-    config.validate()
-    spec = load_scenario(config.scenario_path)
-    if config.seed is not None:
-        spec = replace(spec, seed=config.seed)
-    _check_mac_horizon(spec, config.agent)
-    os.makedirs(config.out_dir, exist_ok=True)
-    family = "mac" if isinstance(spec, ScenarioSpec) else "tcp"
-    demo_seed = config.demo_seed if config.demo_seed is not None else spec.seed
-    return spec, family, demo_seed
-
-
 def _drives_agents(spec: AnyScenario) -> bool:
     """Whether the period engine runs ``spec``: it has an agent flow, or
     an agent node and no aware one (an aware run actuates the reference
@@ -584,6 +557,41 @@ def _drives_agents(spec: AnyScenario) -> bool:
         kinds = {node.kind for node in spec.nodes}
         return KIND_AGENT in kinds and KIND_AWARE not in kinds
     return any(f.controller == CONTROLLER_AGENT for f in spec.flows)
+
+
+def _prepare(config: RunConfig) \
+        -> Tuple[AnyScenario, str, int, Optional[Strategy]]:
+    """Refuse a bad ``config`` before the output directory is touched, then
+    create it; returns the seeded scenario, its family, the demo seed and
+    the cached strategy, if any."""
+    config.validate()
+    spec = load_scenario(config.scenario_path)
+    if config.seed is not None:
+        spec = replace(spec, seed=config.seed)
+    agent, mac = config.agent, isinstance(spec, ScenarioSpec)
+    if mac:
+        agent.validate(spec.frame_len)
+        # a run and its offline evaluation episode each need at least one
+        # full throughput window
+        for path, frames in (("total_frames", spec.total_frames),
+                             ("agent.eval_frames", agent.eval_frames)):
+            if frames < agent.window_frames:
+                raise InvalidScenarioError(
+                    path, f"{frames} frames is shorter than the "
+                          f"{agent.window_frames}-frame throughput window")
+    strategy = None
+    if config.strategy_path is not None:
+        if not _drives_agents(spec):
+            raise InvalidScenarioError(
+                "strategy", f"{config.strategy_path}: the online engine "
+                            "drives no member of the scenario")
+        strategy = load_cached_strategy(config.strategy_path, spec)
+    elif config.backend == BACKEND_NONE and _drives_agents(spec):
+        raise InvalidScenarioError("backend", "agent scenarios need a backend "
+                                   "(or, for coexlab run, a --strategy)")
+    os.makedirs(config.out_dir, exist_ok=True)
+    demo_seed = config.demo_seed if config.demo_seed is not None else spec.seed
+    return spec, "mac" if mac else "tcp", demo_seed, strategy
 
 
 @contextlib.contextmanager
@@ -651,15 +659,17 @@ def cmd_run(config: RunConfig) -> RunResult:
     artifacts. The transcript, the decision trace and the trajectory are
     written while the run goes; a run that drives no agent queries no
     backend, so it writes no transcript."""
-    spec, family, demo_seed = _prepare(config)
+    spec, family, demo_seed, strategy = _prepare(config)
     clear_artifacts(config)
     backend = make_backend(config) if _drives_agents(spec) else None
     with _transcript(config.out_dir, backend) as wrapped:
-        return _run_stages(config, spec, family, demo_seed, wrapped)
+        return _run_stages(config, spec, family, demo_seed, strategy,
+                           wrapped)
 
 
 def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
-                demo_seed: int, wrapped: Optional[Backend]) -> RunResult:
+                demo_seed: int, strategy: Optional[Strategy],
+                wrapped: Optional[Backend]) -> RunResult:
     """One sequence for every scenario: solve the MAC reference, open the
     trajectory and the family's readers, play the scenario with its log
     streamed to them, then write the rest of the artifact set."""
@@ -684,8 +694,13 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
         readers = MacRunReaders(fh, spec, reference, agent_cfg) if mac \
             else TcpRunReaders(fh, spec, agent_cfg.alpha)
         if _drives_agents(spec):
-            strategy, offline_result, demos = _obtain_strategy(
-                config, wrapped, spec, family, demo_seed)
+            if strategy is None:
+                demos, offline_result = _offline_stage(
+                    config, wrapped, spec, family, demo_seed)
+                # the online stage reads the memories but never writes them
+                offline_result.strategies.freeze()
+                offline_result.episodes.freeze()
+                strategy = offline_result.strategy
             with _streamed_trace(config) as trace:
                 engine = (MacPeriodEngine if mac else TcpPeriodEngine)(
                     spec, strategy, agent_cfg, backend=wrapped, trace=trace)
@@ -718,42 +733,28 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
                      offline=offline_result)
 
 
-def _obtain_strategy(config: RunConfig, backend: Optional[Backend],
-                     spec: AnyScenario, family: str, demo_seed: int):
-    if config.strategy_path is not None:
-        return load_cached_strategy(config.strategy_path, spec), None, None
-    if backend is None:
-        raise InvalidScenarioError(
-            "backend", "agent scenarios need a backend or a cached strategy")
+def _offline_stage(config: RunConfig, backend: Backend, spec: AnyScenario,
+                   family: str, demo_seed: int):
+    """The demonstrations and the offline stage's outcome."""
     demos = demo_bundle(family, config.agent.demo_k, demo_seed,
                         config=config.agent)
-    result = run_offline(backend, spec, demos, config.agent)
-    # the online stage reads the memories but never writes them
-    result.strategies.freeze()
-    result.episodes.freeze()
-    return result.strategy, result, demos
+    return demos, run_offline(backend, spec, demos, config.agent)
 
 
 def cmd_offline(config: RunConfig) -> OfflineResult:
     """Offline stage only; artifacts cover demos, memory and the outcome,
     in an output directory cleared of older artifacts."""
-    spec, family, demo_seed = _prepare(config)
+    spec, family, demo_seed, _ = _prepare(config)
     out = config.out_dir
     if not _drives_agents(spec):
         raise InvalidScenarioError(
             "nodes" if family == "mac" else "flows",
             "offline learning needs a member the online engine drives: "
             "an agent flow, or agent nodes and no aware node")
-
-    backend = make_backend(config)
-    if backend is None:
-        raise InvalidScenarioError("backend",
-                                   "offline learning needs a backend")
     clear_artifacts(config)
-    demos = demo_bundle(family, config.agent.demo_k, demo_seed,
-                        config=config.agent)
-    with _transcript(out, backend) as wrapped:
-        result = run_offline(wrapped, spec, demos, config.agent)
+    with _transcript(out, make_backend(config)) as wrapped:
+        demos, result = _offline_stage(config, wrapped, spec, family,
+                                       demo_seed)
 
     # the offline stage writes no decision trace
     _write_json(os.path.join(out, ARTIFACT_CONFIG),

@@ -6,8 +6,11 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts. Under
 each tree in turn, every ``scenarios/*.json`` beside this file runs at
 its full horizon with the scripted backend (``coexlab run``), followed by
 ``coexlab eval`` and ``coexlab trace`` on the run directory, and
-``coexlab oracle`` runs on ``mac_dynamic.json``. Each command's exit
-code, stdout and stderr are kept beside the files it wrote. The two
+``coexlab offline`` runs on it into a directory of its own (a scenario
+with no agent is refused there). ``coexlab oracle`` runs on
+``mac_dynamic.json``, and ``coexlab demos`` exports both families' sets.
+Each command's exit code, stdout and stderr are kept beside the files it
+wrote. The two
 output trees are then compared file by file; every file that differs or
 exists under one tree only is printed, and the exit status is 1 when
 there is any.
@@ -32,6 +35,8 @@ from typing import List
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 ORACLE_SCENARIO = "mac_dynamic.json"
+# the demo export's settings: the run's default K and a fixed seed
+DEMO_K, DEMO_SEED = 8, 7
 
 
 def _coexlab(src: Path, cwd: Path, log: str, *argv: str) -> None:
@@ -77,8 +82,15 @@ def produce(src: Path, work: Path, scenarios: Path = SCENARIOS) -> None:
         _coexlab(src, work, f"{scenario.stem}.eval.txt", "eval", "--run", run)
         _coexlab(src, work, f"{scenario.stem}.trace.txt", "trace",
                  "--run", run)
+        _coexlab(src, work, f"{scenario.stem}.offline.txt", "offline",
+                 "--backend", "scripted", "--scenario", str(scenario),
+                 "--out", f"offline/{scenario.stem}")
     _coexlab(src, work, "oracle.txt", "oracle", "--scenario",
              str(scenarios / ORACLE_SCENARIO), "--out", "oracle")
+    for family in ("mac", "tcp"):
+        _coexlab(src, work, f"demos_{family}.txt", "demos", "--family",
+                 family, "--k", str(DEMO_K), "--seed", str(DEMO_SEED),
+                 "--out", f"demos/{family}")
 
 
 def _files(root: Path) -> List[str]:

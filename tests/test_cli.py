@@ -947,6 +947,42 @@ class TestRunCommand:
         assert (evaluated["jain"], evaluated["rmse"]) == \
             (metrics["jain"], metrics["rmse"])
 
+    @pytest.mark.parametrize("scenario, flags, prefix", [
+        ("mac_2a1h", ["--query-period", "15"],
+         "query_period_slots 15 must cover whole 10-slot frames"),
+        ("mac_1t1h", ["--backend", "none"], "backend: "),
+        ("tcp_agent_reno", ["--strategy", "BAD"], "strategy: "),
+        ("mac_2a1h", ["--replicas", "2", "--query-period", "15"],
+         "query_period_slots 15 "),
+        ("tcp_reno2", ["--strategy", "BAD"], "strategy: "),
+        ("mac_aware_2a1h", ["--strategy", "BAD"], "strategy: "),
+    ], ids=["partial_frames", "no_backend", "unparsable_strategy",
+            "replicas_partial_frames", "strategy_without_agent_tcp",
+            "strategy_without_agent_mac"])
+    def test_refused_run_keeps_earlier_run(self, tmp_path, scenario, flags,
+                                           prefix, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json", encoding="utf-8")
+        out = tmp_path / "o"
+        out.mkdir()
+        # what an earlier run left; a refused run leaves it byte for byte
+        # and adds nothing, no transcript nor replica directory
+        for name in (ARTIFACT_METRICS, ARTIFACT_CONFIG, ARTIFACT_REPLICAS):
+            (out / name).write_text(f'{{"name": "{name}"}}\n')
+
+        def tree():
+            return {path: path.read_bytes() if path.is_file() else None
+                    for path in out.rglob("*")}
+
+        before = tree()
+        assert run_cli(
+            "run", "--out", str(out),
+            "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
+            *[str(bad) if flag == "BAD" else flag for flag in flags]) == 2
+        assert tree() == before
+        assert json.loads(capsys.readouterr().err)["message"].startswith(
+            prefix)
+
     def test_aware_scenario_without_closed_form_exits_4(self, tmp_path,
                                                         capsys):
         # the csma node joins only after the aware node has left, but the
