@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from ..strategy import (
     Strategy,
     strategy_doc,
 )
-from ..tcp import (DEFAULT_CWND_MAX, TcpRoundLog, TcpScenarioSpec,
-                   mean_social_reward)
+from ..tcp import DEFAULT_CWND_MAX, TcpScenarioSpec, mean_social_reward
 from ..templates import (
     TEMPLATE_REFLECTION,
     TEMPLATE_STRATEGY_GEN,
@@ -115,15 +114,16 @@ class GenerationResult:
 def _query_strategy(backend: Backend, template: str,
                     subs: Dict[str, object], items: Tuple[str, ...],
                     config: AgentConfig, *, ranker: bool, domain: str,
-                    frame_len: int, cwnd_max: int,
+                    limit: Optional[Dict[str, int]],
                     estimate_j: Optional[Callable[[Strategy], float]],
                     request_tag: str) -> GenerationResult:
     """Query the backend with ``template`` over ``items`` (through the
     order-reversal ranker and its judge when ``ranker`` is set) and
-    materialize a ``domain`` strategy fitting ``frame_len`` or ``cwnd_max``."""
-    limit = {"frame_len": frame_len} if domain == DOMAIN_MAC \
-        else {"cwnd_max": cwnd_max}
-    mat_kwargs = {"domain": domain, **limit}
+    materialize a ``domain`` strategy fitting ``limit``, by default that
+    of the family's default scenario."""
+    spec_type, family = _DOMAINS[domain]
+    mat_kwargs = {"domain": domain,
+                  **(family.limit(spec_type) if limit is None else limit)}
     plain = render_template(template, {**subs, "ITEMS": "\n\n".join(items)})
     if ranker:
         prompt = render_template(template, {**subs, "ITEMS": ITEMS_TOKEN})
@@ -148,26 +148,26 @@ def _query_strategy(backend: Backend, template: str,
 
 def generate_initial_strategy(backend: Backend, demos: DemoBundle,
                               config: AgentConfig = AgentConfig(), *,
-                              frame_len: int = DEFAULT_FRAME_LEN,
-                              cwnd_max: int = DEFAULT_CWND_MAX,
+                              limit: Optional[Dict[str, int]] = None,
                               estimate_j: Optional[Callable[[Strategy],
                                                             float]] = None,
                               use_ranker: Optional[bool] = None) \
         -> GenerationResult:
-    """Few-shot generation over the demonstration bundle."""
+    """Few-shot generation over the demonstration bundle. The prompt
+    shows both limits, the one ``limit`` does not hold at its default."""
     if not demos.sets:
         raise ValueError("demonstration bundle is empty")
-    domain = DOMAIN_MAC if demos.family == "mac" else DOMAIN_TCP
-    sigma = config.explore_sigma if domain == DOMAIN_MAC \
-        else config.tcp_explore_sigma
-    subs = {"DOMAIN": domain, "FRAME_LEN": frame_len, "CWND_MAX": cwnd_max,
-            "EPSILON": config.explore_epsilon, "SIGMA": sigma}
+    family = _DOMAINS[demos.family][1]
+    subs = {"DOMAIN": family.domain,
+            "FRAME_LEN": (limit or {}).get("frame_len", DEFAULT_FRAME_LEN),
+            "CWND_MAX": (limit or {}).get("cwnd_max", DEFAULT_CWND_MAX),
+            "EPSILON": config.explore_epsilon, "SIGMA": family.sigma(config)}
     return _query_strategy(
         backend, TEMPLATE_STRATEGY_GEN, subs,
         tuple(s.prompt_block() for s in demos.sets), config,
         ranker=config.ranker_offline if use_ranker is None else use_ranker,
-        domain=domain, frame_len=frame_len, cwnd_max=cwnd_max,
-        estimate_j=estimate_j, request_tag="strategy-gen")
+        domain=family.domain, limit=limit, estimate_j=estimate_j,
+        request_tag="strategy-gen")
 
 
 # -- evaluation ------------------------------------------------------------
@@ -188,10 +188,6 @@ def mac_j_estimate(log: TrajectoryLog, config: AgentConfig) -> float:
         rows[:, k] = series.values[nid][half:]
     values = [fair_objective(row, config.alpha) for row in rows.tolist()]
     return sum(values) / len(values)
-
-
-def tcp_j_estimate(log: TcpRoundLog) -> float:
-    return mean_social_reward(log, first_round=log.n_rounds // 2)
 
 
 def mac_oracle_objective(spec: ScenarioSpec,
@@ -217,29 +213,15 @@ def mac_j_target(spec: ScenarioSpec, config: AgentConfig) -> float:
     return config.j_opt_fraction * oracle
 
 
-@dataclass
-class EvaluationOutcome:
-    j: float
-    episode: Dict[str, object]
-
-
-def evaluate_mac_strategy(spec: ScenarioSpec, strategy: Strategy,
-                          config: AgentConfig = AgentConfig()) \
-        -> EvaluationOutcome:
-    """Headless evaluation: the strategy drives its nodes with exploration
-    off and no backend in the loop."""
-    horizon = min(spec.total_frames, config.eval_frames)
-    engine = MacPeriodEngine(spec, strategy, config,
-                             backend=None, explore=ExploreSpec(0.0, 0.0))
-    log = engine.run(horizon)
-    j = mac_j_estimate(log, config)
-    window = min(config.observer_window_frames, horizon)
+def _mac_episode(engine: MacPeriodEngine, log: TrajectoryLog,
+                 config: AgentConfig) -> Dict[str, object]:
+    """The observer's evidence over the episode's last window."""
     report = observer_analyze(
-        log, window_frames=window, exclude_ids=engine.team,
+        log, window_frames=min(config.observer_window_frames, log.n_frames),
+        exclude_ids=engine.team,
         overuse_threshold=config.overuse_threshold,
         rate_shift_delta=config.rate_shift_delta)
-    episode = {
-        "j": round(j, 6),
+    return {
         "live_n": report.signals.live_n,
         "overused": [{"slot": e.slot, "utilization": e.utilization}
                      for e in report.notable
@@ -249,24 +231,71 @@ def evaluate_mac_strategy(spec: ScenarioSpec, strategy: Strategy,
         "collision_rate": round(report.signals.collision_rate, 6),
         "theta_hi": config.overuse_threshold,
     }
-    return EvaluationOutcome(j=j, episode=episode)
 
 
-def evaluate_tcp_strategy(spec: TcpScenarioSpec, strategy: Strategy,
-                          config: AgentConfig = AgentConfig()) \
+class OfflineFamily(NamedTuple):
+    """What the offline loop needs of one family; the loop itself, generate
+    -> evaluate -> reflect, is the same for both."""
+
+    domain: str
+    engine: type                    # the period engine
+    horizon: Callable[..., int]     # (spec, config) -> evaluation ticks
+    # spec -> {"frame_len": L} or {"cwnd_max": W}, as ``PeriodEngine.limit``;
+    # on the scenario type, the limit of its defaults
+    limit: Callable[..., Dict[str, int]]
+    sigma: Callable[..., float]     # config -> a generated strategy's noise
+    j_estimate: Callable[..., float]    # (log, config) -> the episode's J
+    # (engine, log, config) -> the episode's fields beside ``j``
+    episode: Callable[..., Dict[str, object]]
+    j_target: Callable[..., float]  # (spec, config) -> the J to clear
+
+
+# scenario type -> its family's row
+FAMILIES = {
+    ScenarioSpec: OfflineFamily(
+        DOMAIN_MAC, MacPeriodEngine,
+        lambda spec, config: min(spec.total_frames, config.eval_frames),
+        lambda spec: {"frame_len": spec.frame_len},
+        lambda config: config.explore_sigma,
+        mac_j_estimate, _mac_episode, mac_j_target),
+    TcpScenarioSpec: OfflineFamily(
+        DOMAIN_TCP, TcpPeriodEngine,
+        lambda spec, config: min(spec.total_rounds, config.eval_rounds),
+        lambda spec: {"cwnd_max": spec.cwnd_max},
+        lambda config: config.tcp_explore_sigma,
+        # the mean social reward of the episode's second half
+        lambda log, config: mean_social_reward(log, log.n_rounds // 2),
+        lambda engine, log, config: {"stats": _tcp_summary(
+            log, flow_id=engine.team[0] if engine.team else 0,
+            first_round=log.n_rounds // 2)},
+        lambda spec, config: config.tcp_j_target),
+}
+
+
+# strategy domain (a demo bundle's family) -> (scenario type, its row)
+_DOMAINS = {row.domain: (spec_type, row)
+            for spec_type, row in FAMILIES.items()}
+
+
+@dataclass
+class EvaluationOutcome:
+    j: float
+    episode: Dict[str, object]
+
+
+def evaluate_strategy(spec, strategy: Strategy,
+                      config: AgentConfig = AgentConfig()) \
         -> EvaluationOutcome:
-    horizon = min(spec.total_rounds, config.eval_rounds)
-    engine = TcpPeriodEngine(spec, strategy, config,
-                             backend=None, explore=ExploreSpec(0.0, 0.0))
-    log = engine.run(horizon)
-    j = tcp_j_estimate(log)
-    stats = _tcp_summary(log, flow_id=engine.team[0] if engine.team else 0,
-                         first_round=horizon // 2)
-    episode = {
-        "j": round(j, 6),
-        "stats": stats,
-    }
-    return EvaluationOutcome(j=j, episode=episode)
+    """Headless evaluation: the strategy drives its nodes or flows over
+    the family's evaluation horizon, with exploration off and no backend
+    in the loop."""
+    family = FAMILIES[type(spec)]
+    engine = family.engine(spec, strategy, config,
+                           backend=None, explore=ExploreSpec(0.0, 0.0))
+    log = engine.run(family.horizon(spec, config))
+    j = family.j_estimate(log, config)
+    return EvaluationOutcome(j=j, episode={
+        "j": round(j, 6), **family.episode(engine, log, config)})
 
 
 # -- reflection ------------------------------------------------------------
@@ -276,8 +305,7 @@ def reflect_and_refine(backend: Backend, strategy: Strategy,
                        episode: Dict[str, object],
                        config: AgentConfig = AgentConfig(), *,
                        j: float, j_target: float,
-                       frame_len: int = DEFAULT_FRAME_LEN,
-                       cwnd_max: int = DEFAULT_CWND_MAX,
+                       limit: Optional[Dict[str, int]] = None,
                        estimate_j: Optional[Callable[[Strategy],
                                                      float]] = None,
                        request_tag: str = "reflection") -> GenerationResult:
@@ -296,8 +324,8 @@ def reflect_and_refine(backend: Backend, strategy: Strategy,
     return _query_strategy(
         backend, TEMPLATE_REFLECTION, {}, items, config,
         ranker=config.ranker_offline,
-        domain=strategy.domain, frame_len=frame_len, cwnd_max=cwnd_max,
-        estimate_j=estimate_j, request_tag=request_tag)
+        domain=strategy.domain, limit=limit, estimate_j=estimate_j,
+        request_tag=request_tag)
 
 
 # -- full offline loop -----------------------------------------------------
@@ -320,71 +348,52 @@ def run_offline(backend: Backend, spec, demos: DemoBundle,
                 trace: Optional[DecisionTrace] = None) -> OfflineResult:
     """Generation, evaluation and up to ``n_max`` reflection rounds.
 
-    ``spec`` selects the domain: a slot scenario runs the mac pipeline, a
-    flow scenario the tcp pipeline. The loop stops early when the target
-    is met or a reflection reproduces an already-evaluated strategy.
+    ``spec``'s type selects its family's row of ``FAMILIES``. The loop
+    stops early when the target is met or a reflection reproduces an
+    already-evaluated strategy.
     """
-    is_mac = isinstance(spec, ScenarioSpec)
-    frame_len = spec.frame_len if is_mac else DEFAULT_FRAME_LEN
-    cwnd_max = DEFAULT_CWND_MAX if is_mac else spec.cwnd_max
-
-    if is_mac:
-        evaluate = lambda s: evaluate_mac_strategy(spec, s, config)
-        j_target = mac_j_target(spec, config)
-    else:
-        evaluate = lambda s: evaluate_tcp_strategy(spec, s, config)
-        j_target = config.tcp_j_target
+    family = FAMILIES[type(spec)]
+    limit, j_target = family.limit(spec), family.j_target(spec, config)
     # the judges compare two candidates by their measured objective
-    estimate_j = lambda s: round(evaluate(s).j, 6)
+    estimate_j = lambda s: round(evaluate_strategy(spec, s, config).j, 6)
+    strategies, episodes = StrategySet(), EpisodicMemory()
 
-    gen = generate_initial_strategy(backend, demos, config,
-                                    frame_len=frame_len, cwnd_max=cwnd_max,
-                                    estimate_j=estimate_j)
-    strategy = gen.strategy
-    retries = gen.retries
-
-    strategies = StrategySet()
-    psa_update(strategies, strategy, backend)
-    episodes = EpisodicMemory()
-
-    outcome = evaluate(strategy)
-    episodes.add(EpisodeRecord(strategy_id=strategy.id,
-                               j_estimate=round(outcome.j, 6),
-                               summary=outcome.episode))
-    evaluated = {strategy.id}
-    best, best_j = strategy, outcome.j
-    if trace is not None:
-        trace.child("assistant", f"offline generation {strategy.id}",
-                    outputs=strategy_doc(strategy),
-                    j=round(outcome.j, 6), j_target=round(j_target, 6))
-
-    rounds = 0
-    current, current_j, current_episode = strategy, outcome.j, outcome.episode
-    while rounds < config.n_max and current_j < j_target:
-        ref = reflect_and_refine(backend, current, current_episode, config,
-                                 j=current_j, j_target=j_target,
-                                 frame_len=frame_len, cwnd_max=cwnd_max,
-                                 estimate_j=estimate_j,
-                                 request_tag=f"reflection/r{rounds}")
-        rounds += 1
-        retries += ref.retries
-        refined = ref.strategy
-        psa_update(strategies, refined, backend)
-        if refined.id in evaluated:
-            break
-        outcome = evaluate(refined)
-        evaluated.add(refined.id)
-        episodes.add(EpisodeRecord(strategy_id=refined.id,
+    # a strategy's outcome, kept in the episodic memory and the trace
+    def evaluated(strategy: Strategy, label: str, **data) -> EvaluationOutcome:
+        outcome = evaluate_strategy(spec, strategy, config)
+        episodes.add(EpisodeRecord(strategy_id=strategy.id,
                                    j_estimate=round(outcome.j, 6),
                                    summary=outcome.episode))
         if trace is not None:
-            trace.child("assistant",
-                        f"reflection round {rounds} {refined.id}",
-                        outputs=strategy_doc(refined), j=round(outcome.j, 6))
+            trace.child("assistant", f"{label} {strategy.id}",
+                        outputs=strategy_doc(strategy),
+                        j=round(outcome.j, 6), **data)
+        return outcome
+
+    gen = generate_initial_strategy(backend, demos, config, limit=limit,
+                                    estimate_j=estimate_j)
+    current, retries = gen.strategy, gen.retries
+    psa_update(strategies, current, backend)
+    outcome = evaluated(current, "offline generation",
+                        j_target=round(j_target, 6))
+    seen = {current.id}
+    best, best_j = current, outcome.j
+    rounds = 0
+    while rounds < config.n_max and outcome.j < j_target:
+        ref = reflect_and_refine(backend, current, outcome.episode, config,
+                                 j=outcome.j, j_target=j_target,
+                                 limit=limit, estimate_j=estimate_j,
+                                 request_tag=f"reflection/r{rounds}")
+        rounds += 1
+        retries += ref.retries
+        current = ref.strategy
+        psa_update(strategies, current, backend)
+        if current.id in seen:
+            break
+        seen.add(current.id)
+        outcome = evaluated(current, f"reflection round {rounds}")
         if outcome.j > best_j:
-            best, best_j = refined, outcome.j
-        current, current_j = refined, outcome.j
-        current_episode = outcome.episode
+            best, best_j = current, outcome.j
 
     return OfflineResult(strategy=best, j=best_j, j_target=j_target,
                          target_met=best_j >= j_target, rounds=rounds,

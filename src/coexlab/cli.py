@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedPopulationError,
 )
 from .runner import (
+    AGENT_FLAGS,
     ARTIFACT_REPLICAS,
     BACKEND_SCRIPTED,
     BACKENDS,
@@ -48,29 +49,6 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_UNSUPPORTED = 4
 
-_AGENT_FLAG_FIELDS = {
-    "query_period": "query_period_slots",
-    "epsilon": "explore_epsilon",
-    "sigma": "explore_sigma",
-    "n_max": "n_max",
-    "alpha": "alpha",
-    "demo_k": "demo_k",
-    "window": "window_frames",
-    "warmup": "warmup_frames",
-}
-
-
-def _agent_config(args: argparse.Namespace) -> AgentConfig:
-    overrides: Dict[str, object] = {}
-    if getattr(args, "agent_json", None):
-        overrides.update(checked_agent_settings(
-            _read_json(args.agent_json, "agent")))
-    for flag, field_name in _AGENT_FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    return AgentConfig(**checked_agent_settings(overrides))
-
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
@@ -78,7 +56,10 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         out_dir=args.out,
         backend=args.backend,
         seed=args.seed,
-        agent=_agent_config(args),
+        agent=AgentConfig(**checked_agent_settings(_read_json(
+            args.agent_json, "agent") if args.agent_json else {})),
+        agent_flags={flag: getattr(args, flag) for flag in AGENT_FLAGS
+                     if getattr(args, flag) is not None},
         trace=not getattr(args, "no_trace", False),
         strategy_path=getattr(args, "strategy", None),
         demo_seed=args.demo_seed,
@@ -127,7 +108,7 @@ def _run_replicas(config: RunConfig, replicas: int) -> None:
     from concurrent.futures import ProcessPoolExecutor
 
     # refuse a bad setting before the earlier replicas are cleared
-    spec = _prepare(config)[0]
+    spec = _prepare(config)[1]
     clear_artifacts(config)
     configs = [replace(config, seed=spec.seed + i,
                        out_dir=f"{config.out_dir}/replica_{i}")
@@ -195,22 +176,13 @@ def _handle_trace(args: argparse.Namespace) -> None:
 def _add_agent_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--agent-json", default=None,
                    help="JSON file of agent setting overrides")
-    p.add_argument("--query-period", dest="query_period", type=int,
-                   default=None, help="slots per action update")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="exploration probability")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="exploration noise scale")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None,
-                   help="reflection round budget")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="fairness exponent")
-    p.add_argument("--demo-k", dest="demo_k", type=int, default=None,
-                   help="demonstration tuples per protocol label")
-    p.add_argument("--window", type=int, default=None,
-                   help="throughput window in frames")
-    p.add_argument("--warmup", type=int, default=None,
-                   help="frames excluded from the RMSE comparison")
+    defaults = AgentConfig()
+    for flag, (mac, tcp, what) in AGENT_FLAGS.items():
+        # a flag's value has the type of the setting it sets
+        p.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
+                       type=type(getattr(defaults, mac)), default=None,
+                       help=f"{what}: sets {mac} on a mac run, "
+                            f"{tcp or 'refused'} on a tcp run")
 
 
 def _add_backend_flags(p: argparse.ArgumentParser) -> None:

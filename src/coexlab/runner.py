@@ -65,8 +65,6 @@ from .oracle import (
 from .scenario import Timeline, parse_scenario, scenario_doc
 from .scripted import ScriptedBackend
 from .strategy import (
-    DOMAIN_MAC,
-    DOMAIN_TCP,
     Strategy,
     strategy_doc,
     strategy_from_doc,
@@ -82,10 +80,9 @@ from .tcp import (
     ThroughputTotals,
     run_rounds,
 )
-from .agent.config import AgentConfig
+from .agent.config import AgentConfig, checked_agent_settings
 from .agent.demos import demo_bundle, demos_doc
-from .agent.offline import OfflineResult, run_offline
-from .agent.online import MacPeriodEngine, TcpPeriodEngine
+from .agent.offline import FAMILIES, OfflineResult, run_offline
 from .agent.trace import (
     DecisionTrace,
     TraceSink,
@@ -124,6 +121,22 @@ ARTIFACTS = (ARTIFACT_CONFIG, ARTIFACT_DEMOS, ARTIFACT_STRATEGIES,
 
 AnyScenario = Union[ScenarioSpec, TcpScenarioSpec]
 
+# agent flag -> the setting it sets on a mac run and on a tcp run (None
+# where the family has none, so the flag is refused there), and its help
+AGENT_FLAGS = {
+    "query_period": ("query_period_slots", "tcp_query_period_rounds",
+                     "slots or rounds per action update"),
+    "epsilon": ("explore_epsilon", "explore_epsilon",
+                "exploration probability"),
+    "sigma": ("explore_sigma", "tcp_explore_sigma", "exploration noise scale"),
+    "n_max": ("n_max", "n_max", "reflection round budget"),
+    "alpha": ("alpha", "alpha", "fairness exponent"),
+    "demo_k": ("demo_k", "demo_k", "demonstration tuples per protocol label"),
+    "window": ("window_frames", None, "throughput window in frames"),
+    "warmup": ("warmup_frames", None,
+               "frames excluded from the RMSE comparison"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -135,6 +148,8 @@ class RunConfig:
     backend: str = BACKEND_SCRIPTED
     seed: Optional[int] = None
     agent: AgentConfig = field(default_factory=AgentConfig)
+    # agent flag -> value; ``_prepare`` sets it on the scenario's family
+    agent_flags: Dict[str, object] = field(default_factory=dict)
     trace: bool = True
     strategy_path: Optional[str] = None
     demo_seed: Optional[int] = None
@@ -191,8 +206,7 @@ def load_cached_strategy(path: str, spec: AnyScenario) -> Strategy:
     """Load a strategy for reuse: either a single strategy document or a
     strategy-set snapshot, in which case the newest entry wins (later
     additions embody all earlier reflections). It must validate against
-    ``spec``: its domain, and its frame length (mac) or window cap
-    (tcp)."""
+    ``spec``: its family's domain and limit."""
     doc = _read_json(path, "strategy")
     if isinstance(doc, dict) and doc.get("version") == "strategies-v1":
         entries = doc.get("strategies")
@@ -203,12 +217,9 @@ def load_cached_strategy(path: str, spec: AnyScenario) -> Strategy:
     if isinstance(doc, dict):
         doc = {k: v for k, v in doc.items() if k != "id"}
     strategy = strategy_from_doc(doc)
-    if isinstance(spec, ScenarioSpec):
-        diags = validate_strategy(strategy, frame_len=spec.frame_len,
-                                  domain=DOMAIN_MAC)
-    else:
-        diags = validate_strategy(strategy, cwnd_max=spec.cwnd_max,
-                                  domain=DOMAIN_TCP)
+    family = FAMILIES[type(spec)]
+    diags = validate_strategy(strategy, domain=family.domain,
+                              **family.limit(spec))
     if diags:
         raise InvalidScenarioError(
             "strategy", f"{path}: " + "; ".join(str(d) for d in diags))
@@ -560,15 +571,26 @@ def _drives_agents(spec: AnyScenario) -> bool:
 
 
 def _prepare(config: RunConfig) \
-        -> Tuple[AnyScenario, str, int, Optional[Strategy]]:
+        -> Tuple[RunConfig, AnyScenario, str, int, Optional[Strategy]]:
     """Refuse a bad ``config`` before the output directory is touched, then
-    create it; returns the seeded scenario, its family, the demo seed and
-    the cached strategy, if any."""
+    create it; returns ``config`` with its agent flags set on the settings
+    of the scenario's family, the seeded scenario, its family, the demo
+    seed and the cached strategy, if any."""
     config.validate()
     spec = load_scenario(config.scenario_path)
     if config.seed is not None:
         spec = replace(spec, seed=config.seed)
-    agent, mac = config.agent, isinstance(spec, ScenarioSpec)
+    mac = isinstance(spec, ScenarioSpec)
+    family = "mac" if mac else "tcp"
+    settings = {}
+    for flag, value in config.agent_flags.items():
+        name = AGENT_FLAGS[flag][0 if mac else 1]
+        if name is None:
+            raise InvalidScenarioError(f"--{flag.replace('_', '-')}",
+                                       f"a {family} run has no such setting")
+        settings[name] = value
+    agent = replace(config.agent, **checked_agent_settings(settings))
+    config = replace(config, agent=agent)
     if mac:
         agent.validate(spec.frame_len)
         # a run and its offline evaluation episode each need at least one
@@ -579,6 +601,20 @@ def _prepare(config: RunConfig) \
                 raise InvalidScenarioError(
                     path, f"{frames} frames is shorter than the "
                           f"{agent.window_frames}-frame throughput window")
+    else:
+        # a run, and its offline evaluation episode if it has one, each
+        # score their second half, which needs a live flow
+        horizons = [("total_rounds", spec.total_rounds)]
+        if _drives_agents(spec) and config.strategy_path is None:
+            horizons.append(("agent.eval_rounds",
+                             FAMILIES[TcpScenarioSpec].horizon(spec, agent)))
+        timeline = Timeline(TCP_FORMAT.lifetimes(spec.flows))
+        for path, rounds in horizons:
+            if not any(live for *_, live in
+                       timeline.stretches(rounds // 2, rounds)):
+                raise InvalidScenarioError(
+                    path, f"no flow is live in rounds {rounds // 2} to "
+                          f"{rounds}, the second half that is scored")
     strategy = None
     if config.strategy_path is not None:
         if not _drives_agents(spec):
@@ -591,7 +627,7 @@ def _prepare(config: RunConfig) \
                                    "(or, for coexlab run, a --strategy)")
     os.makedirs(config.out_dir, exist_ok=True)
     demo_seed = config.demo_seed if config.demo_seed is not None else spec.seed
-    return spec, "mac" if mac else "tcp", demo_seed, strategy
+    return config, spec, family, demo_seed, strategy
 
 
 @contextlib.contextmanager
@@ -659,7 +695,7 @@ def cmd_run(config: RunConfig) -> RunResult:
     artifacts. The transcript, the decision trace and the trajectory are
     written while the run goes; a run that drives no agent queries no
     backend, so it writes no transcript."""
-    spec, family, demo_seed, strategy = _prepare(config)
+    config, spec, family, demo_seed, strategy = _prepare(config)
     clear_artifacts(config)
     backend = make_backend(config) if _drives_agents(spec) else None
     with _transcript(config.out_dir, backend) as wrapped:
@@ -702,7 +738,7 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
                 offline_result.episodes.freeze()
                 strategy = offline_result.strategy
             with _streamed_trace(config) as trace:
-                engine = (MacPeriodEngine if mac else TcpPeriodEngine)(
+                engine = FAMILIES[type(spec)].engine(
                     spec, strategy, agent_cfg, backend=wrapped, trace=trace)
                 engine.env.log.stream(readers, keep)
                 log = engine.run(horizon)
@@ -744,7 +780,7 @@ def _offline_stage(config: RunConfig, backend: Backend, spec: AnyScenario,
 def cmd_offline(config: RunConfig) -> OfflineResult:
     """Offline stage only; artifacts cover demos, memory and the outcome,
     in an output directory cleared of older artifacts."""
-    spec, family, demo_seed, _ = _prepare(config)
+    config, spec, family, demo_seed, _ = _prepare(config)
     out = config.out_dir
     if not _drives_agents(spec):
         raise InvalidScenarioError(

@@ -284,8 +284,7 @@ from coexlab.agent.demos import DemoBundle, demo_bundle
 from coexlab.agent.offline import (
     GenerationResult,
     asi_materialize,
-    evaluate_mac_strategy,
-    evaluate_tcp_strategy,
+    evaluate_strategy,
     generate_initial_strategy,
     mac_j_target,
     mac_oracle_objective,
@@ -516,14 +515,14 @@ class TestEvaluation:
         pop = population_from_scenario(spec, (0, 1))
         oracle = solve_aware(pop, alpha=1.0)
         cfg = AgentConfig(eval_frames=1500)
-        out = evaluate_mac_strategy(
+        out = evaluate_strategy(
             spec, plain_mac_strategy(oracle.policies[0][0]), cfg)
         assert abs(out.j - oracle.objective) <= 0.02 * abs(oracle.objective)
 
     def test_all_zero_strategy_sits_at_log_floor(self):
         spec = ScenarioSpec(total_frames=600, frame_len=10, seed=3,
                             nodes=(NodeConfig(kind=KIND_AGENT),))
-        out = evaluate_mac_strategy(spec, plain_mac_strategy(0.0),
+        out = evaluate_strategy(spec, plain_mac_strategy(0.0),
                                     AgentConfig(eval_frames=600))
         assert out.j == pytest.approx(math.log(1e-10))
 
@@ -531,21 +530,21 @@ class TestEvaluation:
         spec = ScenarioSpec(total_frames=50, frame_len=10, seed=3,
                             nodes=(NodeConfig(kind=KIND_AGENT),))
         with pytest.raises(MetricDomainError):
-            evaluate_mac_strategy(spec, plain_mac_strategy(0.5),
+            evaluate_strategy(spec, plain_mac_strategy(0.5),
                                   AgentConfig(eval_frames=50))
 
     def test_episode_doc_is_deterministic(self):
         spec = agent_vs_tdma(frames=800)
         cfg = AgentConfig(eval_frames=800)
         s = plain_mac_strategy(0.4)
-        a = evaluate_mac_strategy(spec, s, cfg)
-        b = evaluate_mac_strategy(spec, s, cfg)
+        a = evaluate_strategy(spec, s, cfg)
+        b = evaluate_strategy(spec, s, cfg)
         assert a.j == b.j
         assert a.episode == b.episode
 
     def test_mac_episode_reports_overuse_evidence(self):
         spec = agent_vs_tdma(frames=800)
-        out = evaluate_mac_strategy(spec, plain_mac_strategy(0.4),
+        out = evaluate_strategy(spec, plain_mac_strategy(0.4),
                                     AgentConfig(eval_frames=800))
         slots = {e["slot"] for e in out.episode["overused"]}
         assert slots == {3, 5}
@@ -565,7 +564,7 @@ class TestEvaluation:
         for cls in (MacPeriodEngine, TcpPeriodEngine):
             monkeypatch.setattr(cls, "_window_objective", refuse)
         if domain == "mac":
-            out = evaluate_mac_strategy(agent_vs_tdma(frames=800),
+            out = evaluate_strategy(agent_vs_tdma(frames=800),
                                         plain_mac_strategy(0.4),
                                         AgentConfig(eval_frames=800))
         else:
@@ -573,7 +572,7 @@ class TestEvaluation:
                 total_rounds=400, seed=13,
                 flows=(TcpFlowConfig(controller=CONTROLLER_AGENT),
                        TcpFlowConfig(controller=CONTROLLER_RENO)))
-            out = evaluate_tcp_strategy(spec, tcp_strategy(9),
+            out = evaluate_strategy(spec, tcp_strategy(9),
                                         AgentConfig(eval_rounds=400))
         assert out.episode["j"] == round(out.j, 6)
 
@@ -583,7 +582,7 @@ class TestEvaluation:
             flows=(TcpFlowConfig(controller=CONTROLLER_AGENT),
                    TcpFlowConfig(controller=CONTROLLER_RENO)))
         s = tcp_strategy(9)
-        out = evaluate_tcp_strategy(spec, s, AgentConfig(eval_rounds=400))
+        out = evaluate_strategy(spec, s, AgentConfig(eval_rounds=400))
         stats = out.episode["stats"]
         assert set(stats) == {"mean_acks", "mean_rtt", "min_rtt", "max_rtt",
                               "mean_tput", "loss_rate", "live_n"}
@@ -724,7 +723,7 @@ class TestRunOffline:
             for key, which in (("j_first", "first"), ("j_second", "second")):
                 candidate = strategy_from_doc(payload[which])
                 assert payload[key] == round(
-                    evaluate_tcp_strategy(spec, candidate, cfg).j, 6)
+                    evaluate_strategy(spec, candidate, cfg).j, 6)
             assert payload["j_first"] != payload["j_second"]
 
     def test_best_strategy_survives_weaker_refinement(self):

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, exit codes, reproducibility."""
 
+import argparse
 import concurrent.futures
 import json
 import math
@@ -20,6 +21,7 @@ from coexlab.cli import ARTIFACT_REPLICAS, main
 from coexlab.agent.trace import trace_from_doc
 from coexlab.errors import InvalidScenarioError, MemoryFrozenError
 from coexlab.runner import (
+    AGENT_FLAGS,
     ARTIFACT_CONFIG,
     ARTIFACT_DEMOS,
     ARTIFACT_DOT,
@@ -947,22 +949,34 @@ class TestRunCommand:
         assert (evaluated["jain"], evaluated["rmse"]) == \
             (metrics["jain"], metrics["rmse"])
 
-    @pytest.mark.parametrize("scenario, flags, prefix", [
-        ("mac_2a1h", ["--query-period", "15"],
+    @pytest.mark.parametrize("command, scenario, flags, prefix", [
+        ("run", "mac_2a1h", ["--query-period", "15"],
          "query_period_slots 15 must cover whole 10-slot frames"),
-        ("mac_1t1h", ["--backend", "none"], "backend: "),
-        ("tcp_agent_reno", ["--strategy", "BAD"], "strategy: "),
-        ("mac_2a1h", ["--replicas", "2", "--query-period", "15"],
+        ("run", "mac_1t1h", ["--backend", "none"], "backend: "),
+        ("run", "tcp_agent_reno", ["--strategy", "BAD"], "strategy: "),
+        ("run", "mac_2a1h", ["--replicas", "2", "--query-period", "15"],
          "query_period_slots 15 "),
-        ("tcp_reno2", ["--strategy", "BAD"], "strategy: "),
-        ("mac_aware_2a1h", ["--strategy", "BAD"], "strategy: "),
+        ("run", "tcp_reno2", ["--strategy", "BAD"], "strategy: "),
+        ("run", "mac_aware_2a1h", ["--strategy", "BAD"], "strategy: "),
+        ("run", "tcp_late_joiners", [], "agent.eval_rounds: "),
+        ("offline", "tcp_late_joiners", [], "agent.eval_rounds: "),
+        ("run", "tcp_early_leavers", [], "total_rounds: "),
     ], ids=["partial_frames", "no_backend", "unparsable_strategy",
             "replicas_partial_frames", "strategy_without_agent_tcp",
-            "strategy_without_agent_mac"])
-    def test_refused_run_keeps_earlier_run(self, tmp_path, scenario, flags,
-                                           prefix, capsys):
+            "strategy_without_agent_mac", "no_flow_in_scored_eval_half",
+            "offline_no_flow_in_scored_eval_half",
+            "no_flow_in_scored_run_half"])
+    def test_refused_run_keeps_earlier_run(self, tmp_path, command, scenario,
+                                           flags, prefix, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json", encoding="utf-8")
+        path = ROOT / "scenarios" / f"{scenario}.json"
+        if scenario in EDITED_FLOWS:
+            doc = json.loads((ROOT / "scenarios" / "tcp_agent_reno.json")
+                             .read_text(encoding="utf-8"))
+            doc["flows"] = EDITED_FLOWS[scenario]
+            path = tmp_path / f"{scenario}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "o"
         out.mkdir()
         # what an earlier run left; a refused run leaves it byte for byte
@@ -976,8 +990,7 @@ class TestRunCommand:
 
         before = tree()
         assert run_cli(
-            "run", "--out", str(out),
-            "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
+            command, "--out", str(out), "--scenario", str(path),
             *[str(bad) if flag == "BAD" else flag for flag in flags]) == 2
         assert tree() == before
         assert json.loads(capsys.readouterr().err)["message"].startswith(
@@ -994,6 +1007,86 @@ class TestRunCommand:
                        "--out", str(tmp_path / "run")) == 4
         assert json.loads(capsys.readouterr().err)["error"] \
             == "UnsupportedPopulationError"
+
+
+# refusal scenarios: tcp_agent_reno's 2000 rounds with these flows, none of
+# them live in the second half of the 1000-round evaluation episode
+# (late joiners) or of the run (early leavers)
+EDITED_FLOWS = {
+    "tcp_late_joiners": [{"controller": "agent", "join_round": 1200},
+                         {"controller": "reno", "join_round": 1500}],
+    "tcp_early_leavers": [{"controller": "agent", "leave_round": 500},
+                          {"controller": "reno", "leave_round": 800}],
+}
+
+# agent flag -> a value unlike its default and FAST_AGENT's
+FLAG_VALUES = {"query_period": 50, "epsilon": 0.1, "sigma": 0.3, "n_max": 1,
+               "alpha": 2.0, "demo_k": 2, "window": 50, "warmup": 100}
+# (flag, family) -> the artifact that the flag must change
+FLAG_CHANGES = {("query_period", "tcp"): ARTIFACT_TRACE,
+                ("sigma", "tcp"): ARTIFACT_TRANSCRIPT}
+
+
+def write_flag_scenario(path, family):
+    """A small agent scenario of ``family`` for the agent flag cases."""
+    if family == "mac":
+        return write_mac_scenario(path, [
+            {"kind": "agent"}, {"kind": "tdma", "slots": [3, 5]}])
+    return write_tcp_scenario(path, [{"controller": "agent"},
+                                     {"controller": "reno"}])
+
+
+@pytest.fixture(scope="module")
+def flagless_runs(tmp_path_factory):
+    """family -> the directory of a run given no agent flag."""
+    root = tmp_path_factory.mktemp("flagless")
+    settings = root / "agent.json"
+    settings.write_text(json.dumps(FAST_AGENT), encoding="utf-8")
+    runs = {}
+    for family in ("mac", "tcp"):
+        runs[family] = str(root / family)
+        assert main(["run", "--scenario",
+                     write_flag_scenario(root / f"{family}.json", family),
+                     "--out", runs[family],
+                     "--agent-json", str(settings)]) == 0
+    return runs
+
+
+class TestAgentFlags:
+    def test_parser_flags_are_the_tables_keys(self):
+        parser = argparse.ArgumentParser()
+        coexlab.cli._add_agent_flags(parser)
+        flags = {action.dest for action in parser._actions}
+        assert flags - {"help", "agent_json"} == set(AGENT_FLAGS)
+        assert set(FLAG_VALUES) == set(AGENT_FLAGS)
+
+    @pytest.mark.parametrize("family", ["mac", "tcp"])
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    def test_flag_sets_the_running_familys_setting(
+            self, tmp_path, flag, family, agent_json, flagless_runs,
+            capsys):
+        setting = AGENT_FLAGS[flag][family == "tcp"]
+        value = FLAG_VALUES[flag]
+        out = tmp_path / "o"
+        code = run_cli("run", "--out", str(out), "--agent-json", agent_json,
+                       "--scenario",
+                       write_flag_scenario(tmp_path / "s.json", family),
+                       f"--{flag.replace('_', '-')}", str(value))
+        if setting is None:
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["message"] == \
+                f"--{flag}: a {family} run has no such setting"
+            assert not out.exists()
+            return
+        assert code == 0
+        # the one setting that differs from the flagless run's
+        assert read_json(out, ARTIFACT_CONFIG)["agent"] == \
+            dict(read_json(flagless_runs[family], ARTIFACT_CONFIG)["agent"],
+                 **{setting: value})
+        changed = FLAG_CHANGES.get((flag, family))
+        if changed is not None:
+            assert read_bytes(out, changed) != \
+                read_bytes(flagless_runs[family], changed)
 
 
 class TestOracleCommand:

@@ -24,7 +24,6 @@ import tcp_reference as ref
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.demos import _tcp_summary
 from coexlab.agent.observer import tcp_observer_analyze, tcp_window_signals
-from coexlab.agent.offline import tcp_j_estimate
 from coexlab.agent.online import tcp_window_objective
 from coexlab.errors import CoexlabError, MetricDomainError
 from coexlab import runner, tcp
@@ -170,7 +169,8 @@ def check_readers(env, records, data):
             list(ref.mean_flow_throughputs(records, first).items())
     assert outcome(tcp_window_objective, log, window) == \
         outcome(ref.tcp_window_objective, records, window)
-    assert outcome(tcp_j_estimate, log) == \
+    # the offline evaluation's J estimate
+    assert outcome(mean_social_reward, log, n // 2) == \
         outcome(ref.tcp_j_estimate, records)
     first = firsts[0]
     for fid in fids:
