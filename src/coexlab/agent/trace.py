@@ -4,13 +4,15 @@ Every node names the acting role, a human-readable label, and digests of
 the content it consumed and produced, so a rendered trace explains an
 action without reproducing full prompts. Traces carry no timestamps and
 serialize with sorted keys, so identical runs emit identical bytes.
+
+A run writes its trace through a ``TraceSink``; a trace with no sink is
+one parsed back from its document (``trace_from_doc``).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TextIO, Tuple
@@ -120,34 +122,29 @@ def _node_json(node: TraceNode, indent: str) -> str:
 
 
 class TraceSink:
-    """Writes the text of ``to_json`` and ``to_dot`` (either file may be
-    None) one top-level subtree at a time: the root's opening first, then
-    each finished top-level subtree, then on ``close`` the root's other
-    keys. Only the subtree being written is encoded at once."""
+    """Writes ``trace.json``, as ``json.dumps(indent=2, sort_keys=True)``
+    gives it with a newline, and ``trace.dot`` one top-level subtree at a
+    time: the root's opening, each finished top-level subtree, then on
+    ``close`` the root's other keys; only that subtree is encoded at once."""
 
-    def __init__(self, json_fh: Optional[TextIO],
-                 dot_fh: Optional[TextIO] = None):
+    def __init__(self, json_fh: TextIO, dot_fh: TextIO):
         self.json_fh = json_fh
         self.dot_fh = dot_fh
         self.written = 0        # top-level subtrees written
         self.next_id = 1        # DOT id of the next node; the root is n0
 
     def open(self, root: TraceNode) -> None:
-        if self.json_fh is not None:
-            self.json_fh.write(_node_ends(root, "")[0])
-        if self.dot_fh is not None:
-            self.dot_fh.write("digraph decision_trace {\n"
-                              "  node [shape=box];\n" + _dot_label(0, root))
+        self.json_fh.write(_node_ends(root, "")[0])
+        self.dot_fh.write("digraph decision_trace {\n"
+                          "  node [shape=box];\n" + _dot_label(0, root))
 
     def subtree(self, node: TraceNode) -> None:
-        if self.json_fh is not None:
-            self.json_fh.write(("," if self.written else "") + "\n    "
-                               + _node_json(node, "    "))
-        if self.dot_fh is not None:
-            lines: List[str] = []
-            nid = self._dot_walk(node, lines)
-            lines.append(f"  n0 -> n{nid};\n")
-            self.dot_fh.write("".join(lines))
+        self.json_fh.write(("," if self.written else "") + "\n    "
+                           + _node_json(node, "    "))
+        lines: List[str] = []
+        nid = self._dot_walk(node, lines)
+        lines.append(f"  n0 -> n{nid};\n")
+        self.dot_fh.write("".join(lines))
         self.written += 1
 
     def _dot_walk(self, node: TraceNode, lines: List[str]) -> int:
@@ -162,20 +159,19 @@ class TraceSink:
         return nid
 
     def close(self, root: TraceNode) -> None:
-        if self.json_fh is not None:
-            self.json_fh.write(("\n  ]" if self.written else "]")
-                               + _node_ends(root, "")[1] + "\n")
-        if self.dot_fh is not None:
-            self.dot_fh.write("}\n")
+        self.json_fh.write(("\n  ]" if self.written else "]")
+                           + _node_ends(root, "")[1] + "\n")
+        self.dot_fh.write("}\n")
 
 
 class DecisionTrace:
     """A single rooted decision tree for one run or episode.
 
-    Without a sink the whole tree stays in memory. With one, the trace
-    is written as it grows: a top-level node goes to the sink, and out of
-    memory, when the next one is made, and ``close`` writes the rest. A
-    run's period nodes are top-level, so it holds one period at a time.
+    With a sink, the trace is written as it grows: a top-level node goes
+    to the sink, and out of memory, when the next one is made, and
+    ``close`` writes the rest. A run's period nodes are top-level, so it
+    holds one period at a time. Without one, the whole tree stays in
+    memory: that is a trace parsed from its document.
     """
 
     def __init__(self, label: str, actor: str = ACTOR_ASSISTANT,
@@ -201,38 +197,9 @@ class DecisionTrace:
         self._flush()
         self.sink.close(self.root)
 
-    def _write(self, sink: TraceSink) -> None:
-        sink.open(self.root)
-        for c in self.root.children:
-            sink.subtree(c)
-        sink.close(self.root)
-
-    def to_json(self) -> str:
-        """The tree as ``json.dumps(indent=2, sort_keys=True)`` gives it,
-        with a newline after it."""
-        buf = io.StringIO()
-        self._write(TraceSink(buf))
-        return buf.getvalue()
-
-    def render(self) -> str:
-        lines: List[str] = []
-
-        def walk(node: TraceNode, depth: int) -> None:
-            lines.append("  " * depth + f"{node.actor}: {node.label}")
-            for c in node.children:
-                walk(c, depth + 1)
-
-        walk(self.root, 0)
-        return "\n".join(lines) + "\n"
-
-    def to_dot(self) -> str:
-        buf = io.StringIO()
-        self._write(TraceSink(None, buf))
-        return buf.getvalue()
-
 
 def node_from_doc(doc: object) -> TraceNode:
-    """The node tree of a ``to_json`` document; a document of another
+    """The node tree of a ``trace.json`` document; a document of another
     shape is an ``InvalidScenarioError``."""
     if not isinstance(doc, dict):
         raise InvalidScenarioError(

@@ -70,22 +70,16 @@ class Backend(Protocol):
     def complete(self, req: CompletionRequest) -> str: ...
 
 
-def _jsonl_line(entry: Dict[str, object]) -> str:
-    return json.dumps(entry, sort_keys=True) + "\n"
-
-
 class TranscriptRecorder:
-    """Append-only request/response log, serialized as JSON lines.
+    """Append-only request/response log, written to ``fh`` as JSON lines.
 
     Entries carry a sequence number rather than wall-clock time so that
-    identical runs produce identical transcripts. Given an open file, the
-    recorder writes each entry's line to it as the entry is recorded and
-    keeps none; otherwise it keeps them in ``entries``.
+    identical runs produce identical transcripts. Each entry's line is
+    written as the entry is recorded, and none is kept.
     """
 
-    def __init__(self, fh: Optional[TextIO] = None) -> None:
+    def __init__(self, fh: TextIO) -> None:
         self.fh = fh
-        self.entries: List[Dict[str, object]] = []
         self.count = 0
 
     def record(self, kind: str, req: CompletionRequest, response: str) -> None:
@@ -98,10 +92,7 @@ class TranscriptRecorder:
             "response": response,
         }
         self.count += 1
-        if self.fh is None:
-            self.entries.append(entry)
-        else:
-            self.fh.write(_jsonl_line(entry))
+        self.fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 class RecordingBackend:

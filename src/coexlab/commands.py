@@ -51,7 +51,7 @@ from .runner import (
 )
 from .agent.config import AgentConfig, checked_agent_settings
 from .agent.demos import demo_bundle, demos_doc
-from .agent.trace import trace_from_doc
+from .agent.trace import TraceNode, trace_from_doc
 
 
 def cmd_oracle(scenario_path: str, out_dir: str,
@@ -220,8 +220,19 @@ def _traced_run(run_dir: str) -> bool:
     return isinstance(doc, dict) and doc.get("trace") is True
 
 
+def _tree_text(root: TraceNode) -> str:
+    """``trace.txt``: each node's actor and label, indented by depth."""
+    lines, stack = [], [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        lines.append("  " * depth + f"{node.actor}: {node.label}\n")
+        stack.extend((c, depth + 1) for c in reversed(node.children))
+    return "".join(lines)
+
+
 def cmd_trace(run_dir: str) -> Dict[str, str]:
-    """Render the decision tree of a traced run as text and DOT files."""
+    """Render the decision tree of a traced run as ``trace.txt``, beside
+    the ``trace.dot`` the run wrote."""
     path = os.path.join(run_dir, ARTIFACT_TRACE)
     if not os.path.isfile(path):
         if _traced_run(run_dir):
@@ -230,9 +241,12 @@ def cmd_trace(run_dir: str) -> Dict[str, str]:
                 f"agent, so it writes none")
         raise TracingDisabledError(
             f"{run_dir} holds no decision trace; rerun with tracing enabled")
-    trace = trace_from_doc(_read_json(path, ARTIFACT_TRACE))
-    tree_path = os.path.join(run_dir, ARTIFACT_TREE)
+    root = trace_from_doc(_read_json(path, ARTIFACT_TRACE)).root
     dot_path = os.path.join(run_dir, ARTIFACT_DOT)
-    _write_text(tree_path, trace.render())
-    _write_text(dot_path, trace.to_dot())
+    if not os.path.isfile(dot_path):
+        raise InvalidScenarioError(
+            ARTIFACT_DOT, f"{run_dir} holds {ARTIFACT_TRACE} but no "
+                          f"{ARTIFACT_DOT}; a run writes both, so rerun it")
+    tree_path = os.path.join(run_dir, ARTIFACT_TREE)
+    _write_text(tree_path, _tree_text(root))
     return {"tree": tree_path, "dot": dot_path}

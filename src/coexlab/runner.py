@@ -572,10 +572,10 @@ def _drives_agents(spec: AnyScenario) -> bool:
 
 def _prepare(config: RunConfig) \
         -> Tuple[RunConfig, AnyScenario, str, int, Optional[Strategy]]:
-    """Refuse a bad ``config`` before the output directory is touched, then
-    create it; returns ``config`` with its agent flags set on the settings
-    of the scenario's family, the seeded scenario, its family, the demo
-    seed and the cached strategy, if any."""
+    """Refuse a bad ``config`` before the output directory is touched;
+    returns ``config`` with its agent flags set on the settings of the
+    scenario's family, the seeded scenario, its family, the demo seed and
+    the cached strategy, if any."""
     config.validate()
     spec = load_scenario(config.scenario_path)
     if config.seed is not None:
@@ -625,7 +625,6 @@ def _prepare(config: RunConfig) \
     elif config.backend == BACKEND_NONE and _drives_agents(spec):
         raise InvalidScenarioError("backend", "agent scenarios need a backend "
                                    "(or, for coexlab run, a --strategy)")
-    os.makedirs(config.out_dir, exist_ok=True)
     demo_seed = config.demo_seed if config.demo_seed is not None else spec.seed
     return config, spec, family, demo_seed, strategy
 
@@ -677,9 +676,10 @@ def _streamed_trace(config: RunConfig):
 
 
 def clear_artifacts(config: RunConfig) -> None:
-    """Remove every artifact an earlier command left in the output
-    directory, so that it holds only this run's; a cached strategy read
-    from there stays."""
+    """Create the output directory, or remove every artifact an earlier
+    command left there, so that it holds only this run's; a cached
+    strategy read from there stays."""
+    os.makedirs(config.out_dir, exist_ok=True)
     for name in ARTIFACTS:
         path = os.path.join(config.out_dir, name)
         if config.strategy_path is not None and os.path.isfile(path) \

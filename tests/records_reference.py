@@ -1,7 +1,6 @@
 """Readers of a run's records that no program path calls, kept for the
 tests that check the records through them: a predicate search over a
-decision trace, the strategy set rebuilt from its history, and an
-in-memory transcript as the JSONL text a streamed one writes."""
+decision trace and the strategy set rebuilt from its history."""
 
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ from coexlab.agent.memory import (
     StrategySet,
 )
 from coexlab.agent.trace import DecisionTrace, TraceNode
-from coexlab.backends import TranscriptRecorder, _jsonl_line
 from coexlab.strategy import strategy_from_doc
 
 
@@ -44,7 +42,3 @@ def replay_history(entries: Iterable[HistoryEntry]) -> StrategySet:
             out._by_id.pop(entry.strategy_id, None)
     return out
 
-
-def transcript_jsonl(recorder: TranscriptRecorder) -> str:
-    """The entries a recorder kept in memory, one JSON line each."""
-    return "".join(map(_jsonl_line, recorder.entries))

@@ -1,7 +1,9 @@
 """Observer analysis and the online control loop."""
 
+import io
 import json
 from collections.abc import Sequence
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +15,11 @@ from coexlab.agent.trace import (
     ACTOR_NODE,
     ACTOR_OBSERVER,
     DecisionTrace,
+    TraceSink,
     content_digest,
     overuse_label,
 )
+from coexlab.commands import cmd_trace
 from coexlab.agent.observer import (
     NOTABLE_OVERUSED,
     NOTABLE_UNUSED,
@@ -222,9 +226,9 @@ class FakeNotable:
         self.utilization = utilization
 
 
-def sample_trace():
-    trace = DecisionTrace("run seed 3")
-    period = trace.root.child(ACTOR_NODE, "period 5")
+def sample_trace(sink=None):
+    trace = DecisionTrace("run seed 3", sink=sink)
+    period = trace.child(ACTOR_NODE, "period 5")
     finding = period.child(ACTOR_OBSERVER, "slots 3,5 utilization 1.0",
                            inputs={"window": [400, 499]},
                            converged=False, env_changed=False)
@@ -234,9 +238,17 @@ def sample_trace():
     return trace
 
 
+def written_sample():
+    """The ``trace.json`` and ``trace.dot`` text a sink writes for the
+    sample trace."""
+    json_fh, dot_fh = io.StringIO(), io.StringIO()
+    sample_trace(TraceSink(json_fh, dot_fh)).close()
+    return json_fh.getvalue(), dot_fh.getvalue()
+
+
 class TestDecisionTrace:
     def test_json_round_trip_shape(self):
-        doc = json.loads(sample_trace().to_json())
+        doc = json.loads(written_sample()[0])
         assert doc["actor"] == "assistant"
         finding = doc["children"][0]["children"][0]
         assert finding["label"] == "slots 3,5 utilization 1.0"
@@ -245,17 +257,21 @@ class TestDecisionTrace:
         assert leaf["data"]["action"][3] == 0.0
 
     def test_no_timestamps_in_serialized_trace(self):
-        text = sample_trace().to_json()
+        text = written_sample()[0]
         assert "time" not in text and "stamp" not in text
 
-    def test_render_indents_by_depth(self):
-        lines = sample_trace().render().splitlines()
+    def test_render_indents_by_depth(self, tmp_path):
+        text, dot = written_sample()
+        (tmp_path / "trace.json").write_text(text)
+        (tmp_path / "trace.dot").write_text(dot)
+        lines = Path(cmd_trace(str(tmp_path))["tree"]).read_text() \
+            .splitlines()
         assert lines[0] == "assistant: run seed 3"
         assert lines[1] == "  node: period 5"
         assert lines[2] == "    observer: slots 3,5 utilization 1.0"
 
     def test_dot_output_is_a_tree(self):
-        dot = sample_trace().to_dot()
+        dot = written_sample()[1]
         assert dot.startswith("digraph decision_trace {")
         assert dot.count(" -> ") == dot.count("[label=") - 1
 
@@ -266,7 +282,7 @@ class TestDecisionTrace:
         assert found[0].children[0].label == "avoid_slots 3,5"
 
     def test_identical_builds_serialize_identically(self):
-        assert sample_trace().to_json() == sample_trace().to_json()
+        assert written_sample() == written_sample()
 
     def test_content_digest_is_stable(self):
         assert content_digest({"a": 1}) == content_digest({"a": 1})
@@ -466,21 +482,24 @@ class TestMacPeriodEngine:
         assert rec.actuated[0] != rec.proposals[0]
 
     def test_ranker_mode_queries_both_orders(self):
-        recorder = TranscriptRecorder()
-        backend = RecordingBackend(ScriptedBackend(), recorder)
+        transcript = io.StringIO()
+        backend = RecordingBackend(ScriptedBackend(),
+                                   TranscriptRecorder(transcript))
         eng = MacPeriodEngine(static_mac_spec(frames=200),
                               mac_strategy_json(),
                               AgentConfig(ranker_online=True),
                               backend=backend)
         eng.run(200)
-        tags = [e["tag"] for e in recorder.entries]
+        entries = [json.loads(line)
+                   for line in transcript.getvalue().splitlines()]
+        tags = [e["tag"] for e in entries]
         assert tags and all(t.endswith(("/forward", "/reversed"))
                             for t in tags)
         assert len([t for t in tags if t.endswith("/forward")]) == \
             len([t for t in tags if t.endswith("/reversed")])
         # deterministic backend answers both orders identically
         by_pair = {}
-        for e in recorder.entries:
+        for e in entries:
             key = e["tag"].rsplit("/", 1)[0]
             by_pair.setdefault(key, []).append(e["response"])
         assert all(len(set(v)) == 1 for v in by_pair.values())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -25,7 +26,6 @@ from coexlab.errors import (
     UnrecognizedTemplateError,
 )
 from coexlab.scripted import ScriptedBackend
-from records_reference import transcript_jsonl
 
 
 def ok_body(content):
@@ -87,12 +87,12 @@ class TestHttpBackend:
 
 class TestTranscript:
     def test_records_in_order_without_timestamps(self):
-        rec = TranscriptRecorder()
+        transcript = io.StringIO()
         backend, _ = http_with([(200, ok_body("a")), (200, ok_body("b"))])
-        wrapped = RecordingBackend(backend, rec)
+        wrapped = RecordingBackend(backend, TranscriptRecorder(transcript))
         wrapped.complete(user_request("one", tag="t1"))
         wrapped.complete(user_request("two", tag="t2"))
-        lines = transcript_jsonl(rec).strip().split("\n")
+        lines = transcript.getvalue().strip().split("\n")
         entries = [json.loads(line) for line in lines]
         assert [e["seq"] for e in entries] == [0, 1]
         assert entries[0]["response"] == "a"

@@ -36,6 +36,7 @@ from coexlab.runner import (
     ARTIFACT_TRACE,
     ARTIFACT_TRAJECTORY,
     ARTIFACT_TRANSCRIPT,
+    ARTIFACT_TREE,
     RunConfig,
     RunResult,
     cmd_run,
@@ -1356,6 +1357,28 @@ class TestTraceCommand:
         with open(paths["dot"], encoding="utf-8") as fh:
             assert fh.read().startswith("digraph decision_trace")
 
+    def test_keeps_the_dot_graph_the_run_wrote(self, tmp_path, tdma_scenario,
+                                               agent_json, capsys):
+        out = str(tmp_path / "run")
+        run_cli("run", "--scenario", tdma_scenario, "--out", out,
+                "--agent-json", agent_json)
+        dot_path = os.path.join(out, ARTIFACT_DOT)
+        before = read_bytes(out, ARTIFACT_DOT), os.stat(dot_path).st_mtime_ns
+        capsys.readouterr()
+        assert run_cli("trace", "--run", out) == 0
+        assert json.loads(capsys.readouterr().out)["dot"] == dot_path
+        assert (read_bytes(out, ARTIFACT_DOT),
+                os.stat(dot_path).st_mtime_ns) == before
+
+    def test_trace_without_dot_graph_exits_2(self, tmp_path, capsys):
+        (tmp_path / ARTIFACT_TRACE).write_text(
+            '{"actor": "a", "label": "b", "children": []}')
+        assert run_cli("trace", "--run", str(tmp_path)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidScenarioError"
+        assert err["message"].startswith(f"{ARTIFACT_DOT}: ")
+        assert not (tmp_path / ARTIFACT_TREE).exists()
+
     def test_untraced_run_exits_2(self, tmp_path, tdma_scenario, agent_json,
                                   capsys):
         out = str(tmp_path / "run")
@@ -1410,8 +1433,10 @@ class TestTraceCommand:
     def test_malformed_trace_exits_2(self, tmp_path, breakage, capsys):
         (tmp_path / ARTIFACT_TRACE).write_text(TRACE_BREAKAGES[breakage])
         assert run_cli("trace", "--run", str(tmp_path)) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == \
-            "InvalidScenarioError"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidScenarioError"
+        # the document is refused before the missing trace.dot is
+        assert ARTIFACT_DOT not in err["message"]
 
     def test_trace_document_nested_past_recursion_limit_is_refused(self):
         doc = {"actor": "a", "label": "b"}
@@ -1497,6 +1522,9 @@ class TestOfflineCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidScenarioError"
         assert "online engine drives" in err["message"]
+        fresh = tmp_path / "fresh"
+        assert run_cli("offline", "--scenario", path, "--out", str(fresh)) == 2
+        assert not fresh.exists()
 
     def test_reused_out_dir_keeps_no_older_run_artifacts(self, tmp_path,
                                                          agent_json, capsys):

@@ -4,7 +4,8 @@ forced escape, and team members that join late or leave early.
 
 Each case drives a ``MacPeriodEngine`` or ``TcpPeriodEngine`` directly and
 hashes four things: the ``PeriodRecord`` list its periods returned, the
-decision trace, the backend transcript and the environment trajectory. The digests live in
+decision trace and the backend transcript as their writers stream them,
+and the environment trajectory. The digests live in
 ``engine_digests.json`` beside this file. After a change that alters
 engine output on purpose, regenerate them with
 
@@ -15,6 +16,7 @@ drift in CHANGES.md.
 """
 
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -23,10 +25,9 @@ import pytest
 
 import tcp_reference
 from period_records import run_collect
-from records_reference import transcript_jsonl
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
-from coexlab.agent.trace import DecisionTrace
+from coexlab.agent.trace import DecisionTrace, TraceSink
 from coexlab.backends import RecordingBackend, TranscriptRecorder
 from coexlab.errors import BackendUnavailableError
 from coexlab.mac import (
@@ -103,8 +104,9 @@ def tcp_spec(rounds, *controllers, seed=4):
 
 
 def _engine(cls, spec, strategy, inner, **kwargs):
-    recorder = TranscriptRecorder()
-    trace = DecisionTrace("engine digest")
+    recorder = TranscriptRecorder(io.StringIO())
+    trace = DecisionTrace("engine digest",
+                          sink=TraceSink(io.StringIO(), io.StringIO()))
     engine = cls(spec, strategy, backend=RecordingBackend(inner, recorder),
                  trace=trace, **kwargs)
     return engine, trace, recorder
@@ -194,12 +196,13 @@ def _sha(text: str) -> str:
 
 def case_digests(name: str) -> dict:
     engine, periods, trace, recorder = CASES[name]()
+    trace.close()
     trajectory = engine.env.log.records if isinstance(engine, MacPeriodEngine) \
         else tcp_reference.records_from_log(engine.env)
     return {
         "periods": _sha(repr(periods)),
-        "trace": _sha(trace.to_json()),
-        "transcript": _sha(transcript_jsonl(recorder)),
+        "trace": _sha(trace.sink.json_fh.getvalue()),
+        "transcript": _sha(recorder.fh.getvalue()),
         "trajectory": _sha(repr(list(trajectory))),
     }
 

@@ -1,14 +1,13 @@
 """The transcript and the decision trace written while a run goes.
 
-A period engine given a ``TranscriptRecorder`` over an open file and a
-``DecisionTrace`` with a ``TraceSink`` must write the bytes that the
-recorder's kept entries as JSONL, ``to_json`` and ``to_dot`` give for the
-same run built in memory, while holding no transcript entry and one period of the trace.
-``cmd_run`` streams both into the run directory, and a run that fails
-leaves complete transcript lines and no partial trace, nor the partial
-``trajectory.csv`` a MAC or TCP run writes while it goes. Nor does the
-engine keep its period records: what it holds does not grow with the
-periods it has run.
+A period engine given a ``DecisionTrace`` with a ``TraceSink`` must write
+the bytes that ``json.dumps`` and the recursive DOT numbering give for the
+same trace built in memory, and the transcript of that run, while holding
+one period of the trace. ``cmd_run`` streams both into the run directory,
+and a run that fails leaves complete transcript lines and no partial
+trace, nor the partial ``trajectory.csv`` a MAC or TCP run writes while
+it goes. Nor does the engine keep its period records: what it holds does
+not grow with the periods it has run.
 """
 
 from __future__ import annotations
@@ -46,14 +45,15 @@ from coexlab.runner import (
 from coexlab.scripted import ScriptedBackend
 from coexlab.tcp import CONTROLLER_AGENT, CONTROLLER_RENO
 from period_records import run_collect
-from records_reference import transcript_jsonl
 from test_engine_digests import mac_spec, mac_strategy, tcp_spec, tcp_strategy
+from test_trace_writer import node_doc, reference_dot
 
 
-def run_engine(case, transcript_fh=None, sink=None):
+def run_engine(case, transcript_fh, sink=None):
     """Run ``case`` (engine class, spec, strategy, config, escape) with the
-    recorder and trace given those outputs; returns the engine, its period
-    records, the recorder and the trace."""
+    recorder and trace given those outputs (with no sink, the trace is
+    held in memory); returns the engine, its period records, the recorder
+    and the trace."""
     cls, spec, strategy, config, escape = case
     recorder = TranscriptRecorder(transcript_fh)
     trace = DecisionTrace("engine run", sink=sink)
@@ -86,15 +86,17 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_streamed_records_equal_records_built_in_memory(name):
-    _, _, memory_recorder, memory_trace = run_engine(CASES[name])
+    memory_transcript = io.StringIO()
+    _, _, _, memory_trace = run_engine(CASES[name], memory_transcript)
     transcript, json_fh, dot_fh = io.StringIO(), io.StringIO(), io.StringIO()
     _, periods, recorder, trace = run_engine(CASES[name], transcript,
                                              TraceSink(json_fh, dot_fh))
-    assert transcript.getvalue() == transcript_jsonl(memory_recorder)
-    assert json_fh.getvalue() == memory_trace.to_json()
-    assert dot_fh.getvalue() == memory_trace.to_dot()
-    assert recorder.entries == [] and trace.root.children == []
-    assert recorder.count == len(memory_recorder.entries) > 0
+    assert transcript.getvalue() == memory_transcript.getvalue()
+    assert json_fh.getvalue() == json.dumps(
+        node_doc(memory_trace.root), indent=2, sort_keys=True) + "\n"
+    assert dot_fh.getvalue() == reference_dot(memory_trace.root)
+    assert trace.root.children == []
+    assert recorder.count == len(transcript.getvalue().splitlines()) > 0
     assert len(memory_trace.root.children) == len(periods)
     assert any(p.escaped for p in periods) == CASES[name][4]
 
@@ -102,14 +104,16 @@ def test_streamed_records_equal_records_built_in_memory(name):
 def retained_record_bytes(periods, streamed):
     """Bytes still allocated, after a MAC engine ran ``periods`` periods,
     by calls into the trace and backend modules other than the scripted
-    backend's own work: the trace nodes and the transcript entries."""
+    backend's own work: the trace nodes and the transcript text. In
+    memory, the trace has no sink and the transcript goes to a string."""
     cls, spec, strategy, config, _ = CASES["mac online ranker"]
     frames = periods * config.query_period_slots // spec.frame_len
     case = (cls, mac_spec(frames), strategy, config, False)
     with open(os.devnull, "w", encoding="utf-8") as null:
         tracemalloc.start(16)
         try:
-            outputs = (null, TraceSink(null, null)) if streamed else ()
+            outputs = (null, TraceSink(null, null)) if streamed \
+                else (io.StringIO(),)
             kept = run_engine(case, *outputs)
             # a full collection frees uncollected cycles and empties the
             # interpreter's free lists, whose blocks tracemalloc still
@@ -136,7 +140,7 @@ def test_streamed_record_memory_does_not_grow_with_the_run():
     streamed = [retained_record_bytes(k, True) for k in (n, 2 * n)]
     in_memory = [retained_record_bytes(k, False) for k in (n, 2 * n)]
     per_period = (in_memory[1] - in_memory[0]) / n
-    # built in memory, each period's trace nodes and transcript entries
+    # built in memory, each period's trace nodes and transcript lines
     # stay: over 2 KiB of them
     assert per_period > 2 * 2**10
     # streamed, the two horizons differ by less than one period's records

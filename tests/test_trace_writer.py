@@ -4,8 +4,8 @@
 itself and encodes leaves with ``json``'s C encoder; it must give the same
 bytes for any JSON value. A trace written through a ``TraceSink`` one
 top-level subtree at a time must give the bytes of the whole tree encoded
-at once, and its DOT text those of the recursive numbering below, the
-writer ``to_dot`` had before.
+at once by ``json.dumps``, and its DOT text those of the recursive
+numbering below, the DOT writer the trace had before.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def test_indented_json_at_depth_equals_nested_dump(value, depth):
 
 
 def node_doc(node: TraceNode) -> dict:
-    """The document of ``node``'s subtree that ``to_json`` encodes."""
+    """The document of ``node``'s subtree that ``trace.json`` holds."""
     return {"actor": node.actor, "label": node.label,
             "input_digest": node.input_digest,
             "output_digest": node.output_digest, "data": node.data,
@@ -74,7 +74,8 @@ def node_doc(node: TraceNode) -> dict:
 
 
 def reference_dot(root: TraceNode) -> str:
-    """``to_dot`` as it was: one recursive pre-order walk."""
+    """The DOT text of ``root``'s tree as one recursive pre-order walk
+    numbers it."""
     lines = ["digraph decision_trace {", "  node [shape=box];"]
     counter = 0
 
@@ -136,17 +137,15 @@ def test_streamed_trace_equals_whole_tree(root_label, tops, root_data):
         assert len(streamed.root.children) == 1     # one subtree held
     streamed.close()
 
-    assert whole.to_json() == json.dumps(
+    assert json_fh.getvalue() == json.dumps(
         node_doc(whole.root), indent=2, sort_keys=True) + "\n"
-    assert whole.to_dot() == reference_dot(whole.root)
-    assert json_fh.getvalue() == whole.to_json()
-    assert dot_fh.getvalue() == whole.to_dot()
+    assert dot_fh.getvalue() == reference_dot(whole.root)
     assert not streamed.root.children
 
 
 def test_sink_writes_each_subtree_before_the_next_is_made():
     json_fh = io.StringIO()
-    trace = DecisionTrace("run", sink=TraceSink(json_fh))
+    trace = DecisionTrace("run", sink=TraceSink(json_fh, io.StringIO()))
     lengths: List[int] = []
     for k in range(3):
         trace.child("assistant", f"period {k}").child("observer", "window")
