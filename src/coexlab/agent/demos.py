@@ -246,23 +246,22 @@ def generate_demos(family: str, k: int, seed: int,
     return sets
 
 
-def demos_doc(family: str, k: int, seed: int,
-              sets: List[DemoSet]) -> Dict[str, object]:
-    return {
-        "version": "demos-v1",
-        "family": family,
-        "K": k,
-        "seed": seed,
-        "sets": [ds.doc() for ds in sets],
-    }
-
-
 @dataclass
 class DemoBundle:
     family: str
     k: int
     seed: int
     sets: List[DemoSet]
+
+    def doc(self) -> Dict[str, object]:
+        """The ``demos.json`` document."""
+        return {
+            "version": "demos-v1",
+            "family": self.family,
+            "K": self.k,
+            "seed": self.seed,
+            "sets": [ds.doc() for ds in self.sets],
+        }
 
 
 def demo_bundle(family: str, k: int, seed: int,

@@ -49,8 +49,6 @@ class Message:
 @dataclass(frozen=True)
 class CompletionRequest:
     messages: Tuple[Message, ...]
-    temperature: float = 0.0
-    max_tokens: int = 2048
     request_tag: str = ""
 
 
@@ -62,8 +60,6 @@ def user_request(content: str, tag: str = "") -> CompletionRequest:
 def _check_request(req: CompletionRequest) -> None:
     if not req.messages:
         raise ValueError("completion request needs at least one message")
-    if not 0.0 <= req.temperature <= 2.0:
-        raise ValueError("temperature must lie in [0, 2]")
 
 
 class Backend(Protocol):
@@ -108,6 +104,14 @@ class RecordingBackend:
         return response
 
 
+# the HTTP backend's settings; retry n waits BACKOFF_BASE_S * 2 ** (n - 1) s
+CREDENTIAL_ENV = "COEXLAB_API_KEY"
+TEMPERATURE = 0.0
+MAX_TOKENS = 2048
+MAX_RETRIES = 3
+TIMEOUT_S = 60.0
+BACKOFF_BASE_S = 0.5
+
 PostFn = Callable[[str, Dict[str, str], Dict[str, object], float],
                   Tuple[int, object]]
 
@@ -140,20 +144,13 @@ class HttpBackend:
 
     def __init__(self, endpoint: str, model: str,
                  api_key: Optional[str] = None,
-                 credential_env: str = "COEXLAB_API_KEY",
                  post_fn: Optional[PostFn] = None,
-                 max_retries: int = 3,
-                 timeout_s: float = 60.0,
-                 backoff_base_s: float = 0.5,
                  sleep_fn: Callable[[float], None] = time.sleep):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key if api_key is not None \
-            else os.environ.get(credential_env, "")
+            else os.environ.get(CREDENTIAL_ENV, "")
         self.post_fn = post_fn or _requests_post
-        self.max_retries = max_retries
-        self.timeout_s = timeout_s
-        self.backoff_base_s = backoff_base_s
         self.sleep_fn = sleep_fn
 
     def complete(self, req: CompletionRequest) -> str:
@@ -162,8 +159,8 @@ class HttpBackend:
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content}
                          for m in req.messages],
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -171,12 +168,12 @@ class HttpBackend:
 
         last_status: Optional[int] = None
         last_error = ""
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                self.sleep_fn(self.backoff_base_s * 2 ** (attempt - 1))
+                self.sleep_fn(BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
                 status, body = self.post_fn(self.endpoint, headers, payload,
-                                            self.timeout_s)
+                                            TIMEOUT_S)
             except (TimeoutError, ConnectionError) as exc:
                 last_status, last_error = None, str(exc)
                 continue
@@ -186,7 +183,7 @@ class HttpBackend:
             if status < 500:
                 break
         raise BackendUnavailableError(
-            f"completion failed after {self.max_retries + 1} attempts: "
+            f"completion failed after {MAX_RETRIES + 1} attempts: "
             f"{last_error}", status=last_status)
 
     @staticmethod

@@ -79,7 +79,7 @@ def _run_replica(config: RunConfig) -> Dict[str, object]:
     """One replica in a pool worker; returns only the summary the parent
     reports, so the run's memories stay in the worker."""
     result = cmd_run(config)
-    return {"out_dir": result.out_dir, "seed": config.seed,
+    return {"out_dir": config.out_dir, "seed": config.seed,
             **{key: result.metrics.get(key) for key in REPLICA_STATS}}
 
 
@@ -108,9 +108,10 @@ def _run_replicas(config: RunConfig, replicas: int) -> None:
     from concurrent.futures import ProcessPoolExecutor
 
     # refuse a bad setting before the earlier replicas are cleared
-    spec = _prepare(config)[1]
+    seed = _prepare(config)[0].seed
     clear_artifacts(config)
-    configs = [replace(config, seed=spec.seed + i,
+    # unresolved: a replica's demo seed defaults to its own seed
+    configs = [replace(config, seed=seed + i,
                        out_dir=f"{config.out_dir}/replica_{i}")
                for i in range(replicas)]
     workers = min(replicas, os.cpu_count() or 1)
@@ -134,7 +135,7 @@ def _handle_run(args: argparse.Namespace) -> None:
         _run_replicas(config, args.replicas)
         return
     result = cmd_run(config)
-    _emit({"out_dir": result.out_dir, "family": result.family,
+    _emit({"out_dir": config.out_dir, "family": result.metrics["family"],
            "jain": result.metrics.get("jain"),
            "rmse": result.metrics.get("rmse"),
            "alpha_fair": result.metrics.get("alpha_fair")})

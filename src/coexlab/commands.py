@@ -11,10 +11,8 @@ writers.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
-from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -50,7 +48,7 @@ from .runner import (
     metrics_report,
 )
 from .agent.config import AgentConfig, checked_agent_settings
-from .agent.demos import demo_bundle, demos_doc
+from .agent.demos import demo_bundle
 from .agent.trace import TraceNode, trace_from_doc
 
 
@@ -97,7 +95,7 @@ def cmd_demos(family: str, k: int, seed: int, out_dir: str) -> str:
     bundle = demo_bundle(family, k, seed)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, ARTIFACT_DEMOS)
-    _write_json(path, demos_doc(family, k, seed, bundle.sets))
+    _write_json(path, bundle.doc())
     return path
 
 
@@ -109,15 +107,10 @@ def _artifact(run_dir: str, name: str) -> str:
     return path
 
 
-def _read_artifact(run_dir: str, name: str) -> str:
-    with open(_artifact(run_dir, name), "r", encoding="utf-8",
-              newline="") as fh:
-        return fh.read()
-
-
-def _csv_rows(text: str, name: str, columns: int) -> List[List[str]]:
+def _csv_rows(path: str, name: str, columns: int) -> List[List[str]]:
     """A CSV file's rows, header first, each as wide as its header."""
-    rows = list(csv.reader(io.StringIO(text)))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows or len(rows[0]) < columns or \
             any(len(row) != len(rows[0]) for row in rows):
         raise InvalidScenarioError(name, f"needs a header of {columns}+ "
@@ -125,12 +118,13 @@ def _csv_rows(text: str, name: str, columns: int) -> List[List[str]]:
     return rows
 
 
-def _read_wide_csv(text: str, name: str, index_col: str,
-                   prefix: str) -> Tuple[List[int], Dict[int, List[float]]]:
-    header, *rows = _csv_rows(text, name, 1)
-    if header[0] != index_col:
-        raise InvalidScenarioError(name, f"first column must be {index_col}")
-    ids = _column_ids(header[1:], name, prefix)
+def _read_wide_csv(path: str,
+                   name: str) -> Tuple[List[int], Dict[int, List[float]]]:
+    """The ``frame`` and ``node_<id>`` columns of a per-frame CSV."""
+    header, *rows = _csv_rows(path, name, 1)
+    if header[0] != "frame":
+        raise InvalidScenarioError(name, "first column must be frame")
+    ids = _column_ids(header[1:], name, "node_")
     index: List[int] = []
     values: Dict[int, List[float]] = {i: [] for i in ids}
     for row in rows:
@@ -167,9 +161,16 @@ def cmd_eval(run_dir: str,
     if family not in ("mac", "tcp"):
         raise InvalidScenarioError(
             ARTIFACT_CONFIG, "must be an object whose family is mac or tcp")
+    if reference_path is not None:
+        if family != "mac":
+            raise InvalidScenarioError(
+                "--reference", f"a {family} run has no reference trajectory")
+        if not os.path.isfile(reference_path):
+            raise InvalidScenarioError("--reference",
+                                       f"no such file: {reference_path}")
     agent_cfg = AgentConfig(**checked_agent_settings(cfg_doc.get("agent")))
-    _artifact(run_dir, ARTIFACT_TRAJECTORY)
-    _, *rows = _csv_rows(_read_artifact(run_dir, ARTIFACT_THROUGHPUT),
+    trajectory = _artifact(run_dir, ARTIFACT_TRAJECTORY)
+    _, *rows = _csv_rows(_artifact(run_dir, ARTIFACT_THROUGHPUT),
                          ARTIFACT_THROUGHPUT, 2)
     means = dict(zip(_column_ids([row[0] for row in rows],
                                  ARTIFACT_THROUGHPUT, ""),
@@ -177,24 +178,27 @@ def cmd_eval(run_dir: str,
     _check_finite(means.values(), ARTIFACT_THROUGHPUT)
 
     if family == "mac":
-        frames, values = _read_wide_csv(_read_artifact(
-            run_dir, ARTIFACT_TRAJECTORY), ARTIFACT_TRAJECTORY, "frame", "node_")
+        frames, values = _read_wide_csv(trajectory, ARTIFACT_TRAJECTORY)
         series = ThroughputSeries(frames=frames, values=values,
                                   window_frames=agent_cfg.window_frames)
-        reference = None
+        rmse = None
         ref_file = reference_path or os.path.join(run_dir, ARTIFACT_REFERENCE)
         if os.path.isfile(ref_file):
-            with open(ref_file, "r", encoding="utf-8", newline="") as fh:
-                _, reference = _read_wide_csv(fh.read(), ref_file,
-                                              "frame", "node_")
+            ref_frames, reference = _read_wide_csv(ref_file, ref_file)
             # a node may join at the horizon: in the reference, in no window
             missing = sorted(set(values) - set(reference))
             if missing:
                 raise InvalidScenarioError(
                     ref_file, f"has no column for node_{missing[0]}, "
                               f"which {ARTIFACT_TRAJECTORY} holds")
-        rmse = None if reference is None else _rmse(partial(
-            rmse_vs_reference, series, reference, agent_cfg.warmup_frames))
+            # every frame past the warm-up is compared with the reference
+            last = max(frames, default=0)
+            if last > max(agent_cfg.warmup_frames, len(ref_frames)):
+                raise InvalidScenarioError(
+                    ref_file, f"ends at frame {len(ref_frames)}, before "
+                              f"frame {last} of {ARTIFACT_TRAJECTORY}")
+            rmse = _rmse(lambda: rmse_vs_reference(
+                series, reference, agent_cfg.warmup_frames))
         summary = mac_metrics_report(means, rmse, agent_cfg)
     else:
         metrics_doc = _read_json(_artifact(run_dir, ARTIFACT_METRICS),

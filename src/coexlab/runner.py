@@ -20,7 +20,6 @@ import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from itertools import chain, islice, repeat
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, TextIO, Tuple, Union)
@@ -62,7 +61,7 @@ from .oracle import (
     aware_trajectory,
     fair_objective,
 )
-from .scenario import Timeline, parse_scenario, scenario_doc
+from .scenario import FORMATS, Timeline, parse_scenario, scenario_doc
 from .scripted import ScriptedBackend
 from .strategy import (
     Strategy,
@@ -81,7 +80,7 @@ from .tcp import (
     run_rounds,
 )
 from .agent.config import AgentConfig, checked_agent_settings
-from .agent.demos import demo_bundle, demos_doc
+from .agent.demos import demo_bundle
 from .agent.offline import FAMILIES, OfflineResult, run_offline
 from .agent.trace import (
     DecisionTrace,
@@ -252,9 +251,9 @@ def _write_json(path: str, doc: Dict[str, object]) -> None:
     _write_text(path, indented_json(doc) + "\n")
 
 
-# rows ``_write_csv`` formats at a time, and rows joined into one write;
-# the readers of a run write each range of the log they are fed as one
-# block instead
+# rows of ``reference.csv`` formatted at a time, and rows joined into one
+# write; the readers of a run write each range of the log they are fed as
+# one block instead
 CSV_BLOCK_ROWS = 512
 _CHUNK_ROWS = 256
 
@@ -280,26 +279,12 @@ def _float_cells(values) -> List[str]:
     return texts[index].tolist()
 
 
-Block = Callable[[int, int], Sequence[Iterable[str]]]
-
-
-def _write_csv(fh: TextIO, header: Sequence[str], n_rows: int,
-               block: Block) -> None:
-    """Write the bytes ``csv.writer`` would: the header, then rows
-    ``[0, n_rows)``, ``CSV_BLOCK_ROWS`` at a time; ``block(r0, r1)`` gives
-    the cell texts of rows ``[r0, r1)``."""
-    fh.write(",".join(header) + "\r\n")
-    for r0 in range(0, n_rows, CSV_BLOCK_ROWS):
-        # one expression, so that no name holds a block's cells while the
-        # next block's are made
-        _write_block(fh, block(r0, min(r0 + CSV_BLOCK_ROWS, n_rows)))
-
-
 def _write_block(fh: TextIO, columns: Sequence[Iterable[str]]) -> None:
-    """Write one block of rows, given the cell texts of each column; the
-    rows end with the shortest column. Lines are joined ``_CHUNK_ROWS`` at
-    a time: one string per chunk, not per line, and never the block's
-    whole text. Cells are numbers or empty, so none needs quoting."""
+    """Write one block of rows as ``csv.writer`` would, given the cell
+    texts of each column; the rows end with the shortest column. Lines are
+    joined ``_CHUNK_ROWS`` at a time: one string per chunk, not per line,
+    and never the block's whole text. Cells are numbers or empty, so none
+    needs quoting."""
     lines = map(",".join, zip(*columns))
     while True:
         # an empty last line gives the chunk its final line break; a row
@@ -310,29 +295,30 @@ def _write_block(fh: TextIO, columns: Sequence[Iterable[str]]) -> None:
         fh.write(text)
 
 
-def _node_header(node_ids: Sequence[int]) -> List[str]:
-    return ["frame"] + [f"node_{nid}" for nid in node_ids]
+def _node_header(node_ids: Iterable[int]) -> str:
+    """The header line of a ``frame`` column, then one column per node."""
+    return ",".join(["frame"] + [f"node_{nid}" for nid in node_ids]) + "\r\n"
 
 
-def _node_cells(frames: Sequence[int], values: Mapping[int, Sequence[float]],
-                r0: int = 0, r1: Optional[int] = None) -> List[List[str]]:
-    """The cells of rows ``[r0, r1)`` of a ``frame`` column, then of one
-    column per node id, ascending."""
-    return [list(map(str, frames[r0:r1]))] + [
-        _float_cells(values[nid][r0:r1]) for nid in sorted(values)]
-
-
-def _write_node_csv(fh: TextIO, frames: Sequence[int],
-                    values: Mapping[int, Sequence[float]]) -> None:
-    """A ``frame`` column, then one column per node id, ascending."""
-    _write_csv(fh, _node_header(sorted(values)), len(frames),
-               partial(_node_cells, frames, values))
+def _node_cells(frames: Sequence[int],
+                values: Mapping[int, Sequence[float]]) -> List[List[str]]:
+    """The cells of a ``frame`` column, then of one column per node id,
+    ascending."""
+    return [list(map(str, frames))] + [_float_cells(values[nid])
+                                       for nid in sorted(values)]
 
 
 def _write_reference(fh: TextIO,
                      reference: Mapping[int, Sequence[float]]) -> None:
+    """Frames from 1 and each node's column, CSV_BLOCK_ROWS rows at a time."""
     total = len(reference[min(reference)]) if reference else 0
-    _write_node_csv(fh, range(1, total + 1), reference)
+    fh.write(_node_header(sorted(reference)))
+    for r0 in range(0, total, CSV_BLOCK_ROWS):
+        r1 = min(r0 + CSV_BLOCK_ROWS, total)
+        # one expression, so that no name holds a block's cells while the
+        # next block's are made
+        _write_block(fh, _node_cells(range(r0 + 1, r1 + 1), {
+            nid: column[r0:r1] for nid, column in reference.items()}))
 
 
 def _tcp_trajectory_block(log: TcpRoundLog, n_flows: int, r0: int,
@@ -361,10 +347,9 @@ def _tcp_trajectory_block(log: TcpRoundLog, n_flows: int, r0: int,
 def _write_throughput(fh: TextIO, metrics: Dict[str, object],
                       id_label: str) -> None:
     """The report's mean throughputs, one row per node or flow."""
-    ids = list(metrics["mean_throughputs"])
-    means = list(metrics["mean_throughputs"].values())
-    _write_csv(fh, [id_label, "mean_throughput"], len(ids),
-               lambda r0, r1: [ids[r0:r1], _float_cells(means[r0:r1])])
+    means = metrics["mean_throughputs"]
+    fh.write(f"{id_label},mean_throughput\r\n")
+    _write_block(fh, [list(means), _float_cells(list(means.values()))])
 
 
 # -- metric reports ---------------------------------------------------------
@@ -430,7 +415,7 @@ class MacRunReaders:
         self.errors = None if reference is None \
             else SquaredErrors(reference, config.warmup_frames)
         self.fed = 0
-        fh.write(",".join(_node_header(node_ids)) + "\r\n")
+        fh.write(_node_header(node_ids))
 
     def __call__(self, log: TrajectoryLog, f0: int, f1: int) -> None:
         block = self.windows.add(log, f0, f1)
@@ -484,15 +469,15 @@ class TcpRunReaders:
             social_reward=_cell(self.rewards.mean()))
 
 
-def _config_snapshot(config: RunConfig, spec: AnyScenario, family: str,
-                     demo_seed: int) -> Dict[str, object]:
+def _config_snapshot(config: RunConfig,
+                     spec: AnyScenario) -> Dict[str, object]:
     return {
         "artifact": "run-config-v1",
         "package_version": __version__,
-        "family": family,
+        "family": FAMILIES[type(spec)].domain,
         "backend": config.backend,
-        "seed": spec.seed,
-        "demo_seed": demo_seed,
+        "seed": config.seed,
+        "demo_seed": config.demo_seed,
         "trace": config.trace,
         "cached_strategy": config.strategy_path is not None,
         "agent": asdict(config.agent),
@@ -533,16 +518,12 @@ def run_aware_reference(env: MacEnvironment,
 
 @dataclass
 class RunResult:
-    out_dir: str
-    family: str
     metrics: Dict[str, object]
     offline: Optional[OfflineResult] = None
 
 
-def _offline_artifacts(out: str, family: str, demo_k: int, demo_seed: int,
-                       demos, result: OfflineResult) -> None:
-    _write_json(os.path.join(out, ARTIFACT_DEMOS),
-                demos_doc(family, demo_k, demo_seed, demos.sets))
+def _offline_artifacts(out: str, demos, result: OfflineResult) -> None:
+    _write_json(os.path.join(out, ARTIFACT_DEMOS), demos.doc())
     _write_json(os.path.join(out, ARTIFACT_STRATEGIES),
                 result.strategies.to_doc())
     _write_json(os.path.join(out, ARTIFACT_EPISODES),
@@ -571,26 +552,28 @@ def _drives_agents(spec: AnyScenario) -> bool:
 
 
 def _prepare(config: RunConfig) \
-        -> Tuple[RunConfig, AnyScenario, str, int, Optional[Strategy]]:
+        -> Tuple[RunConfig, AnyScenario, Optional[Strategy]]:
     """Refuse a bad ``config`` before the output directory is touched;
-    returns ``config`` with its agent flags set on the settings of the
-    scenario's family, the seeded scenario, its family, the demo seed and
-    the cached strategy, if any."""
+    returns ``config`` resolved against the scenario (its seed and demo
+    seed set, its agent flags set on the settings of the scenario's
+    family), the seeded scenario and the cached strategy, if any."""
     config.validate()
     spec = load_scenario(config.scenario_path)
     if config.seed is not None:
         spec = replace(spec, seed=config.seed)
-    mac = isinstance(spec, ScenarioSpec)
-    family = "mac" if mac else "tcp"
+    mac, family = isinstance(spec, ScenarioSpec), FAMILIES[type(spec)]
     settings = {}
     for flag, value in config.agent_flags.items():
         name = AGENT_FLAGS[flag][0 if mac else 1]
         if name is None:
-            raise InvalidScenarioError(f"--{flag.replace('_', '-')}",
-                                       f"a {family} run has no such setting")
+            raise InvalidScenarioError(
+                f"--{flag.replace('_', '-')}",
+                f"a {family.domain} run has no such setting")
         settings[name] = value
     agent = replace(config.agent, **checked_agent_settings(settings))
-    config = replace(config, agent=agent)
+    config = replace(config, agent=agent, seed=spec.seed,
+                     demo_seed=spec.seed if config.demo_seed is None
+                     else config.demo_seed)
     if mac:
         agent.validate(spec.frame_len)
         # a run and its offline evaluation episode each need at least one
@@ -607,7 +590,7 @@ def _prepare(config: RunConfig) \
         horizons = [("total_rounds", spec.total_rounds)]
         if _drives_agents(spec) and config.strategy_path is None:
             horizons.append(("agent.eval_rounds",
-                             FAMILIES[TcpScenarioSpec].horizon(spec, agent)))
+                             family.horizon(spec, agent)))
         timeline = Timeline(TCP_FORMAT.lifetimes(spec.flows))
         for path, rounds in horizons:
             if not any(live for *_, live in
@@ -625,8 +608,7 @@ def _prepare(config: RunConfig) \
     elif config.backend == BACKEND_NONE and _drives_agents(spec):
         raise InvalidScenarioError("backend", "agent scenarios need a backend "
                                    "(or, for coexlab run, a --strategy)")
-    demo_seed = config.demo_seed if config.demo_seed is not None else spec.seed
-    return config, spec, family, demo_seed, strategy
+    return config, spec, strategy
 
 
 @contextlib.contextmanager
@@ -695,22 +677,21 @@ def cmd_run(config: RunConfig) -> RunResult:
     artifacts. The transcript, the decision trace and the trajectory are
     written while the run goes; a run that drives no agent queries no
     backend, so it writes no transcript."""
-    config, spec, family, demo_seed, strategy = _prepare(config)
+    config, spec, strategy = _prepare(config)
     clear_artifacts(config)
     backend = make_backend(config) if _drives_agents(spec) else None
     with _transcript(config.out_dir, backend) as wrapped:
-        return _run_stages(config, spec, family, demo_seed, strategy,
-                           wrapped)
+        return _run_stages(config, spec, strategy, wrapped)
 
 
-def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
-                demo_seed: int, strategy: Optional[Strategy],
+def _run_stages(config: RunConfig, spec: AnyScenario,
+                strategy: Optional[Strategy],
                 wrapped: Optional[Backend]) -> RunResult:
     """One sequence for every scenario: solve the MAC reference, open the
     trajectory and the family's readers, play the scenario with its log
     streamed to them, then write the rest of the artifact set."""
     out, agent_cfg = config.out_dir, config.agent
-    mac = family == "mac"
+    mac = isinstance(spec, ScenarioSpec)
     aware = mac and any(n.kind == KIND_AWARE for n in spec.nodes)
     # the aware path actuates the reference, so it needs one
     try:
@@ -731,8 +712,7 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
             else TcpRunReaders(fh, spec, agent_cfg.alpha)
         if _drives_agents(spec):
             if strategy is None:
-                demos, offline_result = _offline_stage(
-                    config, wrapped, spec, family, demo_seed)
+                demos, offline_result = _offline_stage(config, wrapped, spec)
                 # the online stage reads the memories but never writes them
                 offline_result.strategies.freeze()
                 offline_result.episodes.freeze()
@@ -760,42 +740,36 @@ def _run_stages(config: RunConfig, spec: AnyScenario, family: str,
     _write_file(os.path.join(out, ARTIFACT_THROUGHPUT), _write_throughput,
                 metrics, "node" if mac else "flow")
     _write_json(os.path.join(out, ARTIFACT_CONFIG),
-                _config_snapshot(config, spec, family, demo_seed))
+                _config_snapshot(config, spec))
     _write_json(os.path.join(out, ARTIFACT_METRICS), metrics)
     if offline_result is not None:
-        _offline_artifacts(out, family, agent_cfg.demo_k, demo_seed,
-                           demos, offline_result)
-    return RunResult(out_dir=out, family=family, metrics=metrics,
-                     offline=offline_result)
+        _offline_artifacts(out, demos, offline_result)
+    return RunResult(metrics=metrics, offline=offline_result)
 
 
-def _offline_stage(config: RunConfig, backend: Backend, spec: AnyScenario,
-                   family: str, demo_seed: int):
+def _offline_stage(config: RunConfig, backend: Backend, spec: AnyScenario):
     """The demonstrations and the offline stage's outcome."""
-    demos = demo_bundle(family, config.agent.demo_k, demo_seed,
-                        config=config.agent)
+    demos = demo_bundle(FAMILIES[type(spec)].domain, config.agent.demo_k,
+                        config.demo_seed, config=config.agent)
     return demos, run_offline(backend, spec, demos, config.agent)
 
 
 def cmd_offline(config: RunConfig) -> OfflineResult:
     """Offline stage only; artifacts cover demos, memory and the outcome,
     in an output directory cleared of older artifacts."""
-    config, spec, family, demo_seed, _ = _prepare(config)
+    config, spec, _ = _prepare(config)
     out = config.out_dir
     if not _drives_agents(spec):
         raise InvalidScenarioError(
-            "nodes" if family == "mac" else "flows",
+            FORMATS[type(spec)].member_key,
             "offline learning needs a member the online engine drives: "
             "an agent flow, or agent nodes and no aware node")
     clear_artifacts(config)
     with _transcript(out, make_backend(config)) as wrapped:
-        demos, result = _offline_stage(config, wrapped, spec, family,
-                                       demo_seed)
+        demos, result = _offline_stage(config, wrapped, spec)
 
     # the offline stage writes no decision trace
     _write_json(os.path.join(out, ARTIFACT_CONFIG),
-                _config_snapshot(replace(config, trace=False), spec, family,
-                                 demo_seed))
-    _offline_artifacts(out, family, config.agent.demo_k, demo_seed,
-                       demos, result)
+                _config_snapshot(replace(config, trace=False), spec))
+    _offline_artifacts(out, demos, result)
     return result

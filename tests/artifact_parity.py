@@ -7,7 +7,8 @@ each tree in turn, every ``scenarios/*.json`` beside this file runs at
 its full horizon with the scripted backend (``coexlab run``), followed by
 ``coexlab eval`` and ``coexlab trace`` on the run directory, and
 ``coexlab offline`` runs on it into a directory of its own (a scenario
-with no agent is refused there). ``coexlab oracle`` runs on
+with no agent is refused there). ``coexlab run --replicas 2`` runs on
+``mac_1t1h.json`` and ``tcp_agent_reno.json``, ``coexlab oracle`` on
 ``mac_dynamic.json``, and ``coexlab demos`` exports both families' sets.
 Each command's exit code, stdout and stderr are kept beside the files it
 wrote. The two
@@ -35,6 +36,8 @@ from typing import List
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 ORACLE_SCENARIO = "mac_dynamic.json"
+# scenarios also run as seed replicas, one per family
+REPLICA_SCENARIOS = ("mac_1t1h.json", "tcp_agent_reno.json")
 # the demo export's settings: the run's default K and a fixed seed
 DEMO_K, DEMO_SEED = 8, 7
 
@@ -85,6 +88,11 @@ def produce(src: Path, work: Path, scenarios: Path = SCENARIOS) -> None:
         _coexlab(src, work, f"{scenario.stem}.offline.txt", "offline",
                  "--backend", "scripted", "--scenario", str(scenario),
                  "--out", f"offline/{scenario.stem}")
+    for name in REPLICA_SCENARIOS:
+        stem = Path(name).stem
+        _coexlab(src, work, f"{stem}.replicas.txt", "run", "--backend",
+                 "scripted", "--scenario", str(scenarios / name), "--out",
+                 f"replicas/{stem}", "--replicas", "2")
     _coexlab(src, work, "oracle.txt", "oracle", "--scenario",
              str(scenarios / ORACLE_SCENARIO), "--out", "oracle")
     for family in ("mac", "tcp"):

@@ -3,8 +3,9 @@
 row-wise ``_cell`` + ``csv.writer`` writers kept below, for any floats and
 any row count.
 
-The block size is patched small so that row counts cross several blocks;
-the shipped runs at the digest tests' 1,000-frame horizon fill at most two
+The block size, and for the trajectory the chunk of lines joined into one
+write, are patched small so that row counts cross several of them; the
+shipped runs at the digest tests' 1,000-frame horizon fill at most two
 blocks of ``CSV_BLOCK_ROWS`` rows.
 """
 
@@ -82,9 +83,14 @@ def test_mac_trajectory_writer_equals_row_writer(data):
     first = data.draw(st.integers(1, 200), label="first_frame")
     series = ThroughputSeries(frames=list(range(first, first + n_rows)),
                               values=values, window_frames=first)
-    assert written(runner._write_node_csv, series.frames, series.values,
-                   block_rows=block_rows) == \
-        reference_mac_trajectory_csv(series)
+    # the emitter of a MAC run: its header, then each range of frames as
+    # one block
+    buf = io.StringIO()
+    buf.write(runner._node_header(sorted(series.values)))
+    with mock.patch.object(runner, "_CHUNK_ROWS", block_rows):
+        runner._write_block(buf, runner._node_cells(series.frames,
+                                                    series.values))
+    assert buf.getvalue() == reference_mac_trajectory_csv(series)
 
 
 @given(st.data())

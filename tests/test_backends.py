@@ -32,8 +32,9 @@ def ok_body(content):
     return {"choices": [{"message": {"content": content}}]}
 
 
-def http_with(script, **kw):
-    """Backend whose post_fn pops canned (status, body) outcomes."""
+def http_with(script, waits=None):
+    """Backend whose post_fn pops canned (status, body) outcomes and whose
+    sleep_fn appends each backoff wait to ``waits`` instead of sleeping."""
     calls = []
 
     def post(url, headers, payload, timeout):
@@ -43,8 +44,9 @@ def http_with(script, **kw):
             raise outcome
         return outcome
 
-    backend = HttpBackend("https://api.test/v1/chat", "test-model",
-                          api_key="k", post_fn=post, backoff_base_s=0.0, **kw)
+    backend = HttpBackend(
+        "https://api.test/v1/chat", "test-model", api_key="k", post_fn=post,
+        sleep_fn=[].append if waits is None else waits.append)
     return backend, calls
 
 
@@ -53,6 +55,7 @@ class TestHttpBackend:
         backend, calls = http_with([(200, ok_body("hello"))])
         assert backend.complete(user_request("hi")) == "hello"
         assert calls[0]["temperature"] == 0.0
+        assert calls[0]["max_tokens"] == 2048
         assert calls[0]["messages"] == [{"role": "user", "content": "hi"}]
 
     def test_retries_transient_then_succeeds(self):
@@ -62,10 +65,12 @@ class TestHttpBackend:
         assert len(calls) == 3
 
     def test_gives_up_after_retries(self):
-        backend, _ = http_with([(500, "x")] * 4)
+        waits = []
+        backend, _ = http_with([(500, "x")] * 4, waits)
         with pytest.raises(BackendUnavailableError) as err:
             backend.complete(user_request("hi"))
         assert err.value.status == 500
+        assert waits == [0.5, 1.0, 2.0]
 
     def test_auth_failure_is_immediate(self):
         backend, calls = http_with([(401, "no")])

@@ -179,6 +179,10 @@ EVAL_BAD_IDS = {
 }
 
 
+def keep_lines(n):
+    return lambda text: "".join(text.splitlines(True)[:n])
+
+
 def drop_column(col):
     def mutate(text):
         rows = [line.split(",") for line in text.splitlines()]
@@ -364,7 +368,7 @@ class TestRunCommand:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             SerialPool)
         monkeypatch.setattr(coexlab.cli, "cmd_run",
-                            lambda config: RunResult(config.out_dir, "mac", {}))
+                            lambda config: RunResult({}))
         assert run_cli("run", "--scenario", tdma_scenario,
                        "--out", str(tmp_path / "reps"),
                        "--replicas", str(replicas)) == 0
@@ -1259,17 +1263,23 @@ class TestEvalCommand:
             "InvalidScenarioError"
 
     @staticmethod
-    def assert_exit_2_naming(args, name, path, capsys):
-        """``coexlab eval`` exits 2, names the broken file and writes no
-        summary."""
+    def assert_refused(args, prefix, capsys):
+        """``coexlab eval`` exits 2 with an ``InvalidScenarioError`` whose
+        message starts with ``prefix``, and writes no summary."""
         capsys.readouterr()
         assert run_cli(*args) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidScenarioError"
-        assert err["message"].startswith(
-            str(path) if name in ("--reference", ARTIFACT_REFERENCE)
-            else name)
+        assert err["message"].startswith(prefix)
         assert not (Path(args[2]) / "eval_summary.json").exists()
+
+    @classmethod
+    def assert_exit_2_naming(cls, args, name, path, capsys):
+        """``coexlab eval`` exits 2, names the broken file and writes no
+        summary."""
+        cls.assert_refused(
+            args, str(path) if name in ("--reference", ARTIFACT_REFERENCE)
+            else name, capsys)
 
     @pytest.mark.parametrize("name,value", EVAL_NON_FINITE)
     def test_non_finite_cell_exits_2_and_names_file(self, tmp_path, mac_run,
@@ -1291,6 +1301,43 @@ class TestEvalCommand:
         args, path = self.break_artifact(tmp_path, mac_run, name,
                                          drop_column(2))
         self.assert_exit_2_naming(args, name, path, capsys)
+
+    def test_reference_naming_no_file_exits_2(self, tmp_path, mac_run,
+                                              capsys):
+        out = tmp_path / "run"
+        shutil.copytree(mac_run, out)
+        self.assert_refused(["eval", "--run", str(out), "--reference",
+                             str(tmp_path / "none.csv")], "--reference",
+                            capsys)
+
+    def test_reference_for_a_tcp_run_exits_2(self, tmp_path, mac_run,
+                                             capsys):
+        scenario = write_tcp_scenario(tmp_path / "rv.json", [
+            {"controller": "reno"}, {"controller": "vegas"}], rounds=300)
+        out = tmp_path / "run"
+        assert run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
+        self.assert_refused(["eval", "--run", str(out), "--reference",
+                             str(mac_run / ARTIFACT_REFERENCE)],
+                            "--reference", capsys)
+
+    @pytest.mark.parametrize("name", [ARTIFACT_REFERENCE, "--reference"])
+    def test_reference_ending_before_the_trajectory_exits_2(
+            self, tmp_path, mac_run, name, capsys):
+        # the run's 600 frames end past the 500-frame warm-up
+        args, path = self.break_artifact(tmp_path, mac_run, name,
+                                         keep_lines(50))
+        self.assert_exit_2_naming(args, name, path, capsys)
+
+    def test_short_reference_within_the_warm_up_gives_no_rmse(
+            self, tmp_path, mac_run, capsys):
+        args, _ = self.break_artifact(tmp_path, mac_run, "--reference",
+                                      keep_lines(50))
+        config = json.loads((tmp_path / "run" / ARTIFACT_CONFIG).read_text())
+        config["agent"]["warmup_frames"] = 600
+        (tmp_path / "run" / ARTIFACT_CONFIG).write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli(*args) == 0
+        assert json.loads(capsys.readouterr().out)["rmse"] is None
 
     def test_reference_may_hold_a_node_no_window_saw(self, tmp_path, capsys):
         """A node that joins at the horizon has a reference column but no

@@ -1,6 +1,7 @@
 """Byte-identity gate: every shipped scenario, run with the scripted
 backend at a shortened horizon, must reproduce the committed sha256 of
-each artifact it writes.
+each artifact it writes, and ``coexlab eval`` must recompute its metric
+report from the run's files.
 
 The digests live in ``golden_digests.json`` beside this file. After a
 change that alters artifacts on purpose, regenerate them with
@@ -22,6 +23,7 @@ import pytest
 from coexlab.cli import main
 from coexlab.runner import (
     ARTIFACT_DEMOS,
+    ARTIFACT_EVAL,
     ARTIFACT_METRICS,
     ARTIFACT_OFFLINE,
     ARTIFACT_REFERENCE,
@@ -78,6 +80,13 @@ def scenario_digests(scenario: Path, work: Path) -> dict:
 def test_artifacts_match_golden_digests(scenario, tmp_path):
     golden = json.loads(GOLDEN.read_text())[scenario.name]
     assert scenario_digests(scenario, tmp_path) == golden
+    out = tmp_path / scenario.stem
+    assert main(["eval", "--run", str(out)]) == 0
+    summary = json.loads((out / ARTIFACT_EVAL).read_text())
+    report = json.loads((out / ARTIFACT_METRICS).read_text())
+    assert {key: value for key, value in summary.items()
+            if key != "artifact"} == \
+        {key: report.get(key) for key in summary if key != "artifact"}
 
 
 def test_every_shipped_scenario_has_digests():
