@@ -1,5 +1,6 @@
-"""Completion backends: live HTTP client, transcript capture and the
-order-reversal ranker with judge selection."""
+"""Completion backends: live HTTP client, the recording wrapper that
+writes a run's transcript and the order-reversal ranker with judge
+selection."""
 
 from __future__ import annotations
 
@@ -66,41 +67,30 @@ class Backend(Protocol):
     def complete(self, req: CompletionRequest) -> str: ...
 
 
-class TranscriptRecorder:
-    """Append-only request/response log, written to ``fh`` as JSON lines.
+class RecordingBackend:
+    """Wraps a backend so every round-trip lands in the transcript ``fh``
+    as one JSON line, written as the response arrives; none is kept.
 
-    Entries carry a sequence number rather than wall-clock time so that
-    identical runs produce identical transcripts. Each entry's line is
-    written as the entry is recorded, and none is kept.
+    Lines carry a sequence number rather than wall-clock time so that
+    identical runs produce identical transcripts.
     """
 
-    def __init__(self, fh: TextIO) -> None:
+    def __init__(self, inner: Backend, fh: TextIO):
+        self.inner = inner
         self.fh = fh
         self.count = 0
 
-    def record(self, kind: str, req: CompletionRequest, response: str) -> None:
-        entry = {
+    def complete(self, req: CompletionRequest) -> str:
+        response = self.inner.complete(req)
+        self.fh.write(json.dumps({
             "seq": self.count,
-            "kind": kind,
+            "kind": "completion",
             "tag": req.request_tag,
             "messages": [{"role": m.role, "content": m.content}
                          for m in req.messages],
             "response": response,
-        }
+        }, sort_keys=True) + "\n")
         self.count += 1
-        self.fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-class RecordingBackend:
-    """Wraps a backend so every round-trip lands in the transcript."""
-
-    def __init__(self, inner: Backend, recorder: TranscriptRecorder):
-        self.inner = inner
-        self.recorder = recorder
-
-    def complete(self, req: CompletionRequest) -> str:
-        response = self.inner.complete(req)
-        self.recorder.record("completion", req, response)
         return response
 
 
@@ -182,9 +172,11 @@ class HttpBackend:
             last_status, last_error = status, str(body)[:500]
             if status < 500:
                 break
+        tries = attempt + 1
         raise BackendUnavailableError(
-            f"completion failed after {MAX_RETRIES + 1} attempts: "
-            f"{last_error}", status=last_status)
+            f"completion failed after {tries} "
+            f"{'attempt' if tries == 1 else 'attempts'}: {last_error}",
+            status=last_status)
 
     @staticmethod
     def _extract_content(body: object) -> str:

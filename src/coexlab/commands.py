@@ -185,6 +185,10 @@ def cmd_eval(run_dir: str,
         ref_file = reference_path or os.path.join(run_dir, ARTIFACT_REFERENCE)
         if os.path.isfile(ref_file):
             ref_frames, reference = _read_wide_csv(ref_file, ref_file)
+            # the reference is read by row, so row r must hold frame r
+            if ref_frames != list(range(1, len(ref_frames) + 1)):
+                raise InvalidScenarioError(
+                    ref_file, "frames must run 1, 2, ... in row order")
             # a node may join at the horizon: in the reference, in no window
             missing = sorted(set(values) - set(reference))
             if missing:

@@ -42,7 +42,7 @@ class WindowTooShortError(CoexlabError):
 
 
 class BackendUnavailableError(CoexlabError):
-    """The completion backend failed after retries.
+    """The completion backend failed, after retrying transient failures.
 
     ``status`` carries the last HTTP status code, or None for transport
     errors such as timeouts.

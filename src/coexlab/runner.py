@@ -4,9 +4,10 @@ This module holds ``cmd_run`` and ``cmd_offline``, the artifact writers
 and the end-of-run readers; the commands a run never calls (oracle,
 demos, eval and trace) live in ``coexlab.commands`` and reuse the
 writers from here. ``cmd_run`` plays every scenario, MAC or TCP, agent
-or not, through one sequence (``_run_stages``), and both families'
-readers share one protocol: fed ranges of the log in order, each range
-written as one CSV block, then ``finish(log)``.
+or not, through one sequence, with every streamed record (transcript,
+trajectory, decision trace) opened in one scope before any stage runs,
+and both families' readers share one protocol: fed ranges of the log in
+order, each range written as one CSV block, then ``finish(log)``.
 
 Every command writes deterministic artifacts: JSON reports carry sorted
 keys and no timestamps, CSV files follow RFC 4180, and transcripts are
@@ -27,12 +28,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 import numpy as np
 
 from . import __version__
-from .backends import (
-    Backend,
-    HttpBackend,
-    RecordingBackend,
-    TranscriptRecorder,
-)
+from .backends import Backend, HttpBackend, RecordingBackend
 from .errors import (
     InvalidScenarioError,
     MetricDomainError,
@@ -611,16 +607,10 @@ def _prepare(config: RunConfig) \
     return config, spec, strategy
 
 
-@contextlib.contextmanager
-def _transcript(out: str, backend: Optional[Backend]):
-    """``backend`` recording into ``transcript.jsonl`` line by line, or
-    None when there is no backend (and no transcript)."""
-    if backend is None:
-        yield None
-        return
-    with open(os.path.join(out, ARTIFACT_TRANSCRIPT), "w", encoding="utf-8",
-              newline="\n") as fh:
-        yield RecordingBackend(backend, TranscriptRecorder(fh))
+def _open_transcript(out: str) -> TextIO:
+    """``transcript.jsonl`` in ``out``, open for JSON lines."""
+    return open(os.path.join(out, ARTIFACT_TRANSCRIPT), "w", encoding="utf-8",
+                newline="\n")
 
 
 @contextlib.contextmanager
@@ -640,23 +630,6 @@ def _streamed_files(out: str, *names: str):
         raise
 
 
-@contextlib.contextmanager
-def _streamed_trace(config: RunConfig):
-    """A decision trace written to ``trace.json`` and ``trace.dot`` as the
-    run goes, or None when tracing is off. Both files are removed if the
-    run fails before the trace is closed."""
-    if not config.trace:
-        yield None
-        return
-    with _streamed_files(config.out_dir, ARTIFACT_TRACE,
-                         ARTIFACT_DOT) as (json_fh, dot_fh):
-        trace = DecisionTrace(
-            f"run {os.path.basename(config.scenario_path)}",
-            sink=TraceSink(json_fh, dot_fh))
-        yield trace
-        trace.close()
-
-
 def clear_artifacts(config: RunConfig) -> None:
     """Create the output directory, or remove every artifact an earlier
     command left there, so that it holds only this run's; a cached
@@ -672,27 +645,22 @@ def clear_artifacts(config: RunConfig) -> None:
 
 
 def cmd_run(config: RunConfig) -> RunResult:
-    """Offline stage (unless a cached strategy is supplied), online stage,
-    then the full artifact set, in an output directory cleared of older
-    artifacts. The transcript, the decision trace and the trajectory are
-    written while the run goes; a run that drives no agent queries no
-    backend, so it writes no transcript."""
+    """One sequence for every scenario, in an output directory cleared of
+    older artifacts: solve the MAC reference, open every streamed record,
+    run the offline stage (unless a cached strategy is supplied) and play
+    the scenario with its log streamed to the family's readers, then write
+    the rest of the artifact set.
+
+    The records open before any stage: ``transcript.jsonl`` when the
+    engine drives an agent and has a backend, kept if the command fails;
+    ``trajectory.csv``, and for a traced agent run ``trace.json`` and
+    ``trace.dot``, removed if it fails."""
     config, spec, strategy = _prepare(config)
     clear_artifacts(config)
-    backend = make_backend(config) if _drives_agents(spec) else None
-    with _transcript(config.out_dir, backend) as wrapped:
-        return _run_stages(config, spec, strategy, wrapped)
-
-
-def _run_stages(config: RunConfig, spec: AnyScenario,
-                strategy: Optional[Strategy],
-                wrapped: Optional[Backend]) -> RunResult:
-    """One sequence for every scenario: solve the MAC reference, open the
-    trajectory and the family's readers, play the scenario with its log
-    streamed to them, then write the rest of the artifact set."""
     out, agent_cfg = config.out_dir, config.agent
     mac = isinstance(spec, ScenarioSpec)
     aware = mac and any(n.kind == KIND_AWARE for n in spec.nodes)
+    agents = _drives_agents(spec)
     # the aware path actuates the reference, so it needs one
     try:
         reference, segments = aware_trajectory(spec, alpha=agent_cfg.alpha) \
@@ -706,22 +674,34 @@ def _run_stages(config: RunConfig, spec: AnyScenario,
     # read, which the streamed log keeps
     keep = agent_cfg.observer_window_frames if mac \
         else agent_cfg.tcp_observer_window_rounds
+    traced = agents and config.trace
     offline_result = demos = None
-    with _streamed_files(out, ARTIFACT_TRAJECTORY) as (fh,):
+    with contextlib.ExitStack() as stack:
+        backend = make_backend(config) if agents else None
+        if backend is not None:
+            backend = RecordingBackend(
+                backend, stack.enter_context(_open_transcript(out)))
+        fh, *trace_fhs = stack.enter_context(_streamed_files(
+            out, ARTIFACT_TRAJECTORY,
+            *((ARTIFACT_TRACE, ARTIFACT_DOT) if traced else ())))
+        trace = DecisionTrace(
+            f"run {os.path.basename(config.scenario_path)}",
+            sink=TraceSink(*trace_fhs)) if traced else None
         readers = MacRunReaders(fh, spec, reference, agent_cfg) if mac \
             else TcpRunReaders(fh, spec, agent_cfg.alpha)
-        if _drives_agents(spec):
+        if agents:
             if strategy is None:
-                demos, offline_result = _offline_stage(config, wrapped, spec)
+                demos, offline_result = _offline_stage(config, backend, spec)
                 # the online stage reads the memories but never writes them
                 offline_result.strategies.freeze()
                 offline_result.episodes.freeze()
                 strategy = offline_result.strategy
-            with _streamed_trace(config) as trace:
-                engine = FAMILIES[type(spec)].engine(
-                    spec, strategy, agent_cfg, backend=wrapped, trace=trace)
-                engine.env.log.stream(readers, keep)
-                log = engine.run(horizon)
+            engine = FAMILIES[type(spec)].engine(
+                spec, strategy, agent_cfg, backend=backend, trace=trace)
+            engine.env.log.stream(readers, keep)
+            log = engine.run(horizon)
+            if trace is not None:
+                trace.close()
             # the readers need only the log; an engine held through the
             # end-of-run writes raised perfbench mac_churn's peak RSS by
             # 0.2 MB (2-core host), though it holds about 10 kB itself
@@ -765,8 +745,9 @@ def cmd_offline(config: RunConfig) -> OfflineResult:
             "offline learning needs a member the online engine drives: "
             "an agent flow, or agent nodes and no aware node")
     clear_artifacts(config)
-    with _transcript(out, make_backend(config)) as wrapped:
-        demos, result = _offline_stage(config, wrapped, spec)
+    with _open_transcript(out) as fh:
+        demos, result = _offline_stage(
+            config, RecordingBackend(make_backend(config), fh), spec)
 
     # the offline stage writes no decision trace
     _write_json(os.path.join(out, ARTIFACT_CONFIG),

@@ -7,11 +7,13 @@ each tree in turn, every ``scenarios/*.json`` beside this file runs at
 its full horizon with the scripted backend (``coexlab run``), followed by
 ``coexlab eval`` and ``coexlab trace`` on the run directory, and
 ``coexlab offline`` runs on it into a directory of its own (a scenario
-with no agent is refused there). ``coexlab run --replicas 2`` runs on
-``mac_1t1h.json`` and ``tcp_agent_reno.json``, ``coexlab oracle`` on
-``mac_dynamic.json``, and ``coexlab demos`` exports both families' sets.
-Each command's exit code, stdout and stderr are kept beside the files it
-wrote. The two
+with no agent is refused there). Each scenario whose run wrote
+``strategy.json`` also runs twice more, each into a directory of its own:
+with ``--no-trace``, and with ``--backend none --strategy`` on that
+``strategy.json``. ``coexlab run --replicas 2`` runs on ``mac_1t1h.json``
+and ``tcp_agent_reno.json``, ``coexlab oracle`` on ``mac_dynamic.json``,
+and ``coexlab demos`` exports both families' sets. Each command's exit
+code, stdout and stderr are kept beside the files it wrote. The two
 output trees are then compared file by file; every file that differs or
 exists under one tree only is printed, and the exit status is 1 when
 there is any.
@@ -88,6 +90,15 @@ def produce(src: Path, work: Path, scenarios: Path = SCENARIOS) -> None:
         _coexlab(src, work, f"{scenario.stem}.offline.txt", "offline",
                  "--backend", "scripted", "--scenario", str(scenario),
                  "--out", f"offline/{scenario.stem}")
+        strategy = f"{run}/strategy.json"
+        if (work / strategy).is_file():
+            _coexlab(src, work, f"{scenario.stem}.notrace.txt", "run",
+                     "--backend", "scripted", "--scenario", str(scenario),
+                     "--out", f"notrace/{scenario.stem}", "--no-trace")
+            _coexlab(src, work, f"{scenario.stem}.cached.txt", "run",
+                     "--backend", "none", "--scenario", str(scenario),
+                     "--out", f"cached/{scenario.stem}", "--strategy",
+                     strategy)
     for name in REPLICA_SCENARIOS:
         stem = Path(name).stem
         _coexlab(src, work, f"{stem}.replicas.txt", "run", "--backend",

@@ -302,8 +302,7 @@ from coexlab.agent.online import (
     TcpPeriodEngine,
     mac_window_objective,
 )
-from coexlab.backends import BackendUnavailableError, RecordingBackend, \
-    TranscriptRecorder
+from coexlab.backends import BackendUnavailableError, RecordingBackend
 from coexlab.errors import InvalidScenarioError, MalformedResponseError
 from coexlab.mac import KIND_AWARE
 from coexlab.metrics import jain_index
@@ -483,8 +482,7 @@ class TestMacPeriodEngine:
 
     def test_ranker_mode_queries_both_orders(self):
         transcript = io.StringIO()
-        backend = RecordingBackend(ScriptedBackend(),
-                                   TranscriptRecorder(transcript))
+        backend = RecordingBackend(ScriptedBackend(), transcript)
         eng = MacPeriodEngine(static_mac_spec(frames=200),
                               mac_strategy_json(),
                               AgentConfig(ranker_online=True),

@@ -14,7 +14,6 @@ from coexlab.backends import (
     Message,
     RankerQuery,
     RecordingBackend,
-    TranscriptRecorder,
     extract_json_text,
     judge_select,
     ranked_complete,
@@ -70,6 +69,7 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailableError) as err:
             backend.complete(user_request("hi"))
         assert err.value.status == 500
+        assert str(err.value) == "completion failed after 4 attempts: x"
         assert waits == [0.5, 1.0, 2.0]
 
     def test_auth_failure_is_immediate(self):
@@ -77,6 +77,7 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailableError) as err:
             backend.complete(user_request("hi"))
         assert err.value.status == 401
+        assert str(err.value) == "completion failed after 1 attempt: no"
         assert len(calls) == 1
 
     def test_malformed_body(self):
@@ -94,7 +95,7 @@ class TestTranscript:
     def test_records_in_order_without_timestamps(self):
         transcript = io.StringIO()
         backend, _ = http_with([(200, ok_body("a")), (200, ok_body("b"))])
-        wrapped = RecordingBackend(backend, TranscriptRecorder(transcript))
+        wrapped = RecordingBackend(backend, transcript)
         wrapped.complete(user_request("one", tag="t1"))
         wrapped.complete(user_request("two", tag="t2"))
         lines = transcript.getvalue().strip().split("\n")

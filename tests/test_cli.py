@@ -183,6 +183,14 @@ def keep_lines(n):
     return lambda text: "".join(text.splitlines(True)[:n])
 
 
+def set_frames(frame):
+    def mutate(text):
+        header, *rows = text.splitlines()
+        return "\n".join([header] + [f"{frame}," + row.split(",", 1)[1]
+                                     for row in rows]) + "\n"
+    return mutate
+
+
 def drop_column(col):
     def mutate(text):
         rows = [line.split(",") for line in text.splitlines()]
@@ -1326,6 +1334,14 @@ class TestEvalCommand:
         # the run's 600 frames end past the 500-frame warm-up
         args, path = self.break_artifact(tmp_path, mac_run, name,
                                          keep_lines(50))
+        self.assert_exit_2_naming(args, name, path, capsys)
+
+    @pytest.mark.parametrize("name", [ARTIFACT_REFERENCE, "--reference"])
+    def test_reference_frames_out_of_row_order_exit_2(
+            self, tmp_path, mac_run, name, capsys):
+        # every row claims frame 7, so row 1 already holds the wrong frame
+        args, path = self.break_artifact(tmp_path, mac_run, name,
+                                         set_frames(7))
         self.assert_exit_2_naming(args, name, path, capsys)
 
     def test_short_reference_within_the_warm_up_gives_no_rmse(

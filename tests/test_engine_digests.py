@@ -28,7 +28,7 @@ from period_records import run_collect
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
 from coexlab.agent.trace import DecisionTrace, TraceSink
-from coexlab.backends import RecordingBackend, TranscriptRecorder
+from coexlab.backends import RecordingBackend
 from coexlab.errors import BackendUnavailableError
 from coexlab.mac import (
     KIND_AGENT,
@@ -104,11 +104,10 @@ def tcp_spec(rounds, *controllers, seed=4):
 
 
 def _engine(cls, spec, strategy, inner, **kwargs):
-    recorder = TranscriptRecorder(io.StringIO())
+    recorder = RecordingBackend(inner, io.StringIO())
     trace = DecisionTrace("engine digest",
                           sink=TraceSink(io.StringIO(), io.StringIO()))
-    engine = cls(spec, strategy, backend=RecordingBackend(inner, recorder),
-                 trace=trace, **kwargs)
+    engine = cls(spec, strategy, backend=recorder, trace=trace, **kwargs)
     return engine, trace, recorder
 
 

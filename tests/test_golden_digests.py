@@ -21,26 +21,12 @@ from pathlib import Path
 import pytest
 
 from coexlab.cli import main
-from coexlab.runner import (
-    ARTIFACT_DEMOS,
-    ARTIFACT_EVAL,
-    ARTIFACT_METRICS,
-    ARTIFACT_OFFLINE,
-    ARTIFACT_REFERENCE,
-    ARTIFACT_STRATEGY,
-    ARTIFACT_THROUGHPUT,
-    ARTIFACT_TRACE,
-    ARTIFACT_TRAJECTORY,
-    ARTIFACT_TRANSCRIPT,
-)
+from coexlab.runner import ARTIFACT_EVAL, ARTIFACT_METRICS, ARTIFACTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 MAX_HORIZON = 1000
-ARTIFACTS = (ARTIFACT_TRAJECTORY, ARTIFACT_THROUGHPUT, ARTIFACT_REFERENCE,
-             ARTIFACT_METRICS, ARTIFACT_TRACE, ARTIFACT_TRANSCRIPT,
-             ARTIFACT_STRATEGY, ARTIFACT_DEMOS, ARTIFACT_OFFLINE)
 
 
 def shortened(doc: dict) -> dict:
@@ -64,7 +50,7 @@ def shortened(doc: dict) -> dict:
 
 
 def scenario_digests(scenario: Path, work: Path) -> dict:
-    """sha256 of every listed artifact one scripted run writes."""
+    """sha256 of every artifact one scripted run writes."""
     path = work / scenario.name
     path.write_text(json.dumps(shortened(json.loads(scenario.read_text()))),
                     encoding="utf-8")

@@ -30,7 +30,7 @@ from coexlab import mac, tcp
 from coexlab.agent.config import AgentConfig
 from coexlab.agent.online import MacPeriodEngine, TcpPeriodEngine
 from coexlab.agent.trace import DecisionTrace, TraceSink
-from coexlab.backends import RecordingBackend, TranscriptRecorder
+from coexlab.backends import RecordingBackend
 from coexlab.cli import main
 from coexlab.errors import BackendUnavailableError
 from coexlab.mac import KIND_AGENT, KIND_TDMA, NodeConfig, ScenarioSpec
@@ -55,11 +55,9 @@ def run_engine(case, transcript_fh, sink=None):
     held in memory); returns the engine, its period records, the recorder
     and the trace."""
     cls, spec, strategy, config, escape = case
-    recorder = TranscriptRecorder(transcript_fh)
+    recorder = RecordingBackend(ScriptedBackend(), transcript_fh)
     trace = DecisionTrace("engine run", sink=sink)
-    engine = cls(spec, strategy, config,
-                 backend=RecordingBackend(ScriptedBackend(), recorder),
-                 trace=trace)
+    engine = cls(spec, strategy, config, backend=recorder, trace=trace)
     horizon = spec.total_frames if cls is MacPeriodEngine \
         else spec.total_rounds
     if escape:
@@ -182,8 +180,7 @@ def engine_bytes(periods, keep_records):
     with open(os.devnull, "w", encoding="utf-8") as null:
         engine = MacPeriodEngine(
             spec, mac_strategy(0.0, 0.0), config,
-            backend=RecordingBackend(ScriptedBackend(),
-                                     TranscriptRecorder(null)),
+            backend=RecordingBackend(ScriptedBackend(), null),
             trace=DecisionTrace("engine run", sink=TraceSink(null, null)))
         records = run_collect(engine, spec.total_frames) if keep_records \
             else engine.run(spec.total_frames)
@@ -248,19 +245,41 @@ class JoinerOutage:
     """The scripted backend, down for every decision of the member whose
     request tags start with ``tag``, by default flow 2: a member with no
     earlier decision to fall back on, so its first period ends the run.
-    Before failing, it notes the rows of the trajectory on disk."""
+    Before failing, it notes the rows of the trajectory on disk and the
+    files of the run directory."""
 
     def __init__(self, trajectory, tag="flow/2/"):
         self.inner = ScriptedBackend()
         self.trajectory = trajectory
         self.tag = tag
-        self.rows_on_disk = None
+        self.rows_on_disk = self.files = None
 
     def complete(self, req):
         if req.request_tag.startswith(self.tag):
             self.rows_on_disk = self.trajectory.read_text().count("\n")
+            self.files = sorted(p.name
+                                for p in self.trajectory.parent.iterdir())
             raise BackendUnavailableError("simulated outage")
         return self.inner.complete(req)
+
+
+def test_failed_offline_stage_keeps_transcript_lines_and_no_trace(
+        tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    backend = JoinerOutage(out / ARTIFACT_TRAJECTORY, tag="reflection/")
+    monkeypatch.setattr(coexlab.runner, "make_backend",
+                        lambda config: backend)
+    with pytest.raises(BackendUnavailableError, match="simulated outage"):
+        cmd_run(RunConfig(scenario_path=write_scenario(tmp_path / "s.json"),
+                          out_dir=str(out), agent=FAST_AGENT))
+    # every streamed record is open before the offline stage runs
+    assert backend.files == sorted([ARTIFACT_DOT, ARTIFACT_TRACE,
+                                    ARTIFACT_TRAJECTORY, ARTIFACT_TRANSCRIPT])
+    assert [p.name for p in out.iterdir()] == [ARTIFACT_TRANSCRIPT]
+    entries = [json.loads(line) for line in
+               (out / ARTIFACT_TRANSCRIPT).read_text().splitlines()]
+    assert [(e["seq"], e["tag"]) for e in entries] == [
+        (0, "strategy-gen/forward"), (1, "strategy-gen/reversed")]
 
 
 def test_failed_tcp_run_removes_its_partial_trajectory(tmp_path,
